@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: test test-fast bench bench-cache bench-engine bench-serve bench-overload bench-layout figures report profile chaos serve-chaos serve-health serve-overload verify verify-full fuzz calibrate examples clean
+.PHONY: test test-fast bench bench-engine bench-serve bench-overload bench-layout figures report profile chaos serve-chaos serve-health serve-overload verify verify-full fuzz calibrate examples clean
 
 test:            ## full test suite (incl. heavy example smoke tests)
 	$(PY) -m pytest tests/
@@ -12,9 +12,6 @@ test-fast:       ## tests without the slow end-to-end example runs
 
 bench:           ## all table/figure/ablation benchmarks (pytest-benchmark)
 	$(PY) -m pytest benchmarks/ --benchmark-only
-
-bench-cache:     ## trace-cache perf smoke (fails if hit rate < 90%)
-	$(PY) benchmarks/bench_trace_cache.py --quick
 
 bench-engine:    ## vectorized-engine perf smoke (fails below 10x over the
                  ## per-lane oracle or on any bitwise ledger mismatch)
@@ -34,7 +31,7 @@ bench-layout:    ## layout-autotuner perf smoke (fails on choice flips,
 
 figures:         ## regenerate every table/figure text artifact in benchmarks/results/
 	@cd benchmarks && for b in bench_*.py; do \
-	  case $$b in bench_cpu_wallclock.py|bench_extension_solvers.py|bench_layout_autotune.py|bench_trace_cache.py|bench_vectorized_engine.py) continue;; esac; \
+	  case $$b in bench_cpu_wallclock.py|bench_extension_solvers.py|bench_layout_autotune.py|bench_vectorized_engine.py) continue;; esac; \
 	  echo "== $$b"; $(PY) $$b > /dev/null || exit 1; done
 
 report:          ## paper-vs-model Markdown report

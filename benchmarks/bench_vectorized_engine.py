@@ -4,8 +4,8 @@ Runs a solver x size grid twice -- once on the default batched
 :class:`~repro.gpusim.engine.VectorizedEngine` via ``launch()`` and
 once through the per-lane oracle
 :func:`~repro.gpusim.executor._reference_execute` -- on the same
-systems, with the trace cache disabled so both sides do the full
-simulation work.
+systems.  Both are raw launches of the kernel's plan, so both sides
+record their trace and do the full simulation work.
 
 Two things gate the exit code:
 
@@ -35,10 +35,9 @@ import numpy as np
 
 from _harness import SOLVER_ORDER, emit, table
 
-from repro.gpusim import ledgers_equal, use_cache
-from repro.gpusim.estimator import _resolve_kernel
+from repro.gpusim import ledgers_equal
 from repro.gpusim.executor import _reference_execute, launch
-from repro.kernels.common import GlobalSystemArrays
+from repro.kernels.api import plan_launch
 from repro.numerics.generators import diagonally_dominant_fluid
 
 #: Aggregate reference/vectorized wall-clock floor enforced in CI.
@@ -54,24 +53,23 @@ QUICK_SIZES = (256, 512)
 
 def _time_cell(method, n, repeats):
     """One grid cell under both engines: (vec_s, ref_s, mismatches)."""
-    kernel, threads, extra, _m = _resolve_kernel(method, n, None)
+    plan = plan_launch(method, n, NUM_SYSTEMS)
+    args = dict(num_blocks=plan.num_blocks,
+                threads_per_block=plan.threads_per_block,
+                **dict(plan.kwargs))
     systems = diagonally_dominant_fluid(NUM_SYSTEMS, n, seed=0)
     mismatches = []
 
     vec_s = ref_s = 0.0
     for _ in range(repeats):
-        gmem_vec = GlobalSystemArrays.from_systems(systems)
+        gmem_vec = plan.load(systems)
         t0 = time.perf_counter()
-        with use_cache(None):
-            vec = launch(kernel, num_blocks=NUM_SYSTEMS,
-                         threads_per_block=threads, gmem=gmem_vec, **extra)
+        vec = launch(plan.kernel, gmem=gmem_vec, **args)
         vec_s += time.perf_counter() - t0
 
-        gmem_ref = GlobalSystemArrays.from_systems(systems)
+        gmem_ref = plan.load(systems)
         t0 = time.perf_counter()
-        ref = _reference_execute(kernel, num_blocks=NUM_SYSTEMS,
-                                 threads_per_block=threads, gmem=gmem_ref,
-                                 **extra)
+        ref = _reference_execute(plan.kernel, gmem=gmem_ref, **args)
         ref_s += time.perf_counter() - t0
 
         mismatches += [f"{method} n={n}: {m}"

@@ -15,16 +15,16 @@ This module fits a small *calibration model* per device instead of
 hard-coding that fold line.  For every candidate ``(method, layout)``
 it compares the analytic cost ledger
 (:func:`repro.gpusim.estimate_report`, no functional execution) against
-a *measured* calibration sweep -- full functional simulations through
+a *measured* calibration sweep through
 :func:`repro.analysis.timing.modeled_grid_timing` -- and fits one
 least-squares gain per candidate plus per-term (global / shared /
 compute) residuals.  On this simulator the analytic path is exact by
 construction (the charge ledger is data-independent), so the fitted
-gains are 1.0 and the residuals 0 -- the fit is a *guard*: any drift
-between the two paths (a kernel change that breaks the stub-block
-equivalence, say) surfaces as a non-zero reported residual rather
-than a silently wrong placement.  On real hardware the same harness
-would absorb systematic model error into the gains.
+gains are 1.0 and the residuals 0 (both sides price the same
+memoized block ledger; the stub-block equivalence itself is pinned
+against traced launches by ``tests/gpusim/test_estimator.py``).  On
+real hardware the same harness would absorb systematic model error
+into the gains.
 
 :func:`choose_layout` then ranks the candidates by corrected predicted
 cost for a given batch shape, with per-candidate infeasibility reasons

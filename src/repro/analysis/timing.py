@@ -70,47 +70,35 @@ def modeled_grid_timing(name: str, n: int, num_systems: int, *,
                         layout: str | None = None) -> SolverTiming:
     """Model a ``num_systems x n`` grid from a small simulation.
 
-    Per-block counters are identical across blocks, so ``sim_blocks``
-    simulated systems suffice; the timing report is rescaled to the
-    requested grid via the occupancy/wave rule.  Used by the figure
-    benchmarks, where simulating 512 real blocks would only burn time.
-
-    The per-thread ``"thomas"`` kernel packs many systems into each
-    block, so its small simulation is one full block tile of
-    ``min(num_systems, max_threads)`` systems and the rescale runs
-    over the real *block* count instead of the system count.
+    The timing report is the analytic estimate for the requested grid
+    (:func:`repro.gpusim.estimator.estimate_report`: per-block counters
+    are identical across blocks, so the memoized block ledger is
+    rescaled via the occupancy/wave rule).  ``x`` and ``launch`` come
+    from a functional run on ``sim_blocks`` systems -- or, for the
+    per-thread ``"thomas"`` kernel, which packs many systems into each
+    block, on one full block tile of ``min(num_systems, max_threads)``
+    systems.  Used by the figure benchmarks, where simulating 512 real
+    blocks would only burn time.
     """
-    from repro.gpusim.costmodel import TimingReport
+    from repro.gpusim.estimator import estimate_report
+    from repro.kernels.api import plan_launch
     from repro.numerics.generators import diagonally_dominant_fluid
 
-    cm = cost_model or gt200_cost_model()
     pcie = pcie or PCIeModel()
-    if name == "thomas":
-        from repro.kernels.thomas_kernel import thomas_launch_geometry
-        num_blocks, threads = thomas_launch_geometry(num_systems, device)
-        systems = diagonally_dominant_fluid(threads, n, seed=seed)
-    else:
-        num_blocks = num_systems
-        systems = diagonally_dominant_fluid(sim_blocks, n, seed=seed)
+    sim = (plan_launch(name, n, num_systems, device=device,
+                       layout=layout).systems_per_block
+           if name == "thomas" else sim_blocks)
+    systems = diagonally_dominant_fluid(sim, n, seed=seed)
     with telemetry.span("timing.modeled_grid", solver=name, n=n,
                         num_systems=num_systems,
                         sim_blocks=sim_blocks) as sp:
         x, launch = run_kernel(name, systems,
                                intermediate_size=intermediate_size,
                                device=device, layout=layout)
-        scale, conc, waves = cm.grid_scale(device, num_blocks,
-                                           launch.shared_bytes,
-                                           launch.threads_per_block)
-        ns_to_ms = 1e-6
-        rep = TimingReport(
-            launch_overhead_ms=cm.params.launch_overhead_ns * ns_to_ms,
-            grid_scale=scale, blocks_per_sm=conc, waves=waves)
-        for pname, pc in launch.ledger.phases.items():
-            rep.phases[pname] = cm.phase_time_block_ns(
-                pc, blocks_per_sm=conc).scaled(scale * ns_to_ms)
-        for pname, idx, pc in launch.ledger.step_records:
-            t = cm.phase_time_block_ns(pc, blocks_per_sm=conc).total_ms
-            rep.per_step.append((pname, idx, t * scale * ns_to_ms))
+        rep = estimate_report(name, n, num_systems,
+                              intermediate_size=intermediate_size,
+                              device=device, cost_model=cost_model,
+                              layout=layout or "sequential")
         transfer = pcie.solver_roundtrip_ms(num_systems, n)
         sp.set_attr("modeled_ms", rep.total_ms)
         sp.set_attr("transfer_ms", transfer)

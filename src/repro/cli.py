@@ -653,7 +653,6 @@ def cmd_serve(args) -> int:
                "health": sched.health.snapshot(),
                "metrics": {k: v for k, v in snap["counters"].items()
                            if k.startswith("serve.")},
-               "pool_trace_cache": pool.trace_cache.stats(),
                "exit_code": rc}
         print(json.dumps(doc, indent=2, sort_keys=True))
         return rc

@@ -87,10 +87,10 @@ class BlockContext:
     record_trace:
         When False, the functional float32 path runs unchanged (all
         validation included) but no counters or costs are recorded and
-        the conflict/coalescing arithmetic is skipped entirely.  The
-        trace cache (:mod:`~repro.gpusim.tracecache`) uses this on a
-        hit: the architectural trace is a pure function of the launch
-        signature, so a memoized ledger replaces the recording pass.
+        the conflict/coalescing arithmetic is skipped entirely.  Planned
+        launches (:func:`repro.kernels.api.execute`) use this: the
+        architectural trace is a pure function of the launch plan, so
+        the estimator's memoized ledger replaces the recording pass.
     engine:
         Execution engine (instance, name, or None for the vectorized
         default); see :mod:`~repro.gpusim.engine`.

@@ -192,22 +192,31 @@ class CostModel:
 
     def report(self, result: LaunchResult) -> TimingReport:
         """Grid-level modeled timing for a simulated launch."""
-        scale, conc, waves = self.grid_scale(
-            result.device, result.num_blocks, result.shared_bytes,
-            result.threads_per_block)
+        rep = self.grid_report(result.device, result.num_blocks,
+                               result.shared_bytes,
+                               result.threads_per_block, result.ledger)
+        col = _telemetry.get_collector()
+        if col is not None:
+            self._record_telemetry(col, rep)
+        return rep
+
+    def grid_report(self, device: DeviceSpec, num_blocks: int,
+                    shared_bytes: int, threads_per_block: int,
+                    ledger: CounterLedger) -> TimingReport:
+        """Price a per-block ``ledger`` over a grid of ``num_blocks``
+        (what :meth:`report` does, minus telemetry)."""
+        scale, conc, waves = self.grid_scale(device, num_blocks,
+                                             shared_bytes, threads_per_block)
         ns_to_ms = 1e-6
         rep = TimingReport(
             launch_overhead_ms=self.params.launch_overhead_ns * ns_to_ms,
             grid_scale=scale, blocks_per_sm=conc, waves=waves)
-        for name, pc in result.ledger.phases.items():
+        for name, pc in ledger.phases.items():
             block_ns = self.phase_time_block_ns(pc, blocks_per_sm=conc)
             rep.phases[name] = block_ns.scaled(scale * ns_to_ms)
-        for phase, idx, pc in result.ledger.step_records:
+        for phase, idx, pc in ledger.step_records:
             t = self.phase_time_block_ns(pc, blocks_per_sm=conc).total_ms
             rep.per_step.append((phase, idx, t * scale * ns_to_ms))
-        col = _telemetry.get_collector()
-        if col is not None:
-            self._record_telemetry(col, rep)
         return rep
 
     def _record_telemetry(self, col, rep: TimingReport) -> None:

@@ -110,8 +110,8 @@ class PhaseCounters:
     def copy(self) -> "PhaseCounters":
         """Independent copy.  Every field is a scalar, so copying the
         instance dict is complete -- and orders of magnitude cheaper
-        than ``copy.deepcopy``, which matters because the trace cache
-        copies a ledger on every hit."""
+        than ``copy.deepcopy``, which matters because every planned
+        launch copies its memoized ledger."""
         out = PhaseCounters.__new__(PhaseCounters)
         out.__dict__.update(self.__dict__)
         return out

@@ -1,29 +1,28 @@
-"""Analytical fast-path cost estimator: ledger and timing without
-functional execution.
+"""Analytical fast-path cost estimator, and the one ledger memo.
 
 The simulator's cost charges are *data-independent*: every counter in
 a :class:`~repro.gpusim.counters.CounterLedger` is a function of the
 access patterns a kernel issues, never of the float values flowing
-through them.  This module exploits that to produce the exact ledger
--- and therefore the exact modeled timing -- of a launch without
-gathering or scattering a single element: the kernel runs on a
-``functional=False`` :class:`~repro.gpusim.context.BlockContext` whose
-loads return zeros and whose stores are dropped, so only index
-validation and counter charging execute.
+through them.  A launch's ledger is therefore a function of its
+:class:`~repro.kernels.api.LaunchPlan` alone.  :func:`characterize`
+computes it once per plan -- the kernel runs on a ``functional=False``
+:class:`~repro.gpusim.context.BlockContext` whose loads return zeros
+and whose stores are dropped, so only index validation and counter
+charging execute -- and the estimates price it per grid and device.
 
 Guarantees (enforced by ``tests/gpusim/test_estimator.py``):
 
 - :func:`analytic_launch` returns a ledger bitwise-identical to a
-  functional :func:`~repro.gpusim.executor.launch` of the same kernel
-  (any input data, either engine).
-- :func:`estimate_report` mirrors the float arithmetic of
-  :func:`repro.analysis.timing.modeled_grid_timing` exactly, so
-  swapping the serve scheduler's admission estimates onto this path
-  changes no modeled millisecond anywhere.
-- No telemetry is emitted and no global state (trace cache, fault
-  plan) is consulted, so repeated calls are deterministic and
-  side-effect-free; results are memoized per
-  ``(method, n, m, device)``.
+  traced functional :func:`~repro.gpusim.executor.launch` of the same
+  plan (any input data, either engine).
+- :func:`estimate_report` applies the same float arithmetic as
+  :meth:`~repro.gpusim.costmodel.CostModel.report`, so the analytic
+  and simulate-then-cost paths agree on every modeled millisecond.
+- No telemetry is emitted and no fault plan is consulted, so repeated
+  calls are deterministic and side-effect-free.  Results are memoized
+  per one-block plan (:attr:`~repro.kernels.api.LaunchPlan.block`,
+  which carries the :class:`~repro.gpusim.device.DeviceSpec` itself);
+  planned functional launches draw private copies of the same entries.
 
 :func:`closed_form_counters` additionally exposes the paper's Table 1
 closed forms that the simulated ledgers reproduce *exactly* (not just
@@ -36,116 +35,51 @@ from __future__ import annotations
 
 import numpy as np
 
-from .context import BlockContext, StopKernel
+from .context import BlockContext
 from .costmodel import CostModel, TimingReport
 from .device import DeviceSpec, GTX280
 from .executor import LaunchResult
 
-__all__ = ["analytic_launch", "estimate_report", "estimate_ms",
-           "closed_form_counters", "clear_estimator_cache"]
+__all__ = ["analytic_launch", "characterize", "estimate_report",
+           "estimate_ms", "closed_form_counters", "clear_estimator_cache"]
 
-#: (method, n, m, layout, threads, device.name) -> LaunchResult with
-#: the analytic ledger.
-_CACHE: dict[tuple, LaunchResult] = {}
+#: One-block LaunchPlan -> LaunchResult carrying its analytic ledger.
+_MEMO: dict = {}
 
 
 def clear_estimator_cache() -> None:
-    """Drop all memoized analytic launches (for tests)."""
-    _CACHE.clear()
+    """Drop all memoized ledgers (for tests)."""
+    _MEMO.clear()
 
 
-def _resolve_kernel(method: str, n: int, intermediate_size: int | None):
-    """Mirror :mod:`repro.kernels.api`'s launch configuration rules.
+def characterize(plan) -> LaunchResult:
+    """The memoized charge-only launch of ``plan``'s one-block form.
 
-    Returns ``(kernel, threads_per_block, extra_kwargs, m)`` for the
-    five named solvers; imports lazily because :mod:`repro.kernels`
-    imports :mod:`repro.gpusim`.
+    The returned :class:`LaunchResult` (``num_blocks=1``) is shared:
+    callers must treat it as read-only and copy the ledger before
+    handing it out.
     """
-    from repro.kernels.api import KERNEL_RUNNERS  # noqa: F401 (validates name)
-    from repro.kernels.cr_kernel import cr_kernel
-    from repro.kernels.hybrid_kernel import cr_pcr_kernel, cr_rd_kernel
-    from repro.kernels.pcr_kernel import pcr_kernel
-    from repro.kernels.rd_kernel import rd_kernel
-    from repro.solvers.hybrid import default_intermediate_size
-    from repro.solvers.validate import require_power_of_two
-
-    require_power_of_two(n, f"analytic_launch({method})")
-    if method == "cr":
-        return cr_kernel, max(1, n // 2), {"conflict_free_timing": False}, None
-    if method == "pcr":
-        return pcr_kernel, n, {}, None
-    if method == "rd":
-        return rd_kernel, n, {}, None
-    if method in ("cr_pcr", "cr_rd"):
-        inner = "pcr" if method == "cr_pcr" else "rd"
-        m = (default_intermediate_size(n, inner)
-             if intermediate_size is None else int(intermediate_size))
-        require_power_of_two(m, f"analytic_launch({method}) intermediate size")
-        kernel = cr_pcr_kernel if method == "cr_pcr" else cr_rd_kernel
-        return kernel, max(1, n // 2, m), {"intermediate_size": m}, m
-    raise ValueError(
-        f"unknown kernel {method!r}; "
-        f"available: ['cr', 'cr_pcr', 'cr_rd', 'pcr', 'rd', 'thomas']")
+    key = plan.block
+    hit = _MEMO.get(key)
+    if hit is None:
+        ctx = BlockContext(plan.device, 1, plan.threads_per_block,
+                           functional=False, emit_callbacks=False)
+        with np.errstate(all="ignore"):
+            plan.kernel(ctx, gmem=plan.stub(), **dict(plan.kwargs))
+        hit = _MEMO[key] = LaunchResult(
+            outputs=None, ledger=ctx.ledger, num_blocks=1,
+            threads_per_block=plan.threads_per_block,
+            shared_bytes=ctx.shared_space.bytes_allocated,
+            device=plan.device)
+    return hit
 
 
-def _stub_interleaved_gmem(num_systems: int, n: int):
-    """Zero-filled interleaved global arrays (see :func:`_stub_gmem`)."""
-    from repro.gpusim.memory import GlobalArray, InterleavedSystemArrays
-
-    words = num_systems * n
-    return InterleavedSystemArrays(
-        a=GlobalArray(words, dtype=np.float32),
-        b=GlobalArray(words, dtype=np.float32),
-        c=GlobalArray(words, dtype=np.float32),
-        d=GlobalArray(words, dtype=np.float32),
-        x=GlobalArray(words, dtype=np.float32),
-        num_systems=num_systems, n=n)
-
-
-def _resolve_thomas(n: int, num_systems: int, layout: str,
-                    device: DeviceSpec):
-    """Launch configuration for the per-thread Thomas kernel.
-
-    The per-thread mapping is batch-shaped: threads per block (and, in
-    the interleaved layout, the coalescing stride) follow the system
-    count, so the analytic stub simulates one *full block tile* of
-    ``min(S, max_threads)`` systems.  The real grid pads the batch to a
-    whole number of such tiles, which keeps the interleave stride a
-    multiple of the 16-word transaction segment whenever more than one
-    block exists -- so the one-tile ledger is bitwise-identical to any
-    real block's.
-    """
-    from repro.kernels.thomas_kernel import (LAYOUTS, thomas_launch_geometry,
-                                             thomas_interleaved_kernel,
-                                             thomas_sequential_kernel)
-
-    if layout not in LAYOUTS:
-        raise ValueError(f"layout must be one of {LAYOUTS}, got {layout!r}")
-    if num_systems < 1:
-        raise ValueError(
-            f"analytic_launch('thomas') needs num_systems >= 1, "
-            f"got {num_systems}")
-    _num_blocks, threads = thomas_launch_geometry(num_systems, device)
-    if layout == "interleaved":
-        return (thomas_interleaved_kernel, threads,
-                lambda: _stub_interleaved_gmem(threads, n))
-    return thomas_sequential_kernel, threads, lambda: _stub_gmem(threads, n)
-
-
-def _stub_gmem(num_blocks: int, n: int):
-    """Zero-filled global arrays, built directly (no ``from_systems``:
-    the analytic path must not trip an active fault plan's h2d hook)."""
-    from repro.gpusim.memory import GlobalArray
-    from repro.kernels.common import GlobalSystemArrays
-
-    words = num_blocks * n
-    return GlobalSystemArrays(
-        a=GlobalArray(words, dtype=np.float32),
-        b=GlobalArray(words, dtype=np.float32),
-        c=GlobalArray(words, dtype=np.float32),
-        d=GlobalArray(words, dtype=np.float32),
-        x=GlobalArray(words, dtype=np.float32),
-        num_systems=num_blocks, n=n)
+def _plan(method: str, n: int, num_systems: int, intermediate_size,
+          device: DeviceSpec, layout: str):
+    from repro.kernels.api import plan_launch  # kernels import gpusim
+    return plan_launch(method, n, num_systems,
+                       intermediate_size=intermediate_size, device=device,
+                       layout=layout)
 
 
 def analytic_launch(method: str, n: int, *,
@@ -155,48 +89,19 @@ def analytic_launch(method: str, n: int, *,
                     layout: str = "sequential") -> LaunchResult:
     """Trace ``method`` on an ``n``-system analytically.
 
-    Runs the kernel in non-functional charge-only mode on a single
-    stub block and returns a :class:`LaunchResult` whose ledger,
+    Returns the memoized one-block :class:`LaunchResult` whose ledger,
     ``shared_bytes`` and ``threads_per_block`` are bitwise-identical
     to a real launch's (per-block charges do not depend on the block
-    count or the data).  Results are memoized; callers must treat the
-    ledger as read-only.
+    count or the data).  Callers must treat it as read-only.
 
     ``num_systems`` and ``layout`` only matter for the per-thread
     ``"thomas"`` kernel, whose block shape (and interleave stride)
     depend on the batch size; the fine-grained methods run one block
     per system regardless.
     """
-    if method == "thomas":
-        kernel, threads, make_gmem = _resolve_thomas(
-            n, 1 if num_systems is None else int(num_systems),
-            layout, device)
-        extra, m = {}, None
-    else:
-        if layout != "sequential":
-            raise ValueError(
-                f"kernel {method!r} does not take layout {layout!r}")
-        kernel, threads, extra, m = _resolve_kernel(method, n,
-                                                    intermediate_size)
-        make_gmem = lambda: _stub_gmem(1, n)  # noqa: E731
-    key = (method, int(n), m, layout, threads, device.name)
-    hit = _CACHE.get(key)
-    if hit is not None:
-        return hit
-    gmem = make_gmem()
-    ctx = BlockContext(device, 1, threads, functional=False,
-                       emit_callbacks=False)
-    with np.errstate(all="ignore"):
-        try:
-            kernel(ctx, gmem=gmem, **extra)
-        except StopKernel:  # pragma: no cover - no step_limit here
-            pass
-    result = LaunchResult(
-        outputs=None, ledger=ctx.ledger, num_blocks=1,
-        threads_per_block=threads,
-        shared_bytes=ctx.shared_space.bytes_allocated, device=device)
-    _CACHE[key] = result
-    return result
+    return characterize(_plan(method, n, 1 if num_systems is None
+                              else int(num_systems), intermediate_size,
+                              device, layout))
 
 
 def estimate_report(method: str, n: int, num_systems: int, *,
@@ -204,41 +109,16 @@ def estimate_report(method: str, n: int, num_systems: int, *,
                     device: DeviceSpec = GTX280,
                     cost_model: CostModel | None = None,
                     layout: str = "sequential") -> TimingReport:
-    """Analytic :class:`TimingReport` for a ``num_systems x n`` grid.
-
-    Float-for-float the same arithmetic as
-    :func:`repro.analysis.timing.modeled_grid_timing` applied to a
-    functional launch: same ``grid_scale``, same per-phase scaling,
-    same per-step records.  The two paths therefore agree bitwise on
-    every modeled millisecond.
-    """
+    """Analytic :class:`TimingReport` for a ``num_systems x n`` grid:
+    the memoized block ledger priced over the plan's real block count,
+    without telemetry."""
     from .gt200 import gt200_cost_model
 
-    cm = cost_model or gt200_cost_model()
-    launch = analytic_launch(method, n, intermediate_size=intermediate_size,
-                             device=device, num_systems=num_systems,
-                             layout=layout)
-    if method == "thomas":
-        # Per-thread mapping: a block is a tile of threads systems,
-        # not one system.
-        from repro.kernels.thomas_kernel import thomas_launch_geometry
-        num_blocks, _threads = thomas_launch_geometry(num_systems, device)
-    else:
-        num_blocks = num_systems
-    scale, conc, waves = cm.grid_scale(device, num_blocks,
-                                       launch.shared_bytes,
-                                       launch.threads_per_block)
-    ns_to_ms = 1e-6
-    rep = TimingReport(
-        launch_overhead_ms=cm.params.launch_overhead_ns * ns_to_ms,
-        grid_scale=scale, blocks_per_sm=conc, waves=waves)
-    for pname, pc in launch.ledger.phases.items():
-        rep.phases[pname] = cm.phase_time_block_ns(
-            pc, blocks_per_sm=conc).scaled(scale * ns_to_ms)
-    for pname, idx, pc in launch.ledger.step_records:
-        t = cm.phase_time_block_ns(pc, blocks_per_sm=conc).total_ms
-        rep.per_step.append((pname, idx, t * scale * ns_to_ms))
-    return rep
+    plan = _plan(method, n, num_systems, intermediate_size, device, layout)
+    block = characterize(plan)
+    return (cost_model or gt200_cost_model()).grid_report(
+        plan.device, plan.num_blocks, block.shared_bytes,
+        plan.threads_per_block, block.ledger)
 
 
 def estimate_ms(method: str, n: int, num_systems: int, *,

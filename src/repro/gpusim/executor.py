@@ -17,7 +17,6 @@ from repro.telemetry import callbacks as _cb
 from repro.telemetry import collector as _telemetry
 
 from . import faults as _faults
-from . import tracecache as _tracecache
 from .context import BlockContext, StopKernel
 from .counters import CounterLedger
 from .device import DeviceSpec, GTX280
@@ -40,10 +39,6 @@ class LaunchResult:
         Static shared-memory footprint per block, as allocated.
     device:
         The device the launch was simulated on.
-    trace_cached:
-        True when ``ledger`` was replayed from the trace cache instead
-        of being recorded by this launch (bitwise-identical either
-        way; see :mod:`~repro.gpusim.tracecache`).
     """
 
     outputs: Any
@@ -52,7 +47,6 @@ class LaunchResult:
     threads_per_block: int
     shared_bytes: int
     device: DeviceSpec
-    trace_cached: bool = False
 
     @property
     def blocks_per_sm(self) -> int:
@@ -70,6 +64,7 @@ def launch(kernel: Callable[..., Any], *, num_blocks: int,
            dtype=np.float32, check_contiguous_active: bool = True,
            step_limit: int | None = None, max_launch_attempts: int = 3,
            retry_backoff_s: float = 0.0, engine=None,
+           ledger: CounterLedger | None = None,
            **kernel_args) -> LaunchResult:
     """Simulate ``kernel(ctx, **kernel_args)`` over a grid.
 
@@ -80,10 +75,13 @@ def launch(kernel: Callable[..., Any], *, num_blocks: int,
 
     ``engine`` selects the execution engine (``"vectorized"`` default,
     ``"reference"`` for the per-lane oracle, or an instance; see
-    :mod:`~repro.gpusim.engine`).  The engine is *not* part of the
-    trace-cache signature: both engines produce bitwise-identical
-    ledgers, so a trace recorded under one engine is a valid hit for
-    the other.
+    :mod:`~repro.gpusim.engine`).
+
+    ``ledger`` is a precomputed ledger for this launch (a planned
+    launch's private copy from :mod:`~repro.gpusim.estimator`): the
+    kernel then runs functionally with ``record_trace=False`` and the
+    result carries that ledger.  Without it the launch records its own
+    trace.
 
     Under an active :class:`~repro.gpusim.faults.FaultPlan` a launch
     attempt may fail before any block runs: transient failures are
@@ -120,7 +118,7 @@ def launch(kernel: Callable[..., Any], *, num_blocks: int,
         return _launch_once(kernel, kernel_name, num_blocks,
                             threads_per_block, device, dtype,
                             check_contiguous_active, step_limit, plan,
-                            kernel_args, engine=engine)
+                            kernel_args, engine=engine, ledger=ledger)
     raise AssertionError("unreachable")  # pragma: no cover
 
 
@@ -132,49 +130,26 @@ def _reference_execute(kernel: Callable[..., Any], *, num_blocks: int,
     """Run ``kernel`` on the per-lane :class:`~repro.gpusim.engine.ReferenceEngine`.
 
     The property-test oracle for the vectorized engine: per-lane,
-    per-block Python loops with no pattern memoization and no trace
-    cache (every run records its trace from scratch).  Ledgers, step
-    records and float32 outputs must be bitwise-identical to
+    per-block Python loops with no pattern memoization (every run
+    records its trace from scratch).  Ledgers, step records and
+    float32 outputs must be bitwise-identical to
     :func:`launch` on the same arguments
     (``tests/gpusim/test_vectorized_engine.py``).
     """
-    with _tracecache.use_cache(None):
-        return launch(kernel, num_blocks=num_blocks,
-                      threads_per_block=threads_per_block, device=device,
-                      dtype=dtype,
-                      check_contiguous_active=check_contiguous_active,
-                      step_limit=step_limit, engine="reference",
-                      **kernel_args)
+    return launch(kernel, num_blocks=num_blocks,
+                  threads_per_block=threads_per_block, device=device,
+                  dtype=dtype, check_contiguous_active=check_contiguous_active,
+                  step_limit=step_limit, engine="reference", **kernel_args)
 
 
 def _launch_once(kernel, kernel_name, num_blocks, threads_per_block, device,
                  dtype, check_contiguous_active, step_limit, plan,
-                 kernel_args, engine=None) -> LaunchResult:
+                 kernel_args, engine=None, ledger=None) -> LaunchResult:
     """One successful launch attempt (the pre-fault-injection body)."""
-    cache = _tracecache.get_cache()
-    key = None
-    cached_ledger = None
-    if cache is not None:
-        if plan is not None or step_limit is not None:
-            # Injected faults perturb the run; differential timing
-            # must re-trace its truncated schedule.  Both re-record.
-            cache.record_bypass(kernel_name,
-                                reason=("fault_plan" if plan is not None
-                                        else "step_limit"))
-        else:
-            key = _tracecache.launch_signature(
-                kernel, num_blocks=num_blocks,
-                threads_per_block=threads_per_block, device=device,
-                dtype=dtype, check_contiguous_active=check_contiguous_active,
-                kernel_args=kernel_args)
-            if key is None:
-                cache.record_bypass(kernel_name)
-            else:
-                cached_ledger = cache.lookup(key, kernel=kernel_name)
     ctx = BlockContext(device, num_blocks, threads_per_block, dtype=dtype,
                        check_contiguous_active=check_contiguous_active,
                        step_limit=step_limit,
-                       record_trace=cached_ledger is None,
+                       record_trace=ledger is None,
                        engine=engine)
     _cb.emit(_cb.DOMAIN_LAUNCH, _cb.SITE_BEGIN, kernel=kernel_name,
              num_blocks=num_blocks, threads_per_block=threads_per_block,
@@ -185,16 +160,13 @@ def _launch_once(kernel, kernel_name, num_blocks, threads_per_block, device,
             outputs = kernel(ctx, **kernel_args)
         except StopKernel:
             outputs = None
-        if key is not None and cached_ledger is None:
-            cache.store(key, ctx.ledger, kernel=kernel_name)
         result = LaunchResult(
             outputs=outputs,
-            ledger=ctx.ledger if cached_ledger is None else cached_ledger,
+            ledger=ctx.ledger if ledger is None else ledger,
             num_blocks=num_blocks,
             threads_per_block=threads_per_block,
             shared_bytes=ctx.shared_space.bytes_allocated,
             device=device,
-            trace_cached=cached_ledger is not None,
         )
         if plan is not None:
             detected = plan.corrupt_global_arrays(

@@ -368,12 +368,6 @@ class GlobalArray:
     def words(self) -> int:
         return self.data.size
 
-    def trace_signature(self) -> tuple:
-        """Structural identity for trace memoization: the address-space
-        shape, never the data values (the architectural trace is
-        data-independent)."""
-        return ("global_array", self.data.size, str(self.data.dtype))
-
     def _flat(self, block_bases: np.ndarray, idx: np.ndarray) -> np.ndarray:
         flat = (np.asarray(block_bases, dtype=np.int64)[:, None]
                 + np.asarray(idx, dtype=np.int64)[None, :])
@@ -408,12 +402,9 @@ class InterleavedSystemArrays:
     64-byte segments instead of 16.
 
     The class mirrors the sequential container's protocol (``a..d``,
-    ``x``, ``num_systems``, ``n``, ``from_systems``, ``solution``,
-    ``trace_signature``) so kernels and the fault-injection transfer
-    hooks treat the two layouts uniformly.  ``trace_signature`` carries
-    a distinct tag: the access schedule of a kernel depends on the
-    layout, so a trace recorded against one layout must never be a
-    cache hit for the other.  (A dataclass so
+    ``x``, ``num_systems``, ``n``, ``from_systems``, ``solution``) so
+    kernels and the fault-injection transfer hooks treat the two
+    layouts uniformly.  (A dataclass so
     :func:`repro.gpusim.faults.find_global_arrays` walks its fields,
     keeping post-launch ECC upset detection layout-uniform.)
     """
@@ -457,14 +448,6 @@ class InterleavedSystemArrays:
             plan.corrupt_transfer([gmem.a, gmem.b, gmem.c, gmem.d],
                                   direction="h2d")
         return gmem
-
-    def trace_signature(self) -> tuple:
-        """Structural identity for trace memoization.  Layout-tagged:
-        the same ``(S, n)`` shape yields different access schedules in
-        the two layouts."""
-        return ("gmem_interleaved", self.num_systems, self.n,
-                tuple(arr.trace_signature()
-                      for arr in (self.a, self.b, self.c, self.d, self.x)))
 
     def solution(self) -> np.ndarray:
         """De-interleave the solution back to ``(num_systems, n)``.

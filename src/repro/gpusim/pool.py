@@ -25,7 +25,6 @@ import numpy as np
 
 from .device import GTX280, DeviceSpec
 from .faults import FaultPlan, combine_rates, evaluate_processes
-from .tracecache import TraceCache
 
 #: FaultPlan rate fields a pool device's profile may set.
 FAULT_RATE_FIELDS = ("launch_transient_rate", "launch_fatal_rate",
@@ -137,12 +136,6 @@ class DevicePool:
     Order is meaningful: the scheduler breaks modeled-time ties by pool
     position, which keeps chunk placement deterministic.
 
-    The pool owns one shared :class:`~repro.gpusim.tracecache.TraceCache`:
-    launch signatures include the device spec, so devices with distinct
-    specs keep distinct entries while identical cards (the common
-    topology) share memoized traces.  The scheduler scopes its chunk
-    launches to this cache.
-
     ``spares`` are *warm* spares: initialised, breaker-tracked, but
     outside the placement set until the health monitor promotes one to
     replace an evicted device (:meth:`promote_spare`).  Iteration,
@@ -150,7 +143,6 @@ class DevicePool:
     """
 
     def __init__(self, devices: list[PooledDevice],
-                 trace_cache: TraceCache | None = None,
                  spares: list[PooledDevice] | None = None):
         if not devices:
             raise ValueError("a device pool needs at least one device")
@@ -159,8 +151,6 @@ class DevicePool:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate device names in pool: {names}")
         self.devices = list(devices)
-        self.trace_cache = (TraceCache(name="pool")
-                            if trace_cache is None else trace_cache)
 
     def __len__(self) -> int:
         return len(self.devices)

@@ -53,13 +53,6 @@ class GlobalSystemArrays:
                                   direction="h2d")
         return gmem
 
-    def trace_signature(self) -> tuple:
-        """Structural identity for trace memoization (layout, not data:
-        the kernels' access schedules depend only on ``(S, n)``)."""
-        return ("gmem", self.num_systems, self.n,
-                tuple(arr.trace_signature()
-                      for arr in (self.a, self.b, self.c, self.d, self.x)))
-
     @property
     def block_bases(self) -> np.ndarray:
         """Word offset of each block's system slice."""

@@ -16,10 +16,10 @@ compares it against the paper's mapping.
 
 Real batched packages fix the coalescing with an *interleaved* layout
 (element i of every system adjacent; cuSPARSE
-``gtsvInterleavedBatch``).  :func:`run_thomas_batch` is the production
-entry point: it launches a multi-block grid over batches of any size in
-either layout, gathering and scattering straight through
-:class:`repro.gpusim.memory.InterleavedSystemArrays` when
+``gtsvInterleavedBatch``).  :func:`repro.kernels.api.run_thomas_batch`
+is the production entry point: it launches a multi-block grid over
+batches of any size in either layout, gathering and scattering straight
+through :class:`repro.gpusim.memory.InterleavedSystemArrays` when
 ``layout="interleaved"``.  The interleaved variant restores coalescing
 but keeps the long dependence chain -- reproducing why even a
 perfectly-coalesced per-thread Thomas trails CR/PCR on step count.
@@ -118,8 +118,7 @@ def thomas_sequential_kernel(ctx: BlockContext,
 
     Block b's lane t owns system ``b * threads + t``; every access is
     strided by ``n`` (the uncoalesced baseline).  The grid must tile the
-    batch exactly (pad with identity systems; see
-    :func:`run_thomas_batch`).
+    batch exactly (pad with identity systems; see :func:`pad_identity`).
     """
     n = gmem.n
     threads = ctx.threads_per_block
@@ -159,16 +158,8 @@ def thomas_interleaved_kernel(ctx: BlockContext,
     _thomas_sweep(ctx, gmem, bases, addr, n)
 
 
-def thomas_launch_geometry(num_systems: int,
-                           device: DeviceSpec) -> tuple[int, int]:
-    """``(num_blocks, threads_per_block)`` for a per-thread Thomas grid."""
-    threads = min(int(num_systems), device.max_threads_per_block)
-    num_blocks = -(-int(num_systems) // threads)
-    return num_blocks, threads
-
-
-def _pad_identity(systems: TridiagonalSystems,
-                  padded: int) -> TridiagonalSystems:
+def pad_identity(systems: TridiagonalSystems,
+                 padded: int) -> TridiagonalSystems:
     """Pad the batch to ``padded`` systems with identity rows.
 
     Identity systems (b = 1, a = c = d = 0) sweep without dividing by
@@ -186,37 +177,6 @@ def _pad_identity(systems: TridiagonalSystems,
                               d=np.concatenate([systems.d, zeros]))
 
 
-def run_thomas_batch(systems: TridiagonalSystems,
-                     device: DeviceSpec = GTX280,
-                     layout: str = "sequential",
-                     step_limit: int | None = None
-                     ) -> tuple[np.ndarray, LaunchResult]:
-    """Run the per-thread Thomas kernel over a batch of any size.
-
-    ``layout`` selects the global-memory arrangement: ``"sequential"``
-    (the paper's contiguous-system layout, uncoalesced here) or
-    ``"interleaved"`` (coalesced).  Batches that do not tile the grid
-    are padded with identity systems; the result is sliced back to the
-    caller's ``num_systems`` rows.
-    """
-    if layout not in LAYOUTS:
-        raise ValueError(
-            f"layout must be one of {LAYOUTS}, got {layout!r}")
-    S = systems.num_systems
-    num_blocks, threads = thomas_launch_geometry(S, device)
-    padded = _pad_identity(systems, num_blocks * threads)
-    if layout == "interleaved":
-        gmem = InterleavedSystemArrays.from_systems(padded)
-        kernel = thomas_interleaved_kernel
-    else:
-        gmem = GlobalSystemArrays.from_systems(padded)
-        kernel = thomas_sequential_kernel
-    result = launch(kernel, num_blocks=num_blocks,
-                    threads_per_block=threads, device=device, gmem=gmem,
-                    step_limit=step_limit)
-    return gmem.solution()[:S], result
-
-
 def run_thomas_per_thread(systems: TridiagonalSystems,
                           device: DeviceSpec = GTX280,
                           interleaved: bool = False
@@ -224,8 +184,8 @@ def run_thomas_per_thread(systems: TridiagonalSystems,
     """Run the naive mapping; batch must fit one block's threads.
 
     Single-block demo wrapper kept for the golden traces and the
-    ablation bench; :func:`run_thomas_batch` handles arbitrary batch
-    sizes in either layout.
+    ablation bench; :func:`repro.kernels.api.run_thomas_batch` handles
+    arbitrary batch sizes in either layout.
     """
     S = systems.num_systems
     if S > device.max_threads_per_block:
@@ -233,6 +193,7 @@ def run_thomas_per_thread(systems: TridiagonalSystems,
             f"naive per-thread kernel demo limited to "
             f"{device.max_threads_per_block} systems, got {S}")
     if interleaved:
+        from .api import run_thomas_batch
         return run_thomas_batch(systems, device=device,
                                 layout="interleaved")
     gmem = GlobalSystemArrays.from_systems(systems)

@@ -55,7 +55,6 @@ from repro.gpusim.costmodel import CostModel
 from repro.gpusim.faults import GpuFault, inject
 from repro.gpusim.gt200 import gt200_cost_model
 from repro.gpusim.pool import DevicePool, PooledDevice, derive_seed
-from repro.gpusim import tracecache as _tracecache
 from repro.telemetry.metrics import (record_canary, record_health_score,
                                      record_lifecycle_transition)
 
@@ -317,16 +316,15 @@ class HealthMonitor:
                 plan = dev.plan_for(f"canary{h.canary_round}", k, 0,
                                     at_ms=t)
                 try:
-                    with _tracecache.use_cache(self.pool.trace_cache):
-                        if plan is not None:
-                            with inject(plan):
-                                x, launch = run_kernel(
-                                    pol.canary_method, systems,
-                                    device=dev.spec)
-                        else:
+                    if plan is not None:
+                        with inject(plan):
                             x, launch = run_kernel(
                                 pol.canary_method, systems,
                                 device=dev.spec)
+                    else:
+                        x, launch = run_kernel(
+                            pol.canary_method, systems,
+                            device=dev.spec)
                 except GpuFault:
                     t += CANARY_FAIL_PENALTY_MS
                     record_canary(dev.name, "fault")

@@ -53,7 +53,6 @@ import numpy as np
 
 from repro import telemetry
 from repro.gpusim import faults as _faults
-from repro.gpusim import tracecache as _tracecache
 from repro.gpusim.gt200 import gt200_cost_model
 from repro.gpusim.pool import DevicePool, PooledDevice, derive_seed
 from repro.kernels.api import run_kernel
@@ -65,7 +64,6 @@ from repro.telemetry.metrics import (record_chunk_done, record_chunk_latency,
                                      record_deadline_slack,
                                      record_degraded_solve, record_hedge,
                                      record_job_latency,
-                                     record_pool_trace_cache,
                                      record_queue_wait, record_retry_delay,
                                      record_shed)
 from repro.telemetry.slo import SLORegistry
@@ -461,15 +459,12 @@ class BatchScheduler:
             plan = device.plan_for(job.job_id, chunk_id, attempt,
                                    at_ms=start)
             try:
-                # Chunks of one job (and across jobs on the same pool)
-                # share the pool's trace cache; faulted attempts bypass
-                # it inside the executor.  The attempt span is what the
-                # sim.launch spans nest under, tying kernel launches
-                # into the job's trace tree.
+                # The attempt span is what the sim.launch spans nest
+                # under, tying kernel launches into the job's trace
+                # tree.
                 with telemetry.span("serve.attempt", job=job.job_id,
                                     chunk=chunk_id, attempt=attempt,
-                                    device=device.name), \
-                        _tracecache.use_cache(self.pool.trace_cache):
+                                    device=device.name):
                     if plan is not None:
                         with _faults.inject(plan):
                             x, launch = run_kernel(
@@ -605,8 +600,7 @@ class BatchScheduler:
                         device=dev.name, primary=primary)
         try:
             with telemetry.span("serve.hedge_attempt", job=job.job_id,
-                                chunk=chunk_id, device=dev.name), \
-                    _tracecache.use_cache(self.pool.trace_cache):
+                                chunk=chunk_id, device=dev.name):
                 if plan is not None:
                     with _faults.inject(plan):
                         x, launch = run_kernel(
@@ -848,8 +842,6 @@ class BatchScheduler:
         record_job_latency(report.makespan_ms, job.slo_class)
         if slack is not None:
             record_deadline_slack(slack, job.slo_class)
-        if self.pool.trace_cache is not None:
-            record_pool_trace_cache(self.pool.trace_cache.stats())
         telemetry.event("serve.job_done", job=job.job_id,
                         outcome=outcome,
                         makespan_ms=report.makespan_ms,

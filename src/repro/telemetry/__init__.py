@@ -43,9 +43,9 @@ from .collector import (Collector, LaunchRecord, TickClock, collect,
                         enabled, event, get_collector, span, trace_span)
 from .export import (chrome_trace, estimator_summary, phase_totals,
                      prometheus_text, resilience_summary, serve_summary,
-                     text_summary, to_jsonl, trace_cache_summary,
-                     trace_trees, verify_summary, write_chrome_trace,
-                     write_jsonl, write_prometheus, write_summary)
+                     text_summary, to_jsonl, trace_trees, verify_summary,
+                     write_chrome_trace, write_jsonl, write_prometheus,
+                     write_summary)
 from .metrics import (BREAKER_TRANSITIONS, CANARY_TOTAL, CHUNKS_TOTAL,
                       CHUNK_RETRIES,
                       COST_RESIDUAL, DEADLINE_MISSES, DEADLINE_SLACK,
@@ -66,7 +66,7 @@ from .metrics import (BREAKER_TRANSITIONS, CANARY_TOTAL, CHUNKS_TOTAL,
                       record_fuzz_case, record_health_score, record_hedge,
                       record_job_latency,
                       record_lifecycle_transition,
-                      record_pool_trace_cache, record_queue_depth,
+                      record_queue_depth,
                       record_queue_rejection, record_queue_wait,
                       record_residual_max, record_retry_delay,
                       record_shed, record_verify_cell)
@@ -79,7 +79,7 @@ __all__ = [
     "event", "get_collector", "span", "trace_span",
     "chrome_trace", "estimator_summary", "phase_totals", "prometheus_text",
     "resilience_summary", "serve_summary",
-    "text_summary", "trace_cache_summary", "trace_trees", "verify_summary",
+    "text_summary", "trace_trees", "verify_summary",
     "to_jsonl", "write_chrome_trace", "write_jsonl", "write_prometheus",
     "write_summary",
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
@@ -93,7 +93,7 @@ __all__ = [
     "record_chunk_latency", "record_chunk_retry", "record_cost_residual",
     "record_deadline_miss", "record_deadline_slack",
     "record_degraded_solve", "record_job_latency",
-    "record_pool_trace_cache", "record_queue_depth",
+    "record_queue_depth",
     "record_queue_rejection", "record_queue_wait", "record_retry_delay",
     "record_shed",
     "HEALTH_SCORE", "LIFECYCLE_TRANSITIONS", "HEDGES_TOTAL", "CANARY_TOTAL",

@@ -286,9 +286,8 @@ def serve_summary(collector: Collector) -> list[str]:
 
     Renders breaker transitions, lifecycle transitions, hedges,
     canaries, chunk retries, degraded solves, deadline misses,
-    admission rejections/sheds, per-class latency quantiles and the
-    pool-level trace-cache hit rate -- the health view of a
-    :class:`repro.serve.BatchScheduler` run.
+    admission rejections/sheds and per-class latency quantiles -- the
+    health view of a :class:`repro.serve.BatchScheduler` run.
     """
     from .metrics import (BREAKER_TRANSITIONS, CANARY_TOTAL, CHUNKS_TOTAL,
                           CHUNK_RETRIES,
@@ -378,74 +377,8 @@ def serve_summary(collector: Collector) -> list[str]:
             out.append(f"  {dict(key).get('cls', '?')}: "
                        f"count {s['count']}, p50 {s['p50']:.3f}, "
                        f"p95 {s['p95']:.3f}, p99 {s['p99']:.3f}")
-    pool = _pool_cache_stats(collector)
-    if pool is not None:
-        hits, misses, bypasses = pool
-        consulted = hits + misses
-        rate = hits / consulted if consulted else 0.0
-        out.append(f"pool trace cache: {hits:g} hits, {misses:g} misses, "
-                   f"{bypasses:g} bypasses "
-                   f"(hit rate {100.0 * rate:.1f}%)")
     if out:
         out.insert(0, "serving:")
-    return out
-
-
-def _pool_cache_stats(collector: Collector
-                      ) -> tuple[float, float, float] | None:
-    """Pool-level trace-cache totals, published as gauges by the
-    scheduler after a run (``serve.pool_trace_cache.*``).  None when
-    no scheduler published them."""
-    from .metrics import Gauge
-
-    values = []
-    for event in ("hits", "misses", "bypasses"):
-        metric = collector.metrics._metrics.get(
-            f"serve.pool_trace_cache.{event}")
-        if not isinstance(metric, Gauge) or not metric.series:
-            return None
-        values.append(sum(metric.series.values()))
-    return values[0], values[1], values[2]
-
-
-def trace_cache_summary(collector: Collector) -> list[str]:
-    """Readable lines for the ``gpusim.trace_cache.*`` counters, empty
-    when no launch consulted the trace cache during the session."""
-    from .metrics import Counter
-
-    totals: dict[str, float] = {}
-    for event in ("hits", "misses", "bypasses"):
-        metric = collector.metrics._metrics.get(f"gpusim.trace_cache.{event}")
-        if isinstance(metric, Counter) and metric.series:
-            totals[event] = sum(metric.series.values())
-    if not totals:
-        return []
-    hits = totals.get("hits", 0.0)
-    misses = totals.get("misses", 0.0)
-    bypasses = totals.get("bypasses", 0.0)
-    consulted = hits + misses
-    rate = hits / consulted if consulted else 0.0
-    out = [f"trace cache: {hits:g} hits, {misses:g} misses, "
-           f"{bypasses:g} bypasses (hit rate {100.0 * rate:.1f}%)"]
-    # Per-cache breakdown, shown only when more than one distinct
-    # cache (e.g. the process default plus a DevicePool's) was active.
-    by_cache: dict[str, dict[str, float]] = {}
-    for event in ("hits", "misses", "bypasses"):
-        metric = collector.metrics._metrics.get(f"gpusim.trace_cache.{event}")
-        if isinstance(metric, Counter) and metric.series:
-            for key, value in metric.series.items():
-                cache = dict(key).get("cache", "default")
-                agg = by_cache.setdefault(cache, {})
-                agg[event] = agg.get(event, 0.0) + value
-    if len(by_cache) > 1:
-        for cache in sorted(by_cache):
-            agg = by_cache[cache]
-            h, m = agg.get("hits", 0.0), agg.get("misses", 0.0)
-            b = agg.get("bypasses", 0.0)
-            c = h + m
-            r = h / c if c else 0.0
-            out.append(f"  [{cache}] {h:g} hits, {m:g} misses, "
-                       f"{b:g} bypasses (hit rate {100.0 * r:.1f}%)")
     return out
 
 
@@ -693,10 +626,6 @@ def text_summary(collector: Collector, cost_model=None) -> str:
     if est:
         out.append("")
         out.extend(est)
-    tc = trace_cache_summary(collector)
-    if tc:
-        out.append("")
-        out.extend(tc)
     snap = collector.metrics.snapshot()
     for kind in ("counters", "gauges"):
         if snap[kind]:

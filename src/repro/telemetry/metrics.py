@@ -393,24 +393,6 @@ def record_cost_residual(solver: str, layout: str, n: int,
                 residual, solver=solver, layout=layout, n=n)
 
 
-def record_pool_trace_cache(stats: dict) -> None:
-    """Publish a :class:`~repro.gpusim.pool.DevicePool` trace-cache's
-    aggregate statistics as gauges
-    (``serve.pool_trace_cache.{hits,misses,bypasses,entries,hit_rate}``);
-    no-op when telemetry is disabled.
-
-    Gauges (latest-wins), not counters: the scheduler republishes the
-    cumulative pool totals after every job.
-    """
-    from .collector import get_collector
-    col = get_collector()
-    if col is not None:
-        for key in ("hits", "misses", "bypasses", "entries", "hit_rate"):
-            col.metrics.gauge(
-                f"serve.pool_trace_cache.{key}",
-                "pool-level trace cache statistics").set(stats[key])
-
-
 def record_verify_cell(status: str, solver: str, matrix_class: str,
                        engine: str) -> None:
     """Count one differential-verification cell outcome

@@ -11,27 +11,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.gpusim import tracecache
 from repro.numerics.generators import (close_values,
                                        diagonally_dominant_fluid,
                                        random_dominant, toeplitz_spd)
 from repro.solvers.systems import TridiagonalSystems
-
-
-@pytest.fixture(autouse=True)
-def _fresh_trace_cache():
-    """Start every test with an empty default trace cache.
-
-    The process-wide cache is deliberately enabled under test (the
-    memoized path must satisfy the whole suite), but entries must not
-    leak between tests: a test asserting per-launch step telemetry
-    would otherwise depend on whether an earlier test populated the
-    cache for the same launch signature.
-    """
-    cache = tracecache.default_cache()
-    if cache is not None:
-        cache.clear()
-    yield
 
 
 @pytest.fixture

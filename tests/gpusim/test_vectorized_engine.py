@@ -5,14 +5,12 @@ The contract under test (see ``docs/simulator.md``): for any kernel and
 any launch geometry, ``launch(...)`` on the default
 :class:`~repro.gpusim.engine.VectorizedEngine` and
 :func:`~repro.gpusim.executor._reference_execute` (per-lane, per-block
-Python loops, no memoization, no trace cache) produce
+Python loops, no memoization) produce
 
 * bitwise-identical :class:`~repro.gpusim.counters.CounterLedger`\\ s
   (every integer counter *and* every float latency accumulator),
-* bitwise-identical per-step records,
-* bitwise-identical float32 outputs and solutions, and
-* identical trace-cache signatures (the engine is deliberately not
-  part of the launch signature).
+* bitwise-identical per-step records, and
+* bitwise-identical float32 outputs and solutions.
 
 Straddling/duplicated lane index patterns and divergent (non-prefix,
 non-contiguous) active sets are exercised explicitly -- those are the
@@ -20,16 +18,17 @@ cases where a batched np.unique/reduceat implementation can silently
 disagree with the per-lane definition.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.gpusim import GTX280, TESLA_C1060, ledgers_equal, use_cache
+from repro.gpusim import GTX280, TESLA_C1060, ledgers_equal
 from repro.gpusim.engine import REFERENCE, VECTORIZED
-from repro.gpusim.estimator import _resolve_kernel
+from repro.gpusim.estimator import characterize
 from repro.gpusim.executor import _reference_execute, launch
-from repro.gpusim.tracecache import launch_signature
-from repro.kernels.common import GlobalSystemArrays
+from repro.kernels.api import LaunchPlan, plan_launch, run_kernel
 from repro.numerics.generators import diagonally_dominant_fluid
 
 SOLVERS = ("cr", "pcr", "rd", "cr_pcr", "cr_rd")
@@ -50,19 +49,17 @@ def _assert_bitwise_equal(res_a, res_b):
 
 
 def _run_both(method, n, num_systems, seed, device=GTX280):
-    kernel, threads, extra, _m = _resolve_kernel(method, n, None)
+    # Raw launches of the plan: both sides record their own trace.
+    plan = plan_launch(method, n, num_systems, device=device)
     systems = diagonally_dominant_fluid(num_systems, n, seed=seed)
+    args = dict(num_blocks=plan.num_blocks,
+                threads_per_block=plan.threads_per_block, device=device,
+                **dict(plan.kwargs))
 
-    gmem_vec = GlobalSystemArrays.from_systems(systems)
-    with use_cache(None):
-        vec = launch(kernel, num_blocks=num_systems,
-                     threads_per_block=threads, device=device,
-                     gmem=gmem_vec, **extra)
-
-    gmem_ref = GlobalSystemArrays.from_systems(systems)
-    ref = _reference_execute(kernel, num_blocks=num_systems,
-                             threads_per_block=threads, device=device,
-                             gmem=gmem_ref, **extra)
+    gmem_vec = plan.load(systems)
+    vec = launch(plan.kernel, gmem=gmem_vec, **args)
+    gmem_ref = plan.load(systems)
+    ref = _reference_execute(plan.kernel, gmem=gmem_ref, **args)
     return vec, ref, gmem_vec, gmem_ref
 
 
@@ -145,8 +142,7 @@ class TestDivergentLaneSets:
         kwargs = dict(num_blocks=num_blocks, threads_per_block=64,
                       check_contiguous_active=False,
                       lanes=tuple(lanes), idx=tuple(idx), scale=scale)
-        with use_cache(None):
-            vec = launch(_divergent_kernel, **kwargs)
+        vec = launch(_divergent_kernel, **kwargs)
         ref = _reference_execute(_divergent_kernel, **kwargs)
         _assert_bitwise_equal(vec, ref)
         assert np.array_equal(
@@ -161,8 +157,7 @@ class TestDivergentLaneSets:
         kwargs = dict(num_blocks=2, threads_per_block=64,
                       check_contiguous_active=False,
                       lanes=tuple(lanes), idx=tuple(idx), scale=1.5)
-        with use_cache(None):
-            vec = launch(_divergent_kernel, **kwargs)
+        vec = launch(_divergent_kernel, **kwargs)
         ref = _reference_execute(_divergent_kernel, **kwargs)
         _assert_bitwise_equal(vec, ref)
 
@@ -200,34 +195,41 @@ class TestShiftInvariance:
         assert VECTORIZED.global_cost(shifted_idx, info, GTX280) == base
 
 
-class TestTraceSignatures:
-    def test_engine_not_in_signature(self):
-        """Both engines hash to the same launch signature, so a trace
-        recorded under one is a valid cache hit for the other."""
-        kernel, threads, extra, _m = _resolve_kernel("cr", 32, None)
+
+class TestPlannedLaunches:
+    """The engine is not part of a launch plan, so one memo ledger
+    serves planned launches on either engine."""
+
+    def test_engine_not_in_plan(self):
+        assert "engine" not in {f.name for f in fields(LaunchPlan)}
+        plan = plan_launch("cr", 32, 2)
         systems = diagonally_dominant_fluid(2, 32, seed=0)
-        sigs = []
-        for _engine in ("vectorized", "reference"):
-            gmem = GlobalSystemArrays.from_systems(systems)
-            sigs.append(launch_signature(
-                kernel, num_blocks=2, threads_per_block=threads,
-                device=GTX280, dtype=np.float32,
-                check_contiguous_active=True,
-                kernel_args={"gmem": gmem, **extra}))
-        assert sigs[0] is not None
-        assert sigs[0] == sigs[1]
+        args = dict(num_blocks=plan.num_blocks,
+                    threads_per_block=plan.threads_per_block,
+                    device=plan.device, **dict(plan.kwargs))
+        x_vec, planned_vec = run_kernel("cr", systems)
+        gmem = plan.load(systems)
+        planned_ref = launch(plan.kernel, gmem=gmem, engine="reference",
+                             ledger=characterize(plan).ledger.copy(),
+                             **args)
+        gmem_traced = plan.load(systems)
+        traced_ref = _reference_execute(plan.kernel, gmem=gmem_traced,
+                                        **args)
+        _assert_bitwise_equal(planned_ref, traced_ref)
+        _assert_bitwise_equal(planned_vec, traced_ref)
+        x_ref = gmem.solution()[:2]
+        assert np.array_equal(x_ref.view(np.uint32),
+                              x_vec.view(np.uint32))
+        assert np.array_equal(
+            x_ref.view(np.uint32),
+            gmem_traced.solution()[:2].view(np.uint32))
 
     @settings(max_examples=25, deadline=None)
     @given(n_exp=st.integers(min_value=2, max_value=6),
            num_systems=st.integers(min_value=1, max_value=3))
-    def test_signature_deterministic(self, n_exp, num_systems):
+    def test_plan_deterministic(self, n_exp, num_systems):
         n = 2 ** n_exp
-        kernel, threads, extra, _m = _resolve_kernel("pcr", n, None)
-        systems = diagonally_dominant_fluid(num_systems, n, seed=1)
-        gmem = GlobalSystemArrays.from_systems(systems)
-        args = dict(num_blocks=num_systems, threads_per_block=threads,
-                    device=GTX280, dtype=np.float32,
-                    check_contiguous_active=True,
-                    kernel_args={"gmem": gmem, **extra})
-        assert launch_signature(kernel, **args) == \
-            launch_signature(kernel, **args)
+        a = plan_launch("pcr", n, num_systems)
+        b = plan_launch("pcr", n, num_systems)
+        assert a == b and hash(a) == hash(b)
+        assert characterize(a) is characterize(b)

@@ -26,7 +26,7 @@ class TestRegistryConsistency:
         registered = {e.bench for e in EXPERIMENTS}
         # Wall-clock suites measure this library, not the paper.
         exempt = {"bench_cpu_wallclock.py", "bench_extension_solvers.py",
-                  "bench_trace_cache.py", "bench_serve_latency.py",
+                  "bench_serve_latency.py",
                   "bench_overload.py", "bench_vectorized_engine.py",
                   "bench_layout_autotune.py"}
         assert on_disk - registered - exempt == set()

@@ -20,7 +20,7 @@ lanes or repacks active sets cannot silently corrupt either kernel.
 import numpy as np
 import pytest
 
-from repro.gpusim import ledgers_equal, use_cache
+from repro.gpusim import ledgers_equal
 from repro.gpusim.executor import _reference_execute, launch
 from repro.kernels.api import run_pcr_pingpong, run_rd_full
 from repro.kernels.common import GlobalSystemArrays
@@ -33,9 +33,8 @@ from repro.verify.oracle import compare_to_oracle
 def _both_engines(kernel, n, num_systems=2, seed=0):
     systems = diagonally_dominant_fluid(num_systems, n, seed=seed)
     gmem_vec = GlobalSystemArrays.from_systems(systems)
-    with use_cache(None):
-        vec = launch(kernel, num_blocks=num_systems, threads_per_block=n,
-                     gmem=gmem_vec)
+    vec = launch(kernel, num_blocks=num_systems, threads_per_block=n,
+                 gmem=gmem_vec)
     gmem_ref = GlobalSystemArrays.from_systems(systems)
     ref = _reference_execute(kernel, num_blocks=num_systems,
                              threads_per_block=n, gmem=gmem_ref)

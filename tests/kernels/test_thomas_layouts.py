@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from repro.analysis.timing import modeled_grid_timing
-from repro.gpusim import GTX280, InterleavedSystemArrays, estimate_ms
-from repro.kernels import run_kernel, run_thomas_batch
+from repro.gpusim import (GTX280, InterleavedSystemArrays, estimate_ms,
+                          gt200_cost_model, launch)
+from repro.kernels import plan_launch, run_kernel, run_thomas_batch
 from repro.numerics.generators import diagonally_dominant_fluid
 from repro.solvers.thomas import thomas_batched
 
@@ -83,10 +84,18 @@ class TestEstimatorAgreement:
                                      (2048, 8), (1, 512)])
     @pytest.mark.parametrize("layout", ["sequential", "interleaved"])
     def test_bitwise_equal_modeled_ms(self, S, n, layout):
-        lay = None if layout == "sequential" else layout
-        measured = modeled_grid_timing("thomas", n, S, layout=lay).solver_ms
+        # A raw launch of the whole grid records its own trace.
+        plan = plan_launch("thomas", n, S, layout=layout)
+        result = launch(plan.kernel, num_blocks=plan.num_blocks,
+                        threads_per_block=plan.threads_per_block,
+                        gmem=plan.load(diagonally_dominant_fluid(S, n,
+                                                                 seed=1)))
+        measured = gt200_cost_model().report(result).total_ms
         analytic = estimate_ms("thomas", n, S, layout=layout)
         assert measured == analytic
+        lay = None if layout == "sequential" else layout
+        assert modeled_grid_timing("thomas", n, S,
+                                   layout=lay).solver_ms == analytic
 
 
 class TestInterleavedSystemArrays:
@@ -98,16 +107,16 @@ class TestInterleavedSystemArrays:
         np.testing.assert_array_equal(
             gmem.b.data.reshape(8, 6).T, s.b.astype(np.float32))
 
-    def test_trace_signature_layout_tagged(self):
-        """The same (S, n) shape must never share a trace-cache key
-        across layouts."""
+    def test_plan_layout_tagged(self):
+        """The same (S, n) shape must never share a ledger-memo key
+        across layouts, and each plan stages its own container."""
         from repro.kernels.common import GlobalSystemArrays
         s = diagonally_dominant_fluid(4, 8, seed=7)
-        inter = InterleavedSystemArrays.from_systems(s).trace_signature()
-        seq = GlobalSystemArrays.from_systems(s).trace_signature()
-        assert inter[0] == "gmem_interleaved"
-        assert seq[0] == "gmem"
-        assert inter != seq
+        inter = plan_launch("thomas", 8, 4, layout="interleaved")
+        seq = plan_launch("thomas", 8, 4)
+        assert inter.block != seq.block
+        assert isinstance(inter.load(s), InterleavedSystemArrays)
+        assert isinstance(seq.load(s), GlobalSystemArrays)
 
     def test_fault_walker_sees_arrays(self):
         """ECC-upset detection walks dataclass fields one level; the

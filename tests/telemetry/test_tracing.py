@@ -130,7 +130,7 @@ class TestPrometheusText:
     def sample_collector(self):
         with telemetry.collect() as col:
             col.metrics.counter("serve.shed_total").inc(2, cls="standard")
-            col.metrics.gauge("serve.pool_trace_cache.hit_rate").set(0.5)
+            col.metrics.gauge("serve.health_score").set(0.5)
             h = col.metrics.histogram("serve.latency_ms")
             for v in (1.0, 2.0, 4.0):
                 h.observe(v, cls="standard")
@@ -140,7 +140,7 @@ class TestPrometheusText:
         text = prometheus_text(self.sample_collector())
         assert '# TYPE repro_serve_shed_total counter' in text
         assert 'repro_serve_shed_total{cls="standard"} 2' in text
-        assert '# TYPE repro_serve_pool_trace_cache_hit_rate gauge' in text
+        assert '# TYPE repro_serve_health_score gauge' in text
         assert '# TYPE repro_serve_latency_ms histogram' in text
         assert 'le="+Inf"' in text
         assert 'repro_serve_latency_ms_count{cls="standard"} 3' in text
