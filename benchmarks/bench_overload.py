@@ -38,8 +38,8 @@ LOAD = 2.0
 
 
 def run_overload(seed: int = SEED):
-    sched = BatchScheduler(make_pool(2, seed=5), queue_capacity=2,
-                           checkpoint_every=2, seed=seed)
+    sched = BatchScheduler(make_pool(2, seed=5), checkpoint_every=2,
+                           seed=seed)
     fe = ServeFrontend(sched, config=FrontendConfig())
     requests = loadgen.generate(
         loadgen.overload_profiles(LOAD, scenario="mixed", tenants=3),

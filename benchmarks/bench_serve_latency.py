@@ -43,16 +43,15 @@ def run_workload(seed: int = 9) -> BatchScheduler:
     that has to route around a dead device."""
     pool = make_pool(3, seed=seed, hot=1,
                      hot_rates={"launch_fatal_rate": 1.0})
-    sched = BatchScheduler(pool, failure_threshold=2, seed=seed,
-                           queue_capacity=16)
+    sched = BatchScheduler(pool, failure_threshold=2, seed=seed)
+    reports = []
     for cls, num_systems, n in WORKLOADS:
         for rep in range(3):
             systems = diagonally_dominant_fluid(num_systems, n,
                                                 seed=seed + rep)
-            sched.submit(SolveJob(job_id=f"{cls}{rep}", systems=systems,
-                                  method="cr_pcr", chunk_size=4,
-                                  slo_class=cls))
-    reports = sched.run()
+            reports.append(sched.run_job(SolveJob(
+                job_id=f"{cls}{rep}", systems=systems, method="cr_pcr",
+                chunk_size=4, slo_class=cls)))
     assert all(r.completed for r in reports), "baseline jobs must finish"
     return sched
 

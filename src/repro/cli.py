@@ -23,8 +23,9 @@ Commands
               seeded fault injection; prints the per-system routing
               report (``--json`` for the machine-readable report);
               exits nonzero when any system exhausts the chain
-``serve``     batch-solve scheduler demo over a simulated device
-              pool: deadlines, backpressure, circuit breakers,
+``serve``     batch-solve demo over a simulated device pool, served
+              through the front end: deadlines, admission and
+              shedding, circuit breakers,
               checkpoint/resume; ``--report`` prints the per-class SLO
               table, ``--export-dir`` writes the Chrome trace / JSONL /
               Prometheus exposition (``--json`` for job reports +
@@ -443,8 +444,7 @@ def _serve_live(args) -> int:
             telemetry.deterministic_collector(args.seed)) as col:
         pool = make_pool(args.devices, seed=args.seed)
         sched = BatchScheduler(
-            pool, queue_capacity=args.queue_capacity,
-            failure_threshold=args.failure_threshold,
+            pool, failure_threshold=args.failure_threshold,
             cooldown_ms=args.cooldown_ms,
             max_chunk_retries=args.chunk_retries,
             checkpoint_dir=args.checkpoint,
@@ -535,7 +535,8 @@ def cmd_serve(args) -> int:
     from repro.gpusim.faults import BrownoutProcess, FlappingProcess
     from repro.gpusim.pool import derive_seed, make_pool
     from repro.numerics.generators import diagonally_dominant_fluid
-    from repro.serve import AdmissionError, BatchScheduler, SolveJob
+    from repro.serve import (BatchScheduler, FrontendConfig, ServeFrontend,
+                             ServeRequest, TenantSpec)
     from repro.telemetry.export import serve_summary
 
     if args.live:
@@ -569,40 +570,46 @@ def cmd_serve(args) -> int:
                      hot_processes=tuple(processes),
                      spares=args.spares)
     sched = BatchScheduler(
-        pool, queue_capacity=args.queue_capacity,
-        failure_threshold=args.failure_threshold,
+        pool, failure_threshold=args.failure_threshold,
         cooldown_ms=args.cooldown_ms,
         max_chunk_retries=args.chunk_retries,
         chunk_timeout_ms=args.chunk_timeout_ms,
         checkpoint_dir=args.checkpoint,
         checkpoint_every=args.checkpoint_every, seed=args.seed,
         hedge_ratio=args.hedge)
+    # One unlimited tenant and one class: the front end admits, sheds
+    # and orders the jobs exactly as it does for --live traffic.
+    fe = ServeFrontend(
+        sched, [TenantSpec("default")],
+        config=FrontendConfig(pending_capacity=args.pending_capacity),
+        resume=args.resume, stop_after=args.stop_after)
 
-    rejected: list[str] = []
-    shed: list[dict] = []
-    reports = []
     # A deterministic collector (seeded span/event ids + tick clock)
     # makes the exported JSONL/trace/report bitwise-reproducible for a
     # given seed -- the property the chaos suite asserts.
     with telemetry.collect(
             telemetry.deterministic_collector(args.seed)) as col:
+        # Offered in submission order and drained with dispatch_once
+        # (run() would sort job10 before job2).
         for i in range(args.jobs):
             s = diagonally_dominant_fluid(args.systems, args.size,
                                           seed=args.seed + i)
-            job = SolveJob(f"job{i}", s, method=args.solver,
-                           chunk_size=args.chunk_size,
-                           deadline_ms=args.deadline_ms,
-                           slo_class=args.slo_class)
-            try:
-                sched.submit(job)
-            except AdmissionError as exc:
-                rejected.append(f"{job.job_id}: [{exc.reason}] {exc}")
-                shed.append({"job_id": job.job_id, "reason": exc.reason,
-                             "slo_class": job.slo_class,
-                             "message": str(exc)})
-        while (job := sched.queue.pop()) is not None:
-            reports.append(sched.run_job(job, resume=args.resume,
-                                         stop_after=args.stop_after))
+            fe.offer(ServeRequest(f"job{i}", "default", s,
+                                  method=args.solver,
+                                  chunk_size=args.chunk_size,
+                                  slo_class=args.slo_class,
+                                  deadline_ms=args.deadline_ms))
+        while fe.dispatch_once() is not None:
+            pass
+        fe.close()
+    served = fe.report()
+    reports = [o.report for o in served.completed]
+    shed = [{"job_id": o.request_id, "reason": o.reason,
+             "slo_class": o.slo_class,
+             "message": f"shed at the {o.stage} stage"}
+            for o in served.shed]
+    rejected = [f"{s['job_id']}: [{s['reason']}] {s['message']}"
+                for s in shed]
 
     rc = 0 if reports and all(r.ok for r in reports) else 1
     if args.stop_after is not None:
@@ -647,7 +654,7 @@ def cmd_serve(args) -> int:
                "jobs": [r.to_dict() for r in reports],
                "rejected": rejected,
                "shed": shed,
-               "slo": sched.slo.snapshot(),
+               "slo": served.slo_snapshot,
                "breakers": {n: b.state_dict()
                             for n, b in sched.breakers.items()},
                "health": sched.health.snapshot(),
@@ -666,7 +673,7 @@ def cmd_serve(args) -> int:
         print("\n".join(lines))
     if args.report:
         print()
-        print(sched.slo.report())
+        print(fe.slo.report())
         print()
         print(sched.health.report())
         print()
@@ -916,8 +923,6 @@ def main(argv=None) -> int:
                        help="per-job modeled deadline budget")
     p_srv.add_argument("--chunk-timeout-ms", type=float, default=None,
                        dest="chunk_timeout_ms")
-    p_srv.add_argument("--queue-capacity", type=int, default=8,
-                       dest="queue_capacity")
     p_srv.add_argument("--failure-threshold", type=int, default=3,
                        dest="failure_threshold",
                        help="consecutive failures that trip a breaker")
@@ -971,8 +976,9 @@ def main(argv=None) -> int:
                             "lines")
     p_srv.add_argument("--pending-capacity", type=int, default=24,
                        dest="pending_capacity",
-                       help="[--live] front-end pending-buffer bound "
-                            "(overflow sheds strictly by class)")
+                       help="front-end bound on admitted, unfinished "
+                            "requests (overflow sheds strictly by "
+                            "class)")
     p_srv.add_argument("--quota-rate", type=float, default=None,
                        dest="quota_rate", metavar="RATE",
                        help="[--live] per-tenant token refill rate in "

@@ -2,13 +2,11 @@
 
 The production layer above :func:`repro.robust_solve`: where PR-2's
 pipeline keeps one *solve* honest, this package keeps a *workload*
-healthy when a device degrades mid-run, the queue backs up, or the
+healthy when a device degrades mid-run, tenants overload it, or the
 process dies halfway through a long job.
 
 * :class:`~repro.serve.job.SolveJob` / :class:`~repro.serve.job.JobReport`
   -- the admission unit and its typed outcome;
-* :class:`~repro.serve.queue.BoundedJobQueue` -- backpressure with
-  typed rejection instead of unbounded growth;
 * :class:`~repro.serve.breaker.CircuitBreaker` -- per-device
   closed/open/half-open health gating driven by the PR-2 fault
   taxonomy;
@@ -17,15 +15,15 @@ process dies halfway through a long job.
   canary readmission, flap eviction and warm-spare promotion;
 * :mod:`~repro.serve.checkpoint` -- JSONL checkpoints; kill a run,
   resume it bitwise;
-* :class:`~repro.serve.scheduler.BatchScheduler` -- chunk sharding,
-  deadline budgets, seeded-jitter retries, rerouting, and graceful
-  degradation to the CPU chain;
+* :class:`~repro.serve.scheduler.BatchScheduler` -- runs one job:
+  chunk sharding, deadline budgets, seeded-jitter retries, rerouting,
+  and graceful degradation to the CPU chain;
 * :class:`~repro.serve.frontend.ServeFrontend` /
-  :class:`~repro.serve.frontend.AsyncServeFrontend` -- the
-  multi-tenant front end: per-tenant token-bucket quotas and weighted
+  :class:`~repro.serve.frontend.AsyncServeFrontend` -- the only
+  admission authority: per-tenant token-bucket quotas and weighted
   fair queueing (:mod:`~repro.serve.quota`), cost-model admission
-  with class downgrade, and strict-by-class load shedding under
-  sustained overload;
+  with class downgrade, bounded backpressure and strict-by-class load
+  shedding under sustained overload;
 * :mod:`~repro.serve.loadgen` -- the seeded open-loop load generator
   (Poisson/burst arrivals, ADI/ocean size mixes) that makes overload
   runs bitwise-reproducible.
@@ -33,13 +31,18 @@ process dies halfway through a long job.
 Quickstart::
 
     from repro.gpusim import make_pool
-    from repro.serve import BatchScheduler, SolveJob
+    from repro.serve import BatchScheduler, ServeFrontend, ServeRequest
 
     pool = make_pool(3, seed=0, hot=1)      # gpu1 fails every launch
-    sched = BatchScheduler(pool, checkpoint_dir="ckpt")
-    sched.submit(SolveJob("demo", systems, deadline_ms=50.0))
-    [report] = sched.run()
-    assert report.ok and not report.failed_chunks
+    fe = ServeFrontend(BatchScheduler(pool, checkpoint_dir="ckpt"))
+    shed = fe.offer(ServeRequest("demo", "acme", systems,
+                                 deadline_ms=50.0))
+    assert shed is None                     # admitted
+    out = fe.dispatch_once()
+    assert out.report.ok and not out.report.failed_chunks
+
+``BatchScheduler.run_job(job)`` runs a single
+:class:`~repro.serve.job.SolveJob` directly, with no admission.
 
 Deterministic by construction: per-chunk fault plans are derived from
 ``(device, job, chunk, attempt)``, so identical seeded runs -- and
@@ -51,22 +54,18 @@ from .breaker import CLOSED, HALF_OPEN, OPEN, BreakerTransition, \
     CircuitBreaker
 from .checkpoint import (CheckpointWriter, ResumeState, ShedLedger,
                          load_checkpoint)
-from .errors import (AdmissionError, CheckpointMismatchError,
-                     DeadlineExceededError, DeadlineUnmeetableError,
-                     OverloadShedError, QueueFullError,
-                     QuotaExceededError, ServeError)
+from .errors import CheckpointMismatchError, ServeError
 from .frontend import (AsyncServeFrontend, FrontendConfig, FrontendReport,
                        RequestOutcome, ServeFrontend, ServeRequest)
 from .health import (ACTIVE, EVICTED, PROBATION, QUARANTINED, SPARE,
                      SUSPECT, DeviceHealth, HealthMonitor, HealthPolicy)
 from .job import (DEFAULT_CPU_CHAIN, ChunkAttempt, ChunkRecord, JobReport,
                   SolveJob, digest_array)
-from .queue import BoundedJobQueue
 from .quota import TenantSpec, TokenBucket, WeightedFairQueue
 from .scheduler import BatchScheduler
 
 __all__ = [
-    "BatchScheduler", "BoundedJobQueue", "CircuitBreaker",
+    "BatchScheduler", "CircuitBreaker",
     "BreakerTransition", "CLOSED", "OPEN", "HALF_OPEN",
     "HealthMonitor", "HealthPolicy", "DeviceHealth",
     "ACTIVE", "SUSPECT", "QUARANTINED", "PROBATION", "EVICTED", "SPARE",
@@ -76,8 +75,5 @@ __all__ = [
     "ServeFrontend", "AsyncServeFrontend", "ServeRequest",
     "RequestOutcome", "FrontendConfig", "FrontendReport",
     "TenantSpec", "TokenBucket", "WeightedFairQueue",
-    "ServeError", "AdmissionError", "QueueFullError",
-    "DeadlineUnmeetableError", "QuotaExceededError",
-    "OverloadShedError", "DeadlineExceededError",
-    "CheckpointMismatchError",
+    "ServeError", "CheckpointMismatchError",
 ]

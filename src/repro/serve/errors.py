@@ -1,9 +1,11 @@
 """Typed failures of the serving layer.
 
-The admission queue, the breaker and the scheduler never signal
-trouble with bare ``RuntimeError`` strings: a caller that wants to
-shed load on :class:`QueueFullError` but page on
-:class:`CheckpointMismatchError` can route on the type alone.
+The serving layer never signals trouble with bare ``RuntimeError``
+strings: a caller that wants to page on
+:class:`CheckpointMismatchError` can route on the type alone.  Load
+shedding is not an error at all -- the front end answers a shed
+request with a :class:`~repro.serve.frontend.RequestOutcome` carrying
+the typed reason.
 """
 
 from __future__ import annotations
@@ -13,70 +15,9 @@ class ServeError(RuntimeError):
     """Base class of serving-layer failures."""
 
 
-class AdmissionError(ServeError):
-    """A job was rejected at submission time (backpressure).
-
-    Carries ``reason``, one of ``"capacity"`` (the bounded queue is
-    full) or ``"deadline_unmeetable"`` (the modeled cost estimate
-    already exceeds the job's deadline budget).
-    """
-
-    def __init__(self, message: str, reason: str):
-        super().__init__(message)
-        self.reason = reason
-
-
-class QueueFullError(AdmissionError):
-    """The bounded job queue is at capacity; retry later or shed."""
-
-    def __init__(self, message: str):
-        super().__init__(message, reason="capacity")
-
-
-class DeadlineUnmeetableError(AdmissionError):
-    """The job cannot meet its deadline even on an idle, healthy pool."""
-
-    def __init__(self, message: str):
-        super().__init__(message, reason="deadline_unmeetable")
-
-
-class QuotaExceededError(AdmissionError):
-    """The tenant's token-bucket quota cannot cover the request's
-    modeled cost right now (front-end admission)."""
-
-    def __init__(self, message: str):
-        super().__init__(message, reason="quota")
-
-
-class OverloadShedError(AdmissionError):
-    """The front end's bounded pending buffer is full and the request
-    lost the strict-by-class shedding decision (batch before standard
-    before interactive)."""
-
-    def __init__(self, message: str):
-        super().__init__(message, reason="overload")
-
-
-class DeadlineExceededError(ServeError):
-    """A running job blew its deadline budget (modeled or wall-clock).
-
-    Carries the partial :class:`~repro.serve.job.JobReport` so callers
-    can see how far the job got.
-    """
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
-
-
 class CheckpointMismatchError(ServeError):
     """A checkpoint file does not describe the job being resumed
     (different inputs, chunking or solver spec)."""
 
 
-__all__ = [
-    "ServeError", "AdmissionError", "QueueFullError",
-    "DeadlineUnmeetableError", "QuotaExceededError",
-    "OverloadShedError", "DeadlineExceededError",
-    "CheckpointMismatchError",
-]
+__all__ = ["ServeError", "CheckpointMismatchError"]

@@ -1,9 +1,10 @@
 """Multi-tenant serving front end: admission, quotas, fair queueing,
 bounded backpressure and SLO-aware load shedding.
 
-This is the long-running layer ROADMAP item 5 asks for on top of the
-one-shot :class:`~repro.serve.scheduler.BatchScheduler`.  Requests
-from named tenants flow through a fixed decision pipeline::
+The long-running layer on top of
+:class:`~repro.serve.scheduler.BatchScheduler`, and every ``repro
+serve`` run goes through it.  Requests from named tenants flow
+through a fixed decision pipeline::
 
     resume replay -> tenant quota -> cost-model admission -> capacity
 
@@ -24,10 +25,11 @@ from named tenants flow through a fixed decision pipeline::
 
 Inside one class, tenants share capacity by weighted fair queueing
 (:class:`~repro.serve.quota.WeightedFairQueue`); across classes the
-dispatcher is strict-priority.  The hand-off to the scheduler reuses
-its :class:`~repro.serve.queue.BoundedJobQueue` as the bounded
-backpressure buffer: a request submitted there is committed and can
-no longer be shed.
+dispatcher is strict-priority.  The front end is the only admission
+authority: the scheduler keeps no queue of its own.  Its commit
+window is a hand-off of at most :data:`HANDOFF_DEPTH` requests
+committed to the scheduler (:meth:`BatchScheduler.commit`) ahead of
+execution; a committed request can no longer be shed.
 
 Everything runs on the modeled clock, so a seeded request stream
 (:mod:`repro.serve.loadgen`) drives bitwise-identical overload runs
@@ -53,10 +55,15 @@ from repro.telemetry.metrics import (record_downgrade,
 from repro.telemetry.slo import DEFAULT_CLASS, DEFAULT_CLASSES, SLORegistry
 
 from .checkpoint import ShedLedger
-from .errors import AdmissionError
 from .job import JobReport, SolveJob
 from .quota import TenantSpec, TokenBucket, WeightedFairQueue
 from .scheduler import BatchScheduler
+
+#: Requests committed to the scheduler ahead of execution (no longer
+#: sheddable).  Small on purpose: a deep hand-off commits low-class
+#: work the shedder can no longer evict, which is how interactive
+#: requests end up shed under burst overload.
+HANDOFF_DEPTH = 2
 
 
 @dataclass(frozen=True)
@@ -95,8 +102,7 @@ class RequestOutcome:
     latency_ms: float = 0.0
     report: JobReport | None = None
     #: Shed attribution (state == "shed"): typed reason plus the
-    #: pipeline stage that decided (quota/admission/capacity/
-    #: scheduler/resume).
+    #: pipeline stage that decided (quota/admission/capacity/resume).
     reason: str | None = None
     stage: str | None = None
 
@@ -121,22 +127,15 @@ class FrontendConfig:
     """Tuning knobs of the admission pipeline (see
     docs/robustness.md, "Overload & multi-tenancy")."""
 
-    #: Bound on requests waiting in the WFQ backlog (the scheduler's
-    #: queue capacity bounds the hand-off separately).
+    #: Bound on requests admitted but not yet finished (WFQ backlog
+    #: plus the hand-off).
     pending_capacity: int = 24
-    #: Headroom factor on the admission prediction, mirroring the
-    #: queue's FEASIBILITY_SLACK: predictions are approximate.
+    #: Headroom factor on the admission prediction: predictions are
+    #: approximate.
     admission_slack: float = 1.25
     #: Downgrade to the next looser class instead of shedding when the
     #: prediction misses the deadline but a looser class would admit.
     allow_downgrade: bool = True
-    #: Jobs pushed into the scheduler's bounded queue ahead of
-    #: execution (committed, no longer sheddable).  Small on purpose:
-    #: a deep hand-off commits low-class work the shedder can no
-    #: longer evict, which is how interactive requests end up shed
-    #: under burst overload.  ``None`` uses the scheduler queue's own
-    #: capacity.
-    handoff_depth: int | None = 2
 
     def __post_init__(self) -> None:
         if self.pending_capacity < 1:
@@ -220,18 +219,24 @@ class ServeFrontend:
 
     Drive it either open-loop (:meth:`run` over a prepared request
     stream, the loadgen/CLI/benchmark path) or incrementally
-    (:meth:`offer` + :meth:`dispatch_once`, the asyncio path).  Both
-    paths share every decision rule, so the asyncio service sheds
-    exactly like the reproducible open-loop runs do.
+    (:meth:`offer` + :meth:`dispatch_once`, the asyncio path and the
+    one-shot ``repro serve``).  Both paths share every decision rule,
+    so the asyncio service sheds exactly like the reproducible
+    open-loop runs do.
+
+    ``resume`` and ``stop_after`` are forwarded to every
+    :meth:`BatchScheduler.run_job` call (restore checkpoints first;
+    stop each job after N computed chunks).
     """
 
     def __init__(self, scheduler: BatchScheduler,
                  tenants: list[TenantSpec] | None = None, *,
                  config: FrontendConfig | None = None,
-                 resume: bool = False):
+                 resume: bool = False,
+                 stop_after: int | None = None):
         self.scheduler = scheduler
         self.config = config or FrontendConfig()
-        self.now_ms = scheduler._now_ms
+        self.now_ms = scheduler.now_ms
         self.slo = SLORegistry()
         self._tenants: dict[str, TenantSpec] = {}
         self._buckets: dict[str, TokenBucket] = {}
@@ -242,6 +247,7 @@ class ServeFrontend:
             self._queues[cls.name] = WeightedFairQueue()
         self._handoff: deque[_Pending] = deque()
         self._resume = resume
+        self._stop_after = stop_after
         self.outcomes: dict[str, RequestOutcome] = {}
         self._order: list[str] = []
         self.downgrades = 0
@@ -447,18 +453,13 @@ class ServeFrontend:
         return None
 
     def _fill_handoff(self) -> None:
-        depth = self.config.handoff_depth or self.scheduler.queue.capacity
-        depth = min(depth, self.scheduler.queue.capacity)
-        while (len(self.scheduler.queue) < depth
-               and any(len(q) for q in self._queues.values())):
+        """Commit the next picks to the scheduler, up to
+        :data:`HANDOFF_DEPTH` ahead of execution."""
+        while len(self._handoff) < HANDOFF_DEPTH:
             pend = self._next_pick()
             if pend is None:
                 break
-            try:
-                self.scheduler.submit(pend.job)
-            except AdmissionError as exc:
-                self._shed(pend, exc.reason, "scheduler")
-                continue
+            self.scheduler.commit(pend.job)
             self._handoff.append(pend)
 
     def dispatch_once(self) -> RequestOutcome | None:
@@ -468,10 +469,9 @@ class ServeFrontend:
         if not self._handoff:
             return None
         pend = self._handoff.popleft()
-        job = self.scheduler.queue.pop()
-        assert job is not None and job.job_id == pend.job.job_id
-        report = self.scheduler.run_job(job, resume=self._resume)
-        self.now_ms = self.scheduler._now_ms
+        report = self.scheduler.run_job(pend.job, resume=self._resume,
+                                        stop_after=self._stop_after)
+        self.now_ms = self.scheduler.now_ms
         record_frontend_depth(self.pending)
         return self._finish(pend, report)
 
@@ -644,6 +644,6 @@ class AsyncServeFrontend:
 
 
 __all__ = [
-    "ServeRequest", "RequestOutcome", "FrontendConfig",
+    "HANDOFF_DEPTH", "ServeRequest", "RequestOutcome", "FrontendConfig",
     "FrontendReport", "ServeFrontend", "AsyncServeFrontend",
 ]

@@ -1,9 +1,12 @@
 """The resilient batch-solve scheduler.
 
-:class:`BatchScheduler` takes admitted :class:`~repro.serve.job.SolveJob`
-batches, shards them into chunks, and dispatches the chunks across a
+:class:`BatchScheduler` runs :class:`~repro.serve.job.SolveJob`
+batches: it shards each into chunks and dispatches the chunks across a
 :class:`~repro.gpusim.pool.DevicePool` under a full robustness
-contract:
+contract.  It keeps no queue and makes no admission decision of its
+own -- that is :class:`~repro.serve.frontend.ServeFrontend`'s job;
+:meth:`~BatchScheduler.commit` records that a job was handed over and
+:meth:`~BatchScheduler.run_job` runs it:
 
 * **placement** -- each chunk goes to the least-loaded device (by the
   deterministic modeled clock) whose circuit breaker admits traffic;
@@ -48,6 +51,8 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import nullcontext
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,16 +69,13 @@ from repro.telemetry.metrics import (record_chunk_done, record_chunk_latency,
                                      record_deadline_slack,
                                      record_degraded_solve, record_hedge,
                                      record_job_latency,
-                                     record_queue_wait, record_retry_delay,
-                                     record_shed)
+                                     record_queue_wait, record_retry_delay)
 from repro.telemetry.slo import SLORegistry
 
 from .breaker import CLOSED, OPEN, CircuitBreaker
 from .checkpoint import CheckpointWriter, ResumeState, load_checkpoint
-from .errors import AdmissionError
 from .health import HealthMonitor, HealthPolicy
 from .job import ChunkAttempt, ChunkRecord, JobReport, SolveJob, digest_array
-from .queue import BoundedJobQueue
 
 #: Modeled cost of a launch attempt that dies before any block runs
 #: (the driver round-trip that returned the error).
@@ -87,6 +89,22 @@ CPU_NS_PER_UNKNOWN = 500.0
 #: plan is derived at ``HEDGE_ATTEMPT_BASE + attempt`` -- far above any
 #: realistic ``max_chunk_retries``.
 HEDGE_ATTEMPT_BASE = 1_000_000
+
+
+@dataclass
+class _Launched:
+    """A launch that solved its chunk acceptably: one side of a hedge
+    race."""
+
+    device: str
+    start: float
+    cost: float
+    ratio: float | None
+    x: np.ndarray
+
+    @property
+    def end(self) -> float:
+        return self.start + self.cost
 
 
 def _residual_layout(job: SolveJob) -> str:
@@ -103,9 +121,6 @@ class BatchScheduler:
     ----------
     pool:
         The devices to schedule over.
-    queue:
-        Admission queue; built from ``queue_capacity`` (with this
-        scheduler's modeled-cost estimator) when not given.
     failure_threshold, cooldown_ms, half_open_successes:
         Circuit-breaker configuration, shared by every device.
     max_chunk_retries:
@@ -143,8 +158,6 @@ class BatchScheduler:
     """
 
     def __init__(self, pool: DevicePool, *,
-                 queue: BoundedJobQueue | None = None,
-                 queue_capacity: int = 8,
                  failure_threshold: int = 3,
                  cooldown_ms: float = 5.0,
                  half_open_successes: int = 2,
@@ -160,8 +173,6 @@ class BatchScheduler:
                  health_policy: HealthPolicy | None = None,
                  slo: SLORegistry | None = None):
         self.pool = pool
-        self.queue = queue or BoundedJobQueue(
-            queue_capacity, estimator=self.estimate_job_ms)
         self.max_chunk_retries = max(0, int(max_chunk_retries))
         self.chunk_timeout_ms = chunk_timeout_ms
         self.backoff_base_ms = backoff_base_ms
@@ -187,14 +198,17 @@ class BatchScheduler:
         self._now_ms = 0.0
         self._estimate_cache: dict[tuple, float] = {}
         self.slo = slo if slo is not None else SLORegistry()
-        #: Modeled admission time per job, for queue-wait accounting.
-        self._admitted_ms: dict[str, float] = {}
+        #: Modeled commit time per job, for queue-wait accounting.
+        self._committed_ms: dict[str, float] = {}
         #: Per-job trace roots: job_id -> (collector, trace_id, root
         #: LiveSpan).  The root is detached (never the implicit parent
         #: of other jobs' spans) and closed when the job finishes.
         self._traces: dict[str, tuple] = {}
 
-    # -- admission ------------------------------------------------------
+    @property
+    def now_ms(self) -> float:
+        """The modeled-time frontier: the latest completion observed."""
+        return self._now_ms
 
     def _resolve_auto(self, job: SolveJob) -> None:
         """Resolve ``method="auto"`` into a concrete (method, layout).
@@ -221,10 +235,10 @@ class BatchScheduler:
         One chunk is costed analytically (no functional execution; see
         :func:`repro.gpusim.estimator.estimate_ms`, bitwise-equal to
         the simulate-then-cost path) and the job bound is perfect
-        parallelism over the pool.  Used by the queue's
-        deadline-feasibility admission check.  ``method="auto"`` jobs
-        are resolved to the autotuner's (method, layout) pick first,
-        so admission estimates price the placement that will run.
+        parallelism over the pool.  The front end prices admission
+        with it.  ``method="auto"`` jobs are resolved to the
+        autotuner's (method, layout) pick first, so admission estimates
+        price the placement that will run.
         """
         self._resolve_auto(job)
         key = (job.method, job.layout, job.systems.n,
@@ -281,33 +295,18 @@ class BatchScheduler:
         if entry is not None and entry[0] is telemetry.get_collector():
             entry[2].__exit__(None, None, None)
 
-    def submit(self, job: SolveJob) -> None:
-        """Admit ``job`` (raises a typed
-        :class:`~repro.serve.errors.AdmissionError` under backpressure).
-
-        A rejection is accounted as a *shed* against the job's SLO
-        class before the error propagates."""
+    def commit(self, job: SolveJob) -> None:
+        """Take over ``job`` for execution (never raises: admission is
+        the front end's decision).  Opens the job's trace root, records
+        the ``serve.admit`` span and stamps the commit time that
+        :meth:`run_job` turns into ``queue_wait_ms``."""
         trace_id, root = self._trace_context(job)
         parent = root.record.span_id if root is not None else None
-        try:
-            with telemetry.trace_span("serve.admit", trace_id=trace_id,
-                                      parent_id=parent, job=job.job_id,
-                                      cls=job.slo_class):
-                self.queue.submit(job)
-        except AdmissionError as exc:
-            self.slo.record_shed(job.slo_class, exc.reason,
-                                 tenant=job.tenant)
-            record_shed(job.slo_class, exc.reason, tenant=job.tenant)
-            self._close_trace(job.job_id)
-            raise
-        self._admitted_ms[job.job_id] = self._now_ms
-
-    def run(self, *, resume: bool = False) -> list[JobReport]:
-        """Drain the queue in FIFO order; one report per job."""
-        reports = []
-        while (job := self.queue.pop()) is not None:
-            reports.append(self.run_job(job, resume=resume))
-        return reports
+        with telemetry.trace_span("serve.admit", trace_id=trace_id,
+                                  parent_id=parent, job=job.job_id,
+                                  cls=job.slo_class):
+            pass
+        self._committed_ms[job.job_id] = self._now_ms
 
     # -- scheduling internals ------------------------------------------
 
@@ -436,6 +435,66 @@ class BatchScheduler:
             # monitor may quarantine the device outright.
             self.health.note_trip(breaker.name, breaker, end_ms)
 
+    def _advance(self, device: str, end_ms: float,
+                 busy_until_ms: float | None = None) -> None:
+        """Hold ``device`` until ``busy_until_ms`` (default ``end_ms``)
+        and move the modeled frontier to at least ``end_ms``."""
+        self._clock[device] = (end_ms if busy_until_ms is None
+                               else busy_until_ms)
+        self._now_ms = max(self._now_ms, end_ms)
+
+    def _launch(self, job: SolveJob, sub, device: PooledDevice, plan,
+                span: str, /, **attrs
+                ) -> tuple[str, np.ndarray | None, float]:
+        """One launch of chunk ``sub`` on ``device`` -- the single
+        launch path of primary and hedge attempts.
+
+        Returns ``(outcome, x, modeled_ms)``: ``"ok"`` with the
+        realized cost (the cost-model time scaled by any staged
+        incident's latency multiplier -- a brownout slows the device
+        without faulting it); a typed fault (``"launch_error"`` /
+        ``"corruption"``) with the launch-fail penalty; or
+        ``"timeout"`` when the modeled watchdog kills the launch at
+        ``chunk_timeout_ms``.
+        """
+        try:
+            # The attempt span is what the sim.launch spans nest under,
+            # tying kernel launches into the job's trace tree.
+            with telemetry.span(span, job=job.job_id, **attrs), \
+                    (_faults.inject(plan) if plan is not None
+                     else nullcontext()):
+                x, launch = run_kernel(
+                    job.method, sub, intermediate_size=job.intermediate_size,
+                    device=device.spec, layout=job.layout)
+        except (_faults.DataCorruptionError,
+                _faults.KernelLaunchError) as exc:
+            kind = ("corruption"
+                    if isinstance(exc, _faults.DataCorruptionError)
+                    else "launch_error")
+            return kind, None, LAUNCH_FAIL_PENALTY_MS
+        cost = (self._cost_model.report(launch).total_ms
+                * (plan.latency_multiplier if plan is not None else 1.0))
+        if self.chunk_timeout_ms is not None and cost > self.chunk_timeout_ms:
+            return "timeout", None, self.chunk_timeout_ms
+        return "ok", x, cost
+
+    def _device_failure(self, job: SolveJob, device: str, start: float,
+                        kind: str, modeled_ms: float,
+                        backoff_ms: float = 0.0) -> None:
+        """Charge a faulted or watchdog-killed attempt to ``device``:
+        clock (plus any retry backoff), breaker and health."""
+        end = start + modeled_ms
+        self._advance(device, end, end + backoff_ms)
+        self._breaker_failure(self.breakers[device], end, kind, job)
+        self.health.observe_attempt(device, ok=False, now_ms=end)
+
+    def _residual_miss(self, device: str, end_ms: float) -> None:
+        """A launch whose result fails the residual gate: corruption
+        slipped past every detector, which is not a breaker failure."""
+        self._advance(device, end_ms)
+        self.health.observe_attempt(device, ok=True, ratio=None,
+                                    now_ms=end_ms)
+
     def _run_chunk(self, job: SolveJob, chunk_id: int, frontier_ms: float
                    ) -> tuple[ChunkRecord, np.ndarray]:
         """One chunk through the full contract: readmit, place, retry,
@@ -454,118 +513,44 @@ class BatchScheduler:
             if device is None:
                 degrade_reason = "no_healthy_device"
                 break
-            breaker = self.breakers[device.name]
             start = max(self._clock[device.name], frontier_ms)
             plan = device.plan_for(job.job_id, chunk_id, attempt,
                                    at_ms=start)
-            try:
-                # The attempt span is what the sim.launch spans nest
-                # under, tying kernel launches into the job's trace
-                # tree.
-                with telemetry.span("serve.attempt", job=job.job_id,
-                                    chunk=chunk_id, attempt=attempt,
-                                    device=device.name):
-                    if plan is not None:
-                        with _faults.inject(plan):
-                            x, launch = run_kernel(
-                                job.method, sub,
-                                intermediate_size=job.intermediate_size,
-                                device=device.spec, layout=job.layout)
-                    else:
-                        x, launch = run_kernel(
-                            job.method, sub,
-                            intermediate_size=job.intermediate_size,
-                            device=device.spec, layout=job.layout)
-            except (_faults.DataCorruptionError,
-                    _faults.KernelLaunchError) as exc:
-                kind = ("corruption"
-                        if isinstance(exc, _faults.DataCorruptionError)
-                        else "launch_error")
-                backoff = self._backoff_ms(job, chunk_id, attempt)
-                end = start + LAUNCH_FAIL_PENALTY_MS
-                self._clock[device.name] = end + backoff
-                self._now_ms = max(self._now_ms, end)
-                self._breaker_failure(breaker, end, kind, job)
-                self.health.observe_attempt(device.name, ok=False,
-                                            now_ms=end)
-                record_chunk_retry(device.name, kind)
-                record_retry_delay(backoff, job.slo_class, device.name)
+            outcome, x, cost = self._launch(
+                job, sub, device, plan, "serve.attempt", chunk=chunk_id,
+                attempt=attempt, device=device.name)
+            if outcome != "ok":
+                # A fault backs off with seeded jitter before the
+                # retry; a watchdog kill frees the device at once.
+                backoff = (0.0 if outcome == "timeout"
+                           else self._backoff_ms(job, chunk_id, attempt))
+                self._device_failure(job, device.name, start, outcome,
+                                     cost, backoff)
+                record_chunk_retry(device.name, outcome)
+                if outcome != "timeout":
+                    record_retry_delay(backoff, job.slo_class, device.name)
                 attempts.append(ChunkAttempt(
-                    device=device.name, outcome=kind,
-                    modeled_ms=LAUNCH_FAIL_PENALTY_MS, backoff_ms=backoff))
+                    device=device.name, outcome=outcome, modeled_ms=cost,
+                    backoff_ms=backoff))
                 failed_on.add(device.name)
                 continue
 
-            # Realized cost: the cost-model time of the launch, scaled
-            # by any staged incident's latency multiplier (a brownout
-            # slows the device without faulting it).
-            cost = (self._cost_model.report(launch).total_ms
-                    * (plan.latency_multiplier if plan is not None else 1.0))
-            if (self.chunk_timeout_ms is not None
-                    and cost > self.chunk_timeout_ms):
-                # The watchdog kills the launch at the timeout mark.
-                end = start + self.chunk_timeout_ms
-                self._clock[device.name] = end
-                self._now_ms = max(self._now_ms, end)
-                self._breaker_failure(breaker, end, "timeout", job)
-                self.health.observe_attempt(device.name, ok=False,
-                                            now_ms=end)
-                record_chunk_retry(device.name, "timeout")
-                attempts.append(ChunkAttempt(
-                    device=device.name, outcome="timeout",
-                    modeled_ms=self.chunk_timeout_ms))
-                failed_on.add(device.name)
-                continue
-
-            rel = _relative_residuals(sub, x)
-            if bool(np.all(rel <= job.residual_tol)):
-                end = start + cost
-                ratio = (cost / est) if est > 0 else None
+            if bool(np.all(_relative_residuals(sub, x) <= job.residual_tol)):
+                primary = _Launched(device.name, start, cost,
+                                    (cost / est) if est > 0 else None, x)
                 hedge = None
-                if (self.hedge_ratio is not None and ratio is not None
-                        and ratio >= self.hedge_ratio):
+                if (self.hedge_ratio is not None
+                        and primary.ratio is not None
+                        and primary.ratio >= self.hedge_ratio):
                     hedge = self._try_hedge(job, chunk_id, attempt, sub,
                                             est, device.name, failed_on,
                                             frontier_ms)
-                if (hedge is not None and hedge["ok"]
-                        and hedge["end"] < end):
-                    return self._hedge_wins(job, chunk_id, attempts,
-                                            device, breaker, start, end,
-                                            ratio, hedge, sub, est)
-                # Primary wins (ties go to the primary) or no hedge ran.
-                self._clock[device.name] = end
-                self._now_ms = max(self._now_ms, end)
-                breaker.record_success(end)
-                self.health.observe_attempt(device.name, ok=True,
-                                            ratio=ratio, now_ms=end)
-                record_chunk_done(device.name, "ok")
-                record_chunk_latency(cost, job.slo_class, device.name)
-                if telemetry.enabled() and est > 0:
-                    # Pair the realized modeled cost with the
-                    # scheduler's estimate for this chunk shape: the
-                    # per-(solver, layout, n) calibration residual.
-                    record_cost_residual(job.method,
-                                         _residual_layout(job), sub.n,
-                                         (cost - est) / est)
-                attempts.append(ChunkAttempt(
-                    device=device.name, outcome="ok", modeled_ms=cost))
-                if hedge is not None:
-                    self._settle_losing_hedge(hedge, end, attempts)
-                x64 = np.asarray(x, dtype=np.float64)
-                record = ChunkRecord(
-                    chunk_id=chunk_id, status="ok", device=device.name,
-                    attempts=attempts, start_ms=start, end_ms=end,
-                    modeled_ms=cost, digest=digest_array(x64))
-                return record, x64
-            # A residual miss means corruption slipped past every
-            # detector: charge the modeled time, hand the chunk to the
-            # CPU chain (which re-gates per system) instead of burning
+                return self._settle_race(job, chunk_id, sub, est, primary,
+                                         hedge, attempts)
+            # Charge the modeled time and hand the chunk to the CPU
+            # chain (which re-gates per system) instead of burning
             # retries on a device that may well be healthy.
-            end = start + cost
-            self._clock[device.name] = end
-            self._now_ms = max(self._now_ms, end)
-            self.health.observe_attempt(device.name, ok=True, ratio=None,
-                                        now_ms=end)
+            self._residual_miss(device.name, start + cost)
             attempts.append(ChunkAttempt(
                 device=device.name, outcome="residual", modeled_ms=cost))
             degrade_reason = "residual"
@@ -579,147 +564,96 @@ class BatchScheduler:
 
     def _try_hedge(self, job: SolveJob, chunk_id: int, attempt: int,
                    sub, est: float, primary: str, failed_on: set[str],
-                   frontier_ms: float) -> dict | None:
+                   frontier_ms: float) -> _Launched | ChunkAttempt | None:
         """Launch a hedge for a slow-but-successful primary attempt.
 
-        Returns ``None`` when no healthy device is free, else a dict:
-        ``ok=True`` carries the hedge result (device, start/end, cost,
-        ratio, x), ``ok=False`` carries the already-settled failure
-        record (the hedge device's breaker/clock/health were charged
-        here; the caller only appends the attempt line).
+        Returns ``None`` when no healthy device is free, the hedge's
+        :class:`_Launched` result when it solved the chunk acceptably,
+        else its ``hedge_failed`` attempt line (the hedge device's
+        breaker/clock/health were already charged here).
         """
         dev = self._pick_hedge_device(frontier_ms, {primary} | failed_on)
         if dev is None:
             return None
-        breaker = self.breakers[dev.name]
         start = max(self._clock[dev.name], frontier_ms)
         plan = dev.plan_for(job.job_id, chunk_id,
                             HEDGE_ATTEMPT_BASE + attempt, at_ms=start)
         record_hedge(dev.name, "launched")
         telemetry.event("serve.hedge", job=job.job_id, chunk=chunk_id,
                         device=dev.name, primary=primary)
-        try:
-            with telemetry.span("serve.hedge_attempt", job=job.job_id,
-                                chunk=chunk_id, device=dev.name):
-                if plan is not None:
-                    with _faults.inject(plan):
-                        x, launch = run_kernel(
-                            job.method, sub,
-                            intermediate_size=job.intermediate_size,
-                            device=dev.spec, layout=job.layout)
-                else:
-                    x, launch = run_kernel(
-                        job.method, sub,
-                        intermediate_size=job.intermediate_size,
-                        device=dev.spec, layout=job.layout)
-        except (_faults.DataCorruptionError,
-                _faults.KernelLaunchError) as exc:
-            kind = ("corruption"
-                    if isinstance(exc, _faults.DataCorruptionError)
-                    else "launch_error")
-            end = start + LAUNCH_FAIL_PENALTY_MS
-            self._clock[dev.name] = end
-            self._now_ms = max(self._now_ms, end)
-            self._breaker_failure(breaker, end, kind, job)
-            self.health.observe_attempt(dev.name, ok=False, now_ms=end)
-            record_hedge(dev.name, "failed")
-            return {"ok": False, "attempt": ChunkAttempt(
-                device=dev.name, outcome="hedge_failed",
-                modeled_ms=LAUNCH_FAIL_PENALTY_MS)}
-        cost = (self._cost_model.report(launch).total_ms
-                * (plan.latency_multiplier if plan is not None else 1.0))
-        if (self.chunk_timeout_ms is not None
-                and cost > self.chunk_timeout_ms):
-            end = start + self.chunk_timeout_ms
-            self._clock[dev.name] = end
-            self._now_ms = max(self._now_ms, end)
-            self._breaker_failure(breaker, end, "timeout", job)
-            self.health.observe_attempt(dev.name, ok=False, now_ms=end)
-            record_hedge(dev.name, "failed")
-            return {"ok": False, "attempt": ChunkAttempt(
-                device=dev.name, outcome="hedge_failed",
-                modeled_ms=self.chunk_timeout_ms)}
-        rel = _relative_residuals(sub, x)
-        if not bool(np.all(rel <= job.residual_tol)):
-            # Not acceptable -- but also not a device fault; the
-            # primary's result stands and no breaker is charged.
-            end = start + cost
-            self._clock[dev.name] = end
-            self._now_ms = max(self._now_ms, end)
-            self.health.observe_attempt(dev.name, ok=True, ratio=None,
-                                        now_ms=end)
-            record_hedge(dev.name, "failed")
-            return {"ok": False, "attempt": ChunkAttempt(
-                device=dev.name, outcome="hedge_failed", modeled_ms=cost)}
-        return {"ok": True, "device": dev, "breaker": breaker,
-                "start": start, "end": start + cost, "cost": cost,
-                "ratio": (cost / est) if est > 0 else None, "x": x}
+        outcome, x, cost = self._launch(job, sub, dev, plan,
+                                        "serve.hedge_attempt",
+                                        chunk=chunk_id, device=dev.name)
+        if outcome != "ok":
+            # No backoff: a failed hedge is never retried.
+            self._device_failure(job, dev.name, start, outcome, cost)
+        elif bool(np.all(_relative_residuals(sub, x) <= job.residual_tol)):
+            return _Launched(dev.name, start, cost,
+                             (cost / est) if est > 0 else None, x)
+        else:
+            # Not acceptable; the primary's result stands.
+            self._residual_miss(dev.name, start + cost)
+        record_hedge(dev.name, "failed")
+        return ChunkAttempt(device=dev.name, outcome="hedge_failed",
+                            modeled_ms=cost)
 
-    def _settle_losing_hedge(self, hedge: dict, winner_end_ms: float,
-                             attempts: list[ChunkAttempt]) -> None:
-        """Account a hedge that lost the race (or failed outright).
-
-        A losing-but-healthy hedge is *cancelled* at the winner's
+    def _cancel(self, loser: _Launched, winner_end_ms: float,
+                attempts: list[ChunkAttempt]) -> None:
+        """Cancel the losing side of a hedge race at the winner's
         finish line: its device is charged only the overlap, its
         breaker records a success (the device did nothing wrong), and
-        the attempt lands as ``hedge_cancelled``.
+        the attempt lands as ``hedge_cancelled``."""
+        cancel_at = min(loser.end, max(loser.start, winner_end_ms))
+        self._advance(loser.device, cancel_at)
+        self.breakers[loser.device].record_success(cancel_at)
+        self.health.observe_attempt(loser.device, ok=True,
+                                    ratio=loser.ratio, now_ms=cancel_at)
+        attempts.append(ChunkAttempt(
+            device=loser.device, outcome="hedge_cancelled",
+            modeled_ms=max(0.0, cancel_at - loser.start)))
+        record_hedge(loser.device, "cancelled")
+
+    def _settle_race(self, job: SolveJob, chunk_id: int, sub, est: float,
+                     primary: _Launched,
+                     hedge: _Launched | ChunkAttempt | None,
+                     attempts: list[ChunkAttempt]
+                     ) -> tuple[ChunkRecord, np.ndarray]:
+        """Account an acceptable primary and its hedge, if one ran.
+
+        The first acceptable result wins (ties go to the primary) and
+        becomes the chunk; the other side is cancelled at the winner's
+        finish line, and a failed hedge only adds its attempt line.
         """
-        if not hedge["ok"]:
-            attempts.append(hedge["attempt"])
-            return
-        dev = hedge["device"]
-        cancel_at = min(hedge["end"], max(hedge["start"], winner_end_ms))
-        self._clock[dev.name] = cancel_at
-        self._now_ms = max(self._now_ms, cancel_at)
-        hedge["breaker"].record_success(cancel_at)
-        self.health.observe_attempt(dev.name, ok=True,
-                                    ratio=hedge["ratio"],
-                                    now_ms=cancel_at)
-        attempts.append(ChunkAttempt(
-            device=dev.name, outcome="hedge_cancelled",
-            modeled_ms=max(0.0, cancel_at - hedge["start"])))
-        record_hedge(dev.name, "cancelled")
-
-    def _hedge_wins(self, job: SolveJob, chunk_id: int,
-                    attempts: list[ChunkAttempt], primary_dev,
-                    primary_breaker, primary_start: float,
-                    primary_end: float, primary_ratio: float | None,
-                    hedge: dict, sub, est: float
-                    ) -> tuple[ChunkRecord, np.ndarray]:
-        """The hedge beat the primary: the primary is cancelled at the
-        hedge's finish line and the hedge result becomes the chunk."""
-        h_end = hedge["end"]
-        cancel_at = min(primary_end, max(primary_start, h_end))
-        self._clock[primary_dev.name] = cancel_at
-        self._now_ms = max(self._now_ms, cancel_at)
-        primary_breaker.record_success(cancel_at)
-        self.health.observe_attempt(primary_dev.name, ok=True,
-                                    ratio=primary_ratio, now_ms=cancel_at)
-        attempts.append(ChunkAttempt(
-            device=primary_dev.name, outcome="hedge_cancelled",
-            modeled_ms=max(0.0, cancel_at - primary_start)))
-        record_hedge(primary_dev.name, "cancelled")
-
-        dev = hedge["device"]
-        self._clock[dev.name] = h_end
-        self._now_ms = max(self._now_ms, h_end)
-        hedge["breaker"].record_success(h_end)
-        self.health.observe_attempt(dev.name, ok=True,
-                                    ratio=hedge["ratio"], now_ms=h_end)
-        record_hedge(dev.name, "won")
-        record_chunk_done(dev.name, "ok")
-        record_chunk_latency(hedge["cost"], job.slo_class, dev.name)
+        hedge_won = isinstance(hedge, _Launched) and hedge.end < primary.end
+        if hedge_won:
+            self._cancel(primary, hedge.end, attempts)
+        win = hedge if hedge_won else primary
+        end = win.end
+        self._advance(win.device, end)
+        self.breakers[win.device].record_success(end)
+        self.health.observe_attempt(win.device, ok=True, ratio=win.ratio,
+                                    now_ms=end)
+        if hedge_won:
+            record_hedge(win.device, "won")
+        record_chunk_done(win.device, "ok")
+        record_chunk_latency(win.cost, job.slo_class, win.device)
         if telemetry.enabled() and est > 0:
+            # Pair the realized modeled cost with the scheduler's
+            # estimate for this chunk shape: the per-(solver, layout,
+            # n) calibration residual.
             record_cost_residual(job.method, _residual_layout(job), sub.n,
-                                 (hedge["cost"] - est) / est)
+                                 (win.cost - est) / est)
         attempts.append(ChunkAttempt(
-            device=dev.name, outcome="ok", modeled_ms=hedge["cost"]))
-        x64 = np.asarray(hedge["x"], dtype=np.float64)
+            device=win.device, outcome="ok", modeled_ms=win.cost))
+        if isinstance(hedge, _Launched) and not hedge_won:
+            self._cancel(hedge, end, attempts)
+        elif isinstance(hedge, ChunkAttempt):
+            attempts.append(hedge)
+        x64 = np.asarray(win.x, dtype=np.float64)
         record = ChunkRecord(
-            chunk_id=chunk_id, status="ok", device=dev.name,
-            attempts=attempts,
-            start_ms=min(primary_start, hedge["start"]), end_ms=h_end,
-            modeled_ms=hedge["cost"], digest=digest_array(x64))
+            chunk_id=chunk_id, status="ok", device=win.device,
+            attempts=attempts, start_ms=min(primary.start, win.start),
+            end_ms=end, modeled_ms=win.cost, digest=digest_array(x64))
         return record, x64
 
     # -- the job loop ---------------------------------------------------
@@ -752,7 +686,7 @@ class BatchScheduler:
         trace_id, root = self._trace_context(job)
         root_id = root.record.span_id if root is not None else None
         queue_wait = max(
-            0.0, job_start - self._admitted_ms.pop(job.job_id, job_start))
+            0.0, job_start - self._committed_ms.pop(job.job_id, job_start))
         self.slo.record_queue_wait(job.slo_class, queue_wait)
         record_queue_wait(queue_wait, job.slo_class)
         wall_start = time.monotonic()

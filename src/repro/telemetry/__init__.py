@@ -52,7 +52,7 @@ from .metrics import (BREAKER_TRANSITIONS, CANARY_TOTAL, CHUNKS_TOTAL,
                       DEGRADED_TOTAL, FALLBACK_TOTAL,
                       FUZZ_CASES, HEALTH_SCORE, HEDGES_TOTAL,
                       LIFECYCLE_TRANSITIONS,
-                      QUEUE_DEPTH, QUEUE_REJECTED, QUEUE_WAIT,
+                      QUEUE_WAIT,
                       RESIDUAL_MAX, RETRY_DELAY, SERVE_CHUNK_LATENCY,
                       SERVE_LATENCY, SHED_TOTAL,
                       VERIFY_CELLS, Counter,
@@ -66,8 +66,7 @@ from .metrics import (BREAKER_TRANSITIONS, CANARY_TOTAL, CHUNKS_TOTAL,
                       record_fuzz_case, record_health_score, record_hedge,
                       record_job_latency,
                       record_lifecycle_transition,
-                      record_queue_depth,
-                      record_queue_rejection, record_queue_wait,
+                      record_queue_wait,
                       record_residual_max, record_retry_delay,
                       record_shed, record_verify_cell)
 from .slo import DEFAULT_CLASS, DEFAULT_CLASSES, SLOClass, SLORegistry
@@ -87,14 +86,13 @@ __all__ = [
     "record_residual_max",
     "BREAKER_TRANSITIONS", "CHUNKS_TOTAL", "CHUNK_RETRIES",
     "COST_RESIDUAL", "DEADLINE_MISSES", "DEADLINE_SLACK", "DEGRADED_TOTAL",
-    "QUEUE_DEPTH", "QUEUE_REJECTED", "QUEUE_WAIT", "RETRY_DELAY",
+    "QUEUE_WAIT", "RETRY_DELAY",
     "SERVE_CHUNK_LATENCY", "SERVE_LATENCY", "SHED_TOTAL",
     "record_breaker_transition", "record_chunk_done",
     "record_chunk_latency", "record_chunk_retry", "record_cost_residual",
     "record_deadline_miss", "record_deadline_slack",
     "record_degraded_solve", "record_job_latency",
-    "record_queue_depth",
-    "record_queue_rejection", "record_queue_wait", "record_retry_delay",
+    "record_queue_wait", "record_retry_delay",
     "record_shed",
     "HEALTH_SCORE", "LIFECYCLE_TRANSITIONS", "HEDGES_TOTAL", "CANARY_TOTAL",
     "record_health_score", "record_lifecycle_transition", "record_hedge",

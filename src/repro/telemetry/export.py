@@ -286,14 +286,14 @@ def serve_summary(collector: Collector) -> list[str]:
 
     Renders breaker transitions, lifecycle transitions, hedges,
     canaries, chunk retries, degraded solves, deadline misses,
-    admission rejections/sheds and per-class latency quantiles -- the
+    sheds and per-class latency quantiles -- the
     health view of a :class:`repro.serve.BatchScheduler` run.
     """
     from .metrics import (BREAKER_TRANSITIONS, CANARY_TOTAL, CHUNKS_TOTAL,
                           CHUNK_RETRIES,
                           DEADLINE_MISSES, DEGRADED_TOTAL, DOWNGRADES,
                           FRONTEND_REQUESTS, HEDGES_TOTAL,
-                          LIFECYCLE_TRANSITIONS, QUEUE_REJECTED,
+                          LIFECYCLE_TRANSITIONS,
                           QUOTA_DENIED, REQUEST_LATENCY,
                           SERVE_LATENCY, SHED_TOTAL, Counter, Histogram)
 
@@ -361,7 +361,6 @@ def serve_summary(collector: Collector) -> list[str]:
             (CHUNK_RETRIES, "kind", "chunk retries"),
             (DEGRADED_TOTAL, "reason", "degraded to CPU chain"),
             (DEADLINE_MISSES, "job", "deadline misses"),
-            (QUEUE_REJECTED, "reason", "admission rejections"),
             (SHED_TOTAL, "cls", "shed jobs")):
         metric = collector.metrics._metrics.get(name)
         if isinstance(metric, Counter) and metric.series:

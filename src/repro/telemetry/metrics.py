@@ -39,8 +39,6 @@ RESIDUAL_MAX = "residual_max"
 #: Canonical serving-layer metric names (emitted by
 #: :mod:`repro.serve.scheduler` and friends; rendered by
 #: :func:`repro.telemetry.export.serve_summary`).
-QUEUE_DEPTH = "serve.queue_depth"
-QUEUE_REJECTED = "serve.queue_rejected"
 BREAKER_TRANSITIONS = "serve.breaker_transitions"
 CHUNK_RETRIES = "serve.chunk_retries"
 DEADLINE_MISSES = "serve.deadline_misses"
@@ -115,28 +113,6 @@ def record_residual_max(value: float, method: str) -> None:
             RESIDUAL_MAX,
             "max relative residual per solve attempt").observe(
                 value, method=method)
-
-
-def record_queue_depth(depth: int) -> None:
-    """Gauge the bounded admission queue's current depth
-    (``serve.queue_depth``); no-op when telemetry is disabled."""
-    from .collector import get_collector
-    col = get_collector()
-    if col is not None:
-        col.metrics.gauge(
-            QUEUE_DEPTH, "jobs waiting in the serve queue").set(depth)
-
-
-def record_queue_rejection(reason: str, cls: str = "standard",
-                           tenant: str = "default") -> None:
-    """Count one typed admission rejection
-    (``serve.queue_rejected{reason,cls,tenant}``)."""
-    from .collector import get_collector
-    col = get_collector()
-    if col is not None:
-        col.metrics.counter(
-            QUEUE_REJECTED, "jobs rejected at admission").inc(
-                reason=reason, cls=cls, tenant=tenant)
 
 
 def record_breaker_transition(device: str, frm: str, to: str) -> None:

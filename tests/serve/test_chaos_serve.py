@@ -142,9 +142,9 @@ class TestSeededDeterminism:
     def run_once(self):
         with telemetry.collect() as col:
             sched = make_sched(hot_pool(), failure_threshold=2)
-            sched.submit(make_job(batch(), job_id="det",
-                                  deadline_ms=500.0))
-            reports = sched.run()
+            job = make_job(batch(), job_id="det", deadline_ms=500.0)
+            sched.commit(job)
+            reports = [sched.run_job(job)]
         return reports, col.metrics.snapshot()
 
     def test_reports_and_counters_identical(self):
@@ -175,10 +175,11 @@ class TestTraceObservability:
         col = telemetry.deterministic_collector(seed)
         with telemetry.collect(col):
             sched = make_sched(hot_pool(), failure_threshold=2, seed=seed)
-            for i in range(2):
-                sched.submit(make_job(batch(), job_id=f"t{i}",
-                                      deadline_ms=500.0))
-            reports = sched.run()
+            jobs = [make_job(batch(), job_id=f"t{i}", deadline_ms=500.0)
+                    for i in range(2)]
+            for job in jobs:
+                sched.commit(job)
+            reports = [sched.run_job(job) for job in jobs]
         return col, sched, reports
 
     def test_every_job_is_one_connected_tree(self):

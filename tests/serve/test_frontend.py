@@ -100,8 +100,7 @@ class TestQuota:
     def test_eviction_refunds_victim_tokens(self):
         fe = make_frontend(
             tenants=[TenantSpec("t", quota_rate=0.001, quota_burst=0.05)],
-            config=FrontendConfig(pending_capacity=1, handoff_depth=1,
-                                  admission_slack=1e9))
+            config=FrontendConfig(pending_capacity=1, admission_slack=1e9))
         assert fe.offer(req("r0", tenant="t", cls="batch")) is None
         before = fe._buckets["t"].tokens
         # r1 arrives last so it carries the latest virtual finish and
@@ -125,7 +124,7 @@ class TestAdmission:
         # Pre-load enough interactive backlog that the cost model
         # cannot meet the 5 ms objective, but batch still admits.
         fe = make_frontend(config=FrontendConfig(
-            pending_capacity=500, handoff_depth=1, admission_slack=1.0))
+            pending_capacity=500, admission_slack=1.0))
         for i in range(400):
             fe.offer(req(f"bg{i}", cls="interactive", num=16, n=64))
         before = fe.downgrades
@@ -136,7 +135,7 @@ class TestAdmission:
 
     def test_no_downgrade_when_disallowed(self):
         fe = make_frontend(config=FrontendConfig(
-            pending_capacity=500, handoff_depth=1, admission_slack=1.0,
+            pending_capacity=500, admission_slack=1.0,
             allow_downgrade=False))
         for i in range(400):
             fe.offer(req(f"bg{i}", cls="interactive", num=16, n=64))
@@ -147,9 +146,8 @@ class TestAdmission:
 class TestCapacityShedding:
     def cfg(self, cap):
         # Huge slack disables the admission stage so only the bounded
-        # buffer sheds; handoff_depth=1 keeps requests evictable.
-        return FrontendConfig(pending_capacity=cap, handoff_depth=1,
-                              admission_slack=1e9)
+        # buffer sheds.
+        return FrontendConfig(pending_capacity=cap, admission_slack=1e9)
 
     def test_overflow_sheds_lowest_class_latest_finish(self):
         fe = make_frontend(config=self.cfg(3))
@@ -181,7 +179,7 @@ class TestCapacityShedding:
         fe.offer(req("i2", cls="interactive"))
         shed = [o for o in fe.outcomes.values() if o.state == "shed"]
         # b0 is beyond the shedder's reach; interactive overflow sheds
-        # interactive -- which is why handoff_depth stays small.
+        # interactive -- which is why HANDOFF_DEPTH stays small.
         assert all(o.slo_class == "interactive" for o in shed)
         assert "b0" not in {o.request_id for o in shed}
 
@@ -189,7 +187,7 @@ class TestCapacityShedding:
 class TestDispatchOrder:
     def test_strict_priority_across_classes(self):
         fe = make_frontend(config=FrontendConfig(
-            pending_capacity=24, handoff_depth=1, admission_slack=1e9))
+            pending_capacity=24, admission_slack=1e9))
         fe.offer(req("b0", cls="batch"))
         fe.offer(req("s0", cls="standard"))
         fe.offer(req("i0", cls="interactive"))
@@ -200,8 +198,7 @@ class TestDispatchOrder:
         fe = make_frontend(
             tenants=[TenantSpec("heavy", weight=2.0),
                      TenantSpec("light", weight=1.0)],
-            config=FrontendConfig(pending_capacity=64, handoff_depth=1,
-                                  admission_slack=1e9))
+            config=FrontendConfig(pending_capacity=64, admission_slack=1e9))
         for i in range(6):
             fe.offer(req(f"h{i}", tenant="heavy"))
             fe.offer(req(f"l{i}", tenant="light"))
@@ -266,8 +263,7 @@ class TestAsyncFacade:
         def stream():
             return [req(f"r{i}", cls="batch") for i in range(6)]
 
-        cfg = FrontendConfig(pending_capacity=3, handoff_depth=1,
-                             admission_slack=1e9)
+        cfg = FrontendConfig(pending_capacity=3, admission_slack=1e9)
 
         fe_sync = make_frontend(config=cfg)
         for r in stream():

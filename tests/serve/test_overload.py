@@ -7,7 +7,9 @@ At sustained ~2x admission capacity the front end must:
   interactive,
 * be bitwise reproducible: two same-seed runs produce identical shed
   sets, identical JobReports and identical telemetry JSONL,
-* never re-admit a shed request across kill/resume.
+* never re-admit a shed request across kill/resume,
+* decide every request exactly once, through one bounded commit
+  window, at any load and pool size.
 
 Run with ``pytest -m overload`` (CI runs it twice for determinism).
 """
@@ -15,10 +17,13 @@ Run with ``pytest -m overload`` (CI runs it twice for determinism).
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.gpusim.pool import make_pool
 from repro.serve import FrontendConfig, ServeFrontend, loadgen
+from repro.serve.frontend import HANDOFF_DEPTH
 
 from .conftest import make_sched
 
@@ -41,7 +46,6 @@ def run_overload(seed=SEED, *, checkpoint_dir=None, resume=False,
     col = telemetry.deterministic_collector(seed)
     with telemetry.collect(col):
         sched = make_sched(make_pool(2, seed=5), seed=seed,
-                           queue_capacity=2,
                            checkpoint_dir=checkpoint_dir)
         fe = ServeFrontend(sched, config=FrontendConfig(), resume=resume)
         rep = fe.run(overload_requests(seed, horizon_ms),
@@ -87,7 +91,7 @@ class TestOverloadAcceptance:
                                 "deadline_unmeetable", "deadline",
                                 "capacity")
             assert o.stage in ("quota", "admission", "capacity",
-                               "scheduler", "resume")
+                               "resume")
             assert o.tenant.startswith("tenant")
 
 
@@ -139,3 +143,37 @@ class TestOverloadResume:
         for o in resumed.completed:
             if o.request_id in digest:
                 assert o.report.solution_digest() == digest[o.request_id]
+
+
+class TestExactlyOnce:
+    """Every request ends in exactly one outcome, whatever the load."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16),
+           load=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+           devices=st.sampled_from([1, 2, 3]))
+    def test_each_request_decided_once(self, seed, load, devices):
+        requests = overload_requests(seed, horizon_ms=1.0, load=load)
+        fe = ServeFrontend(make_sched(make_pool(devices, seed=seed),
+                                      seed=seed))
+        cap = fe.config.pending_capacity
+        offer, fill = fe.offer, fe._fill_handoff
+
+        def checked_offer(request):
+            out = offer(request)
+            assert fe.pending <= cap
+            return out
+
+        def checked_fill():
+            fill()
+            assert len(fe._handoff) <= HANDOFF_DEPTH
+
+        fe.offer, fe._fill_handoff = checked_offer, checked_fill
+        rep = fe.run(requests)
+
+        ids = [o.request_id for o in rep.outcomes]
+        assert sorted(ids) == sorted(r.request_id for r in requests)
+        assert {o.state for o in rep.outcomes} <= {"completed", "shed"}
+        assert {o.stage for o in rep.shed} <= {"quota", "admission",
+                                               "capacity"}
+        assert fe.pending == 0

@@ -7,7 +7,7 @@ import pytest
 from repro.gpusim.pool import make_pool
 from repro.numerics.generators import diagonally_dominant_fluid
 from repro.resilience.pipeline import _relative_residuals
-from repro.serve import OPEN
+from repro.serve import OPEN, ServeFrontend, ServeRequest
 
 from .conftest import make_job, make_sched
 
@@ -50,12 +50,17 @@ class TestHealthyPool:
                               np.asarray(direct, dtype=np.float64))
 
     def test_queue_drain_fifo(self, healthy_pool):
-        sched = make_sched(healthy_pool)
-        for name in ("a", "b"):
-            sched.submit(make_job(
-                diagonally_dominant_fluid(8, 32, seed=4), job_id=name))
-        reports = sched.run()
-        assert [r.job_id for r in reports] == ["a", "b"]
+        # One tenant, one class: the front end drains in offer order
+        # (job10 after job2, not in request-id order).
+        fe = ServeFrontend(make_sched(healthy_pool))
+        names = [f"job{i}" for i in range(12)]
+        for name in names:
+            fe.offer(ServeRequest(name, "default",
+                                  diagonally_dominant_fluid(8, 32, seed=4)))
+        reports = []
+        while (out := fe.dispatch_once()) is not None:
+            reports.append(out.report)
+        assert [r.job_id for r in reports] == names
         assert all(r.ok for r in reports)
 
 
@@ -133,9 +138,3 @@ class TestEstimator:
         big = sched.estimate_job_ms(make_job(
             diagonally_dominant_fluid(96, 64, seed=11)))
         assert 0 < small < big
-
-    def test_wired_into_admission(self, batch, healthy_pool):
-        from repro.serve import DeadlineUnmeetableError
-        sched = make_sched(healthy_pool)
-        with pytest.raises(DeadlineUnmeetableError):
-            sched.submit(make_job(batch, deadline_ms=1e-9))
