@@ -26,7 +26,7 @@ bench-overload:  ## overload-shedding perf smoke (fails on interactive
 	$(PY) benchmarks/bench_overload.py --check
 
 bench-layout:    ## layout-autotuner perf smoke (fails on choice flips,
-                 ## coalescing regressions, or analytic/measured drift)
+                 ## coalescing regressions, or a fold-line miss)
 	$(PY) benchmarks/bench_layout_autotune.py --quick --check
 
 figures:         ## regenerate every table/figure text artifact in benchmarks/results/

@@ -9,18 +9,19 @@ wins) -- and records, per shape:
 * the global-memory transaction counts of the sequential vs the
   interleaved Thomas kernel (the coalescing ratio is the whole point
   of the layout),
-* the fitted :class:`~repro.analysis.layout_autotuner.LayoutModel`
-  prediction for every candidate, asserted bitwise-equal to the
-  measured functional simulation (the analytic path is exact on the
-  simulator; any drift is a broken estimator),
-* the autotuner's chosen ``(method, layout)``.
+* the autotuner's chosen ``(method, layout)`` and its predicted
+  (analytic) cost.
 
 The committed baseline in ``benchmarks/results/layout_autotune.json``
 locks the choices and the coalescing ratios.  ``--update`` rewrites
 it; ``--check`` (the CI perf-smoke mode) exits nonzero when a choice
-flips, a coalescing ratio regresses below 90% of baseline, or the
-analytic/measured equality breaks.  Everything runs on the modeled
-clock, so failures are real model changes, never machine noise.
+flips or a coalescing ratio regresses below 90% of baseline.  Every
+run also checks the fold line: interleaved Thomas for the huge batch
+of tiny systems, a sequential method for the single system.
+Everything runs on the modeled clock, so failures are real model
+changes, never machine noise.  (Analytic-vs-traced ledger equality is
+enforced by ``tests/gpusim/test_estimator.py`` and by every sim cell
+of ``repro verify``.)
 
 Usage::
 
@@ -39,9 +40,7 @@ import sys
 
 from _harness import RESULTS_DIR, emit, quiet, table
 
-from repro.analysis.layout_autotuner import fit_layout_model
-from repro.analysis.timing import modeled_grid_timing
-from repro.gpusim import GTX280, estimate_ms
+from repro.analysis.layout_autotuner import choose_layout
 from repro.kernels import run_thomas_batch
 from repro.numerics.generators import diagonally_dominant_fluid
 
@@ -54,13 +53,7 @@ FULL_GRID = ((2048, 8), (1024, 16), (512, 32), (64, 64), (4, 256),
 QUICK_GRID = ((2048, 8), (64, 64), (1, 512))
 
 
-def _choose(model, num_systems, n):
-    from repro.analysis.layout_autotuner import choose_layout
-    return choose_layout(num_systems, n, model=model)
-
-
 def measure(grid) -> list[dict]:
-    model = fit_layout_model(GTX280)
     rows = []
     for num_systems, n in grid:
         systems = diagonally_dominant_fluid(num_systems, n, seed=0)
@@ -68,26 +61,13 @@ def measure(grid) -> list[dict]:
         _, inter = run_thomas_batch(systems, layout="interleaved")
         tx_seq = seq.ledger.total().global_transactions
         tx_int = inter.ledger.total().global_transactions
-
-        drift = []
-        for layout in ("sequential", "interleaved"):
-            lay = None if layout == "sequential" else layout
-            measured = modeled_grid_timing(
-                "thomas", n, num_systems, layout=lay).solver_ms
-            analytic = estimate_ms("thomas", n, num_systems, layout=layout)
-            if measured != analytic:
-                drift.append(f"thomas/{layout} S={num_systems} n={n}: "
-                             f"analytic {analytic!r} != "
-                             f"measured {measured!r}")
-
-        choice = _choose(model, num_systems, n)
+        choice = choose_layout(num_systems, n)
         rows.append({
             "num_systems": num_systems, "n": n,
             "tx_sequential": int(tx_seq), "tx_interleaved": int(tx_int),
             "coalescing_ratio": round(tx_seq / tx_int, 4),
             "chosen": f"{choice.method}/{choice.layout}",
             "predicted_ms": round(choice.predicted_ms, 6),
-            "drift": drift,
         })
     return rows
 
@@ -108,8 +88,6 @@ def build_report(grid, check: bool):
                      for r in (baseline or [])}
     failures = []
 
-    for r in rows:
-        failures += r["drift"]
     big = next((r for r in rows if r["num_systems"] >= 1024
                 and r["n"] <= 16), None)
     if big and big["chosen"] != "thomas/interleaved":
@@ -177,7 +155,7 @@ def main(argv=None) -> int:
 def test_layout_autotune_baseline(benchmark):
     text, data, ok = build_report(QUICK_GRID, check=True)
     assert ok, text
-    benchmark(lambda: _choose(fit_layout_model(GTX280), 2048, 8).method)
+    benchmark(lambda: choose_layout(2048, 8).method)
 
 
 if __name__ == "__main__":

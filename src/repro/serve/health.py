@@ -51,7 +51,6 @@ import math
 from dataclasses import dataclass
 
 from repro import telemetry
-from repro.gpusim.costmodel import CostModel
 from repro.gpusim.faults import GpuFault, inject
 from repro.gpusim.gt200 import gt200_cost_model
 from repro.gpusim.pool import DevicePool, PooledDevice, derive_seed
@@ -180,12 +179,11 @@ class HealthMonitor:
 
     def __init__(self, pool: DevicePool, *,
                  policy: HealthPolicy | None = None,
-                 seed: int = 0,
-                 cost_model: CostModel | None = None):
+                 seed: int = 0):
         self.pool = pool
         self.policy = policy or HealthPolicy()
         self.seed = seed
-        self._cost_model = cost_model or gt200_cost_model()
+        self._cost_model = gt200_cost_model()
         self.devices: dict[str, DeviceHealth] = {
             d.name: DeviceHealth(name=d.name) for d in pool.devices}
         for d in pool.spares:

@@ -55,7 +55,7 @@ class SolveJob:
         GPU kernel to run chunks with (any
         :data:`repro.kernels.api.KERNEL_RUNNERS` entry), or ``"auto"``
         to let the scheduler pick method *and* layout from the
-        measured-cost layout autotuner at admission.
+        layout autotuner's analytic ranking at admission.
     layout:
         Batch layout the GPU chunks run in (``"sequential"`` |
         ``"interleaved"``).  Only layout-aware kernels accept the

@@ -151,10 +151,12 @@ class BatchScheduler:
         Lifecycle thresholds for the built-in
         :class:`~repro.serve.health.HealthMonitor` (defaults when not
         given; the monitor itself is always on).
-    slo:
-        SLO accounting registry (:mod:`repro.telemetry.slo`); a fresh
-        default-class registry when not given.  Works with or without
-        an active telemetry collector.
+
+    Realized chunk costs are priced with the GT200 cost model, the
+    same one :meth:`estimate_job_ms` and the layout autotuner use, so
+    the hedge trigger and ``estimator.cost_residual`` compare like
+    with like.  SLO accounting goes to a fresh default-class
+    :class:`~repro.telemetry.slo.SLORegistry` (:attr:`slo`).
     """
 
     def __init__(self, pool: DevicePool, *,
@@ -168,10 +170,8 @@ class BatchScheduler:
                  checkpoint_dir: str | None = None,
                  checkpoint_every: int = 4,
                  seed: int = 0,
-                 cost_model=None,
                  hedge_ratio: float | None = None,
-                 health_policy: HealthPolicy | None = None,
-                 slo: SLORegistry | None = None):
+                 health_policy: HealthPolicy | None = None):
         self.pool = pool
         self.max_chunk_retries = max(0, int(max_chunk_retries))
         self.chunk_timeout_ms = chunk_timeout_ms
@@ -180,7 +180,7 @@ class BatchScheduler:
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every = max(1, int(checkpoint_every))
         self.seed = seed
-        self._cost_model = cost_model or gt200_cost_model()
+        self._cost_model = gt200_cost_model()
         self.hedge_ratio = hedge_ratio
         # Breakers and clocks cover warm spares too: promotion must
         # never change the shape of checkpointed scheduler state.
@@ -192,12 +192,11 @@ class BatchScheduler:
             for d in pool.all_devices()}
         self._clock: dict[str, float] = {
             d.name: 0.0 for d in pool.all_devices()}
-        self.health = HealthMonitor(pool, policy=health_policy, seed=seed,
-                                    cost_model=self._cost_model)
+        self.health = HealthMonitor(pool, policy=health_policy, seed=seed)
         self._cpu_clock = 0.0
         self._now_ms = 0.0
         self._estimate_cache: dict[tuple, float] = {}
-        self.slo = slo if slo is not None else SLORegistry()
+        self.slo = SLORegistry()
         #: Modeled commit time per job, for queue-wait accounting.
         self._committed_ms: dict[str, float] = {}
         #: Per-job trace roots: job_id -> (collector, trace_id, root
@@ -213,8 +212,8 @@ class BatchScheduler:
     def _resolve_auto(self, job: SolveJob) -> None:
         """Resolve ``method="auto"`` into a concrete (method, layout).
 
-        The autotuner's fitted cost model ranks solver x layout for the
-        *chunk* shape (the placement unit) on the pool's device type;
+        The autotuner ranks solver x layout by the analytic estimate of
+        the *chunk* shape (the placement unit) on the pool's device type;
         the pick is written back onto the job so dispatch, estimates,
         digests and telemetry all see the resolved pair.
         """

@@ -8,10 +8,13 @@ the numpy engine; the paper's five-array ``global`` layout for the
 sim engine), a matrix class and a size.  The harness generates a
 seeded batch, solves it, solves the same batch with the float64
 pivoting-GE oracle, and asserts the cell's §5.4-derived budget
-(:mod:`repro.verify.budgets`).
+(:mod:`repro.verify.budgets`).  A sim cell runs as a raw traced
+launch of its :class:`~repro.kernels.api.LaunchPlan` and also fails
+when the recorded ledger differs from the estimator memo's for that
+plan (the memo's data-independence contract, on the cell's own draw).
 
-The grid is generated from the live registries
-(:data:`repro.solvers.api.SOLVERS`, the kernel runners), so a newly
+The grid is generated from the registries
+(:data:`repro.solvers.api.SOLVERS`, :data:`SIM_KERNELS`), so a newly
 registered solver is *automatically* under contract -- the test suite
 is generated by the contract instead of hand-enumerated.
 """
@@ -22,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.kernels.api import (run_cr, run_cr_global, run_cr_pcr, run_cr_rd,
-                               run_cr_split, run_pcr, run_pcr_pingpong,
-                               run_rd, run_rd_full, run_thomas)
+from repro.gpusim import launch, ledgers_equal
+from repro.gpusim.estimator import characterize
+from repro.kernels.api import plan_launch
 from repro.solvers import layout as _layout
 from repro.solvers.api import SOLVERS, solve
 from repro.solvers.systems import TridiagonalSystems
@@ -35,19 +38,10 @@ from .generators import VERIFY_CLASSES, generate
 from .oracle import OracleComparison, compare_to_oracle
 
 #: Instrumented kernels under contract (the five registry solvers plus
-#: the ablation variants, which implement the same algorithms).
-SIM_RUNNERS = {
-    "cr": run_cr,
-    "pcr": run_pcr,
-    "rd": run_rd,
-    "cr_pcr": run_cr_pcr,
-    "cr_rd": run_cr_rd,
-    "pcr_pingpong": run_pcr_pingpong,
-    "cr_split": run_cr_split,
-    "cr_global": run_cr_global,
-    "rd_full": run_rd_full,
-    "thomas": run_thomas,
-}
+#: the ablation variants, which implement the same algorithms), in
+#: grid order.
+SIM_KERNELS = ("cr", "pcr", "rd", "cr_pcr", "cr_rd", "pcr_pingpong",
+               "cr_split", "cr_global", "rd_full", "thomas")
 
 NUMPY_LAYOUTS = ("rows", "interleaved", "strided")
 
@@ -175,43 +169,68 @@ def verify_cell(spec: CellSpec,
     if systems is None:
         systems = generate(spec.matrix_class, spec.num_systems, spec.n,
                            seed=spec.seed)
+    drift: list[str] = []
     try:
         if spec.engine == "numpy":
             x = _run_numpy(spec.solver, spec.layout, systems)
         elif spec.engine == "sim":
-            if spec.layout == "interleaved":
-                x, _res = SIM_RUNNERS[spec.solver](systems,
-                                                   layout="interleaved")
-            else:
-                x, _res = SIM_RUNNERS[spec.solver](systems)
-            _record_cost_residual(spec, _res)
+            x, traced, drift = _run_sim(spec, systems)
+            _record_cost_residual(spec, traced)
         else:
             raise ValueError(f"unknown engine {spec.engine!r}")
     except Exception as exc:   # a crash is always a contract violation
         return _record(CellResult(
             spec, "fail", budget,
             message=f"solver raised {type(exc).__name__}: {exc}"))
+    if drift:
+        return _record(CellResult(
+            spec, "fail", budget,
+            message="ledger differs from the estimator memo: "
+                    + "; ".join(drift)))
     cmp_ = compare_to_oracle(systems, x)
     return _record(judge(spec, budget, cmp_))
 
 
-def _record_cost_residual(spec: CellSpec, launch) -> None:
+def _run_sim(spec: CellSpec, systems: TridiagonalSystems):
+    """Solve a sim cell with a raw traced launch of its plan.
+
+    Returns ``(x, launch, drift)``: the solution (bitwise the planned
+    launch's), the launch, and the diff of its recorded ledger against
+    the estimator memo's entry for the same plan -- the
+    data-independence contract the memo rests on, checked on this
+    cell's draw.
+    """
+    plan = plan_launch(spec.solver, systems.n, systems.num_systems,
+                       layout=_sim_layout(spec))
+    gmem = plan.load(systems)
+    traced = launch(plan.kernel, num_blocks=plan.num_blocks,
+                    threads_per_block=plan.threads_per_block,
+                    device=plan.device, gmem=gmem, **dict(plan.kwargs))
+    drift = ledgers_equal(traced.ledger, characterize(plan).ledger)
+    return gmem.solution()[:systems.num_systems], traced, drift
+
+
+def _sim_layout(spec: CellSpec) -> str:
+    """Kernel layout of a sim cell (``global`` is the sequential one)."""
+    return "interleaved" if spec.layout == "interleaved" else "sequential"
+
+
+def _record_cost_residual(spec: CellSpec, traced) -> None:
     """Pair the realized modeled cost of a sim cell with the
     scheduler-style estimate for its shape, feeding the per-(solver,
     layout, n) ``estimator.cost_residual`` calibration histogram.
-    No-op without an active telemetry collector (the estimate itself
-    costs a two-block simulation, cached by launch signature)."""
+    No-op without an active telemetry collector (the estimate prices
+    the estimator's memoized block ledger; nothing is simulated)."""
     from repro import telemetry
-    if not telemetry.enabled() or launch is None:
+    if not telemetry.enabled():
         return
-    from repro.analysis.timing import modeled_grid_timing
+    from repro.gpusim.estimator import estimate_ms
     from repro.gpusim.gt200 import gt200_cost_model
     from repro.telemetry.metrics import record_cost_residual
     try:
-        lay = "interleaved" if spec.layout == "interleaved" else None
-        estimate = modeled_grid_timing(
-            spec.solver, spec.n, spec.num_systems, layout=lay).solver_ms
-        actual = gt200_cost_model().report(launch).total_ms
+        estimate = estimate_ms(spec.solver, spec.n, spec.num_systems,
+                               layout=_sim_layout(spec))
+        actual = gt200_cost_model().report(traced).total_ms
     except Exception:      # estimation must never fail a verify cell
         return
     if estimate > 0:
@@ -329,8 +348,8 @@ def grid(sizes=DEFAULT_SIZES, num_systems: int = 4, seed: int = 0,
                         specs.append(CellSpec("numpy", s, lay, klass, n,
                                               num_systems, seed))
             if "sim" in engines:
-                names = list(SIM_RUNNERS) if solvers is None else [
-                    s for s in solvers if s in SIM_RUNNERS]
+                names = list(SIM_KERNELS) if solvers is None else [
+                    s for s in solvers if s in SIM_KERNELS]
                 for s in names:
                     sim_lays = (SIM_LAYOUTS if s in SIM_LAYOUT_AWARE
                                 else ("global",))

@@ -3,8 +3,9 @@
 Each iteration draws one random cell -- engine, solver, layout, matrix
 class, size, batch -- from the same registries the differential
 harness enumerates, runs it through :func:`repro.verify.differential.verify_cell`,
-and treats any budget violation or crash as a *failure*.  Failures are
-automatically **shrunk** toward a minimal reproduction:
+and treats any budget violation, ledger mismatch or crash as a
+*failure*.  Failures are automatically **shrunk** toward a minimal
+reproduction:
 
 1. bisect the batch down to the smallest failing sub-batch;
 2. bisect the system size (regenerate smaller instances of the same
@@ -39,9 +40,8 @@ from repro.solvers.api import POWER_OF_TWO_METHODS, SOLVERS
 from repro.solvers.systems import TridiagonalSystems
 from repro.telemetry.metrics import record_fuzz_case
 
-from .differential import (NUMPY_LAYOUTS, SIM_LAYOUT_AWARE, SIM_RUNNERS,
-                           CellResult, CellSpec,
-                           verify_cell)
+from .differential import (NUMPY_LAYOUTS, SIM_KERNELS, SIM_LAYOUT_AWARE,
+                           CellResult, CellSpec, verify_cell)
 from .generators import VERIFY_CLASSES, generate
 
 REPRO_VERSION = 1
@@ -138,7 +138,7 @@ def draw_case(iteration: int, seed: int) -> FuzzCase:
         spec = CellSpec("numpy", solver, layout, klass, n, num_systems,
                         seed=int(derive_seed(seed, iteration, "data")))
     else:
-        kernels = sorted(SIM_RUNNERS)
+        kernels = sorted(SIM_KERNELS)
         solver = kernels[rng.integers(len(kernels))]
         n = int(_SIM_SIZES[rng.integers(len(_SIM_SIZES))])
         layout = "global"
@@ -164,6 +164,8 @@ def _failure_kind(message: str) -> str:
     """
     if message.startswith("solver raised"):
         return "crash"
+    if message.startswith("ledger"):
+        return "ledger"
     if "overflowed" in message:
         return "overflow"
     if "ULPs" in message:

@@ -7,7 +7,7 @@ from repro import telemetry
 from repro.numerics.generators import diagonally_dominant_fluid
 from repro.verify import run_differential, verify_cell, verify_solution
 from repro.verify.budgets import budget_for
-from repro.verify.differential import (NUMPY_LAYOUTS, SIM_RUNNERS, CellSpec,
+from repro.verify.differential import (NUMPY_LAYOUTS, SIM_KERNELS, CellSpec,
                                        applicable, grid, judge)
 from repro.verify.oracle import compare_to_oracle, oracle_solve
 
@@ -90,7 +90,7 @@ def test_judge_tolerates_rd_overflow():
 def test_grid_enumerates_from_the_live_registries():
     specs = grid(sizes=(8,), num_systems=1, seed=0)
     solvers = {s.solver for s in specs if s.engine == "sim"}
-    assert solvers == set(SIM_RUNNERS)
+    assert solvers == set(SIM_KERNELS)
     layouts = {s.layout for s in specs if s.engine == "numpy"}
     assert layouts == set(NUMPY_LAYOUTS)
 

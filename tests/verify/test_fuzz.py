@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 import repro.solvers.cr as crmod
+from repro.gpusim.estimator import characterize, clear_estimator_cache
+from repro.kernels.api import plan_launch
 from repro.numerics.generators import diagonally_dominant_fluid
 from repro.verify import (load_repro, replay_repro, run_fuzz,
-                          shrink_failure, write_repro)
+                          shrink_failure, verify_cell, write_repro)
 from repro.verify.differential import CellSpec
-from repro.verify.fuzz import draw_case
+from repro.verify.fuzz import _failure_kind, draw_case
 
 pytestmark = pytest.mark.fuzz
 
@@ -31,6 +33,17 @@ def flipped_cr_sign(monkeypatch):
         d[:, idx] = -d[:, idx]
 
     monkeypatch.setattr(crmod, "forward_reduction_level", buggy)
+
+
+@pytest.fixture
+def vandalized_pcr16_memo():
+    """Corrupt the estimator memo's ledger for the n=16 PCR block plan:
+    a traced launch of that plan no longer matches it."""
+    clear_estimator_cache()
+    memo = characterize(plan_launch("pcr", 16))
+    memo.ledger.phase(memo.ledger.phase_names()[0]).flops += 1
+    yield
+    clear_estimator_cache()
 
 
 def test_draw_case_is_deterministic():
@@ -127,3 +140,16 @@ def test_shrunk_spec_matches_shrunk_systems(tmp_path, flipped_cr_sign):
     assert f.shrunk_spec == dataclasses.replace(
         f.case.spec, num_systems=f.shrunk_systems.num_systems,
         n=f.shrunk_systems.n)
+
+
+def test_vandalized_memo_is_a_ledger_failure(vandalized_pcr16_memo):
+    """Verify diffs each sim cell's traced ledger against the memo; the
+    mismatch is its own failure kind and shrinking keeps it."""
+    spec = CellSpec("sim", "pcr", "global", "diagonally_dominant", 16, 4, 0)
+    result = verify_cell(spec)
+    assert result.status == "fail"
+    assert _failure_kind(result.message) == "ledger", result.message
+    assert "flops" in result.message
+    shrunk, systems, steps = shrink_failure(spec)
+    assert (systems.num_systems, systems.n) == (1, 16)   # n=8 is clean
+    assert _failure_kind(verify_cell(shrunk, systems).message) == "ledger"
