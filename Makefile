@@ -22,7 +22,8 @@ bench-serve:     ## serve-latency perf smoke (fails if p99 regresses >25%
 	$(PY) benchmarks/bench_serve_latency.py --check
 
 bench-overload:  ## overload-shedding perf smoke (fails on interactive
-                 ## sheds, goodput drops, or p99 regressions >25%)
+                 ## sheds, goodput drops, p99 regressions >25%, or a
+                 ## request finishing before it arrives)
 	$(PY) benchmarks/bench_overload.py --check
 
 bench-layout:    ## layout-autotuner perf smoke (fails on choice flips,

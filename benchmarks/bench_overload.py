@@ -11,7 +11,8 @@ measured and compared against the committed baseline in
 
 ``--update`` rewrites the baseline; ``--check`` (the CI perf-smoke
 mode) exits nonzero when goodput drops, interactive p99 regresses
-more than 25%, or any interactive request is shed.  Everything runs
+more than 25%, any interactive request is shed, or any request --
+completed or shed -- finishes before it arrives.  Everything runs
 on the modeled clock over derived seeds, so a regression here is a
 real admission/shedding change, never machine noise.
 """
@@ -65,6 +66,8 @@ def measure() -> dict:
         "interactive_p99_ms": round(lat["interactive"]["p99"], 6),
         "interactive_objective_ms": lat["interactive"]["objective_p99_ms"],
         "downgrades": rep.downgrades,
+        "finish_before_arrival": sum(o.finish_ms < o.arrival_ms
+                                     for o in rep.outcomes),
     }
 
 
@@ -83,6 +86,9 @@ def build_report(check: bool) -> tuple[str, dict, bool]:
 
     if current["shed_rate_by_class"].get("interactive", 0.0) > 0.0:
         failures.append("interactive requests were shed at 2x load")
+    if current["finish_before_arrival"]:
+        failures.append(f"{current['finish_before_arrival']} requests "
+                        f"finished before they arrived")
     if current["interactive_p99_ms"] > current["interactive_objective_ms"]:
         failures.append(
             f"interactive p99 {current['interactive_p99_ms']:.3f}ms "
@@ -104,8 +110,8 @@ def build_report(check: bool) -> tuple[str, dict, bool]:
 
     rows = []
     for key in ("requests", "completed", "goodput",
-                "interactive_p99_ms", "downgrades"):
-        base = baseline.get(key) if baseline else "-"
+                "interactive_p99_ms", "downgrades", "finish_before_arrival"):
+        base = baseline.get(key, "-") if baseline else "-"
         rows.append([key, current[key], base])
     for cls, rate in current["shed_rate_by_class"].items():
         base = (baseline or {}).get("shed_rate_by_class", {}).get(cls, "-")

@@ -52,7 +52,7 @@ from repro.telemetry.metrics import (record_downgrade,
                                      record_quota_denied,
                                      record_quota_tokens, record_request,
                                      record_request_latency, record_shed)
-from repro.telemetry.slo import DEFAULT_CLASS, DEFAULT_CLASSES, SLORegistry
+from repro.telemetry.slo import DEFAULT_CLASS, DEFAULT_CLASSES
 
 from .checkpoint import ShedLedger
 from .job import JobReport, SolveJob
@@ -224,6 +224,10 @@ class ServeFrontend:
     so the asyncio service sheds exactly like the reproducible
     open-loop runs do.
 
+    It keeps no clock or SLO registry: :attr:`now_ms` and :attr:`slo`
+    are the scheduler's, which starts each job at its arrival
+    (:meth:`BatchScheduler.commit`) and records it when it finishes.
+
     ``resume`` and ``stop_after`` are forwarded to every
     :meth:`BatchScheduler.run_job` call (restore checkpoints first;
     stop each job after N computed chunks).
@@ -236,8 +240,7 @@ class ServeFrontend:
                  stop_after: int | None = None):
         self.scheduler = scheduler
         self.config = config or FrontendConfig()
-        self.now_ms = scheduler.now_ms
-        self.slo = SLORegistry()
+        self.slo = scheduler.slo
         self._tenants: dict[str, TenantSpec] = {}
         self._buckets: dict[str, TokenBucket] = {}
         for spec in tenants or []:
@@ -258,6 +261,11 @@ class ServeFrontend:
             self._ledger = ShedLedger(
                 os.path.join(scheduler.checkpoint_dir,
                              ShedLedger.FILENAME), resume=resume)
+
+    @property
+    def now_ms(self) -> float:
+        """The scheduler's modeled frontier, the only serve clock."""
+        return self.scheduler.now_ms
 
     # -- tenants -------------------------------------------------------
 
@@ -406,8 +414,8 @@ class ServeFrontend:
         req = pend.request
         out = RequestOutcome(
             request_id=req.request_id, tenant=req.tenant,
-            slo_class=pend.cls, state="shed",
-            arrival_ms=req.arrival_ms, finish_ms=self.now_ms,
+            slo_class=pend.cls, state="shed", arrival_ms=req.arrival_ms,
+            finish_ms=max(self.now_ms, req.arrival_ms),
             reason=reason, stage=stage)
         self.slo.record_shed(pend.cls, reason, tenant=req.tenant)
         record_shed(pend.cls, reason, tenant=req.tenant)
@@ -418,21 +426,18 @@ class ServeFrontend:
         if persist and self._ledger is not None:
             self._ledger.record(req.request_id, tenant=req.tenant,
                                 cls=pend.cls, reason=reason,
-                                at_ms=self.now_ms)
+                                at_ms=out.finish_ms)
         self._record(out)
         return out
 
     def _finish(self, pend: _Pending, report: JobReport) -> RequestOutcome:
         req = pend.request
-        latency = max(0.0, self.now_ms - req.arrival_ms)
         out = RequestOutcome(
             request_id=req.request_id, tenant=req.tenant,
             slo_class=pend.cls, state="completed",
             arrival_ms=req.arrival_ms, finish_ms=self.now_ms,
-            latency_ms=latency, report=report)
-        self.slo.record_job(pend.cls, latency, report.outcome,
-                            tenant=req.tenant)
-        record_request_latency(latency, pend.cls)
+            latency_ms=self.now_ms - req.arrival_ms, report=report)
+        record_request_latency(out.latency_ms, pend.cls)
         record_request(req.tenant, pend.cls,
                        "completed" if report.ok else "failed")
         self._record(out)
@@ -459,7 +464,8 @@ class ServeFrontend:
             pend = self._next_pick()
             if pend is None:
                 break
-            self.scheduler.commit(pend.job)
+            self.scheduler.commit(pend.job,
+                                  not_before_ms=pend.request.arrival_ms)
             self._handoff.append(pend)
 
     def dispatch_once(self) -> RequestOutcome | None:
@@ -471,7 +477,6 @@ class ServeFrontend:
         pend = self._handoff.popleft()
         report = self.scheduler.run_job(pend.job, resume=self._resume,
                                         stop_after=self._stop_after)
-        self.now_ms = self.scheduler.now_ms
         record_frontend_depth(self.pending)
         return self._finish(pend, report)
 
@@ -499,18 +504,17 @@ class ServeFrontend:
         served = 0
         next_tick = (self.now_ms + live_every_ms
                      if live_every_ms else None)
-        while True:
-            while i < len(events) and events[i].arrival_ms <= self.now_ms:
+        while i < len(events) or self.pending:
+            # Idle, also take the next arrival batch (it waits for it).
+            horizon = self.now_ms if self.pending else max(
+                self.now_ms, events[i].arrival_ms)
+            while i < len(events) and events[i].arrival_ms <= horizon:
                 self.offer(events[i])
                 i += 1
-            if self.pending == 0:
-                if i >= len(events):
-                    break
-                self.now_ms = max(self.now_ms, events[i].arrival_ms)
+            if not self.pending:
                 continue
-            out = self.dispatch_once()
-            if out is not None:
-                served += 1
+            self.dispatch_once()
+            served += 1
             if next_tick is not None and live_sink is not None:
                 while self.now_ms >= next_tick:
                     live_sink(self.live_snapshot())
@@ -537,19 +541,15 @@ class ServeFrontend:
                 "p50": lat.get("p50"),
                 "p99": lat.get("p99"),
             }
-        trips = sum(
-            sum(st["breaker_trips"].values())
-            for st in self.scheduler.slo.snapshot().values())
         return {
             "now_ms": self.now_ms,
             "pending": self.pending,
-            "completed": sum(1 for o in self.outcomes.values()
-                             if o.state == "completed"),
-            "shed": sum(1 for o in self.outcomes.values()
-                        if o.state == "shed"),
+            "completed": sum(st["jobs"] for st in snap.values()),
+            "shed": sum(st["shed"] for st in snap.values()),
             "downgrades": self.downgrades,
             "quota_denied": dict(sorted(self.quota_denied.items())),
-            "breaker_trips": trips,
+            "breaker_trips": sum(sum(st["breaker_trips"].values())
+                                 for st in snap.values()),
             "by_class": by_class,
         }
 
@@ -610,15 +610,11 @@ class AsyncServeFrontend:
         self._wake.set()
         return await fut
 
-    def _resolve(self, request_id: str) -> None:
-        fut = self._futures.get(request_id)
-        out = self.frontend.outcomes.get(request_id)
-        if fut is not None and out is not None and not fut.done():
-            fut.set_result(out)
-
     def _resolve_all_decided(self) -> None:
-        for rid in list(self._futures):
-            self._resolve(rid)
+        for rid, fut in self._futures.items():
+            out = self.frontend.outcomes.get(rid)
+            if out is not None and not fut.done():
+                fut.set_result(out)
 
     async def _drain(self) -> None:
         while True:

@@ -155,8 +155,8 @@ class BatchScheduler:
     Realized chunk costs are priced with the GT200 cost model, the
     same one :meth:`estimate_job_ms` and the layout autotuner use, so
     the hedge trigger and ``estimator.cost_residual`` compare like
-    with like.  SLO accounting goes to a fresh default-class
-    :class:`~repro.telemetry.slo.SLORegistry` (:attr:`slo`).
+    with like.  SLO accounting goes to :attr:`slo`, the serve layer's
+    one default-class :class:`~repro.telemetry.slo.SLORegistry`.
     """
 
     def __init__(self, pool: DevicePool, *,
@@ -197,8 +197,8 @@ class BatchScheduler:
         self._now_ms = 0.0
         self._estimate_cache: dict[tuple, float] = {}
         self.slo = SLORegistry()
-        #: Modeled commit time per job, for queue-wait accounting.
-        self._committed_ms: dict[str, float] = {}
+        #: job_id -> (committed-and-arrived ms, arrival ms or None).
+        self._committed: dict[str, tuple[float, float | None]] = {}
         #: Per-job trace roots: job_id -> (collector, trace_id, root
         #: LiveSpan).  The root is detached (never the implicit parent
         #: of other jobs' spans) and closed when the job finishes.
@@ -294,18 +294,22 @@ class BatchScheduler:
         if entry is not None and entry[0] is telemetry.get_collector():
             entry[2].__exit__(None, None, None)
 
-    def commit(self, job: SolveJob) -> None:
+    def commit(self, job: SolveJob, *,
+               not_before_ms: float | None = None) -> None:
         """Take over ``job`` for execution (never raises: admission is
         the front end's decision).  Opens the job's trace root, records
-        the ``serve.admit`` span and stamps the commit time that
-        :meth:`run_job` turns into ``queue_wait_ms``."""
+        the ``serve.admit`` span and stamps the commit time for
+        ``queue_wait_ms``.  ``not_before_ms`` is the job's arrival: it
+        starts no earlier, and its SLO latency runs from it."""
         trace_id, root = self._trace_context(job)
         parent = root.record.span_id if root is not None else None
         with telemetry.trace_span("serve.admit", trace_id=trace_id,
                                   parent_id=parent, job=job.job_id,
                                   cls=job.slo_class):
             pass
-        self._committed_ms[job.job_id] = self._now_ms
+        ready = (self._now_ms if not_before_ms is None
+                 else max(self._now_ms, not_before_ms))
+        self._committed[job.job_id] = (ready, not_before_ms)
 
     # -- scheduling internals ------------------------------------------
 
@@ -501,8 +505,7 @@ class BatchScheduler:
         sub = job.chunk_systems(chunk_id)
         # Chunk boundaries are the readmission points: quarantined
         # devices that served their dwell run their canary round here.
-        self.health.maybe_readmit(max(self._now_ms, frontier_ms),
-                                  self._clock)
+        self.health.maybe_readmit(self._now_ms, self._clock)
         est = self._chunk_estimate_ms(job)
         attempts: list[ChunkAttempt] = []
         failed_on: set[str] = set()
@@ -681,11 +684,12 @@ class BatchScheduler:
                   if path is not None else None)
         x_out = np.zeros(job.systems.shape, dtype=np.float64)
         chunks: list[ChunkRecord] = []
-        job_start = self._now_ms
+        # The frontier waits for the job's commit and arrival.
+        ready, arrival = self._committed.pop(job.job_id, (self._now_ms, None))
+        job_start = self._now_ms = max(self._now_ms, ready)
         trace_id, root = self._trace_context(job)
         root_id = root.record.span_id if root is not None else None
-        queue_wait = max(
-            0.0, job_start - self._committed_ms.pop(job.job_id, job_start))
+        queue_wait = job_start - ready
         self.slo.record_queue_wait(job.slo_class, queue_wait)
         record_queue_wait(queue_wait, job.slo_class)
         wall_start = time.monotonic()
@@ -770,8 +774,9 @@ class BatchScheduler:
             trace_id=trace_id)
         slack = (job.deadline_ms - report.makespan_ms
                  if job.deadline_ms is not None else None)
-        self.slo.record_job(job.slo_class, report.makespan_ms, outcome,
-                            deadline_slack_ms=slack)
+        since = job_start if arrival is None else arrival
+        self.slo.record_job(job.slo_class, self._now_ms - since, outcome,
+                            deadline_slack_ms=slack, tenant=job.tenant)
         record_job_latency(report.makespan_ms, job.slo_class)
         if slack is not None:
             record_deadline_slack(slack, job.slo_class)

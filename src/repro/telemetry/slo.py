@@ -65,8 +65,7 @@ class _ClassState:
     deadline_misses: int = 0
     outcomes: dict[str, int] = field(default_factory=dict)
     #: Per-tenant burn attribution: tenant -> {jobs, good, violations,
-    #: shed}.  Only populated when callers pass ``tenant=`` (the
-    #: multi-tenant front end does; the bare scheduler path does not).
+    #: shed}, populated from the ``tenant=`` callers pass.
     tenants: dict[str, dict[str, int]] = field(default_factory=dict)
 
     def __post_init__(self):

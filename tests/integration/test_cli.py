@@ -1,5 +1,7 @@
 """The ``python -m repro`` command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -167,6 +169,25 @@ class TestServeObservability:
         first = capsys.readouterr().out
         assert main(self.ARGS + ["--report"]) == 0
         assert capsys.readouterr().out == first
+
+    def test_report_attributes_breaker_trips(self, capsys):
+        assert main(["serve", "--jobs", "2", "--hot", "1",
+                     "--failure-threshold", "2", "--seed", "7",
+                     "--report"]) == 0
+        assert "breaker standard: gpu1 tripped x1" in capsys.readouterr().out
+
+    def test_live_breaker_count_reads_the_one_registry(self, capsys):
+        import json
+        live = ["serve", "--live", "--duration-ms", "1", "--seed", "7"]
+        assert main(live + ["--json"]) in (0, 1)
+        doc = json.loads(capsys.readouterr().out)
+        trips = sum(sum(row["breaker_trips"].values())
+                    for row in doc["slo"].values())
+        assert main(live) in (0, 1)
+        ticks = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("[t=")]
+        assert re.search(r" breaker (\d+) ", ticks[-1]).group(1) \
+            == str(trips)
 
     def test_slo_class_flag_routes_jobs(self, capsys):
         import json

@@ -58,6 +58,21 @@ class TestPipeline:
         out = fe.dispatch_once()
         assert out is not None and out.slo_class == "bulk"
 
+    def test_one_registry_attributes_breaker_trips(self):
+        pool = make_pool(3, seed=7, hot=1,
+                         hot_rates={"launch_fatal_rate": 1.0})
+        fe = make_frontend(pool, sched_kw={"failure_threshold": 1})
+        for i in range(2):
+            fe.offer(req(f"r{i}", num=8))
+        while fe.dispatch_once() is not None:
+            pass
+        assert fe.slo is fe.scheduler.slo
+        snap = fe.slo.snapshot()
+        assert snap["standard"]["breaker_trips"] == {"gpu1": 1}
+        assert snap["standard"]["jobs"] == 2
+        assert fe.live_snapshot()["breaker_trips"] == 1
+        assert "breaker standard: gpu1 tripped x1" in fe.slo.report()
+
     def test_report_preserves_decision_order(self):
         fe = make_frontend()
         for i in range(3):
@@ -258,6 +273,20 @@ class TestAsyncFacade:
         # exceptions or hung futures.
         for o in outs:
             assert o.state in ("completed", "shed")
+
+    def test_request_ahead_of_the_clock_waits_for_its_arrival(self):
+        async def go():
+            fe = make_frontend()
+            async with AsyncServeFrontend(fe) as svc:
+                out = await svc.submit(req("r0", at=7.5))
+            return fe, out
+
+        fe, out = self.run_async(go())
+        assert out.state == "completed" and out.report.ok
+        assert out.finish_ms >= out.arrival_ms == 7.5
+        assert out.latency_ms == out.finish_ms - out.arrival_ms > 0.0
+        assert fe.slo.snapshot()["standard"]["latency_ms"]["max"] \
+            == out.latency_ms
 
     def test_async_path_matches_sync_decisions(self):
         def stream():

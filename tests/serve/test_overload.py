@@ -157,9 +157,16 @@ class TestExactlyOnce:
         fe = ServeFrontend(make_sched(make_pool(devices, seed=seed),
                                       seed=seed))
         cap = fe.config.pending_capacity
-        offer, fill = fe.offer, fe._fill_handoff
+        offer, fill, dispatch = fe.offer, fe._fill_handoff, fe.dispatch_once
+        last_ms = [fe.now_ms]
+
+        def monotone_clock():
+            # One modeled clock: it never runs backwards.
+            assert fe.now_ms >= last_ms[0]
+            last_ms[0] = fe.now_ms
 
         def checked_offer(request):
+            monotone_clock()
             out = offer(request)
             assert fe.pending <= cap
             return out
@@ -168,7 +175,13 @@ class TestExactlyOnce:
             fill()
             assert len(fe._handoff) <= HANDOFF_DEPTH
 
+        def checked_dispatch():
+            out = dispatch()
+            monotone_clock()
+            return out
+
         fe.offer, fe._fill_handoff = checked_offer, checked_fill
+        fe.dispatch_once = checked_dispatch
         rep = fe.run(requests)
 
         ids = [o.request_id for o in rep.outcomes]
@@ -177,3 +190,5 @@ class TestExactlyOnce:
         assert {o.stage for o in rep.shed} <= {"quota", "admission",
                                                "capacity"}
         assert fe.pending == 0
+        # Nothing, completed or shed, is decided before it arrives.
+        assert all(o.finish_ms >= o.arrival_ms for o in rep.outcomes)
