@@ -89,22 +89,18 @@ class PhaseCounters:
 
     def merge(self, other: "PhaseCounters") -> None:
         """Accumulate ``other`` into this record in place."""
-        for f in fields(self):
-            if f.name == "max_active_threads":
-                self.max_active_threads = max(self.max_active_threads,
-                                              other.max_active_threads)
-            else:
-                setattr(self, f.name,
-                        getattr(self, f.name) + getattr(other, f.name))
+        peak = max(self.max_active_threads, other.max_active_threads)
+        mine = self.__dict__
+        for name, value in other.__dict__.items():
+            mine[name] += value
+        self.max_active_threads = peak
 
     def scaled(self, factor: float) -> "PhaseCounters":
         """Return a copy with every additive count multiplied by ``factor``."""
-        out = PhaseCounters()
-        for f in fields(self):
-            if f.name == "max_active_threads":
-                out.max_active_threads = self.max_active_threads
-            else:
-                setattr(out, f.name, getattr(self, f.name) * factor)
+        out = PhaseCounters.__new__(PhaseCounters)
+        out.__dict__.update((name, value * factor)
+                            for name, value in self.__dict__.items())
+        out.max_active_threads = self.max_active_threads
         return out
 
     def copy(self) -> "PhaseCounters":

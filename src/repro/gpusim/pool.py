@@ -17,6 +17,7 @@ uninterrupted run for every chunk it recomputes.
 
 from __future__ import annotations
 
+import itertools
 import zlib
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -32,21 +33,68 @@ FAULT_RATE_FIELDS = ("launch_transient_rate", "launch_fatal_rate",
                      "transfer_corruption_rate", "ecc_detect_rate")
 
 
-def derive_seed(*parts: int | str) -> int:
-    """Mix ints and strings into one deterministic 64-bit-ish seed.
+_MASK = 0xFFFFFFFF
 
-    Strings go through CRC-32 so job ids participate; the mix is a
-    :class:`numpy.random.SeedSequence` spawn, which is stable across
-    platforms and numpy versions by contract.  The part count is mixed
-    in first because ``SeedSequence`` ignores trailing zero entropy
-    words -- without it ``derive_seed(s)`` and ``derive_seed(s, 0)``
-    (a device index, a chunk id, a first attempt) would collide and
-    silently share a stream.
+
+def _words(part: int | str) -> list[int]:
+    """One part as little-endian uint32 words (strings via CRC-32)."""
+    n = zlib.crc32(part.encode()) if isinstance(part, str) else int(part)
+    if n < 0:
+        raise ValueError(f"seed parts must be non-negative, got {n}")
+    return [n >> s & _MASK for s in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _mix(words: list) -> int | np.ndarray:
+    """``SeedSequence(words).generate_state(1)[0]`` in plain arithmetic.
+    A word is a Python int or a uint64 numpy column; the hash constants
+    depend only on ``len(words)``, so both run the very same code."""
+    const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * 0x931E8875 & _MASK
+        value = value * const & _MASK
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    value = (pool[0] ^ 0x8B51F9DD) * (0x8B51F9DD * 0x58F38DED & _MASK) & _MASK
+    return value ^ value >> 16
+
+
+def derive_seed(*parts: int | str) -> int:
+    """Mix ints and strings into one deterministic uint32 seed.
+
+    Strings go through CRC-32 so job ids participate.  The mix is
+    :class:`numpy.random.SeedSequence`'s ``generate_state(1)[0]``,
+    written out so it cannot drift with numpy and runs on counter
+    columns too (:func:`derive_seeds`).  The part count is mixed in
+    first because ``SeedSequence`` ignores trailing zero entropy words
+    -- without it ``derive_seed(s)`` and ``derive_seed(s, 0)`` (a device
+    index, a chunk id, a first attempt) would collide.
     """
-    entropy = [len(parts)] + [
-        zlib.crc32(p.encode()) if isinstance(p, str) else int(p)
-        for p in parts]
-    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
+    return _mix([len(parts)] + [w for p in parts for w in _words(p)])
+
+
+def derive_seeds(*prefix: int | str, counters) -> np.ndarray:
+    """``derive_seed(*prefix, c)`` for every ``c`` in ``counters``, in
+    one call.  The counters must all be equally many 32-bit words wide:
+    a block must not cross ``2**32``."""
+    column = np.asarray(counters, dtype=np.uint64)
+    width = len(_words(int(column.max())))
+    if len(_words(int(column.min()))) != width:
+        raise ValueError("counters cross a 32-bit word boundary")
+    return _mix([len(prefix) + 1] + [w for p in prefix for w in _words(p)]
+                + [column >> 32 * k & _MASK for k in range(width)])
 
 
 @dataclass

@@ -33,12 +33,14 @@ optionally *detached*, i.e. not the implicit parent of what follows).
 
 Determinism
 -----------
-``Collector(seed=...)`` derives span/event ids from
-:func:`repro.gpusim.pool.derive_seed`-style counters instead of the
-arrival counter alone, and :class:`TickClock` replaces
-``time.perf_counter`` with a deterministic tick, so two identical
-seeded runs export bitwise-identical JSONL span logs
-(:func:`deterministic_collector` bundles both).
+``Collector(seed=...)`` makes span/event ids
+``derive_seed(seed, kind, counter)`` instead of the bare arrival
+counter, derived :data:`ID_BLOCK` at a time by
+:func:`repro.gpusim.pool.derive_seeds` (a fraction of a microsecond
+each), and :class:`TickClock` replaces ``time.perf_counter`` with a
+deterministic tick, so two identical seeded runs export
+bitwise-identical JSONL span logs (:func:`deterministic_collector`
+bundles both).
 """
 
 from __future__ import annotations
@@ -48,10 +50,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
+from repro.gpusim.pool import derive_seed, derive_seeds
+
 from . import callbacks as cb
 from .metrics import MetricsRegistry
 from .spans import (LiveSpan, NOOP_SPAN, EventRecord, NoopSpan,
                     SpanRecord)
+
+ID_BLOCK = 1024  #: seeded span/event ids derived per call, per kind
 
 
 class TickClock:
@@ -94,10 +100,10 @@ class Collector:
     """Accumulates spans, events, metrics and launch records.
 
     ``seed`` switches id assignment from the plain arrival counter to
-    seed-derived 32-bit ids (``derive_seed(seed, "span", counter)``),
-    making ids a function of the seed rather than of how many other
-    collectors or objects existed before -- the property the serve
-    determinism suite asserts.
+    seed-derived 32-bit ids (``derive_seed(seed, "span", counter)``,
+    read from per-kind blocks), making ids a function of the seed
+    rather than of how many other collectors or objects existed before
+    -- the property the serve determinism suite asserts.
     """
 
     def __init__(self, clock=time.perf_counter, seed: int | None = None):
@@ -110,8 +116,9 @@ class Collector:
         self.metrics = MetricsRegistry()
         self._stack: list[SpanRecord] = []
         self._sim_stack: list[SpanRecord] = []
-        self._next_id = 1
-        self._next_event_id = 1
+        self._counters = {"span": 0, "event": 0}
+        #: kind -> the seeded ids left in its current block, last first.
+        self._id_blocks: dict[str, list[int]] = {"span": [], "event": []}
         self._by_id: dict[int, SpanRecord] = {}
         self._handle = None
 
@@ -132,29 +139,27 @@ class Collector:
 
     # -- ids -----------------------------------------------------------
 
-    def _derive_id(self, kind: str, counter: int) -> int:
-        from repro.gpusim.pool import derive_seed
-        salt = 0
-        ident = derive_seed(self.seed, kind, counter)
-        while ident in self._by_id:      # deterministic collision bump
-            salt += 1
-            ident = derive_seed(self.seed, kind, counter, salt)
-        return ident
+    def _new_id(self, kind: str) -> int:
+        """The next ``kind`` counter, or under a seed its
+        ``derive_seed(seed, kind, counter)``, read from a block of
+        :data:`ID_BLOCK` ids that stops where the counter grows a word."""
+        counter = self._counters[kind] = self._counters[kind] + 1
+        if self.seed is None:
+            return counter
+        ids = self._id_blocks[kind]
+        if not ids:
+            words = -(-counter.bit_length() // 32)
+            block = range(counter, min(counter + ID_BLOCK, 1 << 32 * words))
+            ids += derive_seeds(self.seed, kind, counters=block)[::-1].tolist()
+        return ids.pop()
 
     def _new_span_id(self) -> int:
-        counter = self._next_id
-        self._next_id += 1
-        if self.seed is None:
-            return counter
-        return self._derive_id("span", counter)
-
-    def _new_event_id(self) -> int:
-        counter = self._next_event_id
-        self._next_event_id += 1
-        if self.seed is None:
-            return counter
-        from repro.gpusim.pool import derive_seed
-        return derive_seed(self.seed, "event", counter)
+        ident, salt = self._new_id("span"), 0
+        while ident in self._by_id:      # deterministic collision bump
+            salt += 1
+            ident = derive_seed(self.seed, "span", self._counters["span"],
+                                salt)
+        return ident
 
     # -- spans / events ------------------------------------------------
 
@@ -195,9 +200,6 @@ class Collector:
         elif record in self._stack:          # mismatched exit order
             self._stack.remove(record)
 
-    def span_by_id(self, span_id: int) -> SpanRecord | None:
-        return self._by_id.get(span_id)
-
     def current_span(self) -> SpanRecord | None:
         return self._stack[-1] if self._stack else None
 
@@ -207,7 +209,7 @@ class Collector:
             span_id = self._stack[-1].span_id
         ev = EventRecord(name=name, wall_s=self._now(),
                          attrs=dict(attrs or {}), span_id=span_id,
-                         event_id=self._new_event_id())
+                         event_id=self._new_id("event"))
         self.events.append(ev)
         return ev
 
@@ -261,10 +263,7 @@ class Collector:
                             name, "per-block ledger totals").inc(
                                 amount, kernel=rec.kernel)
             if self._sim_stack:
-                record = self._sim_stack.pop()
-                record.wall_dur_s = self._now() - record.wall_start_s
-                if record in self._stack:
-                    self._stack.remove(record)
+                self._exit_span(self._sim_stack.pop())
 
     def _on_phase(self, info: cb.CallbackInfo) -> None:
         name = info.payload.get("name", "?")
@@ -273,10 +272,7 @@ class Collector:
             span.__enter__()
             self._sim_stack.append(span.record)
         elif self._sim_stack:
-            record = self._sim_stack.pop()
-            record.wall_dur_s = self._now() - record.wall_start_s
-            if record in self._stack:
-                self._stack.remove(record)
+            self._exit_span(self._sim_stack.pop())
 
     def _on_step(self, info: cb.CallbackInfo) -> None:
         p = info.payload

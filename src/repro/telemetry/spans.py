@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from typing import Any
 
 
-@dataclass
+@dataclass(eq=False)
 class SpanRecord:
-    """One finished (or still-open) span on the wall-clock timeline."""
+    """One span on the wall-clock timeline; compared by identity."""
 
     span_id: int
     parent_id: int | None

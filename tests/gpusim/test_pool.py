@@ -1,10 +1,15 @@
 """`derive_seed`: the determinism root of fuzzing and fault plans."""
 
 import itertools
+import zlib
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.gpusim.pool import derive_seed
+from repro.gpusim.pool import derive_seed, derive_seeds
+from repro.telemetry import Collector
 
 
 def test_deterministic_across_calls():
@@ -47,3 +52,77 @@ def test_usable_as_generator_seed():
     x = rng.standard_normal(4)
     y = np.random.default_rng(derive_seed("smoke", 1)).standard_normal(4)
     assert np.array_equal(x, y)
+
+
+def oracle(*parts):
+    """``derive_seed`` as numpy's ``SeedSequence`` computes it."""
+    entropy = [len(parts)] + [
+        zlib.crc32(p.encode()) if isinstance(p, str) else p for p in parts]
+    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
+
+
+PARTS = st.one_of(st.just(0), st.integers(0, 2**32 - 1),
+                  st.integers(2**32, 2**64 - 1), st.integers(2**64, 2**96 - 1),
+                  st.text(max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(PARTS, max_size=7))
+def test_matches_seedsequence_oracle(parts):
+    """Ints of 1-3 words, zeros, strings, and no parts at all."""
+    assert derive_seed(*parts) == oracle(*parts)
+    assert type(derive_seed(*parts)) is int
+
+
+def test_no_parts_and_negative_parts():
+    assert derive_seed() == oracle()
+    with pytest.raises(ValueError):
+        derive_seed(-1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.one_of(st.integers(0, 2**32 - 1),
+                      st.integers(2**64, 2**80)),
+       kind=st.sampled_from(["span", "event"]),
+       stop=st.one_of(st.just(2**32), st.integers(2, 2**32),
+                      st.integers(2**32 + 64, 2**64)),
+       size=st.integers(1, 48))
+def test_block_equals_scalar_elementwise(seed, kind, stop, size):
+    """Blocks that end at 2**32, start past it, and seeds >= 2**64."""
+    start = max(stop - size, 2**32 if stop > 2**32 else 0)
+    block = range(start, stop)
+    assert derive_seeds(seed, kind, counters=block).tolist() == [
+        derive_seed(seed, kind, c) for c in block]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 + 5, 2**64 - 1])
+def test_full_block_matches_oracle(seed):
+    block = range(1, 1025)
+    assert derive_seeds(seed, "span", counters=block).tolist() == [
+        oracle(seed, "span", c) for c in block]
+
+
+def test_block_must_not_cross_a_word_boundary():
+    with pytest.raises(ValueError):
+        derive_seeds(7, "span", counters=range(2**32 - 1, 2**32 + 1))
+
+
+def test_collector_ids_come_from_derive_seed():
+    col = Collector(seed=7)
+    assert [col._new_span_id() for _ in range(3)] == [
+        derive_seed(7, "span", c) for c in (1, 2, 3)]
+    assert col._new_id("event") == derive_seed(7, "event", 1)
+
+
+def test_collector_blocks_stop_at_two_to_the_32():
+    col = Collector(seed=7)
+    col._counters["event"] = 2**32 - 3
+    assert [col._new_id("event") for _ in range(6)] == [
+        derive_seed(7, "event", c) for c in range(2**32 - 2, 2**32 + 4)]
+
+
+def test_span_id_collision_bumps_the_salt():
+    col = Collector(seed=7)
+    col._by_id[derive_seed(7, "span", 1)] = None    # force a collision
+    assert col._new_span_id() == derive_seed(7, "span", 1, 1)
+    assert col._new_span_id() == derive_seed(7, "span", 2)

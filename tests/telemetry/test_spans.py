@@ -3,7 +3,8 @@
 import pytest
 
 from repro import telemetry
-from repro.telemetry.spans import NOOP_SPAN
+from repro.telemetry import callbacks as cb
+from repro.telemetry.spans import NOOP_SPAN, SpanRecord
 
 
 class TestDisabled:
@@ -83,3 +84,38 @@ class TestCollect:
                     raise ValueError
         assert col.spans[0].wall_dur_s is not None
         assert telemetry.current_span() is None
+
+
+class TestIdentity:
+    """Span records compare by identity: the stacks pop the record that
+    closes, never an equal-looking neighbour."""
+
+    def test_equal_records_closed_out_of_order_remove_themselves(self):
+        col = telemetry.Collector(clock=lambda: 0.0)
+        a, b, c = (SpanRecord(span_id=5, parent_id=1, name="x")
+                   for _ in range(3))
+        for record in (a, b, c):
+            col._enter_span(record)
+        assert a != b                    # equal fields, distinct spans
+        col._exit_span(b)                # mismatched exit order
+        assert list(map(id, col._stack)) == [id(a), id(c)]
+        col._exit_span(a)
+        assert list(map(id, col._stack)) == [id(c)]
+        col._exit_span(c)
+        assert col._stack == []
+
+    def test_launch_ending_mid_phase_leaves_stacks_balanced(self):
+        with telemetry.collect() as col:
+            with telemetry.span("host") as host:
+                cb.emit(cb.DOMAIN_LAUNCH, cb.SITE_BEGIN, kernel="k",
+                        num_blocks=1, threads_per_block=32, device="gpu")
+                cb.emit(cb.DOMAIN_PHASE, cb.SITE_BEGIN, name="p")
+                cb.emit(cb.DOMAIN_LAUNCH, cb.SITE_END, kernel="k",
+                        result=None)
+                cb.emit(cb.DOMAIN_PHASE, cb.SITE_END, name="p")
+                assert col._sim_stack == []
+                assert col._stack == [host.record]
+            assert col._stack == []
+        assert [s.name for s in col.spans] == [
+            "host", "sim.launch:k", "sim.phase:p"]
+        assert all(s.wall_dur_s is not None for s in col.spans)
