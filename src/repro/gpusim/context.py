@@ -100,11 +100,14 @@ class BlockContext:
         counter charging run.  The architectural trace is data-
         independent, so the resulting ledger is bitwise-identical to a
         functional run's -- this is the analytical fast path used by
-        :mod:`~repro.gpusim.estimator`.
-    emit_callbacks:
-        When False, suppress phase/step callback emission (used by the
-        estimator so repeated admission estimates stay
-        telemetry-silent).
+        :mod:`~repro.gpusim.estimator`.  A charge-only context emits no
+        phase/step callbacks, so repeated estimates stay
+        telemetry-silent.
+
+    Every access primitive checks and charges through one helper per
+    memory space, :meth:`_shared_access` / :meth:`_global_access`,
+    whose bounds checks run in all three modes (traced, planned,
+    charge-only).
     """
 
     def __init__(self, device: DeviceSpec, num_blocks: int,
@@ -113,8 +116,7 @@ class BlockContext:
                  step_limit: int | None = None,
                  record_trace: bool = True,
                  engine=None,
-                 functional: bool = True,
-                 emit_callbacks: bool = True):
+                 functional: bool = True):
         if threads_per_block > device.max_threads_per_block:
             raise KernelError(
                 f"block of {threads_per_block} threads exceeds device limit "
@@ -127,7 +129,6 @@ class BlockContext:
         self.dtype = np.dtype(dtype)
         self.engine = resolve_engine(engine)
         self.functional = functional
-        self.emit_callbacks = emit_callbacks
         self.shared_space = SharedMemorySpace(self.num_blocks, device,
                                               dtype=self.dtype)
         self.ledger = CounterLedger()
@@ -206,14 +207,14 @@ class BlockContext:
         prev_pc = self._cur_pc
         self._phase_name = name
         self._cur_pc = None
-        if self.emit_callbacks:
+        if self.functional:
             _cb.emit(_cb.DOMAIN_PHASE, _cb.SITE_BEGIN, name=name)
         try:
             yield
         finally:
             self._phase_name = prev
             self._cur_pc = prev_pc
-            if self.emit_callbacks:
+            if self.functional:
                 _cb.emit(_cb.DOMAIN_PHASE, _cb.SITE_END, name=name)
 
     @contextmanager
@@ -255,7 +256,7 @@ class BlockContext:
             delta.max_active_threads = self._active.lanes.size
             self.ledger.record_step(self._phase_name, index, delta)
             self._phase_step_counts[self._phase_name] = index + 1
-            if self.emit_callbacks:
+            if self.functional:
                 _cb.emit(_cb.DOMAIN_STEP, _cb.SITE_RECORD,
                          phase=self._phase_name, index=index, counters=delta)
         self._steps_executed += 1
@@ -291,18 +292,26 @@ class BlockContext:
                 f"this large need the global-memory fallback path (paper §4)")
         return arr
 
-    def _charge_shared(self, arr: SharedArray, idx: np.ndarray,
-                       repeat: int = 1,
-                       span: tuple[int, int] | None = None) -> None:
-        mn, mx = self.engine.idx_span(idx) if span is None else span
-        if idx.size and (mn < 0 or mx >= arr.words):
-            raise KernelError(
-                f"shared access out of bounds: [{mn}, {mx}] "
-                f"in array of {arr.words} words")
+    def _shared_access(self, arrs, idx, cost_idx) -> np.ndarray:
+        """Check ``idx`` (and ``cost_idx``) against every array in
+        ``arrs``; when recording, charge the cost pattern once per
+        array.  Returns the lane-checked ``idx``."""
+        idx = self._check_lane_shape(idx)
+        mn, mx = self.engine.idx_span(idx)
+        cost = idx
+        if cost_idx is not None:
+            cost = self._check_lane_shape(cost_idx)
+            cmn, cmx = self.engine.idx_span(cost)
+            mn, mx = min(mn, cmn), max(mx, cmx)
+        for arr in arrs:
+            if mn < 0 or mx >= arr.words:
+                raise KernelError(
+                    f"shared access out of bounds: [{mn}, {mx}] "
+                    f"in array of {arr.words} words")
         if not self.record_trace:
-            return
+            return idx
         info = self._active
-        cycles, half_warps = self.engine.shared_cost(idx, info, self.device)
+        cycles, half_warps = self.engine.shared_cost(cost, info, self.device)
         pc = self._pc()
         # Exposed-latency weight: one access site, hidden by however
         # many warps this block currently has in flight.  At or beyond
@@ -317,17 +326,23 @@ class BlockContext:
         sat = self.device.latency_hiding_warps
         degree = cycles / max(1, half_warps)
         exposure = degree * max(0.0, 1.0 / w - 1.0 / sat)
-        # Multi-array accesses (``repeat`` > 1) hit the same pattern on
-        # arrays whose bases differ by a constant; bank-conflict cost is
+        # Multi-array accesses hit the same pattern on arrays whose
+        # bases differ by a constant; bank-conflict cost is
         # shift-invariant, so one cost computation covers all of them.
         # Integer counts scale exactly; the float latency term stays
         # one array at a time to keep accumulation order (and thus the
         # ledger bits) identical to per-array charging.
-        pc.shared_words += idx.size * repeat
+        repeat = len(arrs)
+        pc.shared_words += cost.size * repeat
         pc.shared_cycles += cycles * repeat
         pc.shared_instructions += half_warps * repeat
         for _ in range(repeat):
             pc.latency_units += exposure
+        return idx
+
+    def _zeros(self, idx: np.ndarray) -> np.ndarray:
+        # A charge-only load: the data path is skipped.
+        return np.zeros((self.num_blocks, idx.size), dtype=self.dtype)
 
     def sload(self, arr: SharedArray, idx: np.ndarray,
               cost_idx: np.ndarray | None = None) -> np.ndarray:
@@ -344,19 +359,7 @@ class BlockContext:
         but is for timing comparison only."  Here we keep the values
         correct and make only the *cost* follow the modified addresses.
         """
-        idx = self._check_lane_shape(idx)
-        if cost_idx is None:
-            # The charge bounds-checks this very pattern against this
-            # very array, so the gather can skip its own check.
-            self._charge_shared(arr, idx)
-            if not self.functional:
-                return np.zeros((self.num_blocks, idx.size),
-                                dtype=self.dtype)
-            return self.engine.shared_gather_prechecked(arr, idx)
-        self._charge_shared(arr, self._check_lane_shape(cost_idx))
-        if not self.functional:
-            return np.zeros((self.num_blocks, idx.size), dtype=self.dtype)
-        return self.engine.shared_gather(arr, idx)
+        return self.sload_multi((arr,), idx, cost_idx)[0]
 
     def sload_multi(self, arrs, idx: np.ndarray,
                     cost_idx: np.ndarray | None = None) -> tuple:
@@ -371,25 +374,11 @@ class BlockContext:
         """
         if not arrs:
             return ()
-        idx = self._check_lane_shape(idx)
-        cost = idx if cost_idx is None else self._check_lane_shape(cost_idx)
-        # Bounds-check the cost pattern against every array (word counts
-        # may differ), then charge it once per array in order.  The span
-        # is reduced once; per-array checks are integer compares.
-        mn, mx = self.engine.idx_span(cost)
-        for arr in arrs:
-            if cost.size and (mn < 0 or mx >= arr.words):
-                raise KernelError(
-                    f"shared access out of bounds: [{mn}, "
-                    f"{mx}] in array of {arr.words} words")
-        self._charge_shared(arrs[0], cost, repeat=len(arrs), span=(mn, mx))
+        idx = self._shared_access(arrs, idx, cost_idx)
         if not self.functional:
-            return tuple(np.zeros((self.num_blocks, idx.size),
-                                  dtype=self.dtype) for _ in arrs)
-        if cost_idx is None:
-            data = self.engine.shared_gather_prechecked
-            return tuple([data(arr, idx) for arr in arrs])
-        return tuple(self.engine.shared_gather(arr, idx) for arr in arrs)
+            return tuple([self._zeros(idx) for _ in arrs])
+        gather = self.engine.shared_gather
+        return tuple([gather(arr, idx) for arr in arrs])
 
     def sstore(self, arr: SharedArray, idx: np.ndarray, values: np.ndarray,
                cost_idx: np.ndarray | None = None) -> None:
@@ -397,19 +386,7 @@ class BlockContext:
 
         See :meth:`sload` for ``cost_idx``.
         """
-        idx = self._check_lane_shape(idx)
-        if cost_idx is None:
-            self._charge_shared(arr, idx)
-            if not self.functional:
-                return
-            self.engine.shared_scatter_prechecked(
-                arr, idx, np.asarray(values, dtype=self.dtype))
-            return
-        self._charge_shared(arr, self._check_lane_shape(cost_idx))
-        if not self.functional:
-            return
-        self.engine.shared_scatter(arr, idx,
-                                   np.asarray(values, dtype=self.dtype))
+        self.sstore_multi((arr,), idx, (values,), cost_idx)
 
     def sstore_multi(self, arrs, idx: np.ndarray, values_seq,
                      cost_idx: np.ndarray | None = None) -> None:
@@ -423,21 +400,8 @@ class BlockContext:
                 f"{len(arrs)} arrays but {len(values_seq)} value sets")
         if not arrs:
             return
-        idx = self._check_lane_shape(idx)
-        cost = idx if cost_idx is None else self._check_lane_shape(cost_idx)
-        mn, mx = self.engine.idx_span(cost)
-        for arr in arrs:
-            if cost.size and (mn < 0 or mx >= arr.words):
-                raise KernelError(
-                    f"shared access out of bounds: [{mn}, "
-                    f"{mx}] in array of {arr.words} words")
-        self._charge_shared(arrs[0], cost, repeat=len(arrs), span=(mn, mx))
+        idx = self._shared_access(arrs, idx, cost_idx)
         if not self.functional:
-            return
-        if cost_idx is None:
-            for arr, values in zip(arrs, values_seq):
-                self.engine.shared_scatter_prechecked(
-                    arr, idx, np.asarray(values, dtype=self.dtype))
             return
         for arr, values in zip(arrs, values_seq):
             self.engine.shared_scatter(arr, idx,
@@ -447,9 +411,25 @@ class BlockContext:
     # Global memory
     # ------------------------------------------------------------------
 
-    def _charge_global(self, idx: np.ndarray, repeat: int = 1) -> None:
+    def _global_access(self, arrs, block_bases, idx
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """As :meth:`_shared_access`: the flat addresses ``base_b +
+        idx_l`` span ``[min(idx) + min(bases), max(idx) + max(bases)]``,
+        checked without building the outer sum.  Returns the int64
+        ``(bases, idx)``."""
+        idx = self._check_lane_shape(idx)
+        bases = np.asarray(block_bases, dtype=np.int64)
+        if idx.size and bases.size:
+            mn, mx = self.engine.idx_span(idx)
+            bmn, bmx = self.engine.idx_span(bases)
+            mn, mx = mn + bmn, mx + bmx
+            for arr in arrs:
+                if mn < 0 or mx >= arr.words:
+                    raise KernelError(
+                        f"global access out of bounds: [{mn}, {mx}] "
+                        f"in array of {arr.words} words")
         if not self.record_trace:
-            return
+            return bases, idx
         info = self._active
         pc = self._pc()
         # Half-warps are partitioned by lane id, exactly as the shared
@@ -464,11 +444,13 @@ class BlockContext:
         per_halfwarp = transactions / max(1, info.half_warps)
         exposure = per_halfwarp * max(0.0, 1.0 / w - 1.0 / sat)
         # Integer counts scale exactly; float exposure keeps per-array
-        # accumulation order (see _charge_shared).
+        # accumulation order (see _shared_access).
+        repeat = len(arrs)
         pc.global_words += idx.size * repeat
         pc.global_transactions += transactions * repeat
         for _ in range(repeat):
             pc.global_latency_units += exposure
+        return bases, idx
 
     def gload(self, arr: GlobalArray, block_bases: np.ndarray,
               idx: np.ndarray) -> np.ndarray:
@@ -481,12 +463,7 @@ class BlockContext:
         blocks up to the base offset, which is segment-aligned for
         power-of-two systems).
         """
-        idx = self._check_lane_shape(idx)
-        self._charge_global(idx)
-        if not self.functional:
-            return np.zeros((self.num_blocks, idx.size), dtype=self.dtype)
-        return self.engine.global_gather(arr, block_bases,
-                                         idx).astype(self.dtype, copy=False)
+        return self.gload_multi((arr,), block_bases, idx)[0]
 
     def gload_multi(self, arrs, block_bases: np.ndarray,
                     idx: np.ndarray) -> tuple:
@@ -495,25 +472,17 @@ class BlockContext:
         Ledger-equivalent to one :meth:`gload` per array; the
         coalescing cost is computed once (same per-block pattern).
         """
-        idx = self._check_lane_shape(idx)
-        self._charge_global(idx, repeat=len(arrs))
+        bases, idx = self._global_access(arrs, block_bases, idx)
         if not self.functional:
-            return tuple(np.zeros((self.num_blocks, idx.size),
-                                  dtype=self.dtype) for _ in arrs)
-        return tuple(self.engine.global_gather(arr, block_bases,
-                                               idx).astype(self.dtype,
-                                                           copy=False)
-                     for arr in arrs)
+            return tuple([self._zeros(idx) for _ in arrs])
+        gather = self.engine.global_gather
+        return tuple([gather(arr, bases, idx).astype(self.dtype, copy=False)
+                      for arr in arrs])
 
     def gstore(self, arr: GlobalArray, block_bases: np.ndarray,
                idx: np.ndarray, values: np.ndarray) -> None:
         """Costed global-memory write."""
-        idx = self._check_lane_shape(idx)
-        self._charge_global(idx)
-        if not self.functional:
-            return
-        self.engine.global_scatter(arr, block_bases, idx,
-                                   np.asarray(values, dtype=arr.data.dtype))
+        self.gstore_multi((arr,), block_bases, idx, (values,))
 
     def gstore_multi(self, arrs, block_bases: np.ndarray,
                      idx: np.ndarray, values_seq) -> None:
@@ -527,14 +496,12 @@ class BlockContext:
                               f"{len(values_seq)} value sets")
         if not arrs:
             return
-        idx = self._check_lane_shape(idx)
-        self._charge_global(idx, repeat=len(arrs))
+        bases, idx = self._global_access(arrs, block_bases, idx)
         if not self.functional:
             return
         for arr, values in zip(arrs, values_seq):
-            self.engine.global_scatter(arr, block_bases, idx,
-                                       np.asarray(values,
-                                                  dtype=arr.data.dtype))
+            self.engine.global_scatter(
+                arr, bases, idx, np.asarray(values, dtype=arr.data.dtype))
 
     # ------------------------------------------------------------------
     # Arithmetic accounting

@@ -36,6 +36,9 @@ Both engines feed the *same* charging formulas in
 :class:`~repro.gpusim.context.BlockContext` (the float latency terms
 are sensitive to accumulation order), so equality of the integer cost
 primitives implies bitwise equality of the ledgers.
+The context bounds-checks every access before an engine moves data,
+so the vectorized gathers/scatters index ``arr.data`` directly; the
+oracle keeps its own checked loops.
 """
 
 from __future__ import annotations
@@ -176,30 +179,19 @@ class VectorizedEngine:
     # -- data movement -------------------------------------------------
 
     def shared_gather(self, arr: SharedArray, idx: np.ndarray) -> np.ndarray:
-        return arr.gather(idx)
+        return arr.data[:, idx]
 
     def shared_scatter(self, arr: SharedArray, idx: np.ndarray,
                        values: np.ndarray) -> None:
-        arr.scatter(idx, values)
-
-    def shared_gather_prechecked(self, arr: SharedArray,
-                                 idx: np.ndarray) -> np.ndarray:
-        """Gather with bounds already validated by the caller (the
-        charging step checks the same pattern against the same array,
-        so re-reducing ``idx.min()/.max()`` here would only burn time)."""
-        return arr.data[:, idx]
-
-    def shared_scatter_prechecked(self, arr: SharedArray, idx: np.ndarray,
-                                  values: np.ndarray) -> None:
         arr.data[:, idx] = values
 
     def global_gather(self, arr: GlobalArray, block_bases: np.ndarray,
                       idx: np.ndarray) -> np.ndarray:
-        return arr.gather(block_bases, idx)
+        return arr.data[block_bases[:, None] + idx]
 
     def global_scatter(self, arr: GlobalArray, block_bases: np.ndarray,
                        idx: np.ndarray, values: np.ndarray) -> None:
-        arr.scatter(block_bases, idx, values)
+        arr.data[block_bases[:, None] + idx] = values
 
 
 class ReferenceEngine:
@@ -298,11 +290,6 @@ class ReferenceEngine:
         for block in range(arr.data.shape[0]):
             for lane, word in enumerate(idx):
                 arr.data[block, word] = values[block, lane]
-
-    # The oracle never skips its own checks: prechecked entry points
-    # fall through to the loop implementations above.
-    shared_gather_prechecked = shared_gather
-    shared_scatter_prechecked = shared_scatter
 
     def global_gather(self, arr: GlobalArray, block_bases: np.ndarray,
                       idx: np.ndarray) -> np.ndarray:

@@ -63,7 +63,7 @@ def characterize(plan) -> LaunchResult:
     hit = _MEMO.get(key)
     if hit is None:
         ctx = BlockContext(plan.device, 1, plan.threads_per_block,
-                           functional=False, emit_callbacks=False)
+                           functional=False)
         with np.errstate(all="ignore"):
             plan.kernel(ctx, gmem=plan.stub(), **dict(plan.kwargs))
         hit = _MEMO[key] = LaunchResult(

@@ -299,16 +299,16 @@ class SharedMemorySpace:
 class SharedArray:
     """A named region of shared memory with bank-aware access helpers.
 
-    ``data`` has shape ``(num_blocks, words)``.  Loads/stores take a
-    1-D index array (the per-lane word index, identical across blocks)
-    and return / accept ``(num_blocks, len(idx))`` value arrays.
-    Cost accounting is done by the :class:`~repro.gpusim.context.BlockContext`,
-    which calls :func:`bank_conflict_cycles` on ``base + idx``.
+    ``data`` has shape ``(num_blocks, words)``.  Kernels access it
+    through the :class:`~repro.gpusim.context.BlockContext` with a 1-D
+    per-lane word index, identical across blocks; the context costs
+    the access (:func:`bank_conflict_cycles` on ``base + idx``).
 
-    Accesses are bounds-checked: hardware has no index wraparound, so a
-    negative index (an ``i-1`` at ``i=0``) or one past the allocation
-    raises :class:`KernelError` instead of silently hitting numpy's
-    wrapped/tail elements.
+    The context bounds-checks every access (:meth:`_checked` is the
+    reference engine's own check): hardware has no index wraparound,
+    so a negative index (an ``i-1`` at ``i=0``) or one past the
+    allocation raises :class:`KernelError` instead of silently hitting
+    numpy's wrapped/tail elements.
     """
 
     def __init__(self, space: SharedMemorySpace, data: np.ndarray, base: int):
@@ -332,14 +332,6 @@ class SharedArray:
                 f"[{idx.min()}, {idx.max()}] in array of {self.words} words")
         return idx
 
-    def gather(self, idx: np.ndarray) -> np.ndarray:
-        """Read ``data[:, idx]`` (no cost accounting here)."""
-        return self.data[:, self._checked(idx)]
-
-    def scatter(self, idx: np.ndarray, values: np.ndarray) -> None:
-        """Write ``values`` to ``data[:, idx]`` (no cost accounting here)."""
-        self.data[:, self._checked(idx)] = values
-
 
 class GlobalArray:
     """A flat global-memory array shared by all blocks of a grid.
@@ -351,8 +343,9 @@ class GlobalArray:
     base offsets as a vector.
 
     As with :class:`SharedArray`, flat addresses outside ``[0, words)``
-    raise :class:`KernelError` -- numpy's negative-index wraparound
-    would otherwise make an off-by-one read the array tail.
+    raise :class:`KernelError` (:meth:`_flat` is the oracle's check) --
+    numpy's negative-index wraparound would otherwise make an
+    off-by-one read the array tail.
     """
 
     def __init__(self, words: int, dtype=np.float32):
@@ -377,14 +370,6 @@ class GlobalArray:
                 f"[{flat.min()}, {flat.max()}] in array of "
                 f"{self.data.size} words")
         return flat
-
-    def gather(self, block_bases: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Read ``data[base_b + idx_l]`` for every block b, lane l."""
-        return self.data[self._flat(block_bases, idx)]
-
-    def scatter(self, block_bases: np.ndarray, idx: np.ndarray,
-                values: np.ndarray) -> None:
-        self.data[self._flat(block_bases, idx)] = values
 
 
 @dataclasses.dataclass

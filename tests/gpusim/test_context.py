@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.gpusim import (GTX280, BlockContext, KernelError, StopKernel,
-                          launch)
+from repro.gpusim import (GTX280, BlockContext, GlobalArray, KernelError,
+                          StopKernel, launch)
 
 
 def make_ctx(blocks=2, threads=32):
@@ -254,3 +254,111 @@ class TestGlobalLaneAccounting:
         ctx.set_active(64)
         ctx.gload(g, np.array([0, 64]), np.arange(64))
         assert ctx.ledger.total().global_transactions == 4
+
+
+#: The three modes a context runs in: traced (raw launches), planned
+#: (a memo ledger, no recording) and charge-only (the estimator).
+MODES = {"traced": {}, "planned": {"record_trace": False},
+         "charge_only": {"functional": False}}
+
+#: Lane patterns for two active lanes over two blocks.  Shared arrays
+#: hold 8 and 4 words; global arrays 16 and 12 words, block bases 0
+#: and 6.  Single-array primitives use the short array; multi-array
+#: ones list the long array first, so ``past_end`` is out of bounds
+#: only in the second array (every array is checked) and, for global
+#: memory, only once block 1's base is added (bases are checked).
+OOB = {"shared": {"negative": [0, -1], "past_end": [3, 4]},
+       "global": {"negative": [-1, 0], "past_end": [5, 6]}}
+IN_BOUNDS = [0, 1]
+
+PRIMITIVES = ["sload", "sstore", "sload_multi", "sstore_multi",
+              "gload", "gstore", "gload_multi", "gstore_multi",
+              "sload+cost_idx", "sstore+cost_idx", "sload_multi+cost_idx",
+              "sstore_multi+cost_idx"]
+
+
+def _mode_ctx(engine, mode):
+    return BlockContext(GTX280, 2, 32, engine=engine, **MODES[mode])
+
+
+def _access(ctx, primitive, idx, cost_idx=None):
+    """Issue one access through ``primitive``; return the arrays and
+    what it returned."""
+    ctx.set_active(2)
+    name, _, with_cost = primitive.partition("+")
+    if with_cost:
+        cost_idx = IN_BOUNDS
+    vals = np.full((2, 2), 5.0, dtype=np.float32)
+    bases = np.array([0, 6])
+    if name.startswith("s"):
+        long_, short = ctx.shared(8), ctx.shared(4)
+        for arr in (long_, short):
+            arr.data[:] = np.arange(1, arr.words + 1)
+        arrs = (long_, short) if name.endswith("multi") else (short,)
+        kw = {} if cost_idx is None else {"cost_idx": cost_idx}
+        out = {"sload": lambda: ctx.sload(short, idx, **kw),
+               "sstore": lambda: ctx.sstore(short, idx, vals, **kw),
+               "sload_multi": lambda: ctx.sload_multi(arrs, idx, **kw),
+               "sstore_multi": lambda: ctx.sstore_multi(
+                   arrs, idx, (vals, vals), **kw)}[name]()
+    else:
+        long_, short = (GlobalArray.from_array(
+            np.arange(1, words + 1, dtype=np.float32)) for words in (16, 12))
+        arrs = (long_, short) if name.endswith("multi") else (short,)
+        out = {"gload": lambda: ctx.gload(short, bases, idx),
+               "gstore": lambda: ctx.gstore(short, bases, idx, vals),
+               "gload_multi": lambda: ctx.gload_multi(arrs, bases, idx),
+               "gstore_multi": lambda: ctx.gstore_multi(
+                   arrs, bases, idx, (vals, vals))}[name]()
+    return arrs, out
+
+
+@pytest.mark.parametrize("engine", ["vectorized", "reference"])
+@pytest.mark.parametrize("mode", list(MODES))
+class TestBoundsChecking:
+    """Hardware has no index wraparound: an out-of-bounds access raises
+    in every engine and every mode -- the charge-only pass included, so
+    ``characterize`` validates each plan's global accesses too."""
+
+    @pytest.mark.parametrize("where", ["negative", "past_end"])
+    @pytest.mark.parametrize("primitive", PRIMITIVES)
+    def test_out_of_bounds_raises(self, engine, mode, primitive, where):
+        space = "shared" if primitive.startswith("s") else "global"
+        ctx = _mode_ctx(engine, mode)
+        with pytest.raises(KernelError, match=f"{space} access out of "
+                                              f"bounds"):
+            _access(ctx, primitive, OOB[space][where])
+
+    @pytest.mark.parametrize("primitive", PRIMITIVES[:4])
+    def test_out_of_bounds_cost_idx_raises(self, engine, mode, primitive):
+        """An in-bounds data pattern with an out-of-bounds cost
+        pattern raises too: both patterns are checked."""
+        ctx = _mode_ctx(engine, mode)
+        with pytest.raises(KernelError, match="out of bounds"):
+            _access(ctx, primitive, IN_BOUNDS,
+                    cost_idx=OOB["shared"]["past_end"])
+
+    @pytest.mark.parametrize("primitive", PRIMITIVES[:8])
+    def test_in_bounds_moves_data(self, engine, mode, primitive):
+        """In bounds nothing raises; the functional modes move the
+        values and the charge-only mode moves none."""
+        ctx = _mode_ctx(engine, mode)
+        arrs, out = _access(ctx, primitive, IN_BOUNDS)
+        functional = mode != "charge_only"
+        # Array values (1-based word numbers) at blocks x lanes.
+        where = ((slice(None), [0, 1]) if primitive.startswith("s")
+                 else ([[0, 1], [6, 7]],))
+        word = (np.array([[1, 2], [1, 2]]) if primitive.startswith("s")
+                else np.array([[1, 2], [7, 8]]))
+        if "load" in primitive:
+            loads = out if primitive.endswith("multi") else (out,)
+            assert len(loads) == len(arrs)
+            for got in loads:
+                assert got.dtype == np.float32
+                np.testing.assert_array_equal(got,
+                                              word if functional else 0)
+        else:
+            assert out is None
+            for arr in arrs:
+                np.testing.assert_array_equal(arr.data[where],
+                                              5 if functional else word)

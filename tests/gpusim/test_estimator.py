@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.gpusim import FaultPlan, inject, launch, ledgers_equal
+from repro.gpusim import (FaultPlan, KernelError, inject, launch,
+                          ledgers_equal)
 from repro.gpusim import estimator
 from repro.gpusim.device import GTX280, TESLA_C1060
 from repro.gpusim.estimator import (analytic_launch, characterize,
@@ -27,7 +28,8 @@ from repro.gpusim.estimator import (analytic_launch, characterize,
 from repro.gpusim.executor import _reference_execute
 from repro.gpusim.gt200 import gt200_cost_model
 from repro.gpusim.serialize import ledger_to_dict
-from repro.kernels.api import PLANNED_KERNELS, plan_launch, run_kernel
+from repro.kernels.api import (PLANNED_KERNELS, LaunchPlan, plan_launch,
+                               run_kernel)
 from repro.numerics.generators import diagonally_dominant_fluid
 from repro.verify.generators import generate
 from repro.verify.invariants import check_invariants
@@ -396,6 +398,28 @@ class TestClosedForms:
             closed_form_counters("cr", 48)
         with pytest.raises(ValueError, match="no closed form"):
             closed_form_counters("cr_pcr", 64)
+
+
+def _overreaching_kernel(ctx, gmem):
+    """Each lane reads the word one past its own: the last lane steps
+    outside its block's slice of the flat global arrays."""
+    ctx.set_active(ctx.threads_per_block)
+    with ctx.phase("read"):
+        ctx.gload(gmem.a, gmem.block_bases, ctx.lanes + 1)
+
+
+class TestCharacterizeChecksBounds:
+    """The charge-only pass runs every bounds check, so a plan whose
+    kernel addresses memory it does not own never gets a ledger."""
+
+    def test_out_of_bounds_plan_raises_and_is_not_memoized(self):
+        plan = LaunchPlan(_overreaching_kernel, n=8, threads_per_block=8,
+                          num_blocks=1, device=GTX280)
+        clear_estimator_cache()
+        with pytest.raises(KernelError, match="global access out of "
+                                              "bounds"):
+            characterize(plan)
+        assert plan.block not in estimator._MEMO
 
 
 class TestSideEffectFreedom:

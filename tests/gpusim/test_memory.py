@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.gpusim.context import BlockContext
 from repro.gpusim.device import GTX280
+from repro.gpusim.engine import REFERENCE
 from repro.gpusim.memory import (GlobalArray, KernelError,
                                  SharedMemorySpace,
                                  bank_conflict_cycles,
@@ -99,12 +101,13 @@ class TestSharedSpace:
             space.allocate(0)
 
     def test_gather_scatter_roundtrip(self):
-        space = SharedMemorySpace(3, GTX280)
-        arr = space.allocate(8)
+        ctx = BlockContext(GTX280, 3, 4)
+        arr = ctx.shared(8)
         vals = np.arange(12, dtype=np.float32).reshape(3, 4)
-        arr.scatter(np.array([1, 3, 5, 7]), vals)
-        got = arr.gather(np.array([1, 3, 5, 7]))
+        ctx.sstore(arr, np.array([1, 3, 5, 7]), vals)
+        got = ctx.sload(arr, np.array([1, 3, 5, 7]))
         np.testing.assert_array_equal(got, vals)
+        np.testing.assert_array_equal(arr.data[:, [0, 2, 4, 6]], 0)
 
     def test_word_addrs_include_base(self):
         space = SharedMemorySpace(1, GTX280)
@@ -118,14 +121,16 @@ class TestGlobalArray:
     def test_block_addressing(self):
         g = GlobalArray.from_array(np.arange(12, dtype=np.float32))
         bases = np.array([0, 4, 8])
-        got = g.gather(bases, np.array([1, 3]))
+        ctx = BlockContext(GTX280, 3, 2)
+        got = ctx.gload(g, bases, np.array([1, 3]))
         np.testing.assert_array_equal(got, [[1, 3], [5, 7], [9, 11]])
 
     def test_scatter(self):
         g = GlobalArray(8)
-        g.scatter(np.array([0, 4]), np.array([0, 1]),
-                  np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32))
-        np.testing.assert_array_equal(g.data[[0, 1, 4, 5]], [1, 2, 3, 4])
+        ctx = BlockContext(GTX280, 2, 2)
+        ctx.gstore(g, np.array([0, 4]), np.array([0, 1]),
+                   np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32))
+        np.testing.assert_array_equal(g.data, [1, 2, 0, 0, 3, 4, 0, 0])
 
 
 class TestLaneIdRobustness:
@@ -179,42 +184,47 @@ class TestLaneIdRobustness:
 
 
 class TestBoundsChecking:
-    """Hardware has no index wraparound: OOB raises, never wraps."""
+    """The reference engine's own checks (``SharedArray._checked``,
+    ``GlobalArray._flat``): the oracle moves data lane by lane and never
+    relies on the context's check.  Hardware has no index wraparound:
+    OOB raises, never wraps.  The context's check, in every engine and
+    mode, is ``tests/gpusim/test_context.py::TestBoundsChecking``."""
 
     def test_shared_negative_index(self):
         space = SharedMemorySpace(1, GTX280)
         arr = space.allocate(8)
         with pytest.raises(KernelError, match="out of bounds"):
-            arr.gather(np.array([0, -1]))
+            REFERENCE.shared_gather(arr, np.array([0, -1]))
         with pytest.raises(KernelError, match="out of bounds"):
-            arr.scatter(np.array([-1]), np.array([[1.0]]))
+            REFERENCE.shared_scatter(arr, np.array([-1]), np.array([[1.0]]))
 
     def test_shared_past_the_end(self):
         space = SharedMemorySpace(2, GTX280)
         arr = space.allocate(8)
         with pytest.raises(KernelError, match="out of bounds"):
-            arr.gather(np.array([7, 8]))
+            REFERENCE.shared_gather(arr, np.array([7, 8]))
         with pytest.raises(KernelError, match="out of bounds"):
-            arr.scatter(np.array([8]), np.zeros((2, 1), dtype=np.float32))
+            REFERENCE.shared_scatter(arr, np.array([8]),
+                                     np.zeros((2, 1), dtype=np.float32))
 
     def test_global_negative_flat_address(self):
         g = GlobalArray.from_array(np.arange(8, dtype=np.float32))
         with pytest.raises(KernelError, match="out of bounds"):
-            g.gather(np.array([0]), np.array([-1]))    # i-1 at i=0
+            REFERENCE.global_gather(g, np.array([0]), np.array([-1]))
         with pytest.raises(KernelError, match="out of bounds"):
-            g.scatter(np.array([0]), np.array([-1]),
-                      np.array([[1.0]], dtype=np.float32))
+            REFERENCE.global_scatter(g, np.array([0]), np.array([-1]),
+                                     np.array([[1.0]], dtype=np.float32))
 
     def test_global_past_the_end(self):
         g = GlobalArray(8)
         with pytest.raises(KernelError, match="out of bounds"):
-            g.gather(np.array([4]), np.array([3, 4]))
+            REFERENCE.global_gather(g, np.array([4]), np.array([3, 4]))
         with pytest.raises(KernelError, match="out of bounds"):
-            g.scatter(np.array([4]), np.array([4]),
-                      np.array([[1.0]], dtype=np.float32))
+            REFERENCE.global_scatter(g, np.array([4]), np.array([4]),
+                                     np.array([[1.0]], dtype=np.float32))
 
     def test_in_bounds_unchanged(self):
         g = GlobalArray.from_array(np.arange(8, dtype=np.float32))
         np.testing.assert_array_equal(
-            g.gather(np.array([0, 4]), np.array([0, 3])),
+            REFERENCE.global_gather(g, np.array([0, 4]), np.array([0, 3])),
             [[0, 3], [4, 7]])

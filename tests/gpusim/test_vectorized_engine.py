@@ -28,10 +28,19 @@ from repro.gpusim import GTX280, TESLA_C1060, ledgers_equal
 from repro.gpusim.engine import REFERENCE, VECTORIZED
 from repro.gpusim.estimator import characterize
 from repro.gpusim.executor import _reference_execute, launch
-from repro.kernels.api import LaunchPlan, plan_launch, run_kernel
+from repro.kernels.api import (PLANNED_KERNELS, LaunchPlan, plan_launch,
+                               run_kernel)
 from repro.numerics.generators import diagonally_dominant_fluid
 
 SOLVERS = ("cr", "pcr", "rd", "cr_pcr", "cr_rd")
+
+#: The rest of the planned kernels as ``(name, layout)``: the ablation
+#: kernels (mostly global-memory data paths) and per-thread Thomas in
+#: both batch layouts.
+OTHER_KERNELS = [(name, "sequential")
+                 for name in sorted(PLANNED_KERNELS - set(SOLVERS)
+                                    - {"thomas"})]
+OTHER_KERNELS += [("thomas", "sequential"), ("thomas", "interleaved")]
 
 #: Shared-array words used by the synthetic divergence kernel.
 _WORDS = 96
@@ -48,9 +57,9 @@ def _assert_bitwise_equal(res_a, res_b):
     assert res_a.shared_bytes == res_b.shared_bytes
 
 
-def _run_both(method, n, num_systems, seed, device=GTX280):
+def _run_both(method, n, num_systems, seed, device=GTX280, layout=None):
     # Raw launches of the plan: both sides record their own trace.
-    plan = plan_launch(method, n, num_systems, device=device)
+    plan = plan_launch(method, n, num_systems, device=device, layout=layout)
     systems = diagonally_dominant_fluid(num_systems, n, seed=seed)
     args = dict(num_blocks=plan.num_blocks,
                 threads_per_block=plan.threads_per_block, device=device,
@@ -63,25 +72,47 @@ def _run_both(method, n, num_systems, seed, device=GTX280):
     return vec, ref, gmem_vec, gmem_ref
 
 
+def _assert_solutions_bitwise_equal(gmem_vec, gmem_ref):
+    sol_vec, sol_ref = gmem_vec.solution(), gmem_ref.solution()
+    assert sol_vec.dtype == sol_ref.dtype == np.float32
+    # Bitwise, not just value-equal: NaN placement and signed zeros
+    # must agree too.
+    assert np.array_equal(sol_vec.view(np.uint32), sol_ref.view(np.uint32))
+
+
+_cases = dict(n_exp=st.integers(min_value=2, max_value=6),
+              num_systems=st.integers(min_value=1, max_value=3),
+              seed=st.integers(min_value=0, max_value=2**16))
+
+
 class TestSolverEquivalence:
-    """All five solvers, random sizes and batches: 250 cases."""
+    """Every planned kernel, random sizes and batches: the five
+    solvers at 50 cases each, the other kernels at 10 each (310
+    cases)."""
 
     @pytest.mark.parametrize("method", SOLVERS)
     @settings(max_examples=50, deadline=None)
-    @given(n_exp=st.integers(min_value=2, max_value=6),
-           num_systems=st.integers(min_value=1, max_value=3),
-           seed=st.integers(min_value=0, max_value=2**16))
+    @given(**_cases)
     def test_bitwise_equal(self, method, n_exp, num_systems, seed):
-        n = 2 ** n_exp
-        vec, ref, gmem_vec, gmem_ref = _run_both(method, n, num_systems,
-                                                 seed)
+        vec, ref, gmem_vec, gmem_ref = _run_both(method, 2 ** n_exp,
+                                                 num_systems, seed)
         _assert_bitwise_equal(vec, ref)
-        sol_vec, sol_ref = gmem_vec.solution(), gmem_ref.solution()
-        assert sol_vec.dtype == sol_ref.dtype == np.float32
-        # Bitwise, not just value-equal: NaN placement and signed
-        # zeros must agree too.
-        assert np.array_equal(sol_vec.view(np.uint32),
-                              sol_ref.view(np.uint32))
+        _assert_solutions_bitwise_equal(gmem_vec, gmem_ref)
+
+    @pytest.mark.parametrize("method,layout", OTHER_KERNELS,
+                             ids=["-".join(k) for k in OTHER_KERNELS])
+    @settings(max_examples=10, deadline=None)
+    @given(**_cases)
+    def test_bitwise_equal_other_kernels(self, method, layout, n_exp,
+                                         num_systems, seed):
+        vec, ref, gmem_vec, gmem_ref = _run_both(
+            method, 2 ** n_exp, num_systems, seed, layout=layout)
+        _assert_bitwise_equal(vec, ref)
+        _assert_solutions_bitwise_equal(gmem_vec, gmem_ref)
+
+    def test_every_planned_kernel_covered(self):
+        assert set(SOLVERS) | {name for name, _ in OTHER_KERNELS} \
+            == PLANNED_KERNELS
 
     def test_other_device_spec(self):
         vec, ref, _gv, _gr = _run_both("cr", 64, 2, 7, device=TESLA_C1060)
