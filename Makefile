@@ -19,20 +19,21 @@ bench-engine:    ## vectorized-engine perf smoke (fails below 10x over the
 
 bench-serve:     ## serve-latency perf smoke (fails if p99 regresses >25%
                  ## vs the committed baseline; --update to rebaseline)
-	$(PY) benchmarks/bench_serve_latency.py --check
+	$(PY) benchmarks/bench_serve_latency.py
 
 bench-overload:  ## overload-shedding perf smoke (fails on interactive
                  ## sheds, goodput drops, p99 regressions >25%, or a
                  ## request finishing before it arrives)
-	$(PY) benchmarks/bench_overload.py --check
+	$(PY) benchmarks/bench_overload.py
 
 bench-layout:    ## layout-autotuner perf smoke (fails on choice flips,
                  ## coalescing regressions, or a fold-line miss)
-	$(PY) benchmarks/bench_layout_autotune.py --quick --check
+	$(PY) benchmarks/bench_layout_autotune.py
 
-figures:         ## regenerate every table/figure text artifact in benchmarks/results/
-	@cd benchmarks && for b in bench_*.py; do \
-	  case $$b in bench_cpu_wallclock.py|bench_extension_solvers.py|bench_layout_autotune.py|bench_vectorized_engine.py) continue;; esac; \
+figures:         ## regenerate every registered table/figure artifact in benchmarks/results/
+	@benches=$$($(PY) -c "from repro.experiments import EXPERIMENTS; \
+	  print(' '.join(e.bench for e in EXPERIMENTS))") || exit 1; \
+	cd benchmarks && for b in $$benches; do \
 	  echo "== $$b"; $(PY) $$b > /dev/null || exit 1; done
 
 report:          ## paper-vs-model Markdown report
