@@ -465,9 +465,8 @@ def _serve_live(args) -> int:
 
     rc = 0 if report.completed else 1
     if args.export_dir:
-        from repro.telemetry.export import (write_chrome_trace, write_jsonl,
-                                            write_prometheus, write_summary)
-        os.makedirs(args.export_dir, exist_ok=True)
+        from repro.telemetry.export import write_exports
+        paths = write_exports(col, args.export_dir)
         latency_path = os.path.join(args.export_dir, "serve.loadgen.json")
         with open(latency_path, "w") as fh:
             fh.write(_json.dumps(
@@ -482,19 +481,7 @@ def _serve_live(args) -> int:
                  "quota_denied": report.quota_denied,
                  "latency": report.latency_report()},
                 indent=2, sort_keys=True) + "\n")
-        for path in (
-                write_chrome_trace(
-                    col, os.path.join(args.export_dir, "serve.trace.json")),
-                write_jsonl(
-                    col, os.path.join(args.export_dir,
-                                      "serve.events.jsonl")),
-                write_summary(
-                    col, os.path.join(args.export_dir,
-                                      "serve.summary.txt")),
-                write_prometheus(
-                    col, os.path.join(args.export_dir,
-                                      "serve.metrics.prom")),
-                latency_path):
+        for path in (*paths, latency_path):
             if not args.json:
                 print(f"wrote {path}")
 
@@ -623,26 +610,13 @@ def cmd_serve(args) -> int:
     if args.export_dir:
         import json as _json
 
-        from repro.telemetry.export import (write_chrome_trace, write_jsonl,
-                                            write_prometheus, write_summary)
-        os.makedirs(args.export_dir, exist_ok=True)
+        from repro.telemetry.export import write_exports
+        paths = write_exports(col, args.export_dir)
         health_path = os.path.join(args.export_dir, "serve.health.jsonl")
         with open(health_path, "w") as fh:
             for t in sched.health.transitions:
                 fh.write(_json.dumps(t, sort_keys=True) + "\n")
-        for path in (
-                write_chrome_trace(
-                    col, os.path.join(args.export_dir, "serve.trace.json")),
-                write_jsonl(
-                    col, os.path.join(args.export_dir,
-                                      "serve.events.jsonl")),
-                write_summary(
-                    col, os.path.join(args.export_dir,
-                                      "serve.summary.txt")),
-                write_prometheus(
-                    col, os.path.join(args.export_dir,
-                                      "serve.metrics.prom")),
-                health_path):
+        for path in (*paths, health_path):
             if not args.json:
                 print(f"wrote {path}")
 

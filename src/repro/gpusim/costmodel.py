@@ -229,13 +229,11 @@ class CostModel:
         solver = _telemetry.current_attr("solver")
         if solver is not None:
             labels["solver"] = solver
-        m = col.metrics
-        m.counter("model.reports", "cost-model evaluations").inc(**labels)
-        m.counter("model.total_ms",
-                  "modeled grid time").inc(rep.total_ms, **labels)
+        record = col.metrics.record
+        record("model.reports", **labels)
+        record("model.total_ms", rep.total_ms, **labels)
         for name, pt in rep.phases.items():
-            m.counter("model.phase_ms", "modeled time by phase").inc(
-                pt.total_ms, phase=name, **labels)
+            record("model.phase_ms", pt.total_ms, phase=name, **labels)
         _telemetry.event("costmodel.report", total_ms=rep.total_ms,
                          blocks_per_sm=rep.blocks_per_sm, waves=rep.waves,
                          **labels)

@@ -14,7 +14,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.telemetry import callbacks as _cb
-from repro.telemetry import collector as _telemetry
+from repro.telemetry.metrics import emit
 
 from . import faults as _faults
 from .context import BlockContext, StopKernel
@@ -102,12 +102,7 @@ def launch(kernel: Callable[..., Any], *, num_blocks: int,
                 raise KernelLaunchError(
                     f"launch of {kernel_name} failed (injected fatal fault)")
             if fate == "transient":
-                col = _telemetry.get_collector()
-                if col is not None:
-                    col.metrics.counter(
-                        "sim.launch_retries",
-                        "transient launch failures retried").inc(
-                            kernel=kernel_name)
+                emit("sim.launch_retries", kernel=kernel_name)
                 if attempt == attempts - 1:
                     raise KernelLaunchError(
                         f"launch of {kernel_name} still failing after "

@@ -193,8 +193,7 @@ class FaultPlan:
         from repro.telemetry import collector as _telemetry
         col = _telemetry.get_collector()
         if col is not None:
-            col.metrics.counter("faults.injected",
-                                "injected simulated faults").inc(kind=kind)
+            col.metrics.record("faults.injected", kind=kind)
             col.add_event("fault.injected", {"kind": kind, **detail})
         return ev
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.telemetry import collector as _telemetry
+from repro.telemetry.metrics import emit
 
 
 @dataclass(frozen=True)
@@ -36,14 +36,9 @@ class PCIeModel:
     def transfer_ms(self, nbytes: int) -> float:
         """One cudaMemcpy-style call, either direction."""
         ms = (self.latency_s + nbytes / self.bandwidth_bytes_per_s) * 1e3
-        col = _telemetry.get_collector()
-        if col is not None:
-            col.metrics.counter("pcie.transfers",
-                                "modeled cudaMemcpy calls").inc()
-            col.metrics.counter("pcie.bytes",
-                                "bytes over the modeled link").inc(nbytes)
-            col.metrics.histogram("pcie.transfer_ms",
-                                  "per-call modeled time").observe(ms)
+        emit("pcie.transfers")
+        emit("pcie.bytes", nbytes)
+        emit("pcie.transfer_ms", ms)
         return ms
 
     def roundtrip_ms(self, bytes_to_device: int, bytes_to_host: int) -> float:

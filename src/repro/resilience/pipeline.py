@@ -44,7 +44,7 @@ from repro.solvers.refine import refined_solve
 from repro.solvers.systems import TridiagonalSystems
 from repro.solvers.validate import is_power_of_two, pad_to_power_of_two, \
     validate_finite
-from repro.telemetry.metrics import record_fallback, record_residual_max
+from repro.telemetry.metrics import FALLBACK_TOTAL, RESIDUAL_MAX, emit
 
 from .errors import SolveFailedError
 from .report import AttemptRecord, SolveReport, SystemReport
@@ -200,18 +200,18 @@ def robust_solve(a, b, c, d, *, chain: tuple[str, ...] | None = None,
         pos = _first_allowed(chain, 0, bool(stable[i]), bool(rd_risky[i]))
         if 0 < pos < len(chain):
             reports[i].reason = "unstable"
-            if telemetry.enabled():
-                record_fallback("(entry)", chain[pos], "unstable")
+            emit(FALLBACK_TOTAL, **{"from": "(entry)", "to": chain[pos],
+                                    "reason": "unstable"})
         groups.setdefault(pos, []).append(i)
 
     def escalate(i: int, pos: int, reason: str) -> None:
         reports[i].reason = reason
         nxt = _first_allowed(chain, pos + 1, bool(stable[i]),
                              bool(rd_risky[i]))
-        if telemetry.enabled():
-            record_fallback(chain[pos],
-                            chain[nxt] if nxt < len(chain) else "(none)",
-                            reason)
+        emit(FALLBACK_TOTAL, **{
+            "from": chain[pos],
+            "to": chain[nxt] if nxt < len(chain) else "(none)",
+            "reason": reason})
         groups.setdefault(nxt, []).append(i)
 
     with telemetry.span("robust_solve", num_systems=S, n=systems.n,
@@ -256,8 +256,8 @@ def robust_solve(a, b, c, d, *, chain: tuple[str, ...] | None = None,
             rel = _relative_residuals(sub, x_sub)
             record.max_residual = float(np.max(rel[np.isfinite(rel)],
                                                initial=0.0))
-            if telemetry.enabled() and rel.size:
-                record_residual_max(record.max_residual, method)
+            if rel.size:
+                emit(RESIDUAL_MAX, record.max_residual, method=method)
 
             accept = rel <= residual_tol
             # Mixed-precision retry before leaving this method: only

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import telemetry
-from repro.telemetry.metrics import record_breaker_transition
+from repro.telemetry.metrics import BREAKER_TRANSITIONS, emit
 
 CLOSED = "closed"
 OPEN = "open"
@@ -64,7 +64,8 @@ class CircuitBreaker:
         self.state = to
         self.transitions.append(
             BreakerTransition(frm=frm, to=to, reason=reason, at_ms=now_ms))
-        record_breaker_transition(self.name, frm, to)
+        emit(BREAKER_TRANSITIONS,
+             **{"device": self.name, "from": frm, "to": to})
         telemetry.event("serve.breaker", device=self.name, **{
             "from": frm, "to": to, "reason": reason, "at_ms": now_ms})
 

@@ -47,11 +47,9 @@ from dataclasses import dataclass, field
 
 from repro import telemetry
 from repro.solvers.systems import TridiagonalSystems
-from repro.telemetry.metrics import (record_downgrade,
-                                     record_frontend_depth,
-                                     record_quota_denied,
-                                     record_quota_tokens, record_request,
-                                     record_request_latency, record_shed)
+from repro.telemetry.metrics import (DOWNGRADES, FRONTEND_DEPTH,
+                                     FRONTEND_REQUESTS, QUOTA_DENIED,
+                                     QUOTA_TOKENS, REQUEST_LATENCY, emit)
 from repro.telemetry.slo import DEFAULT_CLASS, DEFAULT_CLASSES
 
 from .checkpoint import ShedLedger
@@ -347,9 +345,9 @@ class ServeFrontend:
         if not bucket.try_take(cost, arrival):
             self.quota_denied[spec.name] = (
                 self.quota_denied.get(spec.name, 0) + 1)
-            record_quota_denied(spec.name)
+            emit(QUOTA_DENIED, tenant=spec.name)
             return self._shed(pend, "quota", "quota")
-        record_quota_tokens(spec.name, bucket.peek(arrival))
+        emit(QUOTA_TOKENS, bucket.peek(arrival), tenant=spec.name)
 
         # 3. cost-model admission at current utilization, with
         #    downgrade before shed.
@@ -359,7 +357,8 @@ class ServeFrontend:
             return self._shed(pend, "deadline_unmeetable", "admission")
         if cls != request.slo_class:
             self.downgrades += 1
-            record_downgrade(spec.name, request.slo_class, cls)
+            emit(DOWNGRADES, **{"tenant": spec.name,
+                                "from": request.slo_class, "to": cls})
             telemetry.event("serve.downgrade", request=request.request_id,
                             tenant=spec.name, frm=request.slo_class, to=cls)
             pend.cls = cls
@@ -371,7 +370,7 @@ class ServeFrontend:
         evicted = None
         while self.pending > self.config.pending_capacity:
             evicted = self._evict_one()
-        record_frontend_depth(self.pending)
+        emit(FRONTEND_DEPTH, self.pending)
         if evicted is not None and evicted.request_id == request.request_id:
             return evicted
         return None
@@ -418,8 +417,8 @@ class ServeFrontend:
             finish_ms=max(self.now_ms, req.arrival_ms),
             reason=reason, stage=stage)
         self.slo.record_shed(pend.cls, reason, tenant=req.tenant)
-        record_shed(pend.cls, reason, tenant=req.tenant)
-        record_request(req.tenant, pend.cls, "shed")
+        emit(FRONTEND_REQUESTS, tenant=req.tenant, cls=pend.cls,
+             outcome="shed")
         telemetry.event("serve.frontend_shed", request=req.request_id,
                         tenant=req.tenant, cls=pend.cls, reason=reason,
                         stage=stage)
@@ -437,9 +436,9 @@ class ServeFrontend:
             slo_class=pend.cls, state="completed",
             arrival_ms=req.arrival_ms, finish_ms=self.now_ms,
             latency_ms=self.now_ms - req.arrival_ms, report=report)
-        record_request_latency(out.latency_ms, pend.cls)
-        record_request(req.tenant, pend.cls,
-                       "completed" if report.ok else "failed")
+        emit(REQUEST_LATENCY, out.latency_ms, cls=pend.cls)
+        emit(FRONTEND_REQUESTS, tenant=req.tenant, cls=pend.cls,
+             outcome="completed" if report.ok else "failed")
         self._record(out)
         return out
 
@@ -477,7 +476,7 @@ class ServeFrontend:
         pend = self._handoff.popleft()
         report = self.scheduler.run_job(pend.job, resume=self._resume,
                                         stop_after=self._stop_after)
-        record_frontend_depth(self.pending)
+        emit(FRONTEND_DEPTH, self.pending)
         return self._finish(pend, report)
 
     # -- open-loop run -------------------------------------------------

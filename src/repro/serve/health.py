@@ -54,8 +54,8 @@ from repro import telemetry
 from repro.gpusim.faults import GpuFault, inject
 from repro.gpusim.gt200 import gt200_cost_model
 from repro.gpusim.pool import DevicePool, PooledDevice, derive_seed
-from repro.telemetry.metrics import (record_canary, record_health_score,
-                                     record_lifecycle_transition)
+from repro.telemetry.metrics import (CANARY_TOTAL, HEALTH_SCORE,
+                                     LIFECYCLE_TRANSITIONS, emit)
 
 ACTIVE = "active"
 SUSPECT = "suspect"
@@ -222,7 +222,7 @@ class HealthMonitor:
         if ok and ratio is not None and math.isfinite(ratio) and ratio > 0:
             h.ewma_ratio = a * ratio + (1 - a) * h.ewma_ratio
         h.observations += 1
-        record_health_score(name, h.score())
+        emit(HEALTH_SCORE, h.score(), device=name)
 
         if h.state == PROBATION:
             bad_latency = (ratio is not None and math.isfinite(ratio)
@@ -325,21 +325,24 @@ class HealthMonitor:
                             device=dev.spec)
                 except GpuFault:
                     t += CANARY_FAIL_PENALTY_MS
-                    record_canary(dev.name, "fault")
+                    emit(CANARY_TOTAL, device=dev.name,
+                         result="fault")
                     passed = False
                     break
                 multiplier = plan.latency_multiplier if plan else 1.0
                 t += self._cost_model.report(launch).total_ms * multiplier
                 cmp = compare_to_oracle(systems, x)
                 if not cmp.rel_residual_max <= pol.canary_tol:
-                    record_canary(dev.name, "residual")
+                    emit(CANARY_TOTAL, device=dev.name,
+                         result="residual")
                     passed = False
                     break
                 if multiplier > pol.canary_ratio_max:
-                    record_canary(dev.name, "latency")
+                    emit(CANARY_TOTAL, device=dev.name,
+                         result="latency")
                     passed = False
                     break
-                record_canary(dev.name, "ok")
+                emit(CANARY_TOTAL, device=dev.name, result="ok")
         clock[dev.name] = t
         return passed
 
@@ -371,7 +374,8 @@ class HealthMonitor:
         self.transitions.append({
             "device": h.name, "from": frm, "to": to,
             "reason": reason, "at_ms": now_ms})
-        record_lifecycle_transition(h.name, frm, to)
+        emit(LIFECYCLE_TRANSITIONS,
+             **{"device": h.name, "from": frm, "to": to})
         telemetry.event("serve.lifecycle", device=h.name, **{
             "from": frm, "to": to, "reason": reason, "at_ms": now_ms})
 

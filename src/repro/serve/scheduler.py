@@ -62,14 +62,11 @@ from repro.gpusim.gt200 import gt200_cost_model
 from repro.gpusim.pool import DevicePool, PooledDevice, derive_seed
 from repro.kernels.api import run_kernel
 from repro.resilience.pipeline import _relative_residuals, robust_solve
-from repro.telemetry.metrics import (record_chunk_done, record_chunk_latency,
-                                     record_chunk_retry,
-                                     record_cost_residual,
-                                     record_deadline_miss,
-                                     record_deadline_slack,
-                                     record_degraded_solve, record_hedge,
-                                     record_job_latency,
-                                     record_queue_wait, record_retry_delay)
+from repro.telemetry.metrics import (CHUNK_RETRIES, CHUNKS_TOTAL,
+                                     COST_RESIDUAL, DEADLINE_MISSES,
+                                     DEGRADED_TOTAL, HEDGES_TOTAL,
+                                     RETRY_DELAY, SERVE_CHUNK_LATENCY,
+                                     SERVE_LATENCY, emit)
 from repro.telemetry.slo import SLORegistry
 
 from .breaker import CLOSED, OPEN, CircuitBreaker
@@ -413,9 +410,9 @@ class BatchScheduler:
         self._cpu_clock = end
         self._now_ms = max(self._now_ms, end)
         status = "degraded" if report.all_accepted else "failed"
-        record_degraded_solve(reason)
-        record_chunk_done("cpu", status)
-        record_chunk_latency(cost, job.slo_class, "cpu")
+        emit(DEGRADED_TOTAL, reason=reason)
+        emit(CHUNKS_TOTAL, device="cpu", status=status)
+        emit(SERVE_CHUNK_LATENCY, cost, cls=job.slo_class, device="cpu")
         telemetry.event("serve.chunk_degraded", job=job.job_id,
                         chunk=chunk_id, reason=reason, status=status)
         x = np.asarray(np.atleast_2d(report.x), dtype=np.float64)
@@ -528,9 +525,10 @@ class BatchScheduler:
                            else self._backoff_ms(job, chunk_id, attempt))
                 self._device_failure(job, device.name, start, outcome,
                                      cost, backoff)
-                record_chunk_retry(device.name, outcome)
+                emit(CHUNK_RETRIES, device=device.name, kind=outcome)
                 if outcome != "timeout":
-                    record_retry_delay(backoff, job.slo_class, device.name)
+                    emit(RETRY_DELAY, backoff, cls=job.slo_class,
+                         device=device.name)
                 attempts.append(ChunkAttempt(
                     device=device.name, outcome=outcome, modeled_ms=cost,
                     backoff_ms=backoff))
@@ -580,7 +578,7 @@ class BatchScheduler:
         start = max(self._clock[dev.name], frontier_ms)
         plan = dev.plan_for(job.job_id, chunk_id,
                             HEDGE_ATTEMPT_BASE + attempt, at_ms=start)
-        record_hedge(dev.name, "launched")
+        emit(HEDGES_TOTAL, device=dev.name, outcome="launched")
         telemetry.event("serve.hedge", job=job.job_id, chunk=chunk_id,
                         device=dev.name, primary=primary)
         outcome, x, cost = self._launch(job, sub, dev, plan,
@@ -595,7 +593,7 @@ class BatchScheduler:
         else:
             # Not acceptable; the primary's result stands.
             self._residual_miss(dev.name, start + cost)
-        record_hedge(dev.name, "failed")
+        emit(HEDGES_TOTAL, device=dev.name, outcome="failed")
         return ChunkAttempt(device=dev.name, outcome="hedge_failed",
                             modeled_ms=cost)
 
@@ -613,7 +611,7 @@ class BatchScheduler:
         attempts.append(ChunkAttempt(
             device=loser.device, outcome="hedge_cancelled",
             modeled_ms=max(0.0, cancel_at - loser.start)))
-        record_hedge(loser.device, "cancelled")
+        emit(HEDGES_TOTAL, device=loser.device, outcome="cancelled")
 
     def _settle_race(self, job: SolveJob, chunk_id: int, sub, est: float,
                      primary: _Launched,
@@ -636,15 +634,16 @@ class BatchScheduler:
         self.health.observe_attempt(win.device, ok=True, ratio=win.ratio,
                                     now_ms=end)
         if hedge_won:
-            record_hedge(win.device, "won")
-        record_chunk_done(win.device, "ok")
-        record_chunk_latency(win.cost, job.slo_class, win.device)
+            emit(HEDGES_TOTAL, device=win.device, outcome="won")
+        emit(CHUNKS_TOTAL, device=win.device, status="ok")
+        emit(SERVE_CHUNK_LATENCY, win.cost, cls=job.slo_class,
+             device=win.device)
         if telemetry.enabled() and est > 0:
             # Pair the realized modeled cost with the scheduler's
             # estimate for this chunk shape: the per-(solver, layout,
             # n) calibration residual.
-            record_cost_residual(job.method, _residual_layout(job), sub.n,
-                                 (win.cost - est) / est)
+            emit(COST_RESIDUAL, (win.cost - est) / est, solver=job.method,
+                 layout=_residual_layout(job), n=sub.n)
         attempts.append(ChunkAttempt(
             device=win.device, outcome="ok", modeled_ms=win.cost))
         if isinstance(hedge, _Launched) and not hedge_won:
@@ -691,7 +690,6 @@ class BatchScheduler:
         root_id = root.record.span_id if root is not None else None
         queue_wait = job_start - ready
         self.slo.record_queue_wait(job.slo_class, queue_wait)
-        record_queue_wait(queue_wait, job.slo_class)
         wall_start = time.monotonic()
         outcome = "ok"
         completed = True
@@ -719,7 +717,8 @@ class BatchScheduler:
                     record.status = "restored"
                     x_out[job.chunk_indices(chunk_id)] = x
                     chunks.append(record)
-                    record_chunk_done(record.device, "restored")
+                    emit(CHUNKS_TOTAL, device=record.device,
+                         status="restored")
                     continue
                 with telemetry.span("serve.chunk", job=job.job_id,
                                     chunk=chunk_id):
@@ -737,7 +736,7 @@ class BatchScheduler:
                 if (job.deadline_ms is not None
                         and elapsed > job.deadline_ms):
                     outcome, completed = "deadline", False
-                    record_deadline_miss(job.job_id)
+                    emit(DEADLINE_MISSES, job=job.job_id)
                     telemetry.event("serve.deadline_miss", job=job.job_id,
                                     elapsed_ms=elapsed,
                                     deadline_ms=job.deadline_ms)
@@ -746,7 +745,7 @@ class BatchScheduler:
                         and time.monotonic() - wall_start
                         > job.wall_deadline_s):
                     outcome, completed = "deadline", False
-                    record_deadline_miss(job.job_id)
+                    emit(DEADLINE_MISSES, job=job.job_id)
                     break
                 if stop_after is not None and computed >= stop_after:
                     outcome, completed = "stopped", False
@@ -777,9 +776,7 @@ class BatchScheduler:
         since = job_start if arrival is None else arrival
         self.slo.record_job(job.slo_class, self._now_ms - since, outcome,
                             deadline_slack_ms=slack, tenant=job.tenant)
-        record_job_latency(report.makespan_ms, job.slo_class)
-        if slack is not None:
-            record_deadline_slack(slack, job.slo_class)
+        emit(SERVE_LATENCY, report.makespan_ms, cls=job.slo_class)
         telemetry.event("serve.job_done", job=job.job_id,
                         outcome=outcome,
                         makespan_ms=report.makespan_ms,

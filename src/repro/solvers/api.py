@@ -192,13 +192,8 @@ def solve(a, b, c, d, method: str = "auto", *, intermediate_size=None,
     with telemetry.span("solve", method=name, n=systems.n,
                         num_systems=systems.num_systems,
                         padded=systems.n != orig_n):
-        if telemetry.enabled():
-            col = telemetry.get_collector()
-            col.metrics.counter("solve.calls", "solve() invocations").inc(
-                method=name)
-            col.metrics.counter("solve.systems",
-                                "systems solved").inc(systems.num_systems,
-                                                      method=name)
+        telemetry.emit("solve.calls", method=name)
+        telemetry.emit("solve.systems", systems.num_systems, method=name)
         x = SOLVERS[name](systems, intermediate_size=intermediate_size)
     x = x[:, :orig_n]
     return x[0] if single else x

@@ -13,7 +13,9 @@ single launches:
   records; subscribers observe every launch without patching kernels;
 * **metrics** (:mod:`repro.telemetry.metrics`) -- counters, gauges and
   histograms (launches, modeled ms by solver/phase, bank-conflict
-  degree distributions, occupancy) aggregated across a session;
+  degree distributions, occupancy) aggregated across a session, each
+  declared once in the :data:`METRICS` catalogue and written with
+  :func:`emit`;
 * **export sinks** (:mod:`repro.telemetry.export`) -- JSONL event log,
   Chrome trace-event JSON (one modeled track per kernel phase;
   loadable in Perfetto), and a text summary;
@@ -47,28 +49,13 @@ from .export import (chrome_trace, estimator_summary, phase_totals,
                      write_chrome_trace, write_jsonl, write_prometheus,
                      write_summary)
 from .metrics import (BREAKER_TRANSITIONS, CANARY_TOTAL, CHUNKS_TOTAL,
-                      CHUNK_RETRIES,
-                      COST_RESIDUAL, DEADLINE_MISSES, DEADLINE_SLACK,
-                      DEGRADED_TOTAL, FALLBACK_TOTAL,
+                      CHUNK_RETRIES, COST_RESIDUAL, DEADLINE_MISSES,
+                      DEADLINE_SLACK, DEGRADED_TOTAL, FALLBACK_TOTAL,
                       FUZZ_CASES, HEALTH_SCORE, HEDGES_TOTAL,
-                      LIFECYCLE_TRANSITIONS,
-                      QUEUE_WAIT,
+                      LIFECYCLE_TRANSITIONS, METRICS, QUEUE_WAIT,
                       RESIDUAL_MAX, RETRY_DELAY, SERVE_CHUNK_LATENCY,
-                      SERVE_LATENCY, SHED_TOTAL,
-                      VERIFY_CELLS, Counter,
-                      Gauge, Histogram, MetricsRegistry,
-                      record_breaker_transition, record_canary,
-                      record_chunk_done,
-                      record_chunk_latency,
-                      record_chunk_retry, record_cost_residual,
-                      record_deadline_miss, record_deadline_slack,
-                      record_degraded_solve, record_fallback,
-                      record_fuzz_case, record_health_score, record_hedge,
-                      record_job_latency,
-                      record_lifecycle_transition,
-                      record_queue_wait,
-                      record_residual_max, record_retry_delay,
-                      record_shed, record_verify_cell)
+                      SERVE_LATENCY, SHED_TOTAL, VERIFY_CELLS, Counter,
+                      Gauge, Histogram, MetricsRegistry, emit)
 from .slo import DEFAULT_CLASS, DEFAULT_CLASSES, SLOClass, SLORegistry
 from .spans import NOOP_SPAN, EventRecord, LiveSpan, NoopSpan, SpanRecord
 
@@ -81,23 +68,14 @@ __all__ = [
     "text_summary", "trace_trees", "verify_summary",
     "to_jsonl", "write_chrome_trace", "write_jsonl", "write_prometheus",
     "write_summary",
-    "Counter", "Gauge", "Histogram", "MetricsRegistry",
-    "FALLBACK_TOTAL", "RESIDUAL_MAX", "record_fallback",
-    "record_residual_max",
+    "Counter", "Gauge", "Histogram", "MetricsRegistry", "METRICS", "emit",
+    "FALLBACK_TOTAL", "RESIDUAL_MAX",
     "BREAKER_TRANSITIONS", "CHUNKS_TOTAL", "CHUNK_RETRIES",
     "COST_RESIDUAL", "DEADLINE_MISSES", "DEADLINE_SLACK", "DEGRADED_TOTAL",
     "QUEUE_WAIT", "RETRY_DELAY",
     "SERVE_CHUNK_LATENCY", "SERVE_LATENCY", "SHED_TOTAL",
-    "record_breaker_transition", "record_chunk_done",
-    "record_chunk_latency", "record_chunk_retry", "record_cost_residual",
-    "record_deadline_miss", "record_deadline_slack",
-    "record_degraded_solve", "record_job_latency",
-    "record_queue_wait", "record_retry_delay",
-    "record_shed",
     "HEALTH_SCORE", "LIFECYCLE_TRANSITIONS", "HEDGES_TOTAL", "CANARY_TOTAL",
-    "record_health_score", "record_lifecycle_transition", "record_hedge",
-    "record_canary",
-    "FUZZ_CASES", "VERIFY_CELLS", "record_fuzz_case", "record_verify_cell",
+    "FUZZ_CASES", "VERIFY_CELLS",
     "DEFAULT_CLASS", "DEFAULT_CLASSES", "SLOClass", "SLORegistry",
     "NOOP_SPAN", "EventRecord", "LiveSpan", "NoopSpan", "SpanRecord",
 ]

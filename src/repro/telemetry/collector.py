@@ -240,28 +240,24 @@ class Collector:
                                         rec.threads_per_block})
             span.__enter__()
             self._sim_stack.append(span.record)
-            self.metrics.counter(
-                "sim.launches",
-                "simulated kernel launches").inc(kernel=rec.kernel)
+            self.metrics.record("sim.launches", kernel=rec.kernel)
         else:  # SITE_END
             result = p.get("result")
             if self.launches:
                 rec = self.launches[-1]
                 rec.result = result
                 if result is not None:
-                    self.metrics.gauge(
-                        "sim.blocks_per_sm",
-                        "occupancy: resident blocks per SM").set(
-                            result.blocks_per_sm, kernel=rec.kernel)
+                    self.metrics.record("sim.blocks_per_sm",
+                                        result.blocks_per_sm,
+                                        kernel=rec.kernel)
                     total = result.ledger.total()
                     for name, amount in (
                             ("sim.shared_words", total.shared_words),
                             ("sim.global_words", total.global_words),
                             ("sim.flops", total.flops),
                             ("sim.syncs", total.syncs)):
-                        self.metrics.counter(
-                            name, "per-block ledger totals").inc(
-                                amount, kernel=rec.kernel)
+                        self.metrics.record(name, amount,
+                                            kernel=rec.kernel)
             if self._sim_stack:
                 self._exit_span(self._sim_stack.pop())
 
@@ -278,13 +274,10 @@ class Collector:
         p = info.payload
         counters = p.get("counters")
         phase = p.get("phase", "?")
-        self.metrics.counter("sim.steps", "algorithmic steps").inc(
-            phase=phase)
+        self.metrics.record("sim.steps", phase=phase)
         if counters is not None:
-            self.metrics.histogram(
-                "sim.conflict_degree",
-                "bank-conflict degree per step").observe(
-                    counters.conflict_degree, phase=phase)
+            self.metrics.record("sim.conflict_degree",
+                                counters.conflict_degree, phase=phase)
 
 
 def deterministic_collector(seed: int = 0,

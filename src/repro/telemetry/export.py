@@ -13,6 +13,9 @@ Three views of one :class:`~repro.telemetry.collector.Collector`:
   :meth:`~repro.gpusim.costmodel.CostModel.report` call as
   :mod:`repro.analysis.breakdown`, so the two always agree.
 
+:func:`write_exports` writes all of them, plus the Prometheus
+exposition, into one directory (``repro serve --export-dir``).
+
 The simulator is imported lazily so ``repro.telemetry`` never
 participates in ``repro.gpusim``'s import cycle.
 """
@@ -20,6 +23,7 @@ participates in ``repro.gpusim``'s import cycle.
 from __future__ import annotations
 
 import json
+import os
 from typing import Any
 
 from .collector import Collector
@@ -243,6 +247,13 @@ def phase_totals(collector: Collector, cost_model=None
     return totals
 
 
+def _series(collector: Collector, name: str) -> list:
+    """A family's ``(label key, value)`` series in label order; empty
+    when nothing registered ``name``."""
+    metric = collector.metrics.get(name)
+    return sorted(metric.series.items()) if metric is not None else []
+
+
 def resilience_summary(collector: Collector) -> list[str]:
     """Readable lines for the resilience metrics, empty when none.
 
@@ -250,31 +261,31 @@ def resilience_summary(collector: Collector) -> list[str]:
     ``residual_max`` per method, and the injected-fault counters --
     the degradation view of a chaos or production run.
     """
-    from .metrics import FALLBACK_TOTAL, RESIDUAL_MAX, Counter, Histogram
+    from .metrics import FALLBACK_TOTAL, RESIDUAL_MAX
 
     out: list[str] = []
-    fb = collector.metrics._metrics.get(FALLBACK_TOTAL)
-    if isinstance(fb, Counter) and fb.series:
+    fb = _series(collector, FALLBACK_TOTAL)
+    if fb:
         out.append("fallbacks (from -> to, by reason):")
-        for key, value in sorted(fb.series.items()):
+        for key, value in fb:
             labels = dict(key)
             out.append(f"  {labels.get('from', '?')} -> "
                        f"{labels.get('to', '?')} "
                        f"[{labels.get('reason', '?')}]: {value:g}")
-    rm = collector.metrics._metrics.get(RESIDUAL_MAX)
-    if isinstance(rm, Histogram) and rm.series:
+    rm = _series(collector, RESIDUAL_MAX)
+    if rm:
         out.append("residual_max per attempt:")
-        for key, series in sorted(rm.series.items()):
+        for key, series in rm:
             summ = series.summary()
             labels = dict(key)
             out.append(f"  {labels.get('method', '?')}: "
                        f"count {summ['count']}, p50 {summ['p50']:.3e}, "
                        f"max {summ['max']:.3e}")
-    faults = collector.metrics._metrics.get("faults.injected")
-    if isinstance(faults, Counter) and faults.series:
-        total = sum(faults.series.values())
+    faults = _series(collector, "faults.injected")
+    if faults:
+        total = sum(v for _k, v in faults)
         kinds = ", ".join(f"{dict(k).get('kind', '?')}={v:g}"
-                          for k, v in sorted(faults.series.items()))
+                          for k, v in faults)
         out.append(f"injected faults: {total:g} ({kinds})")
     if out:
         out.insert(0, "resilience:")
@@ -290,92 +301,73 @@ def serve_summary(collector: Collector) -> list[str]:
     health view of a :class:`repro.serve.BatchScheduler` run.
     """
     from .metrics import (BREAKER_TRANSITIONS, CANARY_TOTAL, CHUNKS_TOTAL,
-                          CHUNK_RETRIES,
-                          DEADLINE_MISSES, DEGRADED_TOTAL, DOWNGRADES,
-                          FRONTEND_REQUESTS, HEDGES_TOTAL,
-                          LIFECYCLE_TRANSITIONS,
-                          QUOTA_DENIED, REQUEST_LATENCY,
-                          SERVE_LATENCY, SHED_TOTAL, Counter, Histogram)
+                          CHUNK_RETRIES, DEADLINE_MISSES, DEGRADED_TOTAL,
+                          DOWNGRADES, FRONTEND_REQUESTS, HEDGES_TOTAL,
+                          LIFECYCLE_TRANSITIONS, QUOTA_DENIED,
+                          REQUEST_LATENCY, SERVE_LATENCY, SHED_TOTAL)
 
     out: list[str] = []
-    reqs = collector.metrics._metrics.get(FRONTEND_REQUESTS)
-    if isinstance(reqs, Counter) and reqs.series:
-        total = sum(reqs.series.values())
-        parts = ", ".join(
-            f"{dict(k).get('tenant', '?')}/{dict(k).get('cls', '?')}/"
-            f"{dict(k).get('outcome', '?')}={v:g}"
-            for k, v in sorted(reqs.series.items()))
-        out.append(f"front-end requests (tenant/cls/outcome): "
-                   f"{total:g} ({parts})")
-    def _by_label(metric: "Counter", label: str) -> dict[str, float]:
+
+    def counted(name: str, label: str, head: str) -> None:
         # Counters may carry more labels than the one displayed;
         # aggregate so each display key appears once.
-        agg: dict[str, float] = {}
-        for k, v in metric.series.items():
-            key = dict(k).get(label, "?")
-            agg[key] = agg.get(key, 0.0) + v
-        return agg
-
-    for name, label, head in (
-            (QUOTA_DENIED, "tenant", "quota denials"),
-            (DOWNGRADES, "tenant", "admission downgrades")):
-        metric = collector.metrics._metrics.get(name)
-        if isinstance(metric, Counter) and metric.series:
-            total = sum(metric.series.values())
-            parts = ", ".join(f"{k}={v:g}" for k, v in
-                              sorted(_by_label(metric, label).items()))
+        series = _series(collector, name)
+        if series:
+            agg: dict[str, float] = {}
+            for k, v in series:
+                key = dict(k).get(label, "?")
+                agg[key] = agg.get(key, 0.0) + v
+            total = sum(v for _k, v in series)
+            parts = ", ".join(f"{k}={v:g}" for k, v in sorted(agg.items()))
             out.append(f"{head}: {total:g} ({parts})")
-    rlat = collector.metrics._metrics.get(REQUEST_LATENCY)
-    if isinstance(rlat, Histogram) and rlat.series:
-        out.append("request latency by class (arrival->done, modeled ms):")
-        for key, series in sorted(rlat.series.items()):
-            s = series.summary()
-            out.append(f"  {dict(key).get('cls', '?')}: "
-                       f"count {s['count']}, p50 {s['p50']:.3f}, "
-                       f"p95 {s['p95']:.3f}, p99 {s['p99']:.3f}")
-    chunks = collector.metrics._metrics.get(CHUNKS_TOTAL)
-    if isinstance(chunks, Counter) and chunks.series:
+
+    def latency(name: str, head: str) -> None:
+        series = _series(collector, name)
+        if series:
+            out.append(head)
+            for key, hist in series:
+                s = hist.summary()
+                out.append(f"  {dict(key).get('cls', '?')}: "
+                           f"count {s['count']}, p50 {s['p50']:.3f}, "
+                           f"p95 {s['p95']:.3f}, p99 {s['p99']:.3f}")
+
+    def transitions(name: str, head: str) -> None:
+        series = _series(collector, name)
+        if series:
+            out.append(head)
+            for key, value in series:
+                labels = dict(key)
+                out.append(f"  {labels.get('device', '?')}: "
+                           f"{labels.get('from', '?')} -> "
+                           f"{labels.get('to', '?')}: {value:g}")
+
+    reqs = _series(collector, FRONTEND_REQUESTS)
+    if reqs:
+        total = sum(v for _k, v in reqs)
+        parts = ", ".join(
+            f"{dict(k).get('tenant', '?')}/{dict(k).get('cls', '?')}/"
+            f"{dict(k).get('outcome', '?')}={v:g}" for k, v in reqs)
+        out.append(f"front-end requests (tenant/cls/outcome): "
+                   f"{total:g} ({parts})")
+    counted(QUOTA_DENIED, "tenant", "quota denials")
+    counted(DOWNGRADES, "tenant", "admission downgrades")
+    latency(REQUEST_LATENCY,
+            "request latency by class (arrival->done, modeled ms):")
+    chunks = _series(collector, CHUNKS_TOTAL)
+    if chunks:
         parts = ", ".join(
             f"{dict(k).get('device', '?')}/{dict(k).get('status', '?')}={v:g}"
-            for k, v in sorted(chunks.series.items()))
+            for k, v in chunks)
         out.append(f"chunks (device/status): {parts}")
-    br = collector.metrics._metrics.get(BREAKER_TRANSITIONS)
-    if isinstance(br, Counter) and br.series:
-        out.append("breaker transitions:")
-        for key, value in sorted(br.series.items()):
-            labels = dict(key)
-            out.append(f"  {labels.get('device', '?')}: "
-                       f"{labels.get('from', '?')} -> "
-                       f"{labels.get('to', '?')}: {value:g}")
-    lc = collector.metrics._metrics.get(LIFECYCLE_TRANSITIONS)
-    if isinstance(lc, Counter) and lc.series:
-        out.append("lifecycle transitions:")
-        for key, value in sorted(lc.series.items()):
-            labels = dict(key)
-            out.append(f"  {labels.get('device', '?')}: "
-                       f"{labels.get('from', '?')} -> "
-                       f"{labels.get('to', '?')}: {value:g}")
-    for name, label, head in (
-            (HEDGES_TOTAL, "outcome", "hedged chunks"),
-            (CANARY_TOTAL, "result", "readmission canaries"),
-            (CHUNK_RETRIES, "kind", "chunk retries"),
-            (DEGRADED_TOTAL, "reason", "degraded to CPU chain"),
-            (DEADLINE_MISSES, "job", "deadline misses"),
-            (SHED_TOTAL, "cls", "shed jobs")):
-        metric = collector.metrics._metrics.get(name)
-        if isinstance(metric, Counter) and metric.series:
-            total = sum(metric.series.values())
-            parts = ", ".join(f"{k}={v:g}" for k, v in
-                              sorted(_by_label(metric, label).items()))
-            out.append(f"{head}: {total:g} ({parts})")
-    lat = collector.metrics._metrics.get(SERVE_LATENCY)
-    if isinstance(lat, Histogram) and lat.series:
-        out.append("latency by class (modeled ms):")
-        for key, series in sorted(lat.series.items()):
-            s = series.summary()
-            out.append(f"  {dict(key).get('cls', '?')}: "
-                       f"count {s['count']}, p50 {s['p50']:.3f}, "
-                       f"p95 {s['p95']:.3f}, p99 {s['p99']:.3f}")
+    transitions(BREAKER_TRANSITIONS, "breaker transitions:")
+    transitions(LIFECYCLE_TRANSITIONS, "lifecycle transitions:")
+    counted(HEDGES_TOTAL, "outcome", "hedged chunks")
+    counted(CANARY_TOTAL, "result", "readmission canaries")
+    counted(CHUNK_RETRIES, "kind", "chunk retries")
+    counted(DEGRADED_TOTAL, "reason", "degraded to CPU chain")
+    counted(DEADLINE_MISSES, "job", "deadline misses")
+    counted(SHED_TOTAL, "cls", "shed jobs")
+    latency(SERVE_LATENCY, "latency by class (modeled ms):")
     if out:
         out.insert(0, "serving:")
     return out
@@ -388,15 +380,15 @@ def verify_summary(collector: Collector) -> list[str]:
     ``fuzz.cases{status}`` -- the coverage view of a ``repro verify`` /
     ``repro fuzz`` run.
     """
-    from .metrics import FUZZ_CASES, VERIFY_CELLS, Counter
+    from .metrics import FUZZ_CASES, VERIFY_CELLS
 
     out: list[str] = []
-    cells = collector.metrics._metrics.get(VERIFY_CELLS)
-    if isinstance(cells, Counter) and cells.series:
+    cells = _series(collector, VERIFY_CELLS)
+    if cells:
         by_status: dict[str, float] = {}
         by_engine: dict[str, float] = {}
         failing: dict[str, float] = {}
-        for key, value in cells.series.items():
+        for key, value in cells:
             labels = dict(key)
             status = labels.get("status", "?")
             by_status[status] = by_status.get(status, 0.0) + value
@@ -413,11 +405,11 @@ def verify_summary(collector: Collector) -> list[str]:
         out.append(f"  by engine: {parts}")
         for cell, value in sorted(failing.items()):
             out.append(f"  FAILING {cell}: {value:g}")
-    fuzz = collector.metrics._metrics.get(FUZZ_CASES)
-    if isinstance(fuzz, Counter) and fuzz.series:
-        total = sum(fuzz.series.values())
+    fuzz = _series(collector, FUZZ_CASES)
+    if fuzz:
+        total = sum(v for _k, v in fuzz)
         parts = ", ".join(f"{dict(k).get('status', '?')}={v:g}"
-                          for k, v in sorted(fuzz.series.items()))
+                          for k, v in fuzz)
         out.append(f"fuzz cases: {total:g} ({parts})")
     if out:
         out.insert(0, "verification:")
@@ -433,14 +425,14 @@ def estimator_summary(collector: Collector) -> list[str]:
     realized modeled-clock cost -- the calibration table ROADMAP
     items 1-2 (autotuner) consume.
     """
-    from .metrics import COST_RESIDUAL, Histogram
+    from .metrics import COST_RESIDUAL
 
-    cr = collector.metrics._metrics.get(COST_RESIDUAL)
-    if not isinstance(cr, Histogram) or not cr.series:
+    cr = _series(collector, COST_RESIDUAL)
+    if not cr:
         return []
     out = ["estimator residuals (modeled actual vs estimate, "
            "relative error):"]
-    for key, series in sorted(cr.series.items()):
+    for key, series in cr:
         labels = dict(key)
         s = series.summary()
         out.append(f"  {labels.get('solver', '?')}/"
@@ -672,3 +664,19 @@ def write_summary(collector: Collector, path: str,
     with open(path, "w") as fh:
         fh.write(text_summary(collector, cost_model))
     return path
+
+
+def write_exports(collector: Collector, export_dir: str) -> list[str]:
+    """Write the four session exports into ``export_dir`` (created if
+    missing) and return their paths in write order: Chrome trace,
+    JSONL events, text summary, Prometheus exposition."""
+    os.makedirs(export_dir, exist_ok=True)
+    return [
+        write_chrome_trace(collector,
+                           os.path.join(export_dir, "serve.trace.json")),
+        write_jsonl(collector, os.path.join(export_dir, "serve.events.jsonl")),
+        write_summary(collector,
+                      os.path.join(export_dir, "serve.summary.txt")),
+        write_prometheus(collector,
+                         os.path.join(export_dir, "serve.metrics.prom")),
+    ]

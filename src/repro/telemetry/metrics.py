@@ -4,9 +4,16 @@ The shapes follow the Prometheus conventions (monotonic counters,
 point-in-time gauges, distribution histograms; a metric is a family of
 label-keyed series) scaled down to a process-local registry: a
 :class:`~repro.telemetry.collector.Collector` owns one registry and the
-instrumented layers -- executor callbacks, cost model, PCIe model --
-feed it.  ``snapshot()`` renders everything to plain dicts for the
-JSONL sink and the text summary.
+instrumented layers -- executor callbacks, cost model, PCIe model,
+serve, resilience, verification -- feed it.  ``snapshot()`` renders
+everything to plain dicts for the JSONL sink and the text summary.
+
+Every family the package emits is declared once, in :data:`METRICS`
+(name -> kind and help text), and written through one path:
+:meth:`MetricsRegistry.record`, or :func:`emit` for the active
+collector.  The declared kind picks the operation (counter ``inc``,
+gauge ``set``, histogram ``observe``); an undeclared name raises, so a
+typo fails loudly instead of starting a new family.
 
 Counters are float-valued on purpose: "modeled milliseconds by
 solver/phase" is a counter in the aggregation sense (only ever added
@@ -30,46 +37,28 @@ from typing import Any, Iterable
 
 LabelKey = tuple[tuple[str, str], ...]
 
-#: Canonical resilience metric names (emitted by
-#: :mod:`repro.resilience.pipeline`, rendered as their own section of
-#: the text summary).
+#: Resilience metric names (:mod:`repro.resilience.pipeline`; rendered
+#: by :func:`repro.telemetry.export.resilience_summary`).
 FALLBACK_TOTAL = "fallback_total"
 RESIDUAL_MAX = "residual_max"
 
-#: Canonical serving-layer metric names (emitted by
-#: :mod:`repro.serve.scheduler` and friends; rendered by
+#: Serving-layer metric names (:mod:`repro.serve`; rendered by
 #: :func:`repro.telemetry.export.serve_summary`).
 BREAKER_TRANSITIONS = "serve.breaker_transitions"
 CHUNK_RETRIES = "serve.chunk_retries"
 DEADLINE_MISSES = "serve.deadline_misses"
 DEGRADED_TOTAL = "serve.degraded_total"
 CHUNKS_TOTAL = "serve.chunks_total"
-
-#: SLO-facing latency distributions (modeled milliseconds, emitted by
-#: :class:`repro.serve.BatchScheduler` through the
-#: :class:`repro.telemetry.slo.SLORegistry`; rendered by
-#: ``repro serve --report`` and the Prometheus exposition).
 SERVE_LATENCY = "serve.latency_ms"
 SERVE_CHUNK_LATENCY = "serve.chunk_ms"
 QUEUE_WAIT = "serve.queue_wait_ms"
 DEADLINE_SLACK = "serve.deadline_slack_ms"
 RETRY_DELAY = "serve.retry_delay_ms"
 SHED_TOTAL = "serve.shed_total"
-
-#: Device-health lifecycle metrics (emitted by
-#: :class:`repro.serve.health.HealthMonitor` and the scheduler's hedged
-#: execution path; rendered in the serve summary and the Prometheus
-#: exposition).
 HEALTH_SCORE = "serve.health_score"
 LIFECYCLE_TRANSITIONS = "serve.lifecycle_transitions"
 HEDGES_TOTAL = "serve.hedges_total"
 CANARY_TOTAL = "serve.canary_total"
-
-#: Multi-tenant front-end metrics (emitted by
-#: :class:`repro.serve.frontend.ServeFrontend`; rendered in the serve
-#: summary and the Prometheus exposition).  ``serve.requests_total``
-#: counts every request by tenant/class/outcome; the quota and
-#: downgrade counters attribute admission-control decisions per tenant.
 FRONTEND_REQUESTS = "serve.requests_total"
 FRONTEND_DEPTH = "serve.frontend_depth"
 REQUEST_LATENCY = "serve.request_latency_ms"
@@ -81,314 +70,82 @@ DOWNGRADES = "serve.downgrades_total"
 #: error ``(actual - estimate) / estimate`` per (solver, layout, n).
 COST_RESIDUAL = "estimator.cost_residual"
 
-#: Canonical verification metric names (emitted by
-#: :mod:`repro.verify`; rendered by
+#: Verification metric names (:mod:`repro.verify`; rendered by
 #: :func:`repro.telemetry.export.verify_summary`).
 VERIFY_CELLS = "verify.cells"
 FUZZ_CASES = "fuzz.cases"
 
+#: The metric catalogue: every family the package emits, as
+#: ``name -> (kind, help)``.  The help text is the exported ``# HELP``
+#: line whoever registers the family first.  To add a metric, add one
+#: row here and call :func:`emit` (labels are the call's keywords).
+METRICS: dict[str, tuple[str, str]] = {
+    # simulator callbacks (Collector) and fault plans
+    "sim.launches": ("counter", "simulated kernel launches"),
+    "sim.blocks_per_sm": ("gauge", "occupancy: resident blocks per SM"),
+    "sim.shared_words": ("counter", "per-block ledger totals"),
+    "sim.global_words": ("counter", "per-block ledger totals"),
+    "sim.flops": ("counter", "per-block ledger totals"),
+    "sim.syncs": ("counter", "per-block ledger totals"),
+    "sim.steps": ("counter", "algorithmic steps"),
+    "sim.conflict_degree": ("histogram", "bank-conflict degree per step"),
+    "sim.launch_retries": ("counter", "transient launch failures retried"),
+    "faults.injected": ("counter", "injected simulated faults"),
+    # cost model, PCIe model, solve()
+    "model.reports": ("counter", "cost-model evaluations"),
+    "model.total_ms": ("counter", "modeled grid time"),
+    "model.phase_ms": ("counter", "modeled time by phase"),
+    "pcie.transfers": ("counter", "modeled cudaMemcpy calls"),
+    "pcie.bytes": ("counter", "bytes over the modeled link"),
+    "pcie.transfer_ms": ("histogram", "per-call modeled time"),
+    "solve.calls": ("counter", "solve() invocations"),
+    "solve.systems": ("counter", "systems solved"),
+    # resilience: {from,to,reason}, {method}
+    FALLBACK_TOTAL: ("counter", "solver fallback escalations"),
+    RESIDUAL_MAX: ("histogram", "max relative residual per solve attempt"),
+    # scheduler
+    BREAKER_TRANSITIONS: ("counter", "circuit breaker state transitions"),
+    CHUNK_RETRIES: ("counter", "chunk retries after device failures"),
+    DEADLINE_MISSES: ("counter", "jobs that missed their deadline"),
+    DEGRADED_TOTAL: ("counter", "chunks degraded to the CPU chain"),
+    CHUNKS_TOTAL: ("counter", "chunks completed by device and status"),
+    SERVE_LATENCY: ("histogram", "modeled job latency by SLO class"),
+    SERVE_CHUNK_LATENCY: ("histogram",
+                          "modeled chunk latency by SLO class and device"),
+    QUEUE_WAIT: ("histogram", "modeled queue wait by SLO class"),
+    DEADLINE_SLACK: ("histogram", "modeled deadline slack by SLO class"),
+    RETRY_DELAY: ("histogram",
+                  "modeled retry backoff by SLO class and device"),
+    SHED_TOTAL: ("counter", "jobs shed at admission by SLO class"),
+    COST_RESIDUAL: ("histogram", "scheduler cost-estimate relative error"),
+    # device health lifecycle and hedging
+    HEALTH_SCORE: ("gauge", "device health score (1 = healthy)"),
+    LIFECYCLE_TRANSITIONS: ("counter", "device health lifecycle transitions"),
+    HEDGES_TOTAL: ("counter", "hedged chunk attempts by outcome"),
+    CANARY_TOTAL: ("counter", "readmission canary solves by result"),
+    # multi-tenant front end
+    FRONTEND_REQUESTS: ("counter", "front-end requests by disposition"),
+    FRONTEND_DEPTH: ("gauge", "requests pending in the serve front end"),
+    REQUEST_LATENCY: ("histogram",
+                      "arrival-to-completion latency by SLO class"),
+    QUOTA_DENIED: ("counter", "requests denied by tenant quota"),
+    QUOTA_TOKENS: ("gauge", "remaining tenant quota tokens"),
+    DOWNGRADES: ("counter", "requests downgraded at admission"),
+    # verification
+    VERIFY_CELLS: ("counter", "differential verification cells by outcome"),
+    FUZZ_CASES: ("counter", "fuzz iterations by outcome"),
+}
 
-def record_fallback(frm: str, to: str, reason: str, count: int = 1) -> None:
-    """Count one solver escalation hop on the active collector.
 
-    ``fallback_total{from,to,reason}`` -- no-op when telemetry is
-    disabled (the lazy import keeps this module cycle-free with
-    :mod:`repro.telemetry.collector`).
-    """
+def emit(name: str, value: float = 1.0, /, **labels: Any) -> None:
+    """Record ``value`` into the declared family ``name`` on the active
+    collector (:meth:`MetricsRegistry.record`); no-op when telemetry is
+    off.  The lazy import keeps this module cycle-free with
+    :mod:`repro.telemetry.collector`."""
     from .collector import get_collector
     col = get_collector()
     if col is not None:
-        col.metrics.counter(
-            FALLBACK_TOTAL, "solver fallback escalations").inc(
-                count, **{"from": frm, "to": to, "reason": reason})
-
-
-def record_residual_max(value: float, method: str) -> None:
-    """Observe a per-attempt worst relative residual
-    (``residual_max{method}``); no-op when telemetry is disabled."""
-    from .collector import get_collector
-    col = get_collector()
-    if col is not None:
-        col.metrics.histogram(
-            RESIDUAL_MAX,
-            "max relative residual per solve attempt").observe(
-                value, method=method)
-
-
-def record_breaker_transition(device: str, frm: str, to: str) -> None:
-    """Count one circuit-breaker state change
-    (``serve.breaker_transitions{device,from,to}``)."""
-    from .collector import get_collector
-    col = get_collector()
-    if col is not None:
-        col.metrics.counter(
-            BREAKER_TRANSITIONS, "circuit breaker state transitions").inc(
-                **{"device": device, "from": frm, "to": to})
-
-
-def record_chunk_retry(device: str, kind: str) -> None:
-    """Count one chunk retry after a device failure
-    (``serve.chunk_retries{device,kind}``)."""
-    from .collector import get_collector
-    col = get_collector()
-    if col is not None:
-        col.metrics.counter(
-            CHUNK_RETRIES, "chunk retries after device failures").inc(
-                device=device, kind=kind)
-
-
-def record_deadline_miss(job_id: str) -> None:
-    """Count one missed job deadline (``serve.deadline_misses{job}``)."""
-    from .collector import get_collector
-    col = get_collector()
-    if col is not None:
-        col.metrics.counter(
-            DEADLINE_MISSES, "jobs that missed their deadline").inc(
-                job=job_id)
-
-
-def record_degraded_solve(reason: str) -> None:
-    """Count one chunk degraded to the CPU chain
-    (``serve.degraded_total{reason}``)."""
-    from .collector import get_collector
-    col = get_collector()
-    if col is not None:
-        col.metrics.counter(
-            DEGRADED_TOTAL, "chunks degraded to the CPU chain").inc(
-                reason=reason)
-
-
-def record_chunk_done(device: str, status: str) -> None:
-    """Count one completed chunk (``serve.chunks_total{device,status}``)."""
-    from .collector import get_collector
-    col = get_collector()
-    if col is not None:
-        col.metrics.counter(
-            CHUNKS_TOTAL, "chunks completed by device and status").inc(
-                device=device, status=status)
-
-
-def record_job_latency(ms: float, cls: str) -> None:
-    """Observe one job's modeled end-to-end latency
-    (``serve.latency_ms{cls}``)."""
-    from .collector import get_collector
-    col = get_collector()
-    if col is not None:
-        col.metrics.histogram(
-            SERVE_LATENCY, "modeled job latency by SLO class").observe(
-                ms, cls=cls)
-
-
-def record_chunk_latency(ms: float, cls: str, device: str) -> None:
-    """Observe one accepted chunk's modeled cost
-    (``serve.chunk_ms{cls,device}``)."""
-    from .collector import get_collector
-    col = get_collector()
-    if col is not None:
-        col.metrics.histogram(
-            SERVE_CHUNK_LATENCY,
-            "modeled chunk latency by SLO class and device").observe(
-                ms, cls=cls, device=device)
-
-
-def record_queue_wait(ms: float, cls: str) -> None:
-    """Observe one job's modeled admission-to-dispatch wait
-    (``serve.queue_wait_ms{cls}``)."""
-    from .collector import get_collector
-    col = get_collector()
-    if col is not None:
-        col.metrics.histogram(
-            QUEUE_WAIT, "modeled queue wait by SLO class").observe(
-                ms, cls=cls)
-
-
-def record_deadline_slack(ms: float, cls: str) -> None:
-    """Observe one deadline job's remaining budget at completion,
-    negative on a miss (``serve.deadline_slack_ms{cls}``)."""
-    from .collector import get_collector
-    col = get_collector()
-    if col is not None:
-        col.metrics.histogram(
-            DEADLINE_SLACK,
-            "modeled deadline slack by SLO class").observe(ms, cls=cls)
-
-
-def record_retry_delay(ms: float, cls: str, device: str) -> None:
-    """Observe one jittered retry backoff
-    (``serve.retry_delay_ms{cls,device}``)."""
-    from .collector import get_collector
-    col = get_collector()
-    if col is not None:
-        col.metrics.histogram(
-            RETRY_DELAY,
-            "modeled retry backoff by SLO class and device").observe(
-                ms, cls=cls, device=device)
-
-
-def record_shed(cls: str, reason: str, tenant: str = "default") -> None:
-    """Count one load-shed (admission-rejected) job
-    (``serve.shed_total{cls,reason,tenant}``)."""
-    from .collector import get_collector
-    col = get_collector()
-    if col is not None:
-        col.metrics.counter(
-            SHED_TOTAL, "jobs shed at admission by SLO class").inc(
-                cls=cls, reason=reason, tenant=tenant)
-
-
-def record_request(tenant: str, cls: str, outcome: str) -> None:
-    """Count one front-end request by final disposition
-    (``serve.requests_total{tenant,cls,outcome}``); ``outcome`` is
-    ``completed`` | ``shed`` | ``failed``."""
-    from .collector import get_collector
-    col = get_collector()
-    if col is not None:
-        col.metrics.counter(
-            FRONTEND_REQUESTS, "front-end requests by disposition").inc(
-                tenant=tenant, cls=cls, outcome=outcome)
-
-
-def record_frontend_depth(depth: int) -> None:
-    """Gauge the front end's pending-request depth (WFQ backlog plus
-    the bounded scheduler hand-off; ``serve.frontend_depth``)."""
-    from .collector import get_collector
-    col = get_collector()
-    if col is not None:
-        col.metrics.gauge(
-            FRONTEND_DEPTH,
-            "requests pending in the serve front end").set(depth)
-
-
-def record_request_latency(ms: float, cls: str) -> None:
-    """Observe one request's arrival-to-completion modeled latency
-    (``serve.request_latency_ms{cls}``)."""
-    from .collector import get_collector
-    col = get_collector()
-    if col is not None:
-        col.metrics.histogram(
-            REQUEST_LATENCY,
-            "arrival-to-completion latency by SLO class").observe(
-                ms, cls=cls)
-
-
-def record_quota_denied(tenant: str) -> None:
-    """Count one token-bucket quota denial
-    (``serve.quota_denied_total{tenant}``)."""
-    from .collector import get_collector
-    col = get_collector()
-    if col is not None:
-        col.metrics.counter(
-            QUOTA_DENIED, "requests denied by tenant quota").inc(
-                tenant=tenant)
-
-
-def record_quota_tokens(tenant: str, tokens: float) -> None:
-    """Gauge one tenant's remaining quota tokens in modeled
-    milliseconds of work (``serve.quota_tokens{tenant}``)."""
-    from .collector import get_collector
-    col = get_collector()
-    if col is not None:
-        col.metrics.gauge(
-            QUOTA_TOKENS, "remaining tenant quota tokens").set(
-                tokens, tenant=tenant)
-
-
-def record_downgrade(tenant: str, frm: str, to: str) -> None:
-    """Count one admission-control class downgrade
-    (``serve.downgrades_total{tenant,from,to}``)."""
-    from .collector import get_collector
-    col = get_collector()
-    if col is not None:
-        col.metrics.counter(
-            DOWNGRADES, "requests downgraded at admission").inc(
-                **{"tenant": tenant, "from": frm, "to": to})
-
-
-def record_health_score(device: str, score: float) -> None:
-    """Gauge one device's current health score in [0, 1]
-    (``serve.health_score{device}``); 1 is perfectly healthy."""
-    from .collector import get_collector
-    col = get_collector()
-    if col is not None:
-        col.metrics.gauge(
-            HEALTH_SCORE, "device health score (1 = healthy)").set(
-                score, device=device)
-
-
-def record_lifecycle_transition(device: str, frm: str, to: str) -> None:
-    """Count one device-lifecycle state change
-    (``serve.lifecycle_transitions{device,from,to}``)."""
-    from .collector import get_collector
-    col = get_collector()
-    if col is not None:
-        col.metrics.counter(
-            LIFECYCLE_TRANSITIONS,
-            "device health lifecycle transitions").inc(
-                **{"device": device, "from": frm, "to": to})
-
-
-def record_hedge(device: str, outcome: str) -> None:
-    """Count one hedged chunk attempt by its fate
-    (``serve.hedges_total{device,outcome}``; outcomes: ``launched`` |
-    ``won`` | ``cancelled`` | ``failed``)."""
-    from .collector import get_collector
-    col = get_collector()
-    if col is not None:
-        col.metrics.counter(
-            HEDGES_TOTAL, "hedged chunk attempts by outcome").inc(
-                device=device, outcome=outcome)
-
-
-def record_canary(device: str, result: str) -> None:
-    """Count one readmission canary solve
-    (``serve.canary_total{device,result}``; results: ``ok`` |
-    ``residual`` | ``latency`` | ``fault``)."""
-    from .collector import get_collector
-    col = get_collector()
-    if col is not None:
-        col.metrics.counter(
-            CANARY_TOTAL, "readmission canary solves by result").inc(
-                device=device, result=result)
-
-
-def record_cost_residual(solver: str, layout: str, n: int,
-                         residual: float) -> None:
-    """Observe one modeled-vs-actual cost residual
-    (``estimator.cost_residual{solver,layout,n}``).
-
-    ``residual`` is the signed relative error
-    ``(actual_ms - estimate_ms) / estimate_ms`` -- the calibration
-    signal the autotuner roadmap items need.
-    """
-    from .collector import get_collector
-    col = get_collector()
-    if col is not None:
-        col.metrics.histogram(
-            COST_RESIDUAL,
-            "scheduler cost-estimate relative error").observe(
-                residual, solver=solver, layout=layout, n=n)
-
-
-def record_verify_cell(status: str, solver: str, matrix_class: str,
-                       engine: str) -> None:
-    """Count one differential-verification cell outcome
-    (``verify.cells{status,solver,matrix_class,engine}``)."""
-    from .collector import get_collector
-    col = get_collector()
-    if col is not None:
-        col.metrics.counter(
-            VERIFY_CELLS, "differential verification cells by outcome").inc(
-                status=status, solver=solver, matrix_class=matrix_class,
-                engine=engine)
-
-
-def record_fuzz_case(status: str) -> None:
-    """Count one fuzz iteration outcome (``fuzz.cases{status}``)."""
-    from .collector import get_collector
-    col = get_collector()
-    if col is not None:
-        col.metrics.counter(
-            FUZZ_CASES, "fuzz iterations by outcome").inc(status=status)
+        col.metrics.record(name, value, **labels)
 
 
 def _labelkey(labels: dict[str, Any]) -> LabelKey:
@@ -677,6 +434,11 @@ class _ReferenceHistogram:
         return _reference_summarize(self.values(**labels))
 
 
+#: Declared kind -> (family class, write operation).
+_KINDS = {"counter": (Counter, "inc"), "gauge": (Gauge, "set"),
+          "histogram": (Histogram, "observe")}
+
+
 class MetricsRegistry:
     """Lazily-created, name-keyed metric families."""
 
@@ -686,6 +448,12 @@ class MetricsRegistry:
     def _get(self, cls, name: str, help: str):
         metric = self._metrics.get(name)
         if metric is None:
+            declared = METRICS.get(name)
+            if declared is not None:
+                kind, help = declared
+                if _KINDS[kind][0] is not cls:
+                    raise TypeError(f"metric {name!r} is declared as a "
+                                    f"{kind}, not {cls.__name__}")
             metric = cls(name=name, help=help)
             self._metrics[name] = metric
         elif not isinstance(metric, cls):
@@ -693,6 +461,19 @@ class MetricsRegistry:
                 f"metric {name!r} already registered as "
                 f"{type(metric).__name__}, not {cls.__name__}")
         return metric
+
+    def record(self, name: str, value: float = 1.0, /,
+               **labels: Any) -> None:
+        """The one write path: apply ``value`` to the declared family
+        ``name`` by its catalogue kind (counter ``inc``, gauge ``set``,
+        histogram ``observe``).  Raises :class:`KeyError` for a name
+        missing from :data:`METRICS`."""
+        declared = METRICS.get(name)
+        if declared is None:
+            raise KeyError(f"undeclared metric {name!r}: add it to "
+                           f"repro.telemetry.metrics.METRICS")
+        cls, op = _KINDS[declared[0]]
+        getattr(self._get(cls, name, ""), op)(value, **labels)
 
     def counter(self, name: str, help: str = "") -> Counter:
         return self._get(Counter, name, help)
@@ -702,6 +483,11 @@ class MetricsRegistry:
 
     def histogram(self, name: str, help: str = "") -> Histogram:
         return self._get(Histogram, name, help)
+
+    def get(self, name: str) -> Counter | Gauge | Histogram | None:
+        """The family registered as ``name``, or ``None``; its type is
+        the catalogue kind for every declared name."""
+        return self._metrics.get(name)
 
     def __contains__(self, name: str) -> bool:
         return name in self._metrics

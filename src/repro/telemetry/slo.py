@@ -7,10 +7,15 @@ objective on the modeled clock), and an :class:`SLORegistry` folds each
 finished/shed job into streaming histograms and attribution counters.
 
 The registry owns its own :class:`~repro.telemetry.metrics.Histogram`
-instances, so it works with or without an active telemetry collector;
-when one *is* active the scheduler additionally mirrors the same
-observations into collector metrics (``serve.latency_ms`` et al.) so
-they appear in exports and snapshots.
+instances, so it works with or without an active telemetry collector.
+When one *is* active, the registry mirrors three of its observations
+into collector metrics itself, so they appear in exports and snapshots:
+queue wait (``serve.queue_wait_ms``), sheds (``serve.shed_total``) and
+deadline slack (``serve.deadline_slack_ms``).  The class latency here
+runs from arrival to finish (from start, for a job submitted without an
+arrival time), the span of the front end's ``serve.request_latency_ms``;
+the scheduler's ``serve.latency_ms`` is a different quantity, the job's
+makespan (start to finish), and is emitted separately.
 
 Burn rate follows the usual SRE definition: the fraction of requests
 that violated the objective divided by the budgeted violation fraction
@@ -23,7 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .metrics import Histogram
+from .metrics import (DEADLINE_SLACK, QUEUE_WAIT, SHED_TOTAL, Histogram,
+                      emit)
 
 
 @dataclass(frozen=True)
@@ -135,6 +141,7 @@ class SLORegistry:
             st.deadline_misses += 1
         if deadline_slack_ms is not None:
             st.deadline_slack.observe(deadline_slack_ms)
+            emit(DEADLINE_SLACK, deadline_slack_ms, cls=cls)
         if tenant is not None:
             row = st.tenant_row(tenant)
             row["jobs"] += 1
@@ -142,10 +149,14 @@ class SLORegistry:
 
     def record_queue_wait(self, cls: str, wait_ms: float) -> None:
         self._state(cls).queue_wait.observe(wait_ms)
+        emit(QUEUE_WAIT, wait_ms, cls=cls)
 
     def record_shed(self, cls: str, reason: str,
                     tenant: str | None = None) -> None:
-        """Job rejected at admission (never ran)."""
+        """Job rejected at admission (never ran); the metric mirror
+        labels an unattributed shed ``tenant=default``."""
+        emit(SHED_TOTAL, cls=cls, reason=reason,
+             tenant="default" if tenant is None else tenant)
         st = self._state(cls)
         st.shed += 1
         st.shed_reasons[reason] = st.shed_reasons.get(reason, 0) + 1

@@ -31,7 +31,7 @@ from repro.kernels.api import plan_launch
 from repro.solvers import layout as _layout
 from repro.solvers.api import SOLVERS, solve
 from repro.solvers.systems import TridiagonalSystems
-from repro.telemetry.metrics import record_verify_cell
+from repro.telemetry.metrics import COST_RESIDUAL, VERIFY_CELLS, emit
 
 from .budgets import Budget, budget_for
 from .generators import VERIFY_CLASSES, generate
@@ -226,7 +226,6 @@ def _record_cost_residual(spec: CellSpec, traced) -> None:
         return
     from repro.gpusim.estimator import estimate_ms
     from repro.gpusim.gt200 import gt200_cost_model
-    from repro.telemetry.metrics import record_cost_residual
     try:
         estimate = estimate_ms(spec.solver, spec.n, spec.num_systems,
                                layout=_sim_layout(spec))
@@ -234,8 +233,8 @@ def _record_cost_residual(spec: CellSpec, traced) -> None:
     except Exception:      # estimation must never fail a verify cell
         return
     if estimate > 0:
-        record_cost_residual(spec.solver, spec.layout, spec.n,
-                             (actual - estimate) / estimate)
+        emit(COST_RESIDUAL, (actual - estimate) / estimate,
+             solver=spec.solver, layout=spec.layout, n=spec.n)
 
 
 def judge(spec: CellSpec, budget: Budget,
@@ -275,8 +274,8 @@ def judge(spec: CellSpec, budget: Budget,
 
 
 def _record(cell: CellResult) -> CellResult:
-    record_verify_cell(cell.status, cell.spec.solver,
-                       cell.spec.matrix_class, cell.spec.engine)
+    emit(VERIFY_CELLS, status=cell.status, solver=cell.spec.solver,
+         matrix_class=cell.spec.matrix_class, engine=cell.spec.engine)
     return cell
 
 

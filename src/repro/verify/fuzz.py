@@ -38,7 +38,7 @@ import numpy as np
 from repro.gpusim.pool import derive_seed
 from repro.solvers.api import POWER_OF_TWO_METHODS, SOLVERS
 from repro.solvers.systems import TridiagonalSystems
-from repro.telemetry.metrics import record_fuzz_case
+from repro.telemetry.metrics import FUZZ_CASES, emit
 
 from .differential import (NUMPY_LAYOUTS, SIM_KERNELS, SIM_LAYOUT_AWARE,
                            CellResult, CellSpec, verify_cell)
@@ -316,8 +316,8 @@ def run_fuzz(seed: int = 0, iters: int = 100, corpus_dir=None,
         for path in sorted(corpus.glob("*.json")):
             result = replay_repro(path)
             report.corpus_replayed += 1
-            record_fuzz_case("corpus_fail" if result.status == "fail"
-                             else "corpus_pass")
+            emit(FUZZ_CASES, status=("corpus_fail" if result.status == "fail"
+                                     else "corpus_pass"))
             if result.status == "fail":
                 report.corpus_failures.append(str(path))
 
@@ -325,7 +325,7 @@ def run_fuzz(seed: int = 0, iters: int = 100, corpus_dir=None,
         case = draw_case(i, seed)
         result = verify_cell(case.spec)
         report.iterations += 1
-        record_fuzz_case(result.status)
+        emit(FUZZ_CASES, status=result.status)
         if progress is not None:
             progress(case, result)
         if result.status != "fail":

@@ -91,20 +91,19 @@ class TestResilienceHelpers:
 
     def test_noop_without_collector(self):
         from repro import telemetry
-        from repro.telemetry.metrics import (record_fallback,
-                                             record_residual_max)
+        from repro.telemetry.metrics import FALLBACK_TOTAL, RESIDUAL_MAX, emit
         assert not telemetry.enabled()
-        record_fallback("cr_pcr", "pcr", "residual")    # must not raise
-        record_residual_max(1e-7, "cr_pcr")
+        emit(FALLBACK_TOTAL, **{"from": "cr_pcr", "to": "pcr",
+                                "reason": "residual"})    # must not raise
+        emit(RESIDUAL_MAX, 1e-7, method="cr_pcr")
 
     def test_recorded_under_collector(self):
         from repro import telemetry
-        from repro.telemetry.metrics import (FALLBACK_TOTAL, RESIDUAL_MAX,
-                                             record_fallback,
-                                             record_residual_max)
+        from repro.telemetry.metrics import FALLBACK_TOTAL, RESIDUAL_MAX, emit
         with telemetry.collect() as col:
-            record_fallback("cr_pcr", "pcr", "corruption", count=3)
-            record_residual_max(0.25, "pcr")
+            emit(FALLBACK_TOTAL, 3, **{"from": "cr_pcr", "to": "pcr",
+                                       "reason": "corruption"})
+            emit(RESIDUAL_MAX, 0.25, method="pcr")
         c = col.metrics.counter(FALLBACK_TOTAL, "")
         assert c.value(**{"from": "cr_pcr", "to": "pcr",
                           "reason": "corruption"}) == 3
@@ -114,11 +113,113 @@ class TestResilienceHelpers:
 
     def test_rendered_in_text_summary(self):
         from repro import telemetry
-        from repro.telemetry.metrics import (record_fallback,
-                                             record_residual_max)
+        from repro.telemetry.metrics import FALLBACK_TOTAL, RESIDUAL_MAX, emit
         with telemetry.collect() as col:
-            record_fallback("cr_pcr", "gep", "unstable")
-            record_residual_max(1e-6, "gep")
+            emit(FALLBACK_TOTAL, **{"from": "cr_pcr", "to": "gep",
+                                    "reason": "unstable"})
+            emit(RESIDUAL_MAX, 1e-6, method="gep")
         text = telemetry.text_summary(col)
         assert "cr_pcr -> gep [unstable]: 1" in text
         assert "gep:" in text
+
+
+class TestCatalogue:
+    """One declaration per family (METRICS), one write path (record)."""
+
+    def test_record_dispatches_on_declared_kind(self):
+        reg = MetricsRegistry()
+        reg.record("pcie.transfers")
+        reg.record("pcie.transfers", 2)
+        reg.record("serve.frontend_depth", 5)
+        reg.record("serve.frontend_depth", 3)
+        reg.record("pcie.transfer_ms", 0.5)
+        assert reg.counter("pcie.transfers").value() == 3.0
+        assert reg.gauge("serve.frontend_depth").value() == 3.0
+        assert reg.histogram("pcie.transfer_ms").count() == 1
+
+    def test_record_undeclared_name_raises(self):
+        reg = MetricsRegistry()
+        with pytest.raises(KeyError):
+            reg.record("pcie.transfer")          # typo of pcie.transfers
+        assert "pcie.transfer" not in reg
+
+    def test_emit_undeclared_name_raises(self):
+        from repro import telemetry
+        from repro.telemetry.metrics import emit
+        with telemetry.collect():
+            with pytest.raises(KeyError):
+                emit("serve.shed")
+
+    def test_emit_without_collector_is_noop(self):
+        from repro import telemetry
+        from repro.telemetry.metrics import emit
+        assert not telemetry.enabled()
+        emit("serve.shed_total", cls="standard", reason="capacity",
+             tenant="t0")
+        emit("not.declared")                     # nothing to record into
+
+    def test_declared_kind_is_enforced_for_readers(self):
+        reg = MetricsRegistry()
+        with pytest.raises(TypeError):
+            reg.counter("serve.latency_ms")
+        assert reg.get("serve.latency_ms") is None
+
+    def test_get_returns_family_or_none(self):
+        reg = MetricsRegistry()
+        assert reg.get("sim.steps") is None
+        reg.record("sim.steps", phase="fwd")
+        assert reg.get("sim.steps") is reg.counter("sim.steps")
+
+    def test_help_comes_from_catalogue_when_reader_registers_first(self):
+        from repro import telemetry
+        from repro.telemetry.export import prometheus_text
+        from repro.telemetry.metrics import FALLBACK_TOTAL, METRICS, emit
+        with telemetry.collect() as col:
+            col.metrics.counter(FALLBACK_TOTAL, "")  # a reader, first
+            emit(FALLBACK_TOTAL, **{"from": "cr_pcr", "to": "pcr",
+                                    "reason": "residual"})
+        help_text = METRICS[FALLBACK_TOTAL][1]
+        assert col.metrics.get(FALLBACK_TOTAL).help == help_text
+        assert (f"# HELP repro_fallback_total {help_text}\n"
+                in prometheus_text(col))
+
+    def test_every_exported_family_is_declared_with_its_kind(
+            self, tmp_path, capsys):
+        import json
+        from pathlib import Path
+
+        from repro.cli import main
+        from repro.telemetry.export import _prom_name, prometheus_text
+        from repro.telemetry.metrics import METRICS
+        from repro.telemetry.profile import run_profile
+
+        golden = json.loads(
+            (Path(__file__).parents[1] / "data"
+             / "telemetry_export_digests.json").read_text())
+        texts = [prometheus_text(
+            run_profile(quick=True, outdir=str(tmp_path)).collector)]
+        for case, spec in sorted(golden["serve"].items()):
+            out_dir = tmp_path / case
+            assert main(spec["argv"] + ["--export-dir", str(out_dir)]) == 0
+            texts.append((out_dir / "serve.metrics.prom").read_text())
+        capsys.readouterr()
+
+        declared = {}
+        for name, (kind, _help) in METRICS.items():
+            prom = _prom_name(name)
+            if kind == "counter" and not prom.endswith("_total"):
+                prom += "_total"
+            declared[prom] = kind
+        exported = {}
+        for text in texts:
+            for line in text.splitlines():
+                if line.startswith("# TYPE "):
+                    _, _, prom, kind = line.split()
+                    exported[prom] = kind
+        assert exported and set(exported) <= set(declared)
+        assert {p: declared[p] for p in exported} == exported
+        # the exports exercise the instrumented layers, not a sliver
+        for prefix in ("repro_sim_", "repro_pcie_", "repro_model_",
+                       "repro_serve_breaker", "repro_serve_hedges",
+                       "repro_serve_lifecycle", "repro_faults_"):
+            assert any(p.startswith(prefix) for p in exported), prefix

@@ -150,3 +150,38 @@ class TestReporting:
         self.fill(a)
         self.fill(b)
         assert a.report() == b.report()
+
+
+class TestMetricMirrors:
+    """The registry emits its three collector metrics itself."""
+
+    def test_mirrors_land_in_the_active_collector(self):
+        from repro import telemetry
+        from repro.telemetry.metrics import (DEADLINE_SLACK, QUEUE_WAIT,
+                                             SHED_TOTAL)
+        reg = SLORegistry()
+        with telemetry.collect() as col:
+            reg.record_queue_wait("interactive", 0.5)
+            reg.record_job("batch", 450.0, "ok", deadline_slack_ms=-2.0)
+            reg.record_job("batch", 10.0, "ok")     # no deadline: no slack
+            reg.record_shed("standard", "capacity", tenant="t1")
+            reg.record_shed("standard", "capacity")
+        m = col.metrics
+        assert m.histogram(QUEUE_WAIT).summary(cls="interactive")["sum"] \
+            == 0.5
+        assert m.histogram(DEADLINE_SLACK).count(cls="batch") == 1
+        assert m.histogram(DEADLINE_SLACK).summary(cls="batch")["min"] \
+            == -2.0
+        shed = m.counter(SHED_TOTAL)
+        assert shed.value(cls="standard", reason="capacity",
+                          tenant="t1") == 1
+        assert shed.value(cls="standard", reason="capacity",
+                          tenant="default") == 1
+
+    def test_no_collector_no_metrics(self):
+        from repro import telemetry
+        assert not telemetry.enabled()
+        reg = SLORegistry()
+        reg.record_queue_wait("standard", 1.0)      # must not raise
+        reg.record_shed("standard", "capacity")
+        assert reg.snapshot()["standard"]["shed"] == 1
