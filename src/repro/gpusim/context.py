@@ -292,16 +292,20 @@ class BlockContext:
                 f"this large need the global-memory fallback path (paper §4)")
         return arr
 
-    def _shared_access(self, arrs, idx, cost_idx) -> np.ndarray:
+    def _shared_access(self, arrs, idx, cost_idx):
         """Check ``idx`` (and ``cost_idx``) against every array in
         ``arrs``; when recording, charge the cost pattern once per
-        array.  Returns the lane-checked ``idx``."""
+        array.  Returns the engine's selector for ``idx``.
+
+        The check must come first: the vectorized engine moves data by
+        slices, and a slice clips or wraps out-of-range words silently
+        where fancy indexing would raise."""
         idx = self._check_lane_shape(idx)
-        mn, mx = self.engine.idx_span(idx)
+        mn, mx, sel = self.engine.idx_pattern(idx)
         cost = idx
         if cost_idx is not None:
             cost = self._check_lane_shape(cost_idx)
-            cmn, cmx = self.engine.idx_span(cost)
+            cmn, cmx, _ = self.engine.idx_pattern(cost)
             mn, mx = min(mn, cmn), max(mx, cmx)
         for arr in arrs:
             if mn < 0 or mx >= arr.words:
@@ -309,7 +313,7 @@ class BlockContext:
                     f"shared access out of bounds: [{mn}, {mx}] "
                     f"in array of {arr.words} words")
         if not self.record_trace:
-            return idx
+            return sel
         info = self._active
         cycles, half_warps = self.engine.shared_cost(cost, info, self.device)
         pc = self._pc()
@@ -338,11 +342,12 @@ class BlockContext:
         pc.shared_instructions += half_warps * repeat
         for _ in range(repeat):
             pc.latency_units += exposure
-        return idx
+        return sel
 
-    def _zeros(self, idx: np.ndarray) -> np.ndarray:
+    def _zeros(self) -> np.ndarray:
         # A charge-only load: the data path is skipped.
-        return np.zeros((self.num_blocks, idx.size), dtype=self.dtype)
+        return np.zeros((self.num_blocks, self.active_count),
+                        dtype=self.dtype)
 
     def sload(self, arr: SharedArray, idx: np.ndarray,
               cost_idx: np.ndarray | None = None) -> np.ndarray:
@@ -374,11 +379,11 @@ class BlockContext:
         """
         if not arrs:
             return ()
-        idx = self._shared_access(arrs, idx, cost_idx)
+        sel = self._shared_access(arrs, idx, cost_idx)
         if not self.functional:
-            return tuple([self._zeros(idx) for _ in arrs])
+            return tuple([self._zeros() for _ in arrs])
         gather = self.engine.shared_gather
-        return tuple([gather(arr, idx) for arr in arrs])
+        return tuple([gather(arr, sel) for arr in arrs])
 
     def sstore(self, arr: SharedArray, idx: np.ndarray, values: np.ndarray,
                cost_idx: np.ndarray | None = None) -> None:
@@ -400,11 +405,11 @@ class BlockContext:
                 f"{len(arrs)} arrays but {len(values_seq)} value sets")
         if not arrs:
             return
-        idx = self._shared_access(arrs, idx, cost_idx)
+        sel = self._shared_access(arrs, idx, cost_idx)
         if not self.functional:
             return
         for arr, values in zip(arrs, values_seq):
-            self.engine.shared_scatter(arr, idx,
+            self.engine.shared_scatter(arr, sel,
                                        np.asarray(values, dtype=self.dtype))
 
     # ------------------------------------------------------------------
@@ -420,8 +425,8 @@ class BlockContext:
         idx = self._check_lane_shape(idx)
         bases = np.asarray(block_bases, dtype=np.int64)
         if idx.size and bases.size:
-            mn, mx = self.engine.idx_span(idx)
-            bmn, bmx = self.engine.idx_span(bases)
+            mn, mx, _ = self.engine.idx_pattern(idx)
+            bmn, bmx, _ = self.engine.idx_pattern(bases)
             mn, mx = mn + bmn, mx + bmx
             for arr in arrs:
                 if mn < 0 or mx >= arr.words:
@@ -474,7 +479,7 @@ class BlockContext:
         """
         bases, idx = self._global_access(arrs, block_bases, idx)
         if not self.functional:
-            return tuple([self._zeros(idx) for _ in arrs])
+            return tuple([self._zeros() for _ in arrs])
         gather = self.engine.global_gather
         return tuple([gather(arr, bases, idx).astype(self.dtype, copy=False)
                       for arr in arrs])

@@ -61,18 +61,6 @@ class CostModelParams:
     #: co-residents (0 = no overlap, 1 = perfect overlap).
     latency_hiding: float = 0.35
 
-    def feature_costs(self) -> dict[str, float]:
-        return {
-            "shared_cycles": self.shared_cycle_ns,
-            "latency_units": self.shared_latency_ns,
-            "global_transactions": self.global_transaction_ns,
-            "global_words": self.global_word_ns,
-            "warp_instructions": self.warp_issue_ns,
-            "divs": self.div_ns,
-            "syncs": self.sync_ns,
-            "steps": self.step_ns,
-        }
-
 
 @dataclass
 class PhaseTime:

@@ -23,6 +23,14 @@ granularity for the active lane set -- factors through an *engine*:
     pattern on all four coefficient arrays.  Coalescing cost is
     invariant only under segment-aligned shifts, so the global key
     subtracts ``(min(idx) // words_per_segment) * words_per_segment``.
+  - **Index patterns** are keyed by their raw bytes in one pattern
+    memo (:meth:`VectorizedEngine.idx_pattern`): one hash gives the
+    span the context bounds-checks and a *selector*, the pattern as
+    one or two constant-step runs of basic slices.  Shared memory
+    moves by those slices.  Every gather returns a fresh C-ordered
+    plane -- never a view, since kernels write into what they load,
+    and never the F-ordered plane fancy indexing returns, which slows
+    every float32 op that mixes it with C-ordered operands.
 
 * :class:`ReferenceEngine` is the property-test oracle: per-lane,
   per-block Python loops for data movement, the ``_reference_*`` loop
@@ -37,8 +45,10 @@ Both engines feed the *same* charging formulas in
 are sensitive to accumulation order), so equality of the integer cost
 primitives implies bitwise equality of the ledgers.
 The context bounds-checks every access before an engine moves data,
-so the vectorized gathers/scatters index ``arr.data`` directly; the
-oracle keeps its own checked loops.
+so the vectorized gathers/scatters use ``arr.data`` directly; the
+oracle keeps its own checked loops on the index array.  The check is
+load-bearing for slices: where fancy indexing raises, a slice past the
+end clips and one from a negative start wraps, silently.
 """
 
 from __future__ import annotations
@@ -51,6 +61,45 @@ from .memory import (GlobalArray, SharedArray, bank_conflict_cycles,
                      _reference_bank_conflict_cycles,
                      _reference_coalesced_transactions)
 from .warp import divergence_penalty_warps, is_contiguous_range, warps_touched
+
+
+def _selector(idx: np.ndarray):
+    """The slice form of an index pattern, for moving shared planes.
+
+    The pattern is split greedily into constant-step runs of lanes.
+    One run with a nonzero step is a basic ``slice`` of words.  Up to
+    two runs give a tuple of ``(lanes, words, src)`` slices, one per
+    run: a gather copies ``words`` into ``lanes``, a scatter copies the
+    values' ``src`` lanes into ``words``.  A step-0 run reads one word
+    as a broadcast column and writes its last lane, as fancy
+    assignment does.  A longer pattern keeps a read-only copy of the
+    index array.
+    """
+    runs = []
+    a, k = 0, idx.size
+    while a < k:
+        if len(runs) == 2:
+            frozen = idx.copy()
+            frozen.setflags(write=False)
+            return frozen
+        first, step, b = int(idx[a]), 1, a + 1
+        if b < k:
+            d = np.diff(idx[a:])
+            bad = np.flatnonzero(d != d[0])
+            step = int(d[0])
+            b += int(bad[0]) if bad.size else d.size
+        if step == 0:
+            runs.append((slice(a, b), slice(first, first + 1),
+                         slice(b - 1, b)))
+        else:
+            stop = first + step * (b - a)
+            runs.append((slice(a, b),
+                         slice(first, stop if stop >= 0 else None, step),
+                         slice(a, b)))
+        a = b
+    if len(runs) == 1 and runs[0][1].step is not None:
+        return runs[0][1]       # one run with a nonzero step
+    return tuple(runs) if runs else slice(0, 0)
 
 
 class ActiveInfo:
@@ -87,10 +136,11 @@ class VectorizedEngine:
     _shared_cost_cache: dict = {}
     #: (device, lanes-key, canonical global pattern) -> transactions
     _global_cost_cache: dict = {}
-    #: index-pattern bytes -> (min, max).  Bounds checks reduce the
-    #: same few patterns thousands of times per grid; a byte-keyed
-    #: memo replaces two ufunc reductions with one hash.
-    _span_cache: dict = {}
+    #: index-pattern bytes -> (min, max, selector): the one pattern
+    #: memo.  Bounds checks and data movement see the same few
+    #: patterns thousands of times per grid; one hash gives both the
+    #: span and the slice form (see :func:`_selector`).
+    _pattern_cache: dict = {}
 
     # -- active-set geometry -------------------------------------------
 
@@ -125,19 +175,19 @@ class VectorizedEngine:
 
     # -- pattern costs -------------------------------------------------
 
-    def idx_span(self, idx: np.ndarray) -> tuple[int, int]:
-        """Memoized ``(min, max)`` of an index pattern; ``(0, -1)``
-        when empty (so ``max < words`` holds vacuously).  Keyed on the
-        raw bytes -- unlike the cost memos, a span is not
-        shift-invariant."""
-        if idx.size == 0:
-            return (0, -1)
+    def idx_pattern(self, idx: np.ndarray) -> tuple:
+        """Memoized ``(min, max, selector)`` of an index pattern;
+        ``(0, -1, ...)`` when empty (so ``max < words`` holds
+        vacuously).  Keyed on the raw bytes -- unlike the cost memos,
+        neither the span nor the selector is shift-invariant.  The
+        selector is only valid once the span has been checked: a slice
+        clips or wraps where fancy indexing would raise."""
         key = idx.tobytes()
-        span = self._span_cache.get(key)
-        if span is None:
-            span = (int(idx.min()), int(idx.max()))
-            self._span_cache[key] = span
-        return span
+        entry = self._pattern_cache.get(key)
+        if entry is None:
+            lo, hi = (int(idx.min()), int(idx.max())) if idx.size else (0, -1)
+            entry = self._pattern_cache[key] = (lo, hi, _selector(idx))
+        return entry
 
     def shared_cost(self, idx: np.ndarray, info: ActiveInfo,
                     device: DeviceSpec) -> tuple[int, int]:
@@ -178,12 +228,28 @@ class VectorizedEngine:
 
     # -- data movement -------------------------------------------------
 
-    def shared_gather(self, arr: SharedArray, idx: np.ndarray) -> np.ndarray:
-        return arr.data[:, idx]
+    def shared_gather(self, arr: SharedArray, sel) -> np.ndarray:
+        """A fresh C-ordered ``(num_blocks, lanes)`` plane: never a
+        view, since kernels write into what they load."""
+        if type(sel) is slice:
+            return arr.data[:, sel].copy()
+        if type(sel) is tuple:
+            out = np.empty((arr.data.shape[0], sel[-1][0].stop),
+                           dtype=arr.data.dtype)
+            for lanes, words, _ in sel:
+                out[:, lanes] = arr.data[:, words]
+            return out
+        return arr.data.take(sel, axis=1)
 
-    def shared_scatter(self, arr: SharedArray, idx: np.ndarray,
+    def shared_scatter(self, arr: SharedArray, sel,
                        values: np.ndarray) -> None:
-        arr.data[:, idx] = values
+        if type(sel) is tuple:
+            values = np.broadcast_to(
+                values, (arr.data.shape[0], sel[-1][0].stop))
+            for _, words, src in sel:
+                arr.data[:, words] = values[:, src]
+        else:
+            arr.data[:, sel] = values
 
     def global_gather(self, arr: GlobalArray, block_bases: np.ndarray,
                       idx: np.ndarray) -> np.ndarray:
@@ -252,12 +318,13 @@ class ReferenceEngine:
     # -- pattern costs -------------------------------------------------
 
     @staticmethod
-    def idx_span(idx: np.ndarray) -> tuple[int, int]:
-        """Span by direct loop; the oracle never memoizes."""
+    def idx_pattern(idx: np.ndarray) -> tuple:
+        """Span by direct loop; the selector is the index array itself
+        (the oracle moves data lane by lane and never memoizes)."""
         if idx.size == 0:
-            return (0, -1)
+            return (0, -1, idx)
         ids = [int(i) for i in idx]
-        return (min(ids), max(ids))
+        return (min(ids), max(ids), idx)
 
     def shared_cost(self, idx: np.ndarray, info: ActiveInfo,
                     device: DeviceSpec) -> tuple[int, int]:
@@ -335,4 +402,4 @@ def clear_pattern_caches() -> None:
     VectorizedEngine._active_cache.clear()
     VectorizedEngine._shared_cost_cache.clear()
     VectorizedEngine._global_cost_cache.clear()
-    VectorizedEngine._span_cache.clear()
+    VectorizedEngine._pattern_cache.clear()

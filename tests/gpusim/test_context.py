@@ -267,8 +267,13 @@ MODES = {"traced": {}, "planned": {"record_trace": False},
 #: ones list the long array first, so ``past_end`` is out of bounds
 #: only in the second array (every array is checked) and, for global
 #: memory, only once block 1's base is added (bases are checked).
-OOB = {"shared": {"negative": [0, -1], "past_end": [3, 4]},
-       "global": {"negative": [-1, 0], "past_end": [5, 6]}}
+#: Shared patterns of one constant-step run move as slices, unchecked
+#: by numpy: ``past_end`` would silently clip and ``negative_start``
+#: (``slice(-1, 1)``) would silently read nothing.
+OOB = {"shared": {"negative": [0, -1], "negative_start": [-1, 0],
+                  "past_end": [3, 4]},
+       "global": {"negative": [0, -1], "negative_start": [-1, 0],
+                  "past_end": [5, 6]}}
 IN_BOUNDS = [0, 1]
 
 PRIMITIVES = ["sload", "sstore", "sload_multi", "sstore_multi",
@@ -320,7 +325,8 @@ class TestBoundsChecking:
     in every engine and every mode -- the charge-only pass included, so
     ``characterize`` validates each plan's global accesses too."""
 
-    @pytest.mark.parametrize("where", ["negative", "past_end"])
+    @pytest.mark.parametrize("where", ["negative", "negative_start",
+                                       "past_end"])
     @pytest.mark.parametrize("primitive", PRIMITIVES)
     def test_out_of_bounds_raises(self, engine, mode, primitive, where):
         space = "shared" if primitive.startswith("s") else "global"
@@ -362,3 +368,39 @@ class TestBoundsChecking:
             for arr in arrs:
                 np.testing.assert_array_equal(arr.data[where],
                                               5 if functional else word)
+
+
+#: Shared patterns over eight lanes of a 16-word array, one per form
+#: the vectorized engine moves: one constant-step run (a slice), two
+#: runs (PCR's clamped ``max(lane - 3, 0)``) and an irregular pattern
+#: (the index array itself).
+PATTERNS = {"one_run": np.arange(8) * 2 + 1,
+            "two_run_clamped": np.maximum(np.arange(8) - 3, 0),
+            "fallback": np.array([5, 0, 9, 2, 2, 15, 7, 1])}
+
+
+@pytest.mark.parametrize("engine", ["vectorized", "reference"])
+@pytest.mark.parametrize("mode", list(MODES))
+@pytest.mark.parametrize("pattern", list(PATTERNS))
+class TestGatheredPlanes:
+    """A load returns a fresh C-ordered plane: kernels write into what
+    they load, so a view would write through to shared memory, and an
+    F-ordered plane slows every float32 op mixing it with C-ordered
+    operands."""
+
+    def test_loads_are_owned_c_planes(self, engine, mode, pattern):
+        ctx = _mode_ctx(engine, mode)
+        arrs = (ctx.shared(16), ctx.shared(16))
+        for arr in arrs:
+            arr.data[:] = np.arange(arr.data.size).reshape(arr.data.shape)
+        before = [arr.data.copy() for arr in arrs]
+        ctx.set_active(8)
+        idx = PATTERNS[pattern]
+        loads = (ctx.sload(arrs[0], idx),) + ctx.sload_multi(arrs, idx)
+        for got in loads:
+            assert got.shape == (2, 8)
+            assert got.flags.c_contiguous and got.flags.owndata
+            got[:] = -1.0
+            got[:, -1] = 1.0
+        for arr, old in zip(arrs, before):
+            np.testing.assert_array_equal(arr.data, old)

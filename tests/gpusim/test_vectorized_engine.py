@@ -15,7 +15,8 @@ Python loops, no memoization) produce
 Straddling/duplicated lane index patterns and divergent (non-prefix,
 non-contiguous) active sets are exercised explicitly -- those are the
 cases where a batched np.unique/reduceat implementation can silently
-disagree with the per-lane definition.
+disagree with the per-lane definition -- and so are the affine,
+clamped and multi-run patterns the vectorized engine moves by slices.
 """
 
 from dataclasses import fields
@@ -135,19 +136,33 @@ def _divergent_kernel(ctx, lanes, idx, scale):
             ctx.sync()
     with ctx.phase("divergent"):
         with ctx.step():
-            ctx.set_active(lanes)
+            active = ctx.set_active(lanes)
             vals = ctx.sload(arr, idx)
-            ctx.ops(3, divs=1)
+            ctx.ops(4, divs=1)
             with np.errstate(divide="ignore", invalid="ignore"):
-                vals = vals * np.float32(scale) + np.float32(1.0) / vals
+                vals = (vals * np.float32(scale) + np.float32(1.0) / vals
+                        + active.astype(np.float32))
             # Duplicate idx entries make this a write race; both
             # engines must resolve it identically (last lane wins).
+            # The lane term gives racing lanes distinct values.
             ctx.sstore(out, idx, vals)
             ctx.sync()
     with ctx.phase("drain"):
         with ctx.step():
             full = ctx.set_active(ctx.threads_per_block)
             return ctx.sload(out, full % _WORDS)
+
+
+def _assert_divergent_equal(lanes, idx, num_blocks, scale):
+    kwargs = dict(num_blocks=num_blocks, threads_per_block=64,
+                  check_contiguous_active=False,
+                  lanes=tuple(lanes), idx=tuple(idx), scale=scale)
+    vec = launch(_divergent_kernel, **kwargs)
+    ref = _reference_execute(_divergent_kernel, **kwargs)
+    _assert_bitwise_equal(vec, ref)
+    assert np.array_equal(
+        np.asarray(vec.outputs, dtype=np.float32).view(np.uint32),
+        np.asarray(ref.outputs, dtype=np.float32).view(np.uint32))
 
 
 # Lane sets are drawn non-contiguous and unsorted-free (set_active
@@ -170,15 +185,7 @@ class TestDivergentLaneSets:
         idx = data.draw(st.lists(
             st.integers(min_value=0, max_value=_WORDS - 1),
             min_size=len(lanes), max_size=len(lanes)))
-        kwargs = dict(num_blocks=num_blocks, threads_per_block=64,
-                      check_contiguous_active=False,
-                      lanes=tuple(lanes), idx=tuple(idx), scale=scale)
-        vec = launch(_divergent_kernel, **kwargs)
-        ref = _reference_execute(_divergent_kernel, **kwargs)
-        _assert_bitwise_equal(vec, ref)
-        assert np.array_equal(
-            np.asarray(vec.outputs, dtype=np.float32).view(np.uint32),
-            np.asarray(ref.outputs, dtype=np.float32).view(np.uint32))
+        _assert_divergent_equal(lanes, idx, num_blocks, scale)
 
     def test_half_warp_straddle(self):
         """A lane set crossing the 16-lane conflict-resolution boundary
@@ -191,6 +198,91 @@ class TestDivergentLaneSets:
         vec = launch(_divergent_kernel, **kwargs)
         ref = _reference_execute(_divergent_kernel, **kwargs)
         _assert_bitwise_equal(vec, ref)
+
+
+def _starts(step, k):
+    """The lowest and highest starts keeping ``start + step *
+    arange(k)`` inside the array."""
+    span = step * (k - 1)
+    return -min(0, span), _WORDS - 1 - max(0, span)
+
+
+@st.composite
+def _affine_pattern(draw, k):
+    """Any start, a positive, negative or zero step."""
+    step = draw(st.integers(min_value=-6, max_value=6))
+    if k > 1 and abs(step) * (k - 1) >= _WORDS:
+        step = int(np.sign(step)) * ((_WORDS - 1) // (k - 1))
+    start = draw(st.integers(*_starts(step, k)))
+    return start + step * np.arange(k)
+
+
+@st.composite
+def _clamped_pattern(draw, k):
+    """An affine pattern clamped at one or both ends, as PCR and RD
+    clamp ``lane - stride`` at 0 and ``lane + stride`` at ``n - 1``;
+    the bounds are words of the pattern, so the clamps cut into it."""
+    p = draw(_affine_pattern(k))
+    i, j = (p[draw(st.integers(min_value=0, max_value=k - 1))]
+            for _ in range(2))
+    clamp = draw(st.sampled_from(["maximum", "minimum", "clip"]))
+    if clamp == "maximum":
+        return np.maximum(p, i)
+    if clamp == "minimum":
+        return np.minimum(p, i)
+    return np.clip(p, min(i, j), max(i, j))
+
+
+@st.composite
+def _multi_run_pattern(draw, k):
+    """Three or more affine runs back to back (the fallback form)."""
+    cuts = sorted(draw(st.lists(st.integers(min_value=1, max_value=k - 1),
+                                min_size=2, max_size=4, unique=True)))
+    bounds = [0, *cuts, k]
+    return np.concatenate([draw(_affine_pattern(b - a))
+                           for a, b in zip(bounds, bounds[1:])])
+
+
+@st.composite
+def _duplicate_run_pattern(draw, k):
+    """An affine run repeated (in part) to fill the lanes: every word
+    of the repeat races, and the last lane must win."""
+    run = draw(_affine_pattern(draw(st.integers(min_value=1,
+                                                max_value=k - 1))))
+    return np.resize(run, k)
+
+
+@st.composite
+def _structured_case(draw, kind):
+    if kind == "single":
+        return [draw(st.integers(min_value=0, max_value=63))], \
+            [draw(st.integers(min_value=0, max_value=_WORDS - 1))]
+    min_k = {"multi_run": 3, "duplicate_run": 2}.get(kind, 1)
+    lanes = draw(st.one_of(
+        st.integers(min_value=min_k, max_value=64).map(range),
+        _lane_sets.filter(lambda l: len(l) >= min_k)))
+    make = {"affine": _affine_pattern, "clamped": _clamped_pattern,
+            "multi_run": _multi_run_pattern,
+            "duplicate_run": _duplicate_run_pattern}[kind]
+    return list(lanes), draw(make(len(lanes))).tolist()
+
+
+class TestStructuredPatterns:
+    """The shapes the vectorized engine moves by slices -- affine runs
+    with any step, PCR/RD's clamped patterns, single lanes -- and the
+    3+-run fallback, on prefix and divergent lane sets, against the
+    oracle: 200 cases."""
+
+    @pytest.mark.parametrize("kind", ["affine", "clamped", "single",
+                                      "multi_run", "duplicate_run"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(),
+           num_blocks=st.integers(min_value=1, max_value=3),
+           scale=st.floats(min_value=-4.0, max_value=4.0, width=32))
+    def test_bitwise_equal(self, kind, data, num_blocks, scale):
+        lanes, idx = data.draw(_structured_case(kind))
+        assert 0 <= min(idx) and max(idx) < _WORDS
+        _assert_divergent_equal(lanes, idx, num_blocks, scale)
 
 
 class TestShiftInvariance:
