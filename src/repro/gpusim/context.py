@@ -45,8 +45,6 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from repro.telemetry import callbacks as _cb
-
 from . import faults as _faults
 from .counters import CounterLedger, PhaseCounters
 from .device import DeviceSpec
@@ -100,9 +98,7 @@ class BlockContext:
         counter charging run.  The architectural trace is data-
         independent, so the resulting ledger is bitwise-identical to a
         functional run's -- this is the analytical fast path used by
-        :mod:`~repro.gpusim.estimator`.  A charge-only context emits no
-        phase/step callbacks, so repeated estimates stay
-        telemetry-silent.
+        :mod:`~repro.gpusim.estimator`.
 
     Every access primitive checks and charges through one helper per
     memory space, :meth:`_shared_access` / :meth:`_global_access`,
@@ -207,15 +203,11 @@ class BlockContext:
         prev_pc = self._cur_pc
         self._phase_name = name
         self._cur_pc = None
-        if self.functional:
-            _cb.emit(_cb.DOMAIN_PHASE, _cb.SITE_BEGIN, name=name)
         try:
             yield
         finally:
             self._phase_name = prev
             self._cur_pc = prev_pc
-            if self.functional:
-                _cb.emit(_cb.DOMAIN_PHASE, _cb.SITE_END, name=name)
 
     @contextmanager
     def step(self):
@@ -229,7 +221,7 @@ class BlockContext:
         self._in_step = True
         if not self.record_trace:
             # Functional pass only: keep nesting and step-limit
-            # semantics, skip the snapshot/record/emit machinery.
+            # semantics, skip the snapshot/record machinery.
             try:
                 yield
             finally:
@@ -256,9 +248,6 @@ class BlockContext:
             delta.max_active_threads = self._active.lanes.size
             self.ledger.record_step(self._phase_name, index, delta)
             self._phase_step_counts[self._phase_name] = index + 1
-            if self.functional:
-                _cb.emit(_cb.DOMAIN_STEP, _cb.SITE_RECORD,
-                         phase=self._phase_name, index=index, counters=delta)
         self._steps_executed += 1
         if self.step_limit is not None and self._steps_executed >= self.step_limit:
             raise StopKernel(self._steps_executed)

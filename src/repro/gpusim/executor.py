@@ -8,12 +8,12 @@ time using the device's occupancy rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
-from repro.telemetry import callbacks as _cb
 from repro.telemetry.metrics import emit
 
 from . import faults as _faults
@@ -140,17 +140,19 @@ def _reference_execute(kernel: Callable[..., Any], *, num_blocks: int,
 def _launch_once(kernel, kernel_name, num_blocks, threads_per_block, device,
                  dtype, check_contiguous_active, step_limit, plan,
                  kernel_args, engine=None, ledger=None) -> LaunchResult:
-    """One successful launch attempt (the pre-fault-injection body)."""
+    """One successful launch attempt (the pre-fault-injection body),
+    reported to the active telemetry collector, if any."""
     ctx = BlockContext(device, num_blocks, threads_per_block, dtype=dtype,
                        check_contiguous_active=check_contiguous_active,
                        step_limit=step_limit,
                        record_trace=ledger is None,
                        engine=engine)
-    _cb.emit(_cb.DOMAIN_LAUNCH, _cb.SITE_BEGIN, kernel=kernel_name,
-             num_blocks=num_blocks, threads_per_block=threads_per_block,
-             device=device.name)
-    result = None
-    try:
+    # Looked up lazily, as metrics.emit does: telemetry imports gpusim.
+    from repro.telemetry.collector import get_collector
+    col = get_collector()
+    with (nullcontext() if col is None else
+          col.launch(kernel_name, num_blocks, threads_per_block,
+                     device.name)) as record:
         try:
             outputs = kernel(ctx, **kernel_args)
         except StopKernel:
@@ -163,6 +165,8 @@ def _launch_once(kernel, kernel_name, num_blocks, threads_per_block, device,
             shared_bytes=ctx.shared_space.bytes_allocated,
             device=device,
         )
+        if record is not None:
+            record.result = result
         if plan is not None:
             detected = plan.corrupt_global_arrays(
                 _faults.find_global_arrays(kernel_args), kernel=kernel_name)
@@ -172,8 +176,3 @@ def _launch_once(kernel, kernel_name, num_blocks, threads_per_block, device,
                     f"ECC caught a DRAM upset after {kernel_name} "
                     f"(word {ev.detail['index']}, bit {ev.detail['bit']})")
         return result
-    finally:
-        # Delivered even when the kernel raises (result stays None),
-        # so subscribers never see an unbalanced begin.
-        _cb.emit(_cb.DOMAIN_LAUNCH, _cb.SITE_END, kernel=kernel_name,
-                 result=result)

@@ -8,9 +8,10 @@ single launches:
 * **spans/events** (:func:`span`, :func:`event`) -- nested wall-clock
   intervals with free-form attributes, including modeled-time
   attributes attached by the timing layer;
-* **CUPTI-style callbacks** (:mod:`repro.telemetry.callbacks`) -- the
-  simulator announces launch begin/end, phase boundaries and step
-  records; subscribers observe every launch without patching kernels;
+* **launch records** (:meth:`Collector.launch`) -- the executor reports
+  every simulated launch to the active collector: one ``sim.launch``
+  span, the :class:`LaunchRecord` with its result, and ``sim.*``
+  metrics derived once per launch from its counter ledger;
 * **metrics** (:mod:`repro.telemetry.metrics`) -- counters, gauges and
   histograms (launches, modeled ms by solver/phase, bank-conflict
   degree distributions, occupancy) aggregated across a session, each
@@ -24,8 +25,8 @@ single launches:
 
 Everything hangs off a process-local collector that is *off by
 default*: with no active collector, ``span()`` returns a shared no-op
-singleton and the callback registry short-circuits on an empty
-subscriber list, so the solve path pays nothing.
+singleton and the executor keeps no launch record, so the solve path
+pays nothing.
 
 Typical use::
 
@@ -39,7 +40,6 @@ Typical use::
 See ``docs/observability.md`` for the full walkthrough.
 """
 
-from . import callbacks
 from .collector import (Collector, LaunchRecord, TickClock, collect,
                         current_attr, current_span, deterministic_collector,
                         enabled, event, get_collector, span, trace_span)
@@ -60,7 +60,7 @@ from .slo import DEFAULT_CLASS, DEFAULT_CLASSES, SLOClass, SLORegistry
 from .spans import NOOP_SPAN, EventRecord, LiveSpan, NoopSpan, SpanRecord
 
 __all__ = [
-    "callbacks", "Collector", "LaunchRecord", "TickClock", "collect",
+    "Collector", "LaunchRecord", "TickClock", "collect",
     "current_attr", "current_span", "deterministic_collector", "enabled",
     "event", "get_collector", "span", "trace_span",
     "chrome_trace", "estimator_summary", "phase_totals", "prometheus_text",

@@ -2,11 +2,12 @@
 
 One :class:`Collector` gathers everything observable about a stretch of
 work: wall-clock spans and events (:mod:`repro.telemetry.spans`), a
-metrics registry (:mod:`repro.telemetry.metrics`), and -- via the
-CUPTI-style registry in :mod:`repro.telemetry.callbacks` -- a record of
+metrics registry (:mod:`repro.telemetry.metrics`), and a record of
 every simulated kernel launch, including the full
 :class:`~repro.gpusim.executor.LaunchResult` needed to re-cost the run
-at export time.
+at export time.  The executor reports each launch straight to the
+active collector (:meth:`Collector.launch`); per-phase and per-step
+detail is derived from the launch's counter ledger, not observed live.
 
 Nothing is collected unless a collector is active::
 
@@ -18,8 +19,8 @@ Nothing is collected unless a collector is active::
 
 With no active collector every instrumentation site reduces to one
 ``None`` check (``span()`` returns the shared no-op singleton and the
-callback registry has no subscribers), which is what keeps the solve
-path overhead-free by default.
+executor skips the launch record), which is what keeps the solve path
+overhead-free by default.
 
 Trace context
 -------------
@@ -27,7 +28,7 @@ Spans carry an optional ``trace_id``: a stable string identifying one
 logical request (one serve job, say).  A span opened without an
 explicit trace inherits its parent's, so instrumenting the root of a
 request is enough for every nested span -- down to the simulator's
-``sim.launch``/``sim.phase`` spans -- to land in the same tree.
+``sim.launch`` spans -- to land in the same tree.
 :func:`trace_span` opens a span with explicit trace context (and
 optionally *detached*, i.e. not the implicit parent of what follows).
 
@@ -47,12 +48,11 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator
 
 from repro.gpusim.pool import derive_seed, derive_seeds
 
-from . import callbacks as cb
 from .metrics import MetricsRegistry
 from .spans import (LiveSpan, NOOP_SPAN, EventRecord, NoopSpan,
                     SpanRecord)
@@ -82,7 +82,7 @@ class TickClock:
 
 @dataclass
 class LaunchRecord:
-    """One simulated kernel launch observed through the callbacks."""
+    """One simulated kernel launch (:meth:`Collector.launch`)."""
 
     seq: int
     kernel: str
@@ -93,7 +93,6 @@ class LaunchRecord:
     result: Any = None
     #: Innermost wall-clock span open when the launch began.
     span_id: int | None = None
-    attrs: dict[str, Any] = field(default_factory=dict)
 
 
 class Collector:
@@ -115,24 +114,10 @@ class Collector:
         self.launches: list[LaunchRecord] = []
         self.metrics = MetricsRegistry()
         self._stack: list[SpanRecord] = []
-        self._sim_stack: list[SpanRecord] = []
         self._counters = {"span": 0, "event": 0}
         #: kind -> the seeded ids left in its current block, last first.
         self._id_blocks: dict[str, list[int]] = {"span": [], "event": []}
         self._by_id: dict[int, SpanRecord] = {}
-        self._handle = None
-
-    # -- lifecycle -----------------------------------------------------
-
-    def install(self) -> None:
-        """Subscribe to the simulator callbacks (idempotent)."""
-        if self._handle is None:
-            self._handle = cb.subscribe(self._on_callback)
-
-    def uninstall(self) -> None:
-        if self._handle is not None:
-            cb.unsubscribe(self._handle)
-            self._handle = None
 
     def _now(self) -> float:
         return self._clock() - self._t0
@@ -213,71 +198,47 @@ class Collector:
         self.events.append(ev)
         return ev
 
-    # -- simulator callbacks -------------------------------------------
+    # -- simulated launches --------------------------------------------
 
-    def _on_callback(self, info: cb.CallbackInfo) -> None:
-        if info.domain == cb.DOMAIN_LAUNCH:
-            self._on_launch(info)
-        elif info.domain == cb.DOMAIN_PHASE:
-            self._on_phase(info)
-        elif info.domain == cb.DOMAIN_STEP:
-            self._on_step(info)
+    @contextmanager
+    def launch(self, kernel: str, num_blocks: int, threads_per_block: int,
+               device: str) -> Iterator[LaunchRecord]:
+        """Observe one simulated launch: the executor enters this around
+        the kernel and sets the yielded record's ``result``.
 
-    def _on_launch(self, info: cb.CallbackInfo) -> None:
-        p = info.payload
-        if info.site == cb.SITE_BEGIN:
-            rec = LaunchRecord(
-                seq=len(self.launches), kernel=p["kernel"],
-                num_blocks=p["num_blocks"],
-                threads_per_block=p["threads_per_block"],
-                device=p["device"],
-                span_id=(self._stack[-1].span_id if self._stack else None))
-            self.launches.append(rec)
-            span = self.start_span(f"sim.launch:{rec.kernel}",
-                                   {"kernel": rec.kernel,
-                                    "num_blocks": rec.num_blocks,
-                                    "threads_per_block":
-                                        rec.threads_per_block})
-            span.__enter__()
-            self._sim_stack.append(span.record)
-            self.metrics.record("sim.launches", kernel=rec.kernel)
-        else:  # SITE_END
-            result = p.get("result")
-            if self.launches:
-                rec = self.launches[-1]
-                rec.result = result
-                if result is not None:
-                    self.metrics.record("sim.blocks_per_sm",
-                                        result.blocks_per_sm,
-                                        kernel=rec.kernel)
-                    total = result.ledger.total()
-                    for name, amount in (
-                            ("sim.shared_words", total.shared_words),
-                            ("sim.global_words", total.global_words),
-                            ("sim.flops", total.flops),
-                            ("sim.syncs", total.syncs)):
-                        self.metrics.record(name, amount,
-                                            kernel=rec.kernel)
-            if self._sim_stack:
-                self._exit_span(self._sim_stack.pop())
+        Opens the ``sim.launch:<kernel>`` span and appends the record;
+        on exit a completed launch (``result`` set, even when ECC then
+        raised) records its ``sim.*`` ledger totals, plus ``sim.steps``
+        and ``sim.conflict_degree`` from the ledger's step records.
+        """
+        rec = LaunchRecord(
+            seq=len(self.launches), kernel=kernel, num_blocks=num_blocks,
+            threads_per_block=threads_per_block, device=device,
+            span_id=(self._stack[-1].span_id if self._stack else None))
+        self.launches.append(rec)
+        with self.start_span(f"sim.launch:{kernel}",
+                             {"kernel": kernel, "num_blocks": num_blocks,
+                              "threads_per_block": threads_per_block}):
+            self.metrics.record("sim.launches", kernel=kernel)
+            try:
+                yield rec
+            finally:
+                if rec.result is not None:
+                    self._record_result(kernel, rec.result)
 
-    def _on_phase(self, info: cb.CallbackInfo) -> None:
-        name = info.payload.get("name", "?")
-        if info.site == cb.SITE_BEGIN:
-            span = self.start_span(f"sim.phase:{name}", {"phase": name})
-            span.__enter__()
-            self._sim_stack.append(span.record)
-        elif self._sim_stack:
-            self._exit_span(self._sim_stack.pop())
-
-    def _on_step(self, info: cb.CallbackInfo) -> None:
-        p = info.payload
-        counters = p.get("counters")
-        phase = p.get("phase", "?")
-        self.metrics.record("sim.steps", phase=phase)
-        if counters is not None:
-            self.metrics.record("sim.conflict_degree",
-                                counters.conflict_degree, phase=phase)
+    def _record_result(self, kernel: str, result: Any) -> None:
+        record = self.metrics.record
+        record("sim.blocks_per_sm", result.blocks_per_sm, kernel=kernel)
+        total = result.ledger.total()
+        for name, amount in (("sim.shared_words", total.shared_words),
+                             ("sim.global_words", total.global_words),
+                             ("sim.flops", total.flops),
+                             ("sim.syncs", total.syncs)):
+            record(name, amount, kernel=kernel)
+        for phase, _index, counters in result.ledger.step_records:
+            record("sim.steps", phase=phase)
+            record("sim.conflict_degree", counters.conflict_degree,
+                   phase=phase)
 
 
 def deterministic_collector(seed: int = 0,
@@ -309,18 +270,11 @@ def collect(collector: Collector | None = None) -> Iterator[Collector]:
     inner ``collect()`` shadows, then restores, the outer one)."""
     global _active
     prev = _active
-    if prev is not None:
-        prev.uninstall()
-    col = collector or Collector()
-    _active = col
-    col.install()
+    col = _active = collector or Collector()
     try:
         yield col
     finally:
-        col.uninstall()
         _active = prev
-        if prev is not None:
-            prev.install()
 
 
 def span(name: str, **attrs: Any) -> LiveSpan | NoopSpan:

@@ -4,7 +4,7 @@ The shapes follow the Prometheus conventions (monotonic counters,
 point-in-time gauges, distribution histograms; a metric is a family of
 label-keyed series) scaled down to a process-local registry: a
 :class:`~repro.telemetry.collector.Collector` owns one registry and the
-instrumented layers -- executor callbacks, cost model, PCIe model,
+instrumented layers -- executor launches, cost model, PCIe model,
 serve, resilience, verification -- feed it.  ``snapshot()`` renders
 everything to plain dicts for the JSONL sink and the text summary.
 
@@ -80,7 +80,7 @@ FUZZ_CASES = "fuzz.cases"
 #: line whoever registers the family first.  To add a metric, add one
 #: row here and call :func:`emit` (labels are the call's keywords).
 METRICS: dict[str, tuple[str, str]] = {
-    # simulator callbacks (Collector) and fault plans
+    # simulated launches (Collector.launch) and fault plans
     "sim.launches": ("counter", "simulated kernel launches"),
     "sim.blocks_per_sm": ("gauge", "occupancy: resident blocks per SM"),
     "sim.shared_words": ("counter", "per-block ledger totals"),

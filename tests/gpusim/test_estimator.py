@@ -331,17 +331,6 @@ class TestMemoInvisible:
         assert not estimator._MEMO
         assert res.ledger.total().steps == 2
 
-    def test_planned_launch_records_no_steps(self):
-        """Planned launches replay the memo; raw launches record."""
-        systems = diagonally_dominant_fluid(2, 16, seed=0)
-        with telemetry.collect() as col:
-            run_kernel("cr", systems)
-        assert "sim.steps" not in col.metrics.snapshot()["counters"]
-        plan = plan_launch("cr", 16, 2)
-        with telemetry.collect() as col:
-            _traced(plan, systems)
-        assert col.metrics.snapshot()["counters"].get("sim.steps")
-
 
 class TestTimingMirror:
     """estimate_report == CostModel.report of a traced launch priced

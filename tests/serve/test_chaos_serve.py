@@ -201,7 +201,7 @@ class TestTraceObservability:
             assert {"serve.trace", "serve.admit", "serve.job",
                     "serve.chunk", "serve.attempt"} <= names
             assert any(n.startswith("sim.launch:") for n in names)
-            assert any(n.startswith("sim.phase:") for n in names)
+            assert not any(n.startswith("sim.phase:") for n in names)
 
     def test_trace_ids_are_deterministic_functions_of_seed(self):
         _, sched_a, reports_a = self.run_traced(seed=17)

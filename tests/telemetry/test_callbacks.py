@@ -1,10 +1,12 @@
-"""CUPTI-style callback registry, exercised through real launches."""
+"""Launch records: the executor reports each launch to the collector."""
 
 import numpy as np
+import pytest
 
 from repro import telemetry
 from repro.gpusim import launch
-from repro.telemetry import callbacks as cb
+from repro.kernels.api import execute, plan_launch
+from repro.numerics.generators import diagonally_dominant_fluid
 
 
 def sample_kernel(ctx):
@@ -17,51 +19,11 @@ def sample_kernel(ctx):
             ctx.sync()
 
 
-class TestRegistry:
-    def test_emit_without_subscribers_is_noop(self):
-        assert not cb.has_subscribers()
-        cb.emit(cb.DOMAIN_LAUNCH, cb.SITE_BEGIN, kernel="k")
-
-    def test_subscribe_receives_launch_lifecycle(self):
-        seen = []
-        handle = cb.subscribe(seen.append)
-        try:
-            launch(sample_kernel, num_blocks=2, threads_per_block=32)
-        finally:
-            cb.unsubscribe(handle)
-        domains = [(i.domain, i.site) for i in seen]
-        assert domains[0] == (cb.DOMAIN_LAUNCH, cb.SITE_BEGIN)
-        assert domains[-1] == (cb.DOMAIN_LAUNCH, cb.SITE_END)
-        assert (cb.DOMAIN_PHASE, cb.SITE_BEGIN) in domains
-        assert (cb.DOMAIN_PHASE, cb.SITE_END) in domains
-        assert (cb.DOMAIN_STEP, cb.SITE_RECORD) in domains
-        begin = seen[0].payload
-        assert begin["kernel"] == "sample_kernel"
-        assert begin["num_blocks"] == 2
-        end = seen[-1].payload
-        assert end["result"] is not None
-        assert "work" in end["result"].ledger.phases
-
-    def test_step_payload_carries_counters(self):
-        seen = []
-        handle = cb.subscribe(seen.append)
-        try:
-            launch(sample_kernel, num_blocks=1, threads_per_block=32)
-        finally:
-            cb.unsubscribe(handle)
-        steps = [i for i in seen if i.domain == cb.DOMAIN_STEP]
-        assert len(steps) == 1
-        assert steps[0].payload["phase"] == "work"
-        assert steps[0].payload["index"] == 0
-        assert steps[0].payload["counters"].shared_words > 0
-
-    def test_unsubscribe_stops_delivery(self):
-        seen = []
-        handle = cb.subscribe(seen.append)
-        cb.unsubscribe(handle)
-        launch(sample_kernel, num_blocks=1, threads_per_block=32)
-        assert seen == []
-        assert not cb.has_subscribers()
+def _step_series(col):
+    steps = col.metrics.counter("sim.steps").series
+    degrees = col.metrics.histogram("sim.conflict_degree").series
+    return (dict(steps),
+            {key: (s.count, s.summary()) for key, s in degrees.items()})
 
 
 class TestCollectorIntegration:
@@ -78,6 +40,47 @@ class TestCollectorIntegration:
         assert col.metrics.counter("sim.steps").value(phase="work") == 1
         deg = col.metrics.histogram("sim.conflict_degree")
         assert deg.count(phase="work") == 1
+
+    def test_step_metrics_come_from_the_ledger(self):
+        with telemetry.collect() as col:
+            launch(sample_kernel, num_blocks=1, threads_per_block=32)
+        [(phase, index, counters)] = col.launches[0].result.ledger.step_records
+        assert (phase, index) == ("work", 0)
+        assert counters.shared_words > 0
+        assert col.metrics.counter("sim.steps").value(phase="work") == 1
+        deg = col.metrics.histogram("sim.conflict_degree")
+        assert deg.summary(phase="work")["max"] == counters.conflict_degree
+
+    @pytest.mark.parametrize("method", ["cr", "cr_pcr"])
+    def test_planned_and_traced_launches_record_same_step_metrics(
+            self, method):
+        systems = diagonally_dominant_fluid(4, 64, seed=3)
+        plan = plan_launch(method, systems.n, systems.num_systems)
+        with telemetry.collect() as planned:
+            execute(plan, plan.load(systems))
+        with telemetry.collect() as traced:
+            launch(plan.kernel, num_blocks=plan.num_blocks,
+                   threads_per_block=plan.threads_per_block,
+                   device=plan.device, gmem=plan.load(systems),
+                   **dict(plan.kwargs))
+        assert _step_series(planned) == _step_series(traced)
+
+        records = traced.launches[0].result.ledger.step_records
+        steps = {}
+        for phase, _index, _counters in records:
+            steps[phase] = steps.get(phase, 0) + 1
+        counter = planned.metrics.counter("sim.steps")
+        assert {p: counter.value(phase=p) for p in steps} == steps
+        assert sum(counter.series.values()) == len(records)
+        deg = planned.metrics.histogram("sim.conflict_degree")
+        for phase, count in steps.items():
+            degrees = [c.conflict_degree for p, _i, c in records
+                       if p == phase]
+            summary = deg.summary(phase=phase)
+            assert summary["count"] == count
+            assert (summary["min"], summary["max"]) == (min(degrees),
+                                                        max(degrees))
+            assert summary["sum"] == pytest.approx(sum(degrees))
 
     def test_launch_failure_still_closes_record(self):
         def bad_kernel(ctx):

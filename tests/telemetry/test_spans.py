@@ -3,7 +3,7 @@
 import pytest
 
 from repro import telemetry
-from repro.telemetry import callbacks as cb
+from repro.gpusim import launch
 from repro.telemetry.spans import NOOP_SPAN, SpanRecord
 
 
@@ -105,17 +105,20 @@ class TestIdentity:
         assert col._stack == []
 
     def test_launch_ending_mid_phase_leaves_stacks_balanced(self):
+        def raising_kernel(ctx):
+            with ctx.phase("p"):
+                raise RuntimeError("mid-phase")
+
         with telemetry.collect() as col:
             with telemetry.span("host") as host:
-                cb.emit(cb.DOMAIN_LAUNCH, cb.SITE_BEGIN, kernel="k",
-                        num_blocks=1, threads_per_block=32, device="gpu")
-                cb.emit(cb.DOMAIN_PHASE, cb.SITE_BEGIN, name="p")
-                cb.emit(cb.DOMAIN_LAUNCH, cb.SITE_END, kernel="k",
-                        result=None)
-                cb.emit(cb.DOMAIN_PHASE, cb.SITE_END, name="p")
-                assert col._sim_stack == []
+                with pytest.raises(RuntimeError, match="mid-phase"):
+                    launch(raising_kernel, num_blocks=1,
+                           threads_per_block=32)
                 assert col._stack == [host.record]
             assert col._stack == []
         assert [s.name for s in col.spans] == [
-            "host", "sim.launch:k", "sim.phase:p"]
+            "host", "sim.launch:raising_kernel"]
         assert all(s.wall_dur_s is not None for s in col.spans)
+        [rec] = col.launches
+        assert rec.result is None
+        assert rec.span_id == host.record.span_id
