@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: test test-fast bench bench-engine bench-serve bench-overload bench-layout figures report profile chaos serve-chaos serve-health serve-overload verify verify-full fuzz calibrate examples clean
+.PHONY: test test-fast bench bench-engine bench-serve bench-overload bench-layout perfbench figures report profile chaos serve-chaos serve-health serve-overload verify verify-full fuzz calibrate examples clean
 
 test:            ## full test suite (incl. heavy example smoke tests)
 	$(PY) -m pytest tests/
@@ -29,6 +29,15 @@ bench-overload:  ## overload-shedding perf smoke (fails on interactive
 bench-layout:    ## layout-autotuner perf smoke (fails on choice flips,
                  ## coalescing regressions, or a fold-line miss)
 	$(PY) benchmarks/bench_layout_autotune.py
+
+perfbench:       ## host-time benchmark: the three perfbench workloads at
+                 ## --trace 0 (SEED=1, SECONDS=20 overridable), one final
+                 ## JSON line each; fails if a run's checks fail
+	@for w in serve_overload serve_faults paper_grid; do \
+	  echo "== $$w"; \
+	  out=$$($(PY) perfbench/run.py --workload $$w --seed $(or $(SEED),1) \
+	    --seconds $(or $(SECONDS),20) --trace 0); rc=$$?; \
+	  echo "$$out" | tail -n 1; [ $$rc -eq 0 ] || exit $$rc; done
 
 figures:         ## regenerate every registered table/figure artifact in benchmarks/results/
 	@benches=$$($(PY) -c "from repro.experiments import EXPERIMENTS; \

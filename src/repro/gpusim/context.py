@@ -88,7 +88,9 @@ class BlockContext:
         the conflict/coalescing arithmetic is skipped entirely.  Planned
         launches (:func:`repro.kernels.api.execute`) use this: the
         architectural trace is a pure function of the launch plan, so
-        the estimator's memoized ledger replaces the recording pass.
+        the estimator's memo entry -- the plan's ledger, and the price
+        and telemetry writes derived from it -- replaces the recording
+        pass.
     engine:
         Execution engine (instance, name, or None for the vectorized
         default); see :mod:`~repro.gpusim.engine`.

@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.telemetry import collector as _telemetry
+from repro.telemetry.metrics import resolve
 
 from .counters import CounterLedger, PhaseCounters
 from .device import DeviceSpec
@@ -121,6 +122,14 @@ class TimingReport:
     def steps_ms(self, phase: str) -> list[float]:
         return [t for (p, _i, t) in self.per_step if p == phase]
 
+    def copy(self) -> "TimingReport":
+        """A private copy (phase times are mutable)."""
+        return TimingReport(
+            {name: PhaseTime(pt.global_ms, pt.shared_ms, pt.compute_ms)
+             for name, pt in self.phases.items()},
+            list(self.per_step), self.launch_overhead_ms, self.grid_scale,
+            self.blocks_per_sm, self.waves)
+
 
 class CostModel:
     """Evaluate launch traces against a parameter set."""
@@ -179,14 +188,35 @@ class CostModel:
         return waves * conc * eff, conc, waves
 
     def report(self, result: LaunchResult) -> TimingReport:
-        """Grid-level modeled timing for a simulated launch."""
-        rep = self.grid_report(result.device, result.num_blocks,
-                               result.shared_bytes,
-                               result.threads_per_block, result.ledger)
+        """Grid-level modeled timing for a simulated launch.
+
+        A planned launch whose ledger is unread is priced from its memo
+        entry (:meth:`plan_report`, copied) and replays the entry's
+        resolved telemetry writes; any other launch prices its own
+        ledger.  Both give the same floats and the same writes.
+        """
+        entry = result.memo_entry()
+        if entry is None:
+            rep = self.grid_report(result.device, result.num_blocks,
+                                   result.shared_bytes,
+                                   result.threads_per_block, result.ledger)
+        else:
+            rep = self.plan_report(entry, result.num_blocks).copy()
         col = _telemetry.get_collector()
         if col is not None:
-            self._record_telemetry(col, rep)
+            self._record_telemetry(col, rep, entry, result.num_blocks)
         return rep
+
+    def plan_report(self, entry, num_blocks: int) -> TimingReport:
+        """:meth:`grid_report` of a memo entry
+        (:class:`~repro.gpusim.estimator.PlanEntry`) over ``num_blocks``,
+        computed once per ``(params, num_blocks)`` and kept on the
+        entry.  The report is shared: treat it as read-only."""
+        return entry.derive(
+            ("report", self.params, num_blocks),
+            lambda: self.grid_report(entry.device, num_blocks,
+                                     entry.shared_bytes,
+                                     entry.threads_per_block, entry.ledger))
 
     def grid_report(self, device: DeviceSpec, num_blocks: int,
                     shared_bytes: int, threads_per_block: int,
@@ -207,21 +237,31 @@ class CostModel:
             rep.per_step.append((phase, idx, t * scale * ns_to_ms))
         return rep
 
-    def _record_telemetry(self, col, rep: TimingReport) -> None:
+    def _record_telemetry(self, col, rep: TimingReport, entry,
+                          num_blocks: int) -> None:
         """Aggregate this report into the active telemetry collector.
 
         Labeled by the solver name from the innermost open span (set by
-        ``run_kernel``/``timed_solve``) when one is available.
+        ``run_kernel``/``timed_solve``) when one is available.  With a
+        memo ``entry`` the writes are resolved once per cost model,
+        block count and solver label, and replayed.
         """
         labels = {}
         solver = _telemetry.current_attr("solver")
         if solver is not None:
             labels["solver"] = solver
-        record = col.metrics.record
-        record("model.reports", **labels)
-        record("model.total_ms", rep.total_ms, **labels)
-        for name, pt in rep.phases.items():
-            record("model.phase_ms", pt.total_ms, phase=name, **labels)
+
+        def writes():
+            return (resolve("model.reports", **labels),
+                    resolve("model.total_ms", rep.total_ms, **labels),
+                    *(resolve("model.phase_ms", pt.total_ms, phase=name,
+                              **labels)
+                      for name, pt in rep.phases.items()))
+
+        col.metrics.write(
+            writes() if entry is None else entry.derive(
+                ("model", self.params, num_blocks,
+                 None if solver is None else str(solver)), writes))
         _telemetry.event("costmodel.report", total_ms=rep.total_ms,
                          blocks_per_sm=rep.blocks_per_sm, waves=rep.waves,
                          **labels)

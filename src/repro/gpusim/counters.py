@@ -106,8 +106,9 @@ class PhaseCounters:
     def copy(self) -> "PhaseCounters":
         """Independent copy.  Every field is a scalar, so copying the
         instance dict is complete -- and orders of magnitude cheaper
-        than ``copy.deepcopy``, which matters because every planned
-        launch copies its memoized ledger."""
+        than ``copy.deepcopy``, which matters because a planned
+        launch's ledger is a copy of its memo entry's, made when the
+        ledger is first read."""
         out = PhaseCounters.__new__(PhaseCounters)
         out.__dict__.update(self.__dict__)
         return out

@@ -1,4 +1,4 @@
-"""Analytical fast-path cost estimator, and the one ledger memo.
+"""Analytical fast-path cost estimator, and the one plan memo.
 
 The simulator's cost charges are *data-independent*: every counter in
 a :class:`~repro.gpusim.counters.CounterLedger` is a function of the
@@ -19,10 +19,19 @@ Guarantees (enforced by ``tests/gpusim/test_estimator.py``):
   :meth:`~repro.gpusim.costmodel.CostModel.report`, so the analytic
   and simulate-then-cost paths agree on every modeled millisecond.
 - No telemetry is emitted and no fault plan is consulted, so repeated
-  calls are deterministic and side-effect-free.  Results are memoized
-  per one-block plan (:attr:`~repro.kernels.api.LaunchPlan.block`,
-  which carries the :class:`~repro.gpusim.device.DeviceSpec` itself);
-  planned functional launches draw private copies of the same entries.
+  calls are deterministic and side-effect-free.
+
+The memo maps each one-block plan
+(:attr:`~repro.kernels.api.LaunchPlan.block`, which carries the
+:class:`~repro.gpusim.device.DeviceSpec` itself) to a
+:class:`PlanEntry`: the plan's whole characterization.  It is the
+one-block charge-only :class:`LaunchResult` (ledger, shared bytes,
+threads) plus what that ledger implies, derived on first use -- the
+grid :class:`TimingReport` per cost model and block count, and the
+telemetry writes a launch and its report make.  A planned functional
+launch references its entry (:attr:`LaunchResult.memo`) and is priced
+and recorded from it until its ledger is read; the estimates read the
+same prices.
 
 :func:`closed_form_counters` additionally exposes the paper's Table 1
 closed forms that the simulated ledgers reproduce *exactly* (not just
@@ -33,6 +42,9 @@ and the PCR/RD step counts.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from typing import Any, Callable
+
 import numpy as np
 
 from .context import BlockContext
@@ -40,24 +52,51 @@ from .costmodel import CostModel, TimingReport
 from .device import DeviceSpec, GTX280
 from .executor import LaunchResult
 
-__all__ = ["analytic_launch", "characterize", "estimate_report",
-           "estimate_ms", "closed_form_counters", "clear_estimator_cache"]
+__all__ = ["PlanEntry", "analytic_launch", "characterize",
+           "estimate_report", "estimate_ms", "closed_form_counters",
+           "clear_estimator_cache"]
 
-#: One-block LaunchPlan -> LaunchResult carrying its analytic ledger.
+
+@dataclass(eq=False)
+class PlanEntry(LaunchResult):
+    """One plan's memo entry: its one-block charge-only launch, plus
+    everything derived from that ledger, each computed once.
+
+    :meth:`derive` holds the derived values under keys their users
+    choose: the cost model keys the grid report by ``("report", params,
+    num_blocks)`` (:meth:`CostModel.plan_report
+    <repro.gpusim.costmodel.CostModel.plan_report>`) and its resolved
+    ``model.*`` writes by ``("model", params, num_blocks, solver)``;
+    the telemetry collector keys a launch's resolved ``sim.*`` writes
+    by ``("sim", kernel)``.  Entries are shared: treat every derived
+    value as read-only.
+    """
+
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
+
+    def derive(self, key: Any, build: Callable[[], Any]) -> Any:
+        """``build()``'s value for ``key``, computed on the first call."""
+        hit = self._derived.get(key)
+        if hit is None:
+            hit = self._derived[key] = build()
+        return hit
+
+
+#: One-block LaunchPlan -> its PlanEntry.
 _MEMO: dict = {}
 
 
 def clear_estimator_cache() -> None:
-    """Drop all memoized ledgers (for tests)."""
+    """Drop all memo entries (for tests)."""
     _MEMO.clear()
 
 
-def characterize(plan) -> LaunchResult:
-    """The memoized charge-only launch of ``plan``'s one-block form.
+def characterize(plan) -> PlanEntry:
+    """The memo entry of ``plan``: its one-block form's charge-only
+    launch (a :class:`LaunchResult` with ``num_blocks=1``).
 
-    The returned :class:`LaunchResult` (``num_blocks=1``) is shared:
-    callers must treat it as read-only and copy the ledger before
-    handing it out.
+    The entry is shared: callers must treat it as read-only and copy
+    the ledger before handing it out.
     """
     key = plan.block
     hit = _MEMO.get(key)
@@ -66,7 +105,7 @@ def characterize(plan) -> LaunchResult:
                            functional=False)
         with np.errstate(all="ignore"):
             plan.kernel(ctx, gmem=plan.stub(), **dict(plan.kwargs))
-        hit = _MEMO[key] = LaunchResult(
+        hit = _MEMO[key] = PlanEntry(
             outputs=None, ledger=ctx.ledger, num_blocks=1,
             threads_per_block=plan.threads_per_block,
             shared_bytes=ctx.shared_space.bytes_allocated,
@@ -110,15 +149,20 @@ def estimate_report(method: str, n: int, num_systems: int, *,
                     cost_model: CostModel | None = None,
                     layout: str = "sequential") -> TimingReport:
     """Analytic :class:`TimingReport` for a ``num_systems x n`` grid:
-    the memoized block ledger priced over the plan's real block count,
-    without telemetry."""
-    from .gt200 import gt200_cost_model
+    the plan's memoized price (:meth:`CostModel.plan_report`, the one
+    a planned launch of it is charged), without telemetry."""
+    return _priced(method, n, num_systems, intermediate_size, device,
+                   cost_model, layout).copy()
 
+
+def _priced(method, n, num_systems, intermediate_size, device, cost_model,
+            layout) -> TimingReport:
+    """The memo entry's shared report for the grid (read-only)."""
+    if cost_model is None:
+        from .gt200 import gt200_cost_model
+        cost_model = gt200_cost_model()
     plan = _plan(method, n, num_systems, intermediate_size, device, layout)
-    block = characterize(plan)
-    return (cost_model or gt200_cost_model()).grid_report(
-        plan.device, plan.num_blocks, block.shared_bytes,
-        plan.threads_per_block, block.ledger)
+    return cost_model.plan_report(characterize(plan), plan.num_blocks)
 
 
 def estimate_ms(method: str, n: int, num_systems: int, *,
@@ -127,10 +171,8 @@ def estimate_ms(method: str, n: int, num_systems: int, *,
                 cost_model: CostModel | None = None,
                 layout: str = "sequential") -> float:
     """Modeled solver milliseconds for a grid, via the analytic path."""
-    return estimate_report(method, n, num_systems,
-                           intermediate_size=intermediate_size,
-                           device=device, cost_model=cost_model,
-                           layout=layout).total_ms
+    return _priced(method, n, num_systems, intermediate_size, device,
+                   cost_model, layout).total_ms
 
 
 def closed_form_counters(method: str, n: int) -> dict[str, int]:

@@ -9,7 +9,7 @@ time using the device's occupancy rules.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
@@ -39,6 +39,13 @@ class LaunchResult:
         Static shared-memory footprint per block, as allocated.
     device:
         The device the launch was simulated on.
+    memo:
+        A planned launch's estimator memo entry
+        (:class:`~repro.gpusim.estimator.PlanEntry`).  Built with
+        ``ledger=None``, the result then reads its ledger as a private
+        copy of the entry's, made on first access; until then the cost
+        model and the collector price and record the launch from the
+        entry (:meth:`memo_entry`).
     """
 
     outputs: Any
@@ -47,6 +54,26 @@ class LaunchResult:
     threads_per_block: int
     shared_bytes: int
     device: DeviceSpec
+    memo: Any = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.ledger is None and self.memo is not None:
+            del self.ledger                  # copied on first read
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes missing from the instance: the
+        # unread ledger of a planned launch.
+        if name != "ledger" or self.memo is None:
+            raise AttributeError(name)
+        ledger = self.ledger = self.memo.ledger.copy()
+        return ledger
+
+    def memo_entry(self):
+        """The memo entry that still stands for this launch, or
+        ``None``: set while a planned launch's ledger is unread.  Once
+        read, the ledger is the caller's to change, so it alone is
+        priced and recorded."""
+        return None if "ledger" in self.__dict__ else self.memo
 
     @property
     def blocks_per_sm(self) -> int:
@@ -63,8 +90,7 @@ def launch(kernel: Callable[..., Any], *, num_blocks: int,
            threads_per_block: int, device: DeviceSpec = GTX280,
            dtype=np.float32, check_contiguous_active: bool = True,
            step_limit: int | None = None, max_launch_attempts: int = 3,
-           retry_backoff_s: float = 0.0, engine=None,
-           ledger: CounterLedger | None = None,
+           retry_backoff_s: float = 0.0, engine=None, memo=None,
            **kernel_args) -> LaunchResult:
     """Simulate ``kernel(ctx, **kernel_args)`` over a grid.
 
@@ -77,11 +103,12 @@ def launch(kernel: Callable[..., Any], *, num_blocks: int,
     ``"reference"`` for the per-lane oracle, or an instance; see
     :mod:`~repro.gpusim.engine`).
 
-    ``ledger`` is a precomputed ledger for this launch (a planned
-    launch's private copy from :mod:`~repro.gpusim.estimator`): the
-    kernel then runs functionally with ``record_trace=False`` and the
-    result carries that ledger.  Without it the launch records its own
-    trace.
+    ``memo`` is the launch plan's
+    :class:`~repro.gpusim.estimator.PlanEntry` (a planned launch,
+    :func:`repro.kernels.api.execute`): the kernel then runs
+    functionally with ``record_trace=False`` and the result references
+    the entry, copying its ledger only when first read.  Without it the
+    launch records its own trace.
 
     Under an active :class:`~repro.gpusim.faults.FaultPlan` a launch
     attempt may fail before any block runs: transient failures are
@@ -113,7 +140,7 @@ def launch(kernel: Callable[..., Any], *, num_blocks: int,
         return _launch_once(kernel, kernel_name, num_blocks,
                             threads_per_block, device, dtype,
                             check_contiguous_active, step_limit, plan,
-                            kernel_args, engine=engine, ledger=ledger)
+                            kernel_args, engine=engine, memo=memo)
     raise AssertionError("unreachable")  # pragma: no cover
 
 
@@ -139,13 +166,12 @@ def _reference_execute(kernel: Callable[..., Any], *, num_blocks: int,
 
 def _launch_once(kernel, kernel_name, num_blocks, threads_per_block, device,
                  dtype, check_contiguous_active, step_limit, plan,
-                 kernel_args, engine=None, ledger=None) -> LaunchResult:
+                 kernel_args, engine=None, memo=None) -> LaunchResult:
     """One successful launch attempt (the pre-fault-injection body),
     reported to the active telemetry collector, if any."""
     ctx = BlockContext(device, num_blocks, threads_per_block, dtype=dtype,
                        check_contiguous_active=check_contiguous_active,
-                       step_limit=step_limit,
-                       record_trace=ledger is None,
+                       step_limit=step_limit, record_trace=memo is None,
                        engine=engine)
     # Looked up lazily, as metrics.emit does: telemetry imports gpusim.
     from repro.telemetry.collector import get_collector
@@ -159,11 +185,12 @@ def _launch_once(kernel, kernel_name, num_blocks, threads_per_block, device,
             outputs = None
         result = LaunchResult(
             outputs=outputs,
-            ledger=ctx.ledger if ledger is None else ledger,
+            ledger=ctx.ledger if memo is None else None,
             num_blocks=num_blocks,
             threads_per_block=threads_per_block,
             shared_bytes=ctx.shared_space.bytes_allocated,
             device=device,
+            memo=memo,
         )
         if record is not None:
             record.result = result

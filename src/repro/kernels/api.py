@@ -10,9 +10,11 @@ Each ``run_*`` function stages the systems in global memory, launches
 the planned kernel on the simulated device, and returns
 ``(x, LaunchResult)`` -- the solution plus the architectural trace.
 The paper's kernels have data-independent schedules, so a planned
-launch takes its ledger from the estimator's memo (a private copy) and
-executes functionally without recording a trace; under an active
-fault plan or a ``step_limit`` it traces for real.  Feed the result to
+launch executes functionally without recording a trace and references
+the plan's estimator memo entry, which supplies its ledger (a private
+copy, made when first read), its price and its telemetry; under an
+active fault plan or a ``step_limit`` it traces for real.  Feed the
+result to
 :func:`repro.gpusim.gt200.gt200_cost_model` (or any
 :class:`~repro.gpusim.CostModel`) for modeled timings.
 """
@@ -20,6 +22,7 @@ fault plan or a ``step_limit`` it traces for real.  Feed the result to
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from typing import Any, Callable
 
 import numpy as np
@@ -70,7 +73,9 @@ class LaunchPlan:
     ``(name, value)`` pairs; ``systems_per_block`` is 1 for the
     fine-grained kernels and the block's thread count for the
     per-thread Thomas mapping.  Plans are hashable: the estimator keys
-    its ledger memo on :attr:`block`.
+    its plan memo on :attr:`block`.  :func:`plan_launch` hands out one
+    shared plan per argument set, so a repeated shape resolves its
+    block form once.
     """
 
     kernel: Callable
@@ -82,10 +87,10 @@ class LaunchPlan:
     layout: str = "sequential"
     systems_per_block: int = 1
 
-    @property
+    @cached_property
     def block(self) -> "LaunchPlan":
         """The plan's one-block form.  Per-block charges do not depend
-        on the block count, so this is the ledger memo's key."""
+        on the block count, so this is the plan memo's key."""
         return replace(self, num_blocks=1)
 
     def _arrays(self):
@@ -109,6 +114,7 @@ class LaunchPlan:
             num_systems=self.systems_per_block, n=self.n)
 
 
+@lru_cache(maxsize=1024, typed=True)
 def plan_launch(name: str, n: int, num_systems: int = 1, *,
                 intermediate_size: int | None = None,
                 device: DeviceSpec = GTX280,
@@ -124,6 +130,9 @@ def plan_launch(name: str, n: int, num_systems: int = 1, *,
     identity systems to whole blocks, which keeps the interleave stride
     a multiple of the 16-word transaction segment whenever more than
     one block exists.
+
+    Plans are frozen, so each argument set resolves once and its plan
+    is shared (an LRU of 1024 argument sets).
     """
     layout = layout or "sequential"
     if name == "thomas":
@@ -172,18 +181,21 @@ def execute(plan: LaunchPlan, gmem,
             step_limit: int | None = None) -> LaunchResult:
     """Launch ``plan`` functionally over ``gmem``.
 
-    The ledger is a private copy of the estimator memo's (filled by a
-    charge-only run on a miss) and the launch records no trace of its
-    own.  An active fault plan perturbs both execution and counters,
-    and ``step_limit`` truncates the schedule, so those launches trace
-    for real.
+    The launch records no trace of its own: its result references the
+    plan's estimator memo entry (filled by a charge-only run on a
+    miss).  The result's ledger is a private copy of the entry's, made
+    on first read; until then the cost model and the telemetry
+    collector take the launch's price and ``sim.*``/``model.*`` writes
+    from the entry.  An active fault plan perturbs both execution and
+    counters, and ``step_limit`` truncates the schedule, so those
+    launches trace for real.
     """
-    ledger = None
+    memo = None
     if step_limit is None and _faults.active_plan() is None:
-        ledger = characterize(plan).ledger.copy()
+        memo = characterize(plan)
     return launch(plan.kernel, num_blocks=plan.num_blocks,
                   threads_per_block=plan.threads_per_block,
-                  device=plan.device, step_limit=step_limit, ledger=ledger,
+                  device=plan.device, step_limit=step_limit, memo=memo,
                   gmem=gmem, **dict(plan.kwargs))
 
 

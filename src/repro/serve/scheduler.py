@@ -192,7 +192,6 @@ class BatchScheduler:
         self.health = HealthMonitor(pool, policy=health_policy, seed=seed)
         self._cpu_clock = 0.0
         self._now_ms = 0.0
-        self._estimate_cache: dict[tuple, float] = {}
         self.slo = SLORegistry()
         #: job_id -> (committed-and-arrived ms, arrival ms or None).
         self._committed: dict[str, tuple[float, float | None]] = {}
@@ -237,16 +236,16 @@ class BatchScheduler:
         price the placement that will run.
         """
         self._resolve_auto(job)
-        key = (job.method, job.layout, job.systems.n,
-               min(job.chunk_size, job.systems.num_systems),
-               job.intermediate_size)
-        if key not in self._estimate_cache:
-            from repro.gpusim.estimator import estimate_ms
-            self._estimate_cache[key] = estimate_ms(
-                job.method, job.systems.n, key[3],
-                intermediate_size=job.intermediate_size,
-                layout=job.layout)
-        return self._estimate_cache[key] * job.num_chunks / len(self.pool)
+        return self._chunk_ms(job) * job.num_chunks / len(self.pool)
+
+    def _chunk_ms(self, job: SolveJob) -> float:
+        """One chunk's analytic price: the plan's memo entry, which a
+        planned launch of the chunk is charged from too."""
+        from repro.gpusim.estimator import estimate_ms
+        return estimate_ms(job.method, job.systems.n,
+                           min(job.chunk_size, job.systems.num_systems),
+                           intermediate_size=job.intermediate_size,
+                           cost_model=self._cost_model, layout=job.layout)
 
     def _chunk_estimate_ms(self, job: SolveJob) -> float:
         """Modeled estimate for one chunk of ``job`` (the unit the
@@ -254,11 +253,8 @@ class BatchScheduler:
         against)."""
         with telemetry.span("serve.estimate", job=job.job_id,
                             method=job.method):
-            self.estimate_job_ms(job)
-        key = (job.method, job.layout, job.systems.n,
-               min(job.chunk_size, job.systems.num_systems),
-               job.intermediate_size)
-        return self._estimate_cache[key]
+            self._resolve_auto(job)
+            return self._chunk_ms(job)
 
     # -- trace context --------------------------------------------------
 

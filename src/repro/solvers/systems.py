@@ -147,10 +147,13 @@ class TridiagonalSystems:
         Computed in float64 regardless of storage dtype so that the
         residual measures solver error, not evaluation error (this is
         how the paper's Fig 18 residuals are meaningful for float32
-        solvers).
+        solvers).  Storage of at most 64 bits is widened exactly by
+        numpy's promotion against the float64 ``x``, so no coefficient
+        array is copied.
         """
-        s64 = self.astype(np.float64)
-        r = s64.matvec(np.asarray(x, dtype=np.float64)) - s64.d
+        s = self if self.dtype.itemsize <= 8 else self.astype(np.float64)
+        r = s.matvec(np.asarray(x, dtype=np.float64))
+        r -= s.d
         return np.linalg.norm(r, ord=ord, axis=1)
 
     def is_diagonally_dominant(self, strict: bool = True) -> np.ndarray:

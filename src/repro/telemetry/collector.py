@@ -53,7 +53,7 @@ from typing import Any, Iterator
 
 from repro.gpusim.pool import derive_seed, derive_seeds
 
-from .metrics import MetricsRegistry
+from .metrics import MetricsRegistry, Write, resolve
 from .spans import (LiveSpan, NOOP_SPAN, EventRecord, NoopSpan,
                     SpanRecord)
 
@@ -207,9 +207,13 @@ class Collector:
         the kernel and sets the yielded record's ``result``.
 
         Opens the ``sim.launch:<kernel>`` span and appends the record;
-        on exit a completed launch (``result`` set, even when ECC then
-        raised) records its ``sim.*`` ledger totals, plus ``sim.steps``
-        and ``sim.conflict_degree`` from the ledger's step records.
+        on exit records ``sim.launches`` and, for a completed launch
+        (``result`` set, even when ECC then raised), its ``sim.*``
+        ledger totals, plus ``sim.steps`` and ``sim.conflict_degree``
+        from the ledger's step records.  A planned launch whose ledger
+        is unread replays those writes, resolved once, from its memo
+        entry (:meth:`LaunchResult.memo_entry
+        <repro.gpusim.executor.LaunchResult.memo_entry>`).
         """
         rec = LaunchRecord(
             seq=len(self.launches), kernel=kernel, num_blocks=num_blocks,
@@ -219,26 +223,35 @@ class Collector:
         with self.start_span(f"sim.launch:{kernel}",
                              {"kernel": kernel, "num_blocks": num_blocks,
                               "threads_per_block": threads_per_block}):
-            self.metrics.record("sim.launches", kernel=kernel)
             try:
                 yield rec
             finally:
-                if rec.result is not None:
-                    self._record_result(kernel, rec.result)
+                result = rec.result
+                entry = None if result is None else result.memo_entry()
+                self.metrics.write(
+                    _launch_writes(kernel, result) if entry is None
+                    else entry.derive(("sim", kernel), lambda: (
+                        _launch_writes(kernel, entry))))
 
-    def _record_result(self, kernel: str, result: Any) -> None:
-        record = self.metrics.record
-        record("sim.blocks_per_sm", result.blocks_per_sm, kernel=kernel)
+
+def _launch_writes(kernel: str, result: Any) -> tuple[Write, ...]:
+    """The resolved ``sim.*`` writes of one launch (``result`` None: it
+    raised before completing)."""
+    writes = [resolve("sim.launches", kernel=kernel)]
+    if result is not None:
+        writes.append(resolve("sim.blocks_per_sm", result.blocks_per_sm,
+                              kernel=kernel))
         total = result.ledger.total()
         for name, amount in (("sim.shared_words", total.shared_words),
                              ("sim.global_words", total.global_words),
                              ("sim.flops", total.flops),
                              ("sim.syncs", total.syncs)):
-            record(name, amount, kernel=kernel)
+            writes.append(resolve(name, amount, kernel=kernel))
         for phase, _index, counters in result.ledger.step_records:
-            record("sim.steps", phase=phase)
-            record("sim.conflict_degree", counters.conflict_degree,
-                   phase=phase)
+            writes.append(resolve("sim.steps", phase=phase))
+            writes.append(resolve("sim.conflict_degree",
+                                  counters.conflict_degree, phase=phase))
+    return tuple(writes)
 
 
 def deterministic_collector(seed: int = 0,

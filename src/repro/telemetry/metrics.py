@@ -15,6 +15,14 @@ collector.  The declared kind picks the operation (counter ``inc``,
 gauge ``set``, histogram ``observe``); an undeclared name raises, so a
 typo fails loudly instead of starting a new family.
 
+A write is resolved (:func:`resolve`: catalogue lookup, sorted label
+key, histogram bucket) before :meth:`MetricsRegistry.write` applies
+it.  ``record`` does both at once; a caller that repeats the same
+writes -- a planned launch's ``sim.*`` and ``model.*`` footprint,
+memoized with the plan (:mod:`repro.gpusim.estimator`) -- resolves
+them once and replays the tuple, one application per write, so every
+series accumulates in the same order either way.
+
 Counters are float-valued on purpose: "modeled milliseconds by
 solver/phase" is a counter in the aggregation sense (only ever added
 to) even though the increments are fractional.
@@ -270,7 +278,10 @@ class HistogramSeries:
         value = float(value)
         if value != value:              # NaN carries no rank information
             return
-        idx = bucket_index(value)
+        self.add(value, bucket_index(value))
+
+    def add(self, value: float, idx: int) -> None:
+        """Count ``value`` (a non-NaN float) into its bucket ``idx``."""
         self.counts[idx] = self.counts.get(idx, 0) + 1
         self.count += 1
         self.sum += value
@@ -434,9 +445,34 @@ class _ReferenceHistogram:
         return _reference_summarize(self.values(**labels))
 
 
-#: Declared kind -> (family class, write operation).
-_KINDS = {"counter": (Counter, "inc"), "gauge": (Gauge, "set"),
-          "histogram": (Histogram, "observe")}
+#: Declared kind -> family class.
+_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+
+#: One resolved metric write: ``(name, kind, label key, value,
+#: bucket)``; ``bucket`` is the histogram bucket index, ``None`` for
+#: counters, gauges and (dropped) NaN observations.
+Write = tuple[str, str, LabelKey, float, "int | None"]
+
+
+def resolve(name: str, value: float = 1.0, /, **labels: Any) -> Write:
+    """Resolve one write to the declared family ``name``: its kind,
+    sorted label key, value as its operation stores it and histogram
+    bucket.  Raises :class:`KeyError` for an undeclared name and
+    :class:`ValueError` for a negative counter increment."""
+    declared = METRICS.get(name)
+    if declared is None:
+        raise KeyError(f"undeclared metric {name!r}: add it to "
+                       f"repro.telemetry.metrics.METRICS")
+    kind = declared[0]
+    key = _labelkey(labels)
+    if kind == "counter":
+        if value < 0:
+            raise ValueError(f"counter {name!r} cannot decrease")
+        return name, kind, key, value, None
+    value = float(value)
+    bucket = (bucket_index(value) if kind == "histogram" and value == value
+              else None)
+    return name, kind, key, value, bucket
 
 
 class MetricsRegistry:
@@ -451,7 +487,7 @@ class MetricsRegistry:
             declared = METRICS.get(name)
             if declared is not None:
                 kind, help = declared
-                if _KINDS[kind][0] is not cls:
+                if _KINDS[kind] is not cls:
                     raise TypeError(f"metric {name!r} is declared as a "
                                     f"{kind}, not {cls.__name__}")
             metric = cls(name=name, help=help)
@@ -464,16 +500,31 @@ class MetricsRegistry:
 
     def record(self, name: str, value: float = 1.0, /,
                **labels: Any) -> None:
-        """The one write path: apply ``value`` to the declared family
-        ``name`` by its catalogue kind (counter ``inc``, gauge ``set``,
-        histogram ``observe``).  Raises :class:`KeyError` for a name
-        missing from :data:`METRICS`."""
-        declared = METRICS.get(name)
-        if declared is None:
-            raise KeyError(f"undeclared metric {name!r}: add it to "
-                           f"repro.telemetry.metrics.METRICS")
-        cls, op = _KINDS[declared[0]]
-        getattr(self._get(cls, name, ""), op)(value, **labels)
+        """Apply ``value`` to the declared family ``name`` by its
+        catalogue kind (counter ``inc``, gauge ``set``, histogram
+        ``observe``): :func:`resolve` then :meth:`write`.  Raises
+        :class:`KeyError` for a name missing from :data:`METRICS`."""
+        self.write((resolve(name, value, **labels),))
+
+    def write(self, writes: Iterable[Write]) -> None:
+        """The one write path: apply resolved writes in order, each as
+        its own counter add, gauge set or histogram observation."""
+        metrics = self._metrics
+        for name, kind, key, value, bucket in writes:
+            family = metrics.get(name)
+            if family is None:
+                family = self._get(_KINDS[kind], name, "")
+            series = family.series
+            if kind == "counter":
+                series[key] = series.get(key, 0.0) + value
+            elif kind == "gauge":
+                series[key] = value
+            else:
+                hist = series.get(key)
+                if hist is None:
+                    hist = series[key] = HistogramSeries()
+                if bucket is not None:      # NaN observations are dropped
+                    hist.add(value, bucket)
 
     def counter(self, name: str, help: str = "") -> Counter:
         return self._get(Counter, name, help)

@@ -12,6 +12,7 @@ Every promise is enforced here.
 """
 
 import dataclasses
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -258,6 +259,29 @@ def _session(method, systems, **kw):
     return x.view(np.uint32).tobytes(), res, telemetry.to_jsonl(col)
 
 
+#: The families one launch and its cost report write.
+LAUNCH_FAMILIES = ("sim.launches", "sim.blocks_per_sm", "sim.shared_words",
+                   "sim.global_words", "sim.flops", "sim.syncs",
+                   "sim.steps", "sim.conflict_degree", "model.reports",
+                   "model.total_ms", "model.phase_ms")
+
+
+def _priced_session(method, systems, traced=False):
+    """One launch priced twice -- once under a solver label, once
+    without -- in a deterministic collector; its Prometheus text and
+    JSONL.  ``traced`` runs the launch under a fault plan that injects
+    nothing, which bypasses the memo entry."""
+    with telemetry.collect(telemetry.deterministic_collector(5)) as col, \
+            (inject(FaultPlan(seed=0)) if traced else nullcontext()):
+        _x, res = run_kernel(method, systems)
+        assert (res.memo_entry() is None) is traced
+        cm = gt200_cost_model()
+        with telemetry.span("priced", solver=method):
+            cm.report(res)
+        cm.report(res)
+    return telemetry.prometheus_text(col), telemetry.to_jsonl(col)
+
+
 class TestMemoInvisible:
     """Memo state never shows: cold and warm launches are bitwise the
     same, and each launch owns its ledger."""
@@ -330,6 +354,73 @@ class TestMemoInvisible:
         _x, res = run_kernel("cr", systems, step_limit=2)
         assert not estimator._MEMO
         assert res.ledger.total().steps == 2
+
+    @pytest.mark.parametrize("method", ["cr", "cr_pcr"])
+    def test_cold_warm_and_traced_exports_equal(self, method):
+        """Cold-memo, warm-memo and traced launches of one plan export
+        the same Prometheus text and JSONL, every launch family
+        included."""
+        systems = diagonally_dominant_fluid(3, 32, seed=2)
+        clear_estimator_cache()
+        cold = _priced_session(method, systems)
+        warm = _priced_session(method, systems)
+        traced = _priced_session(method, systems, traced=True)
+        assert cold == warm == traced
+        prom = cold[0]
+        for family in LAUNCH_FAMILIES:
+            assert f"# TYPE repro_{family.replace('.', '_')}" in prom, family
+        assert 'solver="%s"' % method in prom
+
+    def test_read_then_mutated_ledger_is_priced_as_is(self):
+        systems = diagonally_dominant_fluid(2, 16, seed=0)
+        cm = gt200_cost_model()
+        _x, res = run_kernel("pcr", systems)
+        entry = res.memo_entry()
+        assert entry is characterize(plan_launch("pcr", 16, 2))
+        memo_ms = cm.report(res).total_ms
+        phase = res.ledger.phase_names()[0]
+        assert res.memo_entry() is None
+        res.ledger.phase(phase).warp_instructions += 10_000
+        rep = cm.report(res)
+        assert rep.total_ms > memo_ms
+        assert rep.per_step == cm.grid_report(
+            res.device, res.num_blocks, res.shared_bytes,
+            res.threads_per_block, res.ledger).per_step
+        assert rep.total_ms == cm.grid_report(
+            res.device, res.num_blocks, res.shared_bytes,
+            res.threads_per_block, res.ledger).total_ms
+        # The entry's price is untouched.
+        assert cm.plan_report(entry, res.num_blocks).total_ms == memo_ms
+
+    def test_one_entry_prices_each_block_count(self):
+        """Planned launches of one shape at two batch sizes share an
+        entry and are each priced over their own grid."""
+        cm = gt200_cost_model()
+        clear_estimator_cache()
+        for num_systems in (2, 40, 2):
+            _x, res = run_kernel("cr", diagonally_dominant_fluid(
+                num_systems, 32, seed=num_systems))
+            rep = cm.report(res)
+            assert res.memo_entry() is not None
+            assert rep.per_step == cm.grid_report(
+                res.device, num_systems, res.shared_bytes,
+                res.threads_per_block, res.ledger).per_step
+            assert rep.total_ms == estimate_ms("cr", 32, num_systems)
+        assert len(estimator._MEMO) == 1
+
+    def test_reports_are_private(self):
+        """A replayed report is the caller's to change."""
+        systems = diagonally_dominant_fluid(2, 16, seed=0)
+        cm = gt200_cost_model()
+        _x, res = run_kernel("pcr", systems)
+        first = cm.report(res)
+        expected = first.total_ms
+        next(iter(first.phases.values())).compute_ms += 1.0
+        first.per_step.clear()
+        _x, again = run_kernel("pcr", systems)
+        second = cm.report(again)
+        assert second.total_ms == expected and second.per_step
+        assert estimate_report("pcr", 16, 2).total_ms == expected
 
 
 class TestTimingMirror:

@@ -333,7 +333,7 @@ class TestPlannedLaunches:
         x_vec, planned_vec = run_kernel("cr", systems)
         gmem = plan.load(systems)
         planned_ref = launch(plan.kernel, gmem=gmem, engine="reference",
-                             ledger=characterize(plan).ledger.copy(),
+                             memo=characterize(plan),
                              **args)
         gmem_traced = plan.load(systems)
         traced_ref = _reference_execute(plan.kernel, gmem=gmem_traced,

@@ -41,13 +41,30 @@ class TestServeEstimatePath:
         expected = per_chunk * job.num_chunks / len(sched.pool)
         assert sched.estimate_job_ms(job) == expected
 
-    def test_estimate_cache_keyed_per_shape(self):
+    def test_estimate_priced_once_per_shape(self):
+        """The scheduler keeps no estimate cache of its own: each chunk
+        shape is priced once, on its plan's estimator memo entry."""
+        from repro.gpusim import estimator
+
+        estimator.clear_estimator_cache()
         sched = self._scheduler()
-        sched.estimate_job_ms(self._job(n=64))
-        sched.estimate_job_ms(self._job(n=64))
-        assert len(sched._estimate_cache) == 1
+        assert not hasattr(sched, "_estimate_cache")
+        first = sched.estimate_job_ms(self._job(n=64))
+        assert sched.estimate_job_ms(self._job(n=64)) == first
+        (entry,) = estimator._MEMO.values()
+        reports = [k for k in entry._derived if k[0] == "report"]
+        assert reports == [("report", sched._cost_model.params, 2)]
         sched.estimate_job_ms(self._job(n=32))
-        assert len(sched._estimate_cache) == 2
+        assert len(estimator._MEMO) == 2
+
+    def test_estimate_and_realized_cost_share_one_entry(self):
+        """A healthy chunk's realized cost is the estimate it was
+        admitted with: both read the plan's memo price."""
+        sched = self._scheduler()
+        job = self._job(n=64, num_systems=4, chunk_size=2)
+        per_chunk = sched._chunk_estimate_ms(job)
+        report = sched.run_job(job)
+        assert [ch.modeled_ms for ch in report.chunks] == [per_chunk] * 2
 
     def test_run_job_still_solves_correctly(self):
         """End to end: admission via the analytic path, execution via

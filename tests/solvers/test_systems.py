@@ -109,6 +109,27 @@ class TestMatvecResidual:
         r = s.residual(x)
         assert r.dtype == np.float64
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("ord", [2, np.inf])
+    def test_residual_bitwise_equals_widened_copy(self, dtype, ord):
+        """``residual`` widens without copying the coefficients, and
+        gives the bits of the formula on a float64 copy of the batch,
+        non-finite ``x`` rows included."""
+        s = _simple(5, 16, dtype=dtype)
+        x = np.random.default_rng(7).uniform(-2, 2, s.shape).astype(dtype)
+        x[1, 3] = np.inf
+        x[2, 0] = -np.inf
+        x[3, 15] = np.nan
+        s64 = TridiagonalSystems(*(v.astype(np.float64)
+                                   for v in (s.a, s.b, s.c, s.d)))
+        with np.errstate(all="ignore"):
+            want = np.linalg.norm(s64.matvec(x.astype(np.float64)) - s64.d,
+                                  ord=ord, axis=1)
+            got = s.residual(x, ord=ord)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert not np.isfinite(got[1:4]).any()
+
 
 class TestPredicates:
     def test_diagonal_dominance_true(self):

@@ -94,3 +94,44 @@ class TestCollectorIntegration:
                 pass
         assert len(col.launches) == 1
         assert col.launches[0].result is None
+
+
+class TestPlannedLaunchReplay:
+    """A warm planned launch replays its plan's resolved ``sim.*`` and
+    ``model.*`` writes: it sorts no label set of its own."""
+
+    def test_warm_planned_launch_resolves_no_label_keys(self, monkeypatch):
+        from repro.gpusim import gt200_cost_model
+        from repro.kernels.api import run_kernel
+        from repro.telemetry import metrics
+
+        calls = []
+        labelkey = metrics._labelkey
+
+        def counting(labels):
+            calls.append(dict(labels))
+            return labelkey(labels)
+
+        monkeypatch.setattr(metrics, "_labelkey", counting)
+        systems = diagonally_dominant_fluid(2, 32, seed=1)
+        cm = gt200_cost_model()
+
+        def launch_and_price():
+            with telemetry.span("solve", solver="cr_pcr"):
+                _x, res = run_kernel("cr_pcr", systems)
+                cm.report(res)
+
+        with telemetry.collect() as col:
+            launch_and_price()              # resolves (memo may be cold)
+            calls.clear()
+            launch_and_price()              # warm: replays
+            warm = list(calls)
+            _x, res = run_kernel("cr_pcr", systems)
+            res.ledger                      # read: priced as traced
+            cm.report(res)
+        assert warm == []
+        assert calls, "a read ledger resolves its model.* writes afresh"
+        assert col.metrics.counter("sim.launches").value(
+            kernel="cr_pcr_kernel") == 3
+        assert col.metrics.counter("model.reports").value(
+            solver="cr_pcr") == 2
