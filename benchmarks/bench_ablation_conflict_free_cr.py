@@ -18,7 +18,7 @@ more shared memory usage".  Two incarnations here:
 from repro.analysis.timing import modeled_grid_timing
 from repro.gpusim import GTX280 as GTX280_DEV
 from repro.gpusim import KernelError, gt200_cost_model
-from repro.kernels.api import run_cr, run_cr_split
+from repro.kernels.api import run_kernel
 from repro.numerics.generators import diagonally_dominant_fluid
 
 from _harness import emit, quiet, table
@@ -41,10 +41,10 @@ def build_table() -> str:
             t_hybrid = modeled_grid_timing("cr_pcr", n, S,
                                            intermediate_size=n // 2)
             s = diagonally_dominant_fluid(2, n, seed=n)
-            _x, cf = run_cr(s, conflict_free_timing=True)
+            _x, cf = run_kernel("cr", s, conflict_free_timing=True)
             t_cf = _grid_ms(cm, cf, S)
             try:
-                _x, sp = run_cr_split(s)
+                _x, sp = run_kernel("cr_split", s)
                 t_split = _grid_ms(cm, sp, S)
                 split_cell = t_split
             except KernelError:
@@ -69,7 +69,7 @@ def test_ablation_conflict_free_cr(benchmark):
     emit("ablation_conflict_free_cr", build_table())
     with quiet():
         s = diagonally_dominant_fluid(2, 256, seed=0)
-        benchmark(lambda: run_cr(s, conflict_free_timing=True))
+        benchmark(lambda: run_kernel("cr", s, conflict_free_timing=True))
 
 
 if __name__ == "__main__":

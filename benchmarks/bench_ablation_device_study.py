@@ -11,7 +11,7 @@ the CR+RD m = 256 shared-memory limit, and the bank-conflict ladder.
 from repro.analysis.device_study import (FERMI_LIKE, compare_devices,
                                          occupancy_shift)
 from repro.gpusim import GTX280, KernelError
-from repro.kernels.api import run_cr_rd
+from repro.kernels.api import run_kernel
 from repro.numerics.generators import diagonally_dominant_fluid
 
 from _harness import emit, quiet, table
@@ -27,11 +27,11 @@ def build_table() -> str:
                  f"{c.speedup:.2f}x"] for c in comps]
         occ = occupancy_shift(512)
         try:
-            run_cr_rd(s, intermediate_size=256, device=GTX280)
+            run_kernel("cr_rd", s, intermediate_size=256, device=GTX280)
             gt200_m256 = "fits"
         except KernelError:
             gt200_m256 = "exceeds shared memory"
-        run_cr_rd(s, intermediate_size=256, device=FERMI_LIKE)
+        run_kernel("cr_rd", s, intermediate_size=256, device=FERMI_LIKE)
         fermi_m256 = "fits"
     notes = [
         f"CR blocks/SM at n=512: GTX280={occ['GTX 280']}, "

@@ -9,7 +9,7 @@ shared memory), demonstrating the fallback's reason to exist.
 """
 
 from repro.gpusim import KernelError, gt200_cost_model
-from repro.kernels.api import run_cr, run_cr_global
+from repro.kernels.api import run_kernel
 from repro.numerics.generators import diagonally_dominant_fluid
 
 from _harness import emit, quiet, table
@@ -21,11 +21,11 @@ def build_table() -> str:
     with quiet():
         for n in (128, 256, 512, 1024):
             s = diagonally_dominant_fluid(2, n, seed=n)
-            _x, g = run_cr_global(s)
+            _x, g = run_kernel("cr_global", s)
             t_global = cm.report(g).total_ms
             trans = g.ledger.total().global_transactions
             try:
-                _x, sh = run_cr(s)
+                _x, sh = run_kernel("cr", s)
                 t_shared = cm.report(sh).total_ms
                 ratio = f"{t_global / t_shared:.2f}x"
             except KernelError:
@@ -41,7 +41,7 @@ def test_ablation_global_only(benchmark):
     emit("ablation_global_only", build_table())
     with quiet():
         s = diagonally_dominant_fluid(2, 512, seed=0)
-        benchmark(lambda: run_cr_global(s))
+        benchmark(lambda: run_kernel("cr_global", s))
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ design.
 
 from repro.analysis.timing import modeled_grid_timing
 from repro.gpusim import GTX280, KernelError, gt200_cost_model
-from repro.kernels.api import run_pcr, run_pcr_pingpong
+from repro.kernels.api import run_kernel
 from repro.numerics.generators import diagonally_dominant_fluid
 
 from _harness import emit, quiet, table
@@ -28,10 +28,10 @@ def build_table() -> str:
         for n, S in ((64, 64), (128, 128), (256, 256), (512, 512)):
             t_in = modeled_grid_timing("pcr", n, S).solver_ms
             s = diagonally_dominant_fluid(2, n, seed=n)
-            _x, r_in = run_pcr(s)
+            _x, r_in = run_kernel("pcr", s)
             conc_in = GTX280.blocks_per_sm(r_in.shared_bytes, n)
             try:
-                _x, r_pp = run_pcr_pingpong(s)
+                _x, r_pp = run_kernel("pcr_pingpong", s)
                 scale, conc_pp, _ = cm.grid_scale(
                     GTX280, S, r_pp.shared_bytes, r_pp.threads_per_block)
                 t_pp = sum(
@@ -52,7 +52,7 @@ def test_ablation_inplace_pcr(benchmark):
     emit("ablation_inplace_pcr", build_table())
     with quiet():
         s = diagonally_dominant_fluid(2, 256, seed=0)
-        benchmark(lambda: run_pcr_pingpong(s))
+        benchmark(lambda: run_kernel("pcr_pingpong", s))
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ occupancy force that shapes Fig 17.
 """
 
 from repro.gpusim import GTX280, gt200_cost_model
-from repro.kernels.api import run_pcr
+from repro.kernels.api import run_kernel
 from repro.kernels.pcr_packed_kernel import run_pcr_packed
 from repro.numerics.generators import diagonally_dominant_fluid
 
@@ -30,7 +30,7 @@ def build_table() -> str:
     with quiet():
         for n, S in ((64, 256), (128, 256)):
             s = diagonally_dominant_fluid(S, n, seed=n)
-            _x, plain = run_pcr(s)
+            _x, plain = run_kernel("pcr", s)
             row = [f"{S}x{n}", _grid_ms(cm, plain, S)]
             for P in (2, 4, 8):
                 if P * n > GTX280.max_threads_per_block:

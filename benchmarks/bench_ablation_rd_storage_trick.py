@@ -11,7 +11,7 @@ trick is *load-bearing* for the flagship size, not just faster):
 
 from repro.analysis.complexity import measured_complexity, rd_complexity
 from repro.gpusim import KernelError, gt200_cost_model
-from repro.kernels.api import run_rd, run_rd_full
+from repro.kernels.api import run_kernel
 from repro.numerics.generators import close_values
 
 from _harness import emit, quiet, table
@@ -23,8 +23,8 @@ def build_table() -> str:
     with quiet():
         for n in (64, 128, 256):
             s = close_values(2, n, seed=n)
-            _x, trick = run_rd(s)
-            _x, full = run_rd_full(s)
+            _x, trick = run_kernel("rd", s)
+            _x, full = run_kernel("rd_full", s)
             mt = measured_complexity("rd", trick)
             mf = measured_complexity("rd_full", full)
             rows.append([
@@ -35,9 +35,9 @@ def build_table() -> str:
                 cm.report(trick).total_ms, cm.report(full).total_ms,
             ])
         s512 = close_values(2, 512, seed=512)
-        run_rd(s512)
+        run_kernel("rd", s512)
         try:
-            run_rd_full(s512)
+            run_kernel("rd_full", s512)
             note = "n=512: both fit (unexpected)"
         except KernelError:
             note = ("n=512: the nine-array variant exceeds shared memory "
@@ -55,7 +55,7 @@ def test_ablation_rd_storage_trick(benchmark):
     emit("ablation_rd_storage_trick", build_table())
     with quiet():
         s = close_values(2, 256, seed=0)
-        benchmark(lambda: run_rd_full(s))
+        benchmark(lambda: run_kernel("rd_full", s))
 
 
 if __name__ == "__main__":

@@ -9,8 +9,7 @@ is fixed by interleaving.
 """
 
 from repro.gpusim import gt200_cost_model
-from repro.kernels.api import run_cr, run_pcr
-from repro.kernels.thomas_kernel import run_thomas_per_thread
+from repro.kernels.api import run_kernel
 from repro.numerics.generators import diagonally_dominant_fluid
 
 from _harness import emit, quiet, table
@@ -22,10 +21,10 @@ def build_table() -> str:
     with quiet():
         for S, n in ((64, 64), (128, 128), (256, 256)):
             s = diagonally_dominant_fluid(S, n, seed=n)
-            _x, strided = run_thomas_per_thread(s)
-            _x, inter = run_thomas_per_thread(s, interleaved=True)
-            _x, cr = run_cr(s)
-            _x, pcr = run_pcr(s)
+            _x, strided = run_kernel("thomas", s)
+            _x, inter = run_kernel("thomas", s, layout="interleaved")
+            _x, cr = run_kernel("cr", s)
+            _x, pcr = run_kernel("pcr", s)
             rows.append([
                 f"{S}x{n}",
                 cm.report(strided).total_ms,
@@ -45,7 +44,7 @@ def test_ablation_thread_mapping(benchmark):
     emit("ablation_thread_mapping", build_table())
     with quiet():
         s = diagonally_dominant_fluid(128, 128, seed=0)
-        benchmark(lambda: run_thomas_per_thread(s, interleaved=True))
+        benchmark(lambda: run_kernel("thomas", s, layout="interleaved"))
 
 
 if __name__ == "__main__":

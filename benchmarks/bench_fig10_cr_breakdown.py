@@ -5,7 +5,7 @@ Paper: global 0.103 ms (10 %, 48.5 GB/s), shared 0.689 ms (64 %,
 """
 
 from repro.analysis.breakdown import resource_breakdown
-from repro.kernels.api import run_cr
+from repro.kernels.api import run_kernel
 from repro.numerics.generators import diagonally_dominant_fluid
 
 from _harness import emit, quiet, table
@@ -14,7 +14,7 @@ PAPER = [("global", 0.103, "48.5 GB/s"), ("shared", 0.689, "33 GB/s"),
          ("compute", 0.274, "15.5 GFLOPS")]
 
 
-def build_table(runner=run_cr, grid=30, paper=PAPER,
+def build_table(solver="cr", grid=30, paper=PAPER,
                 generator=diagonally_dominant_fluid,
                 paper_grid=512) -> tuple[str, list]:
     """Rates are computed on one full device wave (``grid`` = 30
@@ -23,7 +23,7 @@ def build_table(runner=run_cr, grid=30, paper=PAPER,
     from repro.gpusim import GTX280, gt200_cost_model
     with quiet():
         s = generator(grid, 512, seed=0)
-        _x, res = runner(s)
+        _x, res = run_kernel(solver, s)
         rb = resource_breakdown(res)
     cm = gt200_cost_model()
     s_small, _, _ = cm.grid_scale(GTX280, grid, res.shared_bytes,
@@ -46,7 +46,6 @@ def build_table(runner=run_cr, grid=30, paper=PAPER,
         ["TOTAL", rb.global_ms * k + rb.shared_ms * k + compute_scaled,
          1.0, sum(p[1] for p in paper), "", ""],
     ]
-    solver = runner.__name__.removeprefix("run_")
     data = [{"solver": solver, "num_systems": paper_grid, "n": 512,
              "resource": name, "modeled_ms": ms, "fraction": frac}
             for name, ms, frac, *_rest in rows]
@@ -59,7 +58,7 @@ def test_fig10_cr_breakdown(benchmark):
     emit("fig10_cr_breakdown", text, data=data)
     with quiet():
         s = diagonally_dominant_fluid(2, 512, seed=0)
-        benchmark(lambda: run_cr(s))
+        benchmark(lambda: run_kernel("cr", s))
 
 
 if __name__ == "__main__":

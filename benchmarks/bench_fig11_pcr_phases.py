@@ -5,7 +5,7 @@ steps, 0.051 avg), solve-2 0.019 ms (4 %); total 0.534 ms.
 """
 
 from repro.analysis.timing import modeled_grid_timing
-from repro.kernels.api import run_pcr
+from repro.kernels.api import run_kernel
 from repro.numerics.generators import diagonally_dominant_fluid
 
 from _harness import emit, quiet, table
@@ -37,7 +37,7 @@ def test_fig11_pcr_phases(benchmark):
     emit("fig11_pcr_phases", build_table())
     with quiet():
         s = diagonally_dominant_fluid(2, 512, seed=0)
-        benchmark(lambda: run_pcr(s))
+        benchmark(lambda: run_kernel("pcr", s))
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ merged global+setup+eval against 0.128.)
 """
 
 from repro.analysis.timing import modeled_grid_timing
-from repro.kernels.api import run_rd
+from repro.kernels.api import run_kernel
 from repro.numerics.generators import close_values
 
 from _harness import emit, quiet, table
@@ -35,7 +35,7 @@ def test_fig13_rd_phases(benchmark):
     emit("fig13_rd_phases", build_table())
     with quiet():
         s = close_values(2, 512, seed=0)
-        benchmark(lambda: run_rd(s))
+        benchmark(lambda: run_kernel("rd", s))
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ CR backward 0.026 (6 %); total 0.422 ms.
 """
 
 from repro.analysis.timing import modeled_grid_timing
-from repro.kernels.api import run_cr_pcr
+from repro.kernels.api import run_kernel
 from repro.numerics.generators import diagonally_dominant_fluid
 
 from _harness import emit, quiet, table
@@ -54,7 +54,7 @@ def test_fig15_crpcr_phases(benchmark):
     emit("fig15_crpcr_phases", text, data=data)
     with quiet():
         s = diagonally_dominant_fluid(2, 512, seed=0)
-        benchmark(lambda: run_cr_pcr(s, intermediate_size=256))
+        benchmark(lambda: run_kernel("cr_pcr", s, intermediate_size=256))
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ Paper: global 0.104 (21 %), CR forward 0.039 (8 %), RD copy+setup
 0.018 (4 %), CR backward 0.024 + 0.032 (12 %); total 0.488 ms.
 """
 
-from repro.kernels.api import run_cr_rd
+from repro.kernels.api import run_kernel
 from repro.numerics.generators import diagonally_dominant_fluid
 
 from _harness import emit, quiet
@@ -29,7 +29,7 @@ def test_fig16_crrd_phases(benchmark):
     emit("fig16_crrd_phases", text, data=data)
     with quiet():
         s = diagonally_dominant_fluid(2, 512, seed=0)
-        benchmark(lambda: run_cr_rd(s, intermediate_size=128))
+        benchmark(lambda: run_kernel("cr_rd", s, intermediate_size=128))
 
 
 if __name__ == "__main__":

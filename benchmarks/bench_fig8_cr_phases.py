@@ -7,7 +7,7 @@ steps, 0.078 avg), solve-2 0.033 ms (3 %), backward substitution
 
 from repro.analysis.differential import phase_breakdown
 from repro.analysis.timing import modeled_grid_timing
-from repro.kernels.api import run_cr
+from repro.kernels.api import run_kernel
 from repro.numerics.generators import diagonally_dominant_fluid
 
 from _harness import emit, quiet, table
@@ -52,7 +52,7 @@ def test_fig8_cr_phases(benchmark):
     emit("fig8_cr_phases", text, data=data)
     with quiet():
         s = diagonally_dominant_fluid(2, 512, seed=0)
-        benchmark(lambda: run_cr(s))
+        benchmark(lambda: run_kernel("cr", s))
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ import sys
 from _harness import gate
 
 from repro.analysis.layout_autotuner import choose_layout
-from repro.kernels import run_thomas_batch
+from repro.kernels import run_kernel
 from repro.numerics.generators import diagonally_dominant_fluid
 
 #: (num_systems, n) shapes: large-batch/small-n down to single large-n.
@@ -42,8 +42,8 @@ def measure() -> list[dict]:
     rows = []
     for num_systems, n in GRID:
         systems = diagonally_dominant_fluid(num_systems, n, seed=0)
-        _, seq = run_thomas_batch(systems, layout="sequential")
-        _, inter = run_thomas_batch(systems, layout="interleaved")
+        _, seq = run_kernel("thomas", systems, layout="sequential")
+        _, inter = run_kernel("thomas", systems, layout="interleaved")
         tx_seq = seq.ledger.total().global_transactions
         tx_int = inter.ledger.total().global_transactions
         choice = choose_layout(num_systems, n)

@@ -13,7 +13,7 @@ from repro.analysis.complexity import (compare, cr_complexity,
                                        cr_pcr_complexity, cr_rd_complexity,
                                        measured_complexity, pcr_complexity,
                                        rd_complexity)
-from repro.kernels.api import run_cr, run_kernel
+from repro.kernels.api import run_kernel
 from repro.numerics.generators import diagonally_dominant_fluid
 
 from _harness import emit, quiet, table
@@ -56,7 +56,7 @@ def test_table1_complexity(benchmark):
     emit("table1_complexity", text)
     with quiet():
         systems = diagonally_dominant_fluid(2, 128, seed=0)
-        benchmark(lambda: run_cr(systems))
+        benchmark(lambda: run_kernel("cr", systems))
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from repro.analysis import (attributed_step_times, forward_reduction_conflicts,
                             modeled_grid_timing, phase_breakdown,
                             resource_breakdown, shared_time_by_substitution,
                             sweep_switch_point)
-from repro.kernels import run_cr
+from repro.kernels import run_kernel
 from repro.numerics import diagonally_dominant_fluid
 
 warnings.simplefilter("ignore")
@@ -29,7 +29,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     print("=== 1. phase breakdown of CR at 512x512 (cf. Fig 8) ===")
     t = modeled_grid_timing("cr", 512, 512)
-    _x, launch = run_cr(systems)
+    _x, launch = run_kernel("cr", systems)
     for name, ms, frac in phase_breakdown(launch, merge_global=True):
         print(f"  {name:24s} {frac:6.1%}")
     print(f"  modeled total at 512 systems: {t.solver_ms:.3f} ms "
@@ -70,8 +70,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     print("\n=== 5. roofline placement (the paper's ref [33]) ===")
     from repro.analysis import device_roofs, place_kernel, roofline_table
-    from repro.kernels import run_pcr
-    _x, pcr_launch = run_pcr(systems)
+    _x, pcr_launch = run_kernel("pcr", systems)
     pts = [place_kernel("cr", launch), place_kernel("pcr", pcr_launch)]
     print(roofline_table(pts, device_roofs()))
     print("  (CR sits under a conflict-collapsed shared roof; PCR is "

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.gpusim import GTX280, CostModel, DeviceSpec, gt200_cost_model
-from repro.kernels.api import run_cr
+from repro.kernels.api import run_kernel
 from repro.solvers.systems import TridiagonalSystems
 
 PHASE_FORWARD = "forward_reduction"
@@ -43,8 +43,9 @@ def forward_reduction_conflicts(systems: TridiagonalSystems, *,
                                 ) -> list[ConflictStep]:
     """Fig 9's dataset: per-step times with and without bank conflicts."""
     cm = cost_model or gt200_cost_model()
-    _x, with_c = run_cr(systems, device=device)
-    _x, without_c = run_cr(systems, device=device, conflict_free_timing=True)
+    _x, with_c = run_kernel("cr", systems, device=device)
+    _x, without_c = run_kernel("cr", systems, device=device,
+                               conflict_free_timing=True)
 
     rep_with = cm.report(with_c)
     rep_without = cm.report(without_c)

@@ -34,7 +34,7 @@ __all__ = ["CANDIDATES", "RankedCandidate", "LayoutChoice",
            "choose_layout"]
 
 #: The solver x layout pairs the autotuner arbitrates between: the
-#: layout demo kernel in both layouts plus the paper's fine-grained
+#: per-thread Thomas kernel in both layouts plus the paper's fine-grained
 #: methods (sequential only -- they stage through shared memory).
 CANDIDATES: tuple[tuple[str, str], ...] = (
     ("thomas", "interleaved"),

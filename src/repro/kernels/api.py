@@ -1,13 +1,15 @@
 """Drivers: run the instrumented kernels on a batch of systems.
 
-Every launch is first resolved into a :class:`LaunchPlan` by
-:func:`plan_launch` -- the one place the launch rules (threads per
-block, grid size, kernel arguments, batch layout) live.  The functional
-``run_*`` drivers and the analytic estimator
+:data:`KERNELS` holds each kernel's launch facts (kernel function per
+layout, unknowns per thread, structural arguments), and
+:func:`plan_launch` resolves a launch from them into a
+:class:`LaunchPlan` -- the one place the launch rules (threads per
+block, grid size, kernel arguments, batch layout) live.  The runner
+:func:`run_kernel` and the analytic estimator
 (:mod:`repro.gpusim.estimator`) both consume plans.
 
-Each ``run_*`` function stages the systems in global memory, launches
-the planned kernel on the simulated device, and returns
+:func:`run_kernel` stages the systems in global memory, launches the
+planned kernel on the simulated device, and returns
 ``(x, LaunchResult)`` -- the solution plus the architectural trace.
 The paper's kernels have data-independent schedules, so a planned
 launch executes functionally without recording a trace and references
@@ -45,24 +47,48 @@ from .pcr_kernel import pcr_kernel
 from .pcr_pingpong_kernel import pcr_pingpong_kernel
 from .rd_full_kernel import rd_full_kernel
 from .rd_kernel import rd_kernel
-from .thomas_kernel import (LAYOUTS, pad_identity, thomas_interleaved_kernel,
+from .thomas_kernel import (pad_identity, thomas_interleaved_kernel,
                             thomas_sequential_kernel)
 
-#: One-block-per-system kernels: name -> (kernel, unknowns per thread).
-_BLOCK_KERNELS = {
-    "cr": (cr_kernel, 2),
-    "pcr": (pcr_kernel, 1),
-    "rd": (rd_kernel, 1),
-    "cr_pcr": (cr_pcr_kernel, 2),
-    "cr_rd": (cr_rd_kernel, 2),
-    "cr_split": (cr_split_kernel, 2),
-    "cr_global": (cr_global_kernel, 2),
-    "pcr_pingpong": (pcr_pingpong_kernel, 1),
-    "rd_full": (rd_full_kernel, 1),
-}
+@dataclass(frozen=True)
+class KernelEntry:
+    """One kernel's launch facts.
 
-#: Every kernel a :class:`LaunchPlan` can name.
-PLANNED_KERNELS = frozenset(_BLOCK_KERNELS) | {"thomas"}
+    ``kernels`` maps each batch layout the kernel reads to its kernel
+    function; ``per_thread`` is the unknowns each thread owns (``None``
+    for one whole system per thread); ``args`` names the structural
+    arguments :func:`plan_launch` accepts for it.
+    """
+
+    kernels: dict[str, Callable]
+    per_thread: int | None
+    args: frozenset[str] = frozenset()
+
+    @property
+    def layouts(self) -> tuple[str, ...]:
+        return tuple(self.kernels)
+
+
+def _block_kernel(kernel: Callable, per_thread: int,
+                  *args: str) -> KernelEntry:
+    return KernelEntry({"sequential": kernel}, per_thread, frozenset(args))
+
+
+#: Every kernel a :class:`LaunchPlan` can name: the five paper solvers,
+#: the ablation variants of §4, and per-thread Thomas.
+KERNELS: dict[str, KernelEntry] = {
+    "cr": _block_kernel(cr_kernel, 2, "conflict_free_timing"),
+    "pcr": _block_kernel(pcr_kernel, 1),
+    "rd": _block_kernel(rd_kernel, 1),
+    "cr_pcr": _block_kernel(cr_pcr_kernel, 2, "intermediate_size"),
+    "cr_rd": _block_kernel(cr_rd_kernel, 2, "intermediate_size"),
+    "pcr_pingpong": _block_kernel(pcr_pingpong_kernel, 1),
+    "cr_split": _block_kernel(cr_split_kernel, 2),
+    "cr_global": _block_kernel(cr_global_kernel, 2),
+    "rd_full": _block_kernel(rd_full_kernel, 1),
+    "thomas": KernelEntry({"sequential": thomas_sequential_kernel,
+                           "interleaved": thomas_interleaved_kernel}, None),
+}
 
 
 @dataclass(frozen=True)
@@ -120,59 +146,55 @@ def plan_launch(name: str, n: int, num_systems: int = 1, *,
                 device: DeviceSpec = GTX280,
                 layout: str | None = None,
                 conflict_free_timing: bool = False) -> LaunchPlan:
-    """Resolve kernel ``name`` on ``num_systems`` systems of ``n``.
+    """Resolve kernel ``name`` (a :data:`KERNELS` entry) on
+    ``num_systems`` systems of ``n``.
 
-    The fine-grained kernels run one block per system with ``n`` or
-    ``n/2`` threads (hybrids: at least ``m``, defaulting to the
-    paper-derived switch point) and read the sequential layout only.
-    The per-thread ``"thomas"`` kernel packs ``min(S, max_threads)``
-    systems into each block, in either layout; its grid is padded with
-    identity systems to whole blocks, which keeps the interleave stride
-    a multiple of the 16-word transaction segment whenever more than
-    one block exists.
+    The fine-grained kernels run one block per system with
+    ``n / per_thread`` threads (hybrids: at least ``m``, defaulting to
+    the paper-derived switch point).  The per-thread ``"thomas"`` kernel
+    packs ``min(S, max_threads)`` systems into each block; its grid is
+    padded with identity systems to whole blocks, which keeps the
+    interleave stride a multiple of the 16-word transaction segment
+    whenever more than one block exists.  A layout or structural
+    argument the kernel's entry does not list is rejected.
 
     Plans are frozen, so each argument set resolves once and its plan
     is shared (an LRU of 1024 argument sets).
     """
+    entry = KERNELS.get(name)
+    if entry is None:
+        raise ValueError(
+            f"unknown kernel {name!r}; available: {sorted(KERNELS)}")
     layout = layout or "sequential"
-    if name == "thomas":
-        if layout not in LAYOUTS:
-            raise ValueError(
-                f"layout must be one of {LAYOUTS}, got {layout!r}")
+    if layout not in entry.kernels:
+        raise ValueError(
+            f"kernel {name!r} does not take layout {layout!r}; "
+            f"layout must be one of {entry.layouts}")
+    if intermediate_size is not None \
+            and "intermediate_size" not in entry.args:
+        raise ValueError(f"kernel {name!r} takes no intermediate size")
+    if conflict_free_timing and "conflict_free_timing" not in entry.args:
+        raise ValueError(f"kernel {name!r} takes no conflict_free_timing")
+    kernel = entry.kernels[layout]
+    if entry.per_thread is None:
         if num_systems < 1:
             raise ValueError(
-                f"thomas needs num_systems >= 1, got {num_systems}")
-        if intermediate_size is not None:
-            raise ValueError(f"kernel {name!r} takes no intermediate size")
+                f"{name} needs num_systems >= 1, got {num_systems}")
         threads = min(int(num_systems), device.max_threads_per_block)
-        kernel = (thomas_interleaved_kernel if layout == "interleaved"
-                  else thomas_sequential_kernel)
         num_blocks = -(-int(num_systems) // threads)
         return LaunchPlan(kernel, int(n), threads, num_blocks, device,
                           layout=layout, systems_per_block=threads)
-    if name not in _BLOCK_KERNELS:
-        raise ValueError(
-            f"unknown kernel {name!r}; available: {sorted(PLANNED_KERNELS)}")
-    kernel, per_thread = _BLOCK_KERNELS[name]
-    if layout != "sequential":
-        raise ValueError(
-            f"kernel {name!r} does not take layout {layout!r}; "
-            f"layout-aware kernels: {sorted(LAYOUT_AWARE_KERNELS)}")
     require_power_of_two(n, kernel.__name__)
-    threads = max(1, n // per_thread)
+    threads = max(1, n // entry.per_thread)
     kwargs: tuple = ()
-    if name in ("cr_pcr", "cr_rd"):
+    if "intermediate_size" in entry.args:
         m = (default_intermediate_size(n, name[3:])
              if intermediate_size is None else int(intermediate_size))
-        require_power_of_two(m, f"run_{name} intermediate size")
+        require_power_of_two(m, f"{name} intermediate size")
         threads = max(threads, m)
         kwargs = (("intermediate_size", m),)
-    elif intermediate_size is not None:
-        raise ValueError(f"kernel {name!r} takes no intermediate size")
-    if name == "cr":
+    if "conflict_free_timing" in entry.args:
         kwargs = (("conflict_free_timing", bool(conflict_free_timing)),)
-    elif conflict_free_timing:
-        raise ValueError(f"kernel {name!r} takes no conflict_free_timing")
     return LaunchPlan(kernel, int(n), threads, int(num_systems), device,
                       kwargs=kwargs)
 
@@ -206,151 +228,19 @@ def _run(plan: LaunchPlan, systems: TridiagonalSystems,
     return gmem.solution()[:systems.num_systems], result
 
 
-def _run_named(name: str, systems: TridiagonalSystems, device: DeviceSpec,
-               step_limit: int | None = None, **plan_args
-               ) -> tuple[np.ndarray, LaunchResult]:
-    return _run(plan_launch(name, systems.n, systems.num_systems,
-                            device=device, **plan_args),
-                systems, step_limit)
-
-
-def run_cr(systems: TridiagonalSystems, device: DeviceSpec = GTX280,
-           conflict_free_timing: bool = False,
-           step_limit: int | None = None
-           ) -> tuple[np.ndarray, LaunchResult]:
-    """Cyclic reduction on the simulated device (n/2 threads/block)."""
-    return _run_named("cr", systems, device, step_limit,
-                      conflict_free_timing=conflict_free_timing)
-
-
-def run_pcr(systems: TridiagonalSystems, device: DeviceSpec = GTX280,
-            step_limit: int | None = None
-            ) -> tuple[np.ndarray, LaunchResult]:
-    """Parallel cyclic reduction (n threads/block)."""
-    return _run_named("pcr", systems, device, step_limit)
-
-
-def run_pcr_pingpong(systems: TridiagonalSystems,
-                     device: DeviceSpec = GTX280,
-                     step_limit: int | None = None
-                     ) -> tuple[np.ndarray, LaunchResult]:
-    """Double-buffered PCR (the alternative SS4 argues against)."""
-    return _run_named("pcr_pingpong", systems, device, step_limit)
-
-
-def run_rd(systems: TridiagonalSystems, device: DeviceSpec = GTX280,
-           step_limit: int | None = None
-           ) -> tuple[np.ndarray, LaunchResult]:
-    """Recursive doubling (n threads/block)."""
-    return _run_named("rd", systems, device, step_limit)
-
-
-def run_rd_full(systems: TridiagonalSystems, device: DeviceSpec = GTX280,
-                step_limit: int | None = None
-                ) -> tuple[np.ndarray, LaunchResult]:
-    """RD without the two-row storage trick (9 stored entries) -- the
-    control experiment for SS4's optimization."""
-    return _run_named("rd_full", systems, device, step_limit)
-
-
-def run_cr_pcr(systems: TridiagonalSystems,
-               intermediate_size: int | None = None,
-               device: DeviceSpec = GTX280,
-               step_limit: int | None = None
-               ) -> tuple[np.ndarray, LaunchResult]:
-    """Hybrid CR+PCR.  Defaults to the paper-derived switch point."""
-    return _run_named("cr_pcr", systems, device, step_limit,
-                      intermediate_size=intermediate_size)
-
-
-def run_cr_rd(systems: TridiagonalSystems,
-              intermediate_size: int | None = None,
-              device: DeviceSpec = GTX280,
-              step_limit: int | None = None
-              ) -> tuple[np.ndarray, LaunchResult]:
-    """Hybrid CR+RD.  Defaults to the paper-derived switch point."""
-    return _run_named("cr_rd", systems, device, step_limit,
-                      intermediate_size=intermediate_size)
-
-
-def run_thomas_batch(systems: TridiagonalSystems,
-                     device: DeviceSpec = GTX280,
-                     layout: str = "sequential",
-                     step_limit: int | None = None
-                     ) -> tuple[np.ndarray, LaunchResult]:
-    """Per-thread Thomas over a batch of any size (one thread = one
-    system, multi-block grid).
-
-    ``layout`` selects the global-memory arrangement: ``"sequential"``
-    (the paper's contiguous-system layout, uncoalesced here) or
-    ``"interleaved"`` (coalesced).  Batches that do not tile the grid
-    are padded with identity systems; the result is sliced back to the
-    caller's ``num_systems`` rows.  The only registry kernel with no
-    power-of-two requirement on ``n``.
-    """
-    return _run_named("thomas", systems, device, step_limit, layout=layout)
-
-
-def run_thomas(systems: TridiagonalSystems, device: DeviceSpec = GTX280,
-               step_limit: int | None = None, layout: str = "sequential"
-               ) -> tuple[np.ndarray, LaunchResult]:
-    """:func:`run_thomas_batch` in the registry runners' argument
-    order."""
-    return run_thomas_batch(systems, device=device, layout=layout,
-                            step_limit=step_limit)
-
-
-def run_cr_split(systems: TridiagonalSystems, device: DeviceSpec = GTX280,
-                 step_limit: int | None = None
-                 ) -> tuple[np.ndarray, LaunchResult]:
-    """Split-storage (Goeddeke-style) conflict-free CR (footnote 1).
-
-    Costs ~2x the in-place shared footprint in this layout, so it fits
-    systems up to n = 256 on the GT200."""
-    return _run_named("cr_split", systems, device, step_limit)
-
-
-def run_cr_global(systems: TridiagonalSystems, device: DeviceSpec = GTX280,
-                  step_limit: int | None = None
-                  ) -> tuple[np.ndarray, LaunchResult]:
-    """Global-memory-only cyclic reduction (the paper's fallback for
-    systems too large for shared memory, ~3x slower, paper SS4)."""
-    return _run_named("cr_global", systems, device, step_limit)
-
-
-#: Kernel registry used by benchmarks and the analysis layer.  Values
-#: are ``(runner, needs_intermediate_size)``.
-KERNEL_RUNNERS = {
-    "cr": (run_cr, False),
-    "pcr": (run_pcr, False),
-    "rd": (run_rd, False),
-    "cr_pcr": (run_cr_pcr, True),
-    "cr_rd": (run_cr_rd, True),
-    "thomas": (run_thomas, False),
-}
-
-#: Kernels that accept a ``layout=`` argument (interleaved batches).
-LAYOUT_AWARE_KERNELS = frozenset({"thomas"})
-
-
-def run_kernel(name: str, systems: TridiagonalSystems,
-               intermediate_size: int | None = None,
+def run_kernel(name: str, systems: TridiagonalSystems, *,
                device: DeviceSpec = GTX280,
                step_limit: int | None = None,
-               layout: str | None = None,
-               ) -> tuple[np.ndarray, LaunchResult]:
-    """Run any of the registry solvers by name.
+               **plan_args) -> tuple[np.ndarray, LaunchResult]:
+    """Run kernel ``name`` on ``systems``: the one runner.
 
-    ``layout`` (``"sequential"`` / ``"interleaved"``) is only accepted
-    by layout-aware kernels; the fine-grained shared-memory kernels
-    stage through shared memory and always read the sequential layout.
+    ``plan_args`` (``intermediate_size``, ``layout``,
+    ``conflict_free_timing``) go to :func:`plan_launch`, which rejects
+    any the kernel's :data:`KERNELS` entry does not take.  Returns
+    ``(x, LaunchResult)``.
     """
-    if name not in KERNEL_RUNNERS:
-        raise ValueError(
-            f"unknown kernel {name!r}; available: {sorted(KERNEL_RUNNERS)}")
-    plan = plan_launch(name, systems.n, systems.num_systems,
-                       intermediate_size=intermediate_size, device=device,
-                       layout=layout)
+    plan = plan_launch(name, systems.n, systems.num_systems, device=device,
+                       **plan_args)
     if not telemetry.enabled():
         # The disabled fast path: no span object, no collector, just
         # the launch itself (covered by the no-op overhead test).

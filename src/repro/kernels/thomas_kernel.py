@@ -16,28 +16,25 @@ compares it against the paper's mapping.
 
 Real batched packages fix the coalescing with an *interleaved* layout
 (element i of every system adjacent; cuSPARSE
-``gtsvInterleavedBatch``).  :func:`repro.kernels.api.run_thomas_batch`
-is the production entry point: it launches a multi-block grid over
-batches of any size in either layout, gathering and scattering straight
-through :class:`repro.gpusim.memory.InterleavedSystemArrays` when
-``layout="interleaved"``.  The interleaved variant restores coalescing
-but keeps the long dependence chain -- reproducing why even a
-perfectly-coalesced per-thread Thomas trails CR/PCR on step count.
+``gtsvInterleavedBatch``).  ``run_kernel("thomas", systems,
+layout=...)`` (:mod:`repro.kernels.api`) launches a multi-block grid
+over batches of any size in either layout, gathering and scattering
+straight through :class:`repro.gpusim.memory.InterleavedSystemArrays`
+when ``layout="interleaved"``.  The interleaved variant restores
+coalescing but keeps the long dependence chain -- reproducing why even
+a perfectly-coalesced per-thread Thomas trails CR/PCR on step count.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.gpusim import (BlockContext, GTX280, DeviceSpec,
-                          InterleavedSystemArrays, LaunchResult, launch)
+from repro.gpusim import BlockContext, InterleavedSystemArrays
 from repro.solvers.systems import TridiagonalSystems
 
 from .common import GlobalSystemArrays
 
 PHASE_SOLVE = "thomas_serial"
-
-LAYOUTS = ("sequential", "interleaved")
 
 
 def _thomas_sweep(ctx: BlockContext, gmem, bases: np.ndarray, addr,
@@ -76,40 +73,6 @@ def _thomas_sweep(ctx: BlockContext, gmem, bases: np.ndarray, addr,
                 xv = dpv - cpv * xv
                 ctx.ops(2)
                 ctx.gstore(gx, bases, addr(i), xv)
-
-
-def thomas_per_thread_kernel(ctx: BlockContext, gmem: GlobalSystemArrays,
-                             interleaved: bool = False) -> None:
-    """Each thread solves one full system straight out of global memory.
-
-    One block of ``min(S, max_threads)`` threads; lane t owns system
-    ``block_offset + t``.  With ``interleaved=True`` the cost model
-    sees the transposed layout (element i of all systems adjacent), the
-    standard fix real batched-solver libraries use.
-
-    Single-block demo form kept for the pinned golden traces; the
-    multi-block production kernels are
-    :func:`thomas_sequential_kernel` / :func:`thomas_interleaved_kernel`.
-    """
-    S, n = gmem.num_systems, gmem.n
-    # All systems in one conceptual block row: the simulator runs the
-    # whole batch as lanes of a single block per grid row.
-    threads = ctx.threads_per_block
-    if threads < S:
-        raise ValueError(
-            f"launch with at least {S} threads per block for this kernel")
-    bases = np.zeros(S, dtype=np.int64)  # lanes address the flat arrays
-
-    ctx.set_active(S)
-    lanes = ctx.lanes
-
-    def addr(i: int) -> np.ndarray:
-        if interleaved:
-            # Transposed layout: element i of every system contiguous.
-            return i * S + lanes
-        return lanes * n + i
-
-    _thomas_sweep(ctx, gmem, bases, addr, n)
 
 
 def thomas_sequential_kernel(ctx: BlockContext,
@@ -176,28 +139,3 @@ def pad_identity(systems: TridiagonalSystems,
                               c=np.concatenate([systems.c, zeros]),
                               d=np.concatenate([systems.d, zeros]))
 
-
-def run_thomas_per_thread(systems: TridiagonalSystems,
-                          device: DeviceSpec = GTX280,
-                          interleaved: bool = False
-                          ) -> tuple[np.ndarray, LaunchResult]:
-    """Run the naive mapping; batch must fit one block's threads.
-
-    Single-block demo wrapper kept for the golden traces and the
-    ablation bench; :func:`repro.kernels.api.run_thomas_batch` handles
-    arbitrary batch sizes in either layout.
-    """
-    S = systems.num_systems
-    if S > device.max_threads_per_block:
-        raise ValueError(
-            f"naive per-thread kernel demo limited to "
-            f"{device.max_threads_per_block} systems, got {S}")
-    if interleaved:
-        from .api import run_thomas_batch
-        return run_thomas_batch(systems, device=device,
-                                layout="interleaved")
-    gmem = GlobalSystemArrays.from_systems(systems)
-    result = launch(thomas_per_thread_kernel, num_blocks=1,
-                    threads_per_block=S, device=device, gmem=gmem,
-                    interleaved=False)
-    return gmem.solution(), result

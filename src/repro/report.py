@@ -55,11 +55,11 @@ def _data_totals() -> dict:
 
 def _data_phases() -> dict:
     from repro.analysis.differential import phase_breakdown
-    from repro.kernels.api import run_cr
+    from repro.kernels.api import run_kernel
     from repro.numerics.generators import diagonally_dominant_fluid
 
     s = diagonally_dominant_fluid(2, 512, seed=0)
-    _x, res = run_cr(s)
+    _x, res = run_kernel("cr", s)
     return {"phases": [{"phase": name, "ms": ms, "share": frac}
                        for name, ms, frac
                        in phase_breakdown(res, merge_global=True)],

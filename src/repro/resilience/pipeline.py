@@ -80,11 +80,10 @@ def _run_method(method: str, sub: TridiagonalSystems, engine: str,
     """One solver attempt; sim engine goes through the instrumented
     kernels (and therefore through the fault-injection hooks)."""
     if engine == "sim":
-        from repro.kernels.api import KERNEL_RUNNERS, run_kernel
-        # Thomas joined the kernel registry as a layout demo; keep the
-        # chain's "thomas" meaning the NumPy fallback it always was
+        from repro.kernels.api import run_kernel
+        # The chain's "thomas" stays the NumPy fallback it always was
         # (the fine-grained GPU methods are the sim attempts here).
-        if method in KERNEL_RUNNERS and method in POWER_OF_TWO_METHODS:
+        if method in POWER_OF_TWO_METHODS:
             m = intermediate_size if method in ("cr_pcr", "cr_rd") else None
             x, _result = run_kernel(method, sub, intermediate_size=m)
             return x

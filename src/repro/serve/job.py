@@ -17,12 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.kernels.api import KERNEL_RUNNERS, LAYOUT_AWARE_KERNELS
+from repro.kernels.api import KERNELS, plan_launch
+from repro.solvers.api import SOLVERS
 from repro.solvers.systems import TridiagonalSystems
-from repro.solvers.validate import require_power_of_two
 
-#: Batch layouts a job may request for its GPU chunks.
-JOB_LAYOUTS = ("sequential", "interleaved")
+#: GPU methods a job may name: the registry solvers that have a kernel
+#: (the ablation kernels are not served).
+GPU_METHODS = sorted(KERNELS.keys() & SOLVERS.keys())
 
 #: Default CPU degradation ladder: the sequential baseline first, the
 #: §5.4 pivoting anchor as the last word.
@@ -52,15 +53,17 @@ class SolveJob:
         The batch to solve (``n`` must be a power of two for the GPU
         method; off-sized work belongs to :func:`repro.robust_solve`).
     method:
-        GPU kernel to run chunks with (any
-        :data:`repro.kernels.api.KERNEL_RUNNERS` entry), or ``"auto"``
-        to let the scheduler pick method *and* layout from the
-        layout autotuner's analytic ranking at admission.
+        GPU kernel to run chunks with (any :data:`GPU_METHODS` entry:
+        a :data:`repro.solvers.api.SOLVERS` solver with a
+        :data:`repro.kernels.api.KERNELS` entry), or ``"auto"`` to let
+        the scheduler pick method *and* layout from the layout
+        autotuner's analytic ranking at admission.  The job's chunk
+        shape must pass :func:`repro.kernels.api.plan_launch`.
     layout:
         Batch layout the GPU chunks run in (``"sequential"`` |
-        ``"interleaved"``).  Only layout-aware kernels accept the
-        interleaved layout; ``method="auto"`` overwrites this with the
-        autotuner's joint pick.
+        ``"interleaved"``), as the method's table entry allows;
+        ``method="auto"`` overwrites this with the autotuner's joint
+        pick.
     intermediate_size:
         Hybrid switch point, as :func:`repro.kernels.api.run_kernel`.
     chunk_size:
@@ -103,28 +106,25 @@ class SolveJob:
     tenant: str = "default"
 
     def __post_init__(self) -> None:
-        if self.method != "auto" and self.method not in KERNEL_RUNNERS:
-            raise ValueError(
-                f"job {self.job_id!r}: unknown GPU method "
-                f"{self.method!r}; available: "
-                f"{sorted(KERNEL_RUNNERS)} or 'auto'")
-        if self.layout not in JOB_LAYOUTS:
-            raise ValueError(
-                f"job {self.job_id!r}: unknown layout {self.layout!r}; "
-                f"available: {list(JOB_LAYOUTS)}")
-        if (self.layout != "sequential" and self.method != "auto"
-                and self.method not in LAYOUT_AWARE_KERNELS):
-            raise ValueError(
-                f"job {self.job_id!r}: method {self.method!r} does not "
-                f"take layout {self.layout!r}; layout-aware kernels: "
-                f"{sorted(LAYOUT_AWARE_KERNELS)}")
-        if self.method not in ("auto", "thomas"):
-            # The per-thread Thomas kernel (and the autotuner behind
-            # "auto") handle any n >= 2; the fine-grained kernels keep
-            # the paper's power-of-two contract.
-            require_power_of_two(self.systems.n, f"job {self.job_id!r}")
         if self.chunk_size < 1:
             raise ValueError(f"job {self.job_id!r}: chunk_size must be >= 1")
+        if self.method == "auto":
+            # The autotuner picks method and layout (for any n >= 2).
+            if not any(self.layout in e.layouts for e in KERNELS.values()):
+                raise ValueError(
+                    f"job {self.job_id!r}: unknown layout {self.layout!r}")
+        elif self.method not in GPU_METHODS:
+            raise ValueError(
+                f"job {self.job_id!r}: unknown GPU method "
+                f"{self.method!r}; available: {GPU_METHODS} or 'auto'")
+        else:
+            try:
+                plan_launch(self.method, self.systems.n,
+                            min(self.chunk_size, self.systems.num_systems),
+                            intermediate_size=self.intermediate_size,
+                            layout=self.layout)
+            except ValueError as exc:
+                raise ValueError(f"job {self.job_id!r}: {exc}") from None
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise ValueError(f"job {self.job_id!r}: deadline must be > 0")
 

@@ -253,7 +253,6 @@ class BatchScheduler:
         against)."""
         with telemetry.span("serve.estimate", job=job.job_id,
                             method=job.method):
-            self._resolve_auto(job)
             return self._chunk_ms(job)
 
     # -- trace context --------------------------------------------------

@@ -14,7 +14,8 @@ when the recorded ledger differs from the estimator memo's for that
 plan (the memo's data-independence contract, on the cell's own draw).
 
 The grid is generated from the registries
-(:data:`repro.solvers.api.SOLVERS`, :data:`SIM_KERNELS`), so a newly
+(:data:`repro.solvers.api.SOLVERS`, :data:`repro.kernels.api.KERNELS`,
+which also lists each kernel's layouts), so a newly
 registered solver is *automatically* under contract -- the test suite
 is generated by the contract instead of hand-enumerated.
 """
@@ -27,7 +28,7 @@ import numpy as np
 
 from repro.gpusim import launch, ledgers_equal
 from repro.gpusim.estimator import characterize
-from repro.kernels.api import plan_launch
+from repro.kernels.api import KERNELS, plan_launch
 from repro.solvers import layout as _layout
 from repro.solvers.api import SOLVERS, solve
 from repro.solvers.systems import TridiagonalSystems
@@ -37,20 +38,14 @@ from .budgets import Budget, budget_for
 from .generators import VERIFY_CLASSES, generate
 from .oracle import OracleComparison, compare_to_oracle
 
-#: Instrumented kernels under contract (the five registry solvers plus
-#: the ablation variants, which implement the same algorithms), in
-#: grid order.
-SIM_KERNELS = ("cr", "pcr", "rd", "cr_pcr", "cr_rd", "pcr_pingpong",
-               "cr_split", "cr_global", "rd_full", "thomas")
-
 NUMPY_LAYOUTS = ("rows", "interleaved", "strided")
 
-#: Sim-engine layouts per solver.  ``global`` is the paper's sequential
-#: five-array layout; layout-aware kernels are additionally under
-#: contract in the interleaved arrangement (same values, coalesced
-#: schedule), making layout a real axis of the sim grid.
+#: Sim-engine layouts.  ``global`` is the paper's sequential
+#: five-array layout; kernels whose table entry takes the interleaved
+#: layout are additionally under contract in that arrangement (same
+#: values, coalesced schedule), making layout a real axis of the sim
+#: grid.
 SIM_LAYOUTS = ("global", "interleaved")
-SIM_LAYOUT_AWARE = frozenset({"thomas"})
 
 #: Default grid sizes: one mid-size and the paper's flagship 512.
 DEFAULT_SIZES = (64, 512)
@@ -148,8 +143,9 @@ def applicable(spec: CellSpec) -> str | None:
             return f"{spec.solver} exceeds shared memory above n=256"
         if spec.solver in ("cr_pcr", "cr_rd") and spec.n < 4:
             return "hybrid needs n >= 4"
-        if spec.layout == "interleaved" \
-                and spec.solver not in SIM_LAYOUT_AWARE:
+        entry = KERNELS.get(spec.solver)
+        if entry is not None \
+                and _sim_layout(spec.layout) not in entry.layouts:
             return (f"{spec.solver} stages through shared memory and "
                     f"reads only the sequential layout")
     return None
@@ -201,7 +197,7 @@ def _run_sim(spec: CellSpec, systems: TridiagonalSystems):
     cell's draw.
     """
     plan = plan_launch(spec.solver, systems.n, systems.num_systems,
-                       layout=_sim_layout(spec))
+                       layout=_sim_layout(spec.layout))
     gmem = plan.load(systems)
     traced = launch(plan.kernel, num_blocks=plan.num_blocks,
                     threads_per_block=plan.threads_per_block,
@@ -210,9 +206,10 @@ def _run_sim(spec: CellSpec, systems: TridiagonalSystems):
     return gmem.solution()[:systems.num_systems], traced, drift
 
 
-def _sim_layout(spec: CellSpec) -> str:
-    """Kernel layout of a sim cell (``global`` is the sequential one)."""
-    return "interleaved" if spec.layout == "interleaved" else "sequential"
+def _sim_layout(layout: str) -> str:
+    """Kernel layout of a sim-cell layout (``global`` is the sequential
+    one)."""
+    return "interleaved" if layout == "interleaved" else "sequential"
 
 
 def _record_cost_residual(spec: CellSpec, traced) -> None:
@@ -228,7 +225,7 @@ def _record_cost_residual(spec: CellSpec, traced) -> None:
     from repro.gpusim.gt200 import gt200_cost_model
     try:
         estimate = estimate_ms(spec.solver, spec.n, spec.num_systems,
-                               layout=_sim_layout(spec))
+                               layout=_sim_layout(spec.layout))
         actual = gt200_cost_model().report(traced).total_ms
     except Exception:      # estimation must never fail a verify cell
         return
@@ -347,14 +344,13 @@ def grid(sizes=DEFAULT_SIZES, num_systems: int = 4, seed: int = 0,
                         specs.append(CellSpec("numpy", s, lay, klass, n,
                                               num_systems, seed))
             if "sim" in engines:
-                names = list(SIM_KERNELS) if solvers is None else [
-                    s for s in solvers if s in SIM_KERNELS]
+                names = list(KERNELS) if solvers is None else [
+                    s for s in solvers if s in KERNELS]
                 for s in names:
-                    sim_lays = (SIM_LAYOUTS if s in SIM_LAYOUT_AWARE
-                                else ("global",))
-                    for lay in sim_lays:
-                        specs.append(CellSpec("sim", s, lay, klass, n,
-                                              num_systems, seed))
+                    for lay in SIM_LAYOUTS:
+                        if _sim_layout(lay) in KERNELS[s].layouts:
+                            specs.append(CellSpec("sim", s, lay, klass, n,
+                                                  num_systems, seed))
     return specs
 
 

@@ -36,12 +36,12 @@ from pathlib import Path
 import numpy as np
 
 from repro.gpusim.pool import derive_seed
+from repro.kernels.api import KERNELS
 from repro.solvers.api import POWER_OF_TWO_METHODS, SOLVERS
 from repro.solvers.systems import TridiagonalSystems
 from repro.telemetry.metrics import FUZZ_CASES, emit
 
-from .differential import (NUMPY_LAYOUTS, SIM_KERNELS, SIM_LAYOUT_AWARE,
-                           CellResult, CellSpec, verify_cell)
+from .differential import NUMPY_LAYOUTS, CellResult, CellSpec, verify_cell
 from .generators import VERIFY_CLASSES, generate
 
 REPRO_VERSION = 1
@@ -138,11 +138,11 @@ def draw_case(iteration: int, seed: int) -> FuzzCase:
         spec = CellSpec("numpy", solver, layout, klass, n, num_systems,
                         seed=int(derive_seed(seed, iteration, "data")))
     else:
-        kernels = sorted(SIM_KERNELS)
+        kernels = sorted(KERNELS)
         solver = kernels[rng.integers(len(kernels))]
         n = int(_SIM_SIZES[rng.integers(len(_SIM_SIZES))])
         layout = "global"
-        if solver in SIM_LAYOUT_AWARE and rng.random() < 0.5:
+        if "interleaved" in KERNELS[solver].layouts and rng.random() < 0.5:
             layout = "interleaved"
         spec = CellSpec("sim", solver, layout, klass, n, num_systems,
                         seed=int(derive_seed(seed, iteration, "data")))

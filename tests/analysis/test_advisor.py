@@ -3,8 +3,7 @@
 import pytest
 
 from repro.analysis.advisor import analyze, report
-from repro.kernels.api import run_cr, run_cr_pcr, run_pcr
-from repro.kernels.thomas_kernel import run_thomas_per_thread
+from repro.kernels.api import run_kernel
 from repro.numerics.generators import diagonally_dominant_fluid
 
 
@@ -17,7 +16,7 @@ class TestCrDiagnosis:
     def test_flags_bank_conflicts_first_for_cr(self, batch):
         """The advisor must rediscover the paper's §5.3.1 analysis:
         bank conflicts are CR's top cost."""
-        _x, res = run_cr(batch)
+        _x, res = run_kernel("cr", batch)
         recs = analyze(res)
         assert recs, "CR should not look optimal"
         factors = [r.factor for r in recs]
@@ -25,12 +24,12 @@ class TestCrDiagnosis:
         assert any("latency" in f for f in factors[:2])
 
     def test_step_overhead_flagged(self, batch):
-        _x, res = run_cr(batch)
+        _x, res = run_kernel("cr", batch)
         recs = analyze(res)
         assert any("synchronization/control" in r.factor for r in recs)
 
     def test_savings_are_positive_fractions(self, batch):
-        _x, res = run_cr(batch)
+        _x, res = run_kernel("cr", batch)
         for r in analyze(res):
             assert r.saving_ms > 0
             assert 0 < r.saving_fraction < 1
@@ -40,15 +39,15 @@ class TestPcrDiagnosis:
     def test_pcr_nearly_optimal(self, batch):
         """PCR is conflict-free and full-front: the advisor should find
         little to do (paper's own conclusion)."""
-        _x, res = run_pcr(batch)
+        _x, res = run_kernel("pcr", batch)
         recs = analyze(res)
         total_saving = sum(r.saving_fraction for r in recs)
         assert total_saving < 0.15
 
     def test_hybrid_better_than_cr_per_advisor(self, batch):
         """The hybrid should leave less on the table than CR."""
-        _x, cr = run_cr(batch)
-        _x, hy = run_cr_pcr(batch, intermediate_size=256)
+        _x, cr = run_kernel("cr", batch)
+        _x, hy = run_kernel("cr_pcr", batch, intermediate_size=256)
         cr_saving = sum(r.saving_fraction for r in analyze(cr))
         hy_saving = sum(r.saving_fraction for r in analyze(hy))
         assert hy_saving < cr_saving
@@ -57,7 +56,7 @@ class TestPcrDiagnosis:
 class TestNaiveKernelDiagnosis:
     def test_flags_coalescing_for_strided_thomas(self):
         s = diagonally_dominant_fluid(128, 128, seed=1)
-        _x, res = run_thomas_per_thread(s)
+        _x, res = run_kernel("thomas", s)
         recs = analyze(res)
         assert any("uncoalesced" in r.factor for r in recs)
         top = recs[0]
@@ -66,12 +65,12 @@ class TestNaiveKernelDiagnosis:
 
 class TestReport:
     def test_report_renders(self, batch):
-        _x, res = run_cr(batch)
+        _x, res = run_kernel("cr", batch)
         text = report(res)
         assert "prioritized optimizations" in text
         assert "ms" in text
 
     def test_quiet_for_optimal_kernel(self, batch):
-        _x, res = run_pcr(batch)
+        _x, res = run_kernel("pcr", batch)
         text = report(res)
         assert "total modeled time" in text

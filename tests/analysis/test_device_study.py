@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.device_study import (FERMI_LIKE, compare_devices,
                                          occupancy_shift)
 from repro.gpusim import GTX280, KernelError
-from repro.kernels.api import run_cr, run_cr_rd
+from repro.kernels.api import run_kernel
 from repro.numerics.generators import diagonally_dominant_fluid
 
 
@@ -24,8 +24,8 @@ class TestOccupancy:
         """The §5.3.5 shared-memory limit is a device property: 48 KiB
         lifts it."""
         with pytest.raises(KernelError):
-            run_cr_rd(batch, intermediate_size=256, device=GTX280)
-        _x, res = run_cr_rd(batch, intermediate_size=256,
+            run_kernel("cr_rd", batch, intermediate_size=256, device=GTX280)
+        _x, res = run_kernel("cr_rd", batch, intermediate_size=256,
                             device=FERMI_LIKE)
         assert res.blocks_per_sm >= 1
 
@@ -34,16 +34,16 @@ class TestConflictStructure:
     def test_32_banks_change_cr_conflicts(self, batch):
         """Stride-16 CR steps conflict 16-way on 16 banks but only
         half as badly relative to the wider conflict group on 32."""
-        _x, gt200 = run_cr(batch, device=GTX280)
-        _x, fermi = run_cr(batch, device=FERMI_LIKE)
+        _x, gt200 = run_kernel("cr", batch, device=GTX280)
+        _x, fermi = run_kernel("cr", batch, device=FERMI_LIKE)
         d_gt = gt200.ledger.phases["forward_reduction"].conflict_degree
         d_fm = fermi.ledger.phases["forward_reduction"].conflict_degree
         assert d_fm != d_gt  # the trace genuinely re-measures
 
     def test_functional_results_device_independent(self, batch):
         import numpy as np
-        x1, _ = run_cr(batch, device=GTX280)
-        x2, _ = run_cr(batch, device=FERMI_LIKE)
+        x1, _ = run_kernel("cr", batch, device=GTX280)
+        x2, _ = run_kernel("cr", batch, device=FERMI_LIKE)
         np.testing.assert_array_equal(x1, x2)
 
 

@@ -6,7 +6,7 @@ import pytest
 from repro.analysis.differential import (attributed_step_times,
                                          differential_step_times,
                                          phase_breakdown)
-from repro.kernels.api import run_cr, run_pcr
+from repro.kernels.api import run_kernel
 from repro.numerics.generators import diagonally_dominant_fluid
 
 
@@ -34,7 +34,7 @@ class TestDifferentialEqualsAttributed:
             assert (a.phase, a.index) == (d.phase, d.index)
 
     def test_first_difference_absorbs_preamble(self, batch):
-        _x, res = run_cr(batch)
+        _x, res = run_kernel("cr", batch)
         att = attributed_step_times(res)
         diff = differential_step_times("cr", batch)
         # First differential entry > first attributed (staging included).
@@ -43,7 +43,7 @@ class TestDifferentialEqualsAttributed:
 
 class TestPhaseBreakdown:
     def test_fractions_sum_to_one_minus_launch_overhead(self, batch):
-        _x, res = run_cr(batch)
+        _x, res = run_kernel("cr", batch)
         from repro.gpusim import gt200_cost_model
         rows = phase_breakdown(res)
         total = sum(f for _n, _ms, f in rows)
@@ -54,7 +54,7 @@ class TestPhaseBreakdown:
         assert total == pytest.approx(expected, abs=1e-9)
 
     def test_merge_global(self, batch):
-        _x, res = run_cr(batch)
+        _x, res = run_kernel("cr", batch)
         rows = phase_breakdown(res, merge_global=True)
         names = [n for n, _ms, _f in rows]
         assert "global_memory_access" in names
@@ -62,7 +62,7 @@ class TestPhaseBreakdown:
 
     def test_forward_dominates_cr(self, batch):
         """Fig 8: forward reduction is CR's largest phase."""
-        _x, res = run_cr(batch)
+        _x, res = run_kernel("cr", batch)
         rows = dict((n, ms) for n, ms, _f in phase_breakdown(res))
         assert rows["forward_reduction"] == max(rows.values())
 
@@ -70,7 +70,7 @@ class TestPhaseBreakdown:
         """Fig 8: "forward reduction takes about twice as much time as
         backward substitution"."""
         s = diagonally_dominant_fluid(2, 512, seed=2)
-        _x, res = run_cr(s)
+        _x, res = run_kernel("cr", s)
         rows = dict((n, ms) for n, ms, _f in phase_breakdown(res))
         ratio = rows["forward_reduction"] / rows["backward_substitution"]
         assert 1.5 <= ratio <= 2.6

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.roofline import (device_roofs, place_kernel,
                                      roofline_table)
-from repro.kernels.api import run_cr, run_pcr, run_rd
+from repro.kernels.api import run_kernel
 from repro.numerics.generators import close_values, diagonally_dominant_fluid
 
 
@@ -13,9 +13,9 @@ def points():
     s = diagonally_dominant_fluid(30, 512, seed=0)
     sc = close_values(30, 512, seed=0)
     return {
-        "cr": place_kernel("cr", run_cr(s)[1]),
-        "pcr": place_kernel("pcr", run_pcr(s)[1]),
-        "rd": place_kernel("rd", run_rd(sc)[1]),
+        "cr": place_kernel("cr", run_kernel("cr", s)[1]),
+        "pcr": place_kernel("pcr", run_kernel("pcr", s)[1]),
+        "rd": place_kernel("rd", run_kernel("rd", sc)[1]),
     }
 
 

@@ -3,14 +3,14 @@
 import pytest
 
 from repro.analysis.trace import full_trace, phase_trace, step_trace
-from repro.kernels.api import run_cr
+from repro.kernels.api import run_kernel
 from repro.numerics.generators import diagonally_dominant_fluid
 
 
 @pytest.fixture(scope="module")
 def launch():
     s = diagonally_dominant_fluid(2, 64, seed=0)
-    _x, res = run_cr(s)
+    _x, res = run_kernel("cr", s)
     return res
 
 

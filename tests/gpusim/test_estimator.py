@@ -29,8 +29,7 @@ from repro.gpusim.estimator import (analytic_launch, characterize,
 from repro.gpusim.executor import _reference_execute
 from repro.gpusim.gt200 import gt200_cost_model
 from repro.gpusim.serialize import ledger_to_dict
-from repro.kernels.api import (PLANNED_KERNELS, LaunchPlan, plan_launch,
-                               run_kernel)
+from repro.kernels.api import KERNELS, LaunchPlan, plan_launch, run_kernel
 from repro.numerics.generators import diagonally_dominant_fluid
 from repro.verify.generators import generate
 from repro.verify.invariants import check_invariants
@@ -145,7 +144,7 @@ class TestDataIndependence:
     needs to opt out of the memo."""
 
     def test_every_planned_kernel_covered(self):
-        assert {name for name, _kw in PLANNED} == PLANNED_KERNELS
+        assert {name for name, _kw in PLANNED} == set(KERNELS)
 
     @pytest.mark.parametrize("kind", ["diagonally_dominant", "nonfinite",
                                       "close_values", "near_singular"])

@@ -29,8 +29,7 @@ from repro.gpusim import GTX280, TESLA_C1060, ledgers_equal
 from repro.gpusim.engine import REFERENCE, VECTORIZED
 from repro.gpusim.estimator import characterize
 from repro.gpusim.executor import _reference_execute, launch
-from repro.kernels.api import (PLANNED_KERNELS, LaunchPlan, plan_launch,
-                               run_kernel)
+from repro.kernels.api import KERNELS, LaunchPlan, plan_launch, run_kernel
 from repro.numerics.generators import diagonally_dominant_fluid
 
 SOLVERS = ("cr", "pcr", "rd", "cr_pcr", "cr_rd")
@@ -39,7 +38,7 @@ SOLVERS = ("cr", "pcr", "rd", "cr_pcr", "cr_rd")
 #: kernels (mostly global-memory data paths) and per-thread Thomas in
 #: both batch layouts.
 OTHER_KERNELS = [(name, "sequential")
-                 for name in sorted(PLANNED_KERNELS - set(SOLVERS)
+                 for name in sorted(KERNELS.keys() - set(SOLVERS)
                                     - {"thomas"})]
 OTHER_KERNELS += [("thomas", "sequential"), ("thomas", "interleaved")]
 
@@ -113,7 +112,7 @@ class TestSolverEquivalence:
 
     def test_every_planned_kernel_covered(self):
         assert set(SOLVERS) | {name for name, _ in OTHER_KERNELS} \
-            == PLANNED_KERNELS
+            == set(KERNELS)
 
     def test_other_device_spec(self):
         vec, ref, _gv, _gr = _run_both("cr", 64, 2, 7, device=TESLA_C1060)

@@ -111,11 +111,11 @@ class TestKernelRobustness:
     def test_kernel_layer_matches_numpy_on_singular(self):
         """Even on broken inputs, the kernels and NumPy layers agree
         (same arithmetic, same NaNs)."""
-        from repro.kernels.api import run_cr
+        from repro.kernels.api import run_kernel
         s = diagonally_dominant_fluid(2, 16, seed=5)
         s.b[0, 3] = 0.0
         x_np = _quiet(SOLVERS["cr"], s, intermediate_size=None)
-        x_k, _ = _quiet(run_cr, s)
+        x_k, _ = _quiet(run_kernel, "cr", s)
         np.testing.assert_array_equal(np.isfinite(x_k), np.isfinite(x_np))
 
     def test_empty_batch_dimension(self):

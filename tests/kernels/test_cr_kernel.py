@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.complexity import compare, cr_complexity, measured_complexity
-from repro.kernels.api import run_cr
+from repro.kernels.api import run_kernel
 from repro.numerics.generators import diagonally_dominant_fluid
 from repro.solvers.cr import cyclic_reduction
 
@@ -16,7 +16,7 @@ def batch():
 
 @pytest.fixture(scope="module")
 def launch(batch):
-    return run_cr(batch)
+    return run_kernel("cr", batch)
 
 
 class TestFunctional:
@@ -27,12 +27,12 @@ class TestFunctional:
     @pytest.mark.parametrize("n", [2, 4, 16, 128])
     def test_sizes(self, n):
         s = diagonally_dominant_fluid(4, n, seed=n)
-        x, _res = run_cr(s)
+        x, _res = run_kernel("cr", s)
         np.testing.assert_array_equal(x, cyclic_reduction(s))
 
     def test_conflict_free_variant_same_values(self, batch):
-        x_normal, _ = run_cr(batch)
-        x_cf, _ = run_cr(batch, conflict_free_timing=True)
+        x_normal, _ = run_kernel("cr", batch)
+        x_cf, _ = run_kernel("cr", batch, conflict_free_timing=True)
         np.testing.assert_array_equal(x_normal, x_cf)
 
 
@@ -73,21 +73,21 @@ class TestConflictPattern:
     def test_fig9_degree_ladder(self):
         """Forward reduction at n = 512: degrees 2,4,8,16,16,8,4,2."""
         s = diagonally_dominant_fluid(2, 512, seed=1)
-        _x, res = run_cr(s)
+        _x, res = run_kernel("cr", s)
         degrees = [round(pc.conflict_degree)
                    for pc in res.ledger.steps_in_phase("forward_reduction")]
         assert degrees == [2, 4, 8, 16, 16, 8, 4, 2]
 
     def test_active_thread_halving(self):
         s = diagonally_dominant_fluid(2, 512, seed=2)
-        _x, res = run_cr(s)
+        _x, res = run_kernel("cr", s)
         actives = [pc.max_active_threads
                    for pc in res.ledger.steps_in_phase("forward_reduction")]
         assert actives == [256, 128, 64, 32, 16, 8, 4, 2]
 
     def test_conflict_free_variant_degree_one(self):
         s = diagonally_dominant_fluid(2, 512, seed=3)
-        _x, res = run_cr(s, conflict_free_timing=True)
+        _x, res = run_kernel("cr", s, conflict_free_timing=True)
         for pc in res.ledger.steps_in_phase("forward_reduction"):
             assert pc.conflict_degree == pytest.approx(1.0, abs=0.05)
 
@@ -100,7 +100,7 @@ class TestConflictPattern:
 class TestOccupancy:
     def test_512_runs_one_block_per_sm(self):
         s = diagonally_dominant_fluid(2, 512, seed=4)
-        _x, res = run_cr(s)
+        _x, res = run_kernel("cr", s)
         assert res.blocks_per_sm == 1
 
     def test_64_runs_many_blocks(self, launch):

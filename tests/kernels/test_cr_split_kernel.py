@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gpusim import KernelError, gt200_cost_model
-from repro.kernels.api import run_cr, run_cr_pcr, run_cr_split
+from repro.kernels.api import run_kernel
 from repro.kernels.cr_split_kernel import split_footprint_words
 from repro.numerics.generators import diagonally_dominant_fluid
 from repro.solvers.cr import cyclic_reduction
@@ -17,7 +17,7 @@ def batch():
 
 @pytest.fixture(scope="module")
 def launch(batch):
-    return run_cr_split(batch)
+    return run_kernel("cr_split", batch)
 
 
 class TestFunctional:
@@ -28,7 +28,7 @@ class TestFunctional:
     @pytest.mark.parametrize("n", [2, 4, 16, 64, 128])
     def test_sizes(self, n):
         s = diagonally_dominant_fluid(3, n, seed=n)
-        x, _res = run_cr_split(s)
+        x, _res = run_kernel("cr_split", s)
         np.testing.assert_array_equal(x, cyclic_reduction(s))
 
 
@@ -40,7 +40,7 @@ class TestConflictFreedom:
             assert pc.conflict_degree == pytest.approx(1.0, abs=0.01), name
 
     def test_inplace_cr_conflicted_on_same_input(self, batch):
-        _x, res = run_cr(batch)
+        _x, res = run_kernel("cr", batch)
         assert res.ledger.phases["forward_reduction"].conflict_degree > 2
 
 
@@ -56,7 +56,7 @@ class TestFootprint:
         figure needs overlay tricks we keep out for clarity)."""
         s = diagonally_dominant_fluid(2, 512, seed=1)
         with pytest.raises(KernelError, match="shared"):
-            run_cr_split(s)
+            run_kernel("cr_split", s)
 
     def test_footprint_formula(self):
         assert split_footprint_words(8) >= 2 * 8 - 2
@@ -68,9 +68,10 @@ class TestFootnoteClaim:
         as our hybrid CR+PCR solver' -- within 2x here, and clearly
         faster than in-place CR."""
         cm = gt200_cost_model()
-        _x, split = run_cr_split(batch)
-        _x, inplace = run_cr(batch)
-        _x, hybrid = run_cr_pcr(batch, intermediate_size=batch.n // 2)
+        _x, split = run_kernel("cr_split", batch)
+        _x, inplace = run_kernel("cr", batch)
+        _x, hybrid = run_kernel("cr_pcr", batch,
+                                intermediate_size=batch.n // 2)
         t_split = cm.report(split).total_ms
         t_inplace = cm.report(inplace).total_ms
         t_hybrid = cm.report(hybrid).total_ms

@@ -15,9 +15,7 @@ import warnings
 import pytest
 
 from repro.gpusim.serialize import ledger_from_dict, ledgers_equal
-from repro.kernels.api import (run_cr_global, run_cr_split, run_kernel,
-                               run_pcr_pingpong, run_rd_full)
-from repro.kernels.thomas_kernel import run_thomas_per_thread
+from repro.kernels.api import KERNELS, run_kernel
 from repro.numerics.generators import close_values, diagonally_dominant_fluid
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "golden_traces_n64.json")
@@ -30,35 +28,23 @@ def golden():
 
 
 def _run(name):
+    """Two n=64 systems per block kernel (hybrids at m=16); per-thread
+    Thomas fills one 32-thread block with 32 systems of 32."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        s = (close_values(2, 64, seed=0) if "rd" in name
-             else diagonally_dominant_fluid(2, 64, seed=0))
-        if name in ("cr", "pcr", "rd", "cr_pcr", "cr_rd"):
-            m = 16 if name in ("cr_pcr", "cr_rd") else None
-            _x, res = run_kernel(name, s, intermediate_size=m)
-        elif name == "cr_split":
-            _x, res = run_cr_split(s)
-        elif name == "cr_global":
-            _x, res = run_cr_global(s)
-        elif name == "pcr_pingpong":
-            _x, res = run_pcr_pingpong(s)
-        elif name == "rd_full":
-            _x, res = run_rd_full(s)
-        elif name == "thomas_per_thread":
-            _x, res = run_thomas_per_thread(
-                diagonally_dominant_fluid(32, 32, seed=0))
+        if name == "thomas":
+            s = diagonally_dominant_fluid(32, 32, seed=0)
+        elif "rd" in name:
+            s = close_values(2, 64, seed=0)
         else:
-            raise KeyError(name)
+            s = diagonally_dominant_fluid(2, 64, seed=0)
+        args = ({"intermediate_size": 16}
+                if "intermediate_size" in KERNELS[name].args else {})
+        _x, res = run_kernel(name, s, **args)
     return res
 
 
-ALL_KERNELS = ["cr", "pcr", "rd", "cr_pcr", "cr_rd", "cr_split",
-               "cr_global", "pcr_pingpong", "rd_full",
-               "thomas_per_thread"]
-
-
-@pytest.mark.parametrize("name", ALL_KERNELS)
+@pytest.mark.parametrize("name", KERNELS)
 def test_trace_pinned(golden, name):
     res = _run(name)
     expected = ledger_from_dict(golden[name]["ledger"])
@@ -66,7 +52,7 @@ def test_trace_pinned(golden, name):
     assert not diffs, f"{name} trace drifted:\n" + "\n".join(diffs[:20])
 
 
-@pytest.mark.parametrize("name", ALL_KERNELS)
+@pytest.mark.parametrize("name", KERNELS)
 def test_launch_config_pinned(golden, name):
     res = _run(name)
     g = golden[name]
@@ -75,4 +61,4 @@ def test_launch_config_pinned(golden, name):
 
 
 def test_fixture_covers_all_kernels(golden):
-    assert set(golden) == set(ALL_KERNELS)
+    assert set(golden) == set(KERNELS)

@@ -22,7 +22,7 @@ import pytest
 
 from repro.gpusim import ledgers_equal
 from repro.gpusim.executor import _reference_execute, launch
-from repro.kernels.api import run_pcr_pingpong, run_rd_full
+from repro.kernels.api import run_kernel
 from repro.kernels.common import GlobalSystemArrays
 from repro.kernels.pcr_pingpong_kernel import pcr_pingpong_kernel
 from repro.kernels.rd_full_kernel import rd_full_kernel
@@ -47,7 +47,7 @@ class TestPcrPingpongBufferParity:
         """log2(n)-1 buffer swaps: n = 8 ends in the opposite buffer
         from n = 16.  Both must read back the live buffer."""
         systems = diagonally_dominant_fluid(3, n, seed=2)
-        x, _res = run_pcr_pingpong(systems)
+        x, _res = run_kernel("pcr_pingpong", systems)
         comparison = compare_to_oracle(systems, x)
         assert comparison.rel_residual_max < 1e-4
 
@@ -64,11 +64,10 @@ class TestPcrPingpongBufferParity:
         """Double-buffering is a layout optimization; the arithmetic
         (and hence the float32 solution) is unchanged from plain PCR,
         which keeps a read-write hazard barrier instead."""
-        from repro.kernels.api import run_pcr
 
         systems = diagonally_dominant_fluid(2, 32, seed=5)
-        x_pp, _ = run_pcr_pingpong(systems)
-        x_pcr, _ = run_pcr(systems)
+        x_pp, _ = run_kernel("pcr_pingpong", systems)
+        x_pcr, _ = run_kernel("pcr", systems)
         assert np.array_equal(x_pp.view(np.uint32), x_pcr.view(np.uint32))
 
 
@@ -85,7 +84,7 @@ class TestRdFullLaneZeroFixup:
         sizes are pinned bitwise against the reference engine below.
         """
         systems = diagonally_dominant_fluid(3, n, seed=4)
-        x, _res = run_rd_full(systems)
+        x, _res = run_kernel("rd_full", systems)
         comparison = compare_to_oracle(systems, x)
         assert comparison.rel_residual_max < 1e-3
         # Column 0 specifically: the fixup target.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.complexity import compare, measured_complexity, pcr_complexity
-from repro.kernels.api import run_pcr
+from repro.kernels.api import run_kernel
 from repro.numerics.generators import diagonally_dominant_fluid
 from repro.solvers.pcr import parallel_cyclic_reduction
 
@@ -16,7 +16,7 @@ def batch():
 
 @pytest.fixture(scope="module")
 def launch(batch):
-    return run_pcr(batch)
+    return run_kernel("pcr", batch)
 
 
 class TestFunctional:
@@ -27,7 +27,7 @@ class TestFunctional:
     @pytest.mark.parametrize("n", [2, 4, 32, 256])
     def test_sizes(self, n):
         s = diagonally_dominant_fluid(4, n, seed=n)
-        x, _res = run_pcr(s)
+        x, _res = run_kernel("pcr", s)
         np.testing.assert_array_equal(x, parallel_cyclic_reduction(s))
 
 
@@ -60,16 +60,14 @@ class TestCounters:
 
     def test_does_more_work_than_cr(self, batch):
         """Table 1: PCR's shared traffic and flops exceed CR's."""
-        from repro.kernels.api import run_cr
-        _x1, pcr_res = run_pcr(batch)
-        _x2, cr_res = run_cr(batch)
+        _x1, pcr_res = run_kernel("pcr", batch)
+        _x2, cr_res = run_kernel("cr", batch)
         assert (pcr_res.ledger.total().shared_words
                 > cr_res.ledger.total().shared_words)
         assert pcr_res.ledger.total().flops > cr_res.ledger.total().flops
 
     def test_fewer_steps_than_cr(self, batch):
-        from repro.kernels.api import run_cr
-        _x1, pcr_res = run_pcr(batch)
-        _x2, cr_res = run_cr(batch)
+        _x1, pcr_res = run_kernel("pcr", batch)
+        _x2, cr_res = run_kernel("cr", batch)
         assert (pcr_res.ledger.total().steps
                 < cr_res.ledger.total().steps)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gpusim import GTX280, gt200_cost_model
-from repro.kernels.api import run_pcr
+from repro.kernels.api import run_kernel
 from repro.kernels.pcr_packed_kernel import run_pcr_packed
 from repro.numerics.generators import diagonally_dominant_fluid
 
@@ -21,14 +21,14 @@ class TestFunctional:
     @pytest.mark.parametrize("n,P", [(16, 2), (64, 4), (64, 8), (128, 2)])
     def test_bit_identical_to_plain_pcr(self, n, P):
         s = diagonally_dominant_fluid(16, n, seed=n + P)
-        x_ref, _ = run_pcr(s)
+        x_ref, _ = run_kernel("pcr", s)
         x, _ = run_pcr_packed(s, P)
         np.testing.assert_array_equal(x, x_ref)
 
     def test_p1_equals_plain_layout(self):
         s = diagonally_dominant_fluid(8, 32, seed=0)
         x, res = run_pcr_packed(s, 1)
-        x_ref, ref = run_pcr(s)
+        x_ref, ref = run_kernel("pcr", s)
         np.testing.assert_array_equal(x, x_ref)
         assert res.shared_bytes == ref.shared_bytes
 
@@ -44,7 +44,7 @@ class TestPackingWins:
         """Four 64-unknown systems per block out-run the paper's
         one-per-block mapping (fuller warps, fewer blocks)."""
         s = diagonally_dominant_fluid(64, 64, seed=2)
-        _x, plain = run_pcr(s)
+        _x, plain = run_kernel("pcr", s)
         _x, packed = run_pcr_packed(s, 4)
         assert grid_ms(packed, 16) < grid_ms(plain, 64)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gpusim import KernelError, gt200_cost_model
-from repro.kernels.api import run_rd, run_rd_full
+from repro.kernels.api import run_kernel
 from repro.numerics.generators import close_values
 
 
@@ -14,8 +14,8 @@ class TestFunctional:
         """The third row is [0,0,1] throughout, so carrying it changes
         nothing numerically."""
         s = close_values(3, n, seed=n)
-        x1, _ = run_rd(s)
-        x2, _ = run_rd_full(s)
+        x1, _ = run_kernel("rd", s)
+        x2, _ = run_kernel("rd_full", s)
         np.testing.assert_array_equal(x1, x2)
 
 
@@ -23,8 +23,8 @@ class TestTrickValue:
     @pytest.fixture(scope="class")
     def pair(self):
         s = close_values(2, 256, seed=0)
-        _x, trick = run_rd(s)
-        _x, full = run_rd_full(s)
+        _x, trick = run_kernel("rd", s)
+        _x, full = run_kernel("rd_full", s)
         return trick, full
 
     def test_half_the_flops(self, pair):
@@ -63,6 +63,6 @@ class TestTrickValue:
         """Nine n-word arrays exceed shared memory at n = 512: the
         storage trick is what makes RD run the flagship size at all."""
         s = close_values(2, 512, seed=1)
-        run_rd(s)  # fits
+        run_kernel("rd", s)  # fits
         with pytest.raises(KernelError, match="shared"):
-            run_rd_full(s)
+            run_kernel("rd_full", s)

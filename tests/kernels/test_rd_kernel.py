@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.kernels.api import run_rd
+from repro.kernels.api import run_kernel
 from repro.numerics.generators import close_values, diagonally_dominant_fluid
 from repro.solvers.rd import recursive_doubling
 
@@ -17,7 +17,7 @@ def batch():
 
 @pytest.fixture(scope="module")
 def launch(batch):
-    return run_rd(batch)
+    return run_kernel("rd", batch)
 
 
 class TestFunctional:
@@ -28,14 +28,14 @@ class TestFunctional:
     @pytest.mark.parametrize("n", [2, 4, 32, 128])
     def test_sizes(self, n):
         s = close_values(4, n, seed=n)
-        x, _res = run_rd(s)
+        x, _res = run_kernel("rd", s)
         np.testing.assert_array_equal(x, recursive_doubling(s))
 
     def test_overflow_reproduced_in_kernel(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             s = diagonally_dominant_fluid(4, 256, seed=1)
-            x, _res = run_rd(s)
+            x, _res = run_kernel("rd", s)
         assert not np.isfinite(x).all()
 
 
@@ -77,9 +77,8 @@ class TestCounters:
 
     def test_more_shared_traffic_than_pcr(self, batch):
         """Table 1: RD has ~2x PCR's shared accesses."""
-        from repro.kernels.api import run_pcr
-        _x1, rd_res = run_rd(batch)
-        _x2, pcr_res = run_pcr(batch)
+        _x1, rd_res = run_kernel("rd", batch)
+        _x2, pcr_res = run_kernel("pcr", batch)
         ratio = (rd_res.ledger.total().shared_words
                  / pcr_res.ledger.total().shared_words)
         assert ratio > 0.95

@@ -14,7 +14,7 @@ import pytest
 from repro.analysis.timing import modeled_grid_timing
 from repro.gpusim import (GTX280, InterleavedSystemArrays, estimate_ms,
                           gt200_cost_model, launch)
-from repro.kernels import plan_launch, run_kernel, run_thomas_batch
+from repro.kernels import plan_launch, run_kernel
 from repro.numerics.generators import diagonally_dominant_fluid
 from repro.solvers.thomas import thomas_batched
 
@@ -25,7 +25,7 @@ class TestRunThomasBatch:
     @pytest.mark.parametrize("layout", ["sequential", "interleaved"])
     def test_matches_cpu_thomas(self, S, n, layout):
         s = diagonally_dominant_fluid(S, n, seed=1)
-        x, res = run_thomas_batch(s, layout=layout)
+        x, res = run_kernel("thomas", s, layout=layout)
         assert x.shape == (S, n)
         np.testing.assert_allclose(x, thomas_batched(s), rtol=2e-5,
                                    atol=1e-6)
@@ -34,20 +34,20 @@ class TestRunThomasBatch:
     def test_layouts_bitwise_equal(self, S, n):
         """Same float32 op sequence per lane => identical bits."""
         s = diagonally_dominant_fluid(S, n, seed=2)
-        xs, _ = run_thomas_batch(s, layout="sequential")
-        xi, _ = run_thomas_batch(s, layout="interleaved")
+        xs, _ = run_kernel("thomas", s, layout="sequential")
+        xi, _ = run_kernel("thomas", s, layout="interleaved")
         np.testing.assert_array_equal(xs, xi)
 
     def test_multiblock_geometry(self):
         s = diagonally_dominant_fluid(1025, 8, seed=3)
-        _, res = run_thomas_batch(s, layout="interleaved")
+        _, res = run_kernel("thomas", s, layout="interleaved")
         assert res.threads_per_block == GTX280.max_threads_per_block
         assert res.num_blocks == 3          # ceil(1025/512), padded
 
     def test_interleaved_coalesces(self):
         s = diagonally_dominant_fluid(64, 64, seed=4)
-        _, seq = run_thomas_batch(s, layout="sequential")
-        _, inter = run_thomas_batch(s, layout="interleaved")
+        _, seq = run_kernel("thomas", s, layout="sequential")
+        _, inter = run_kernel("thomas", s, layout="interleaved")
         t_s = seq.ledger.total().global_transactions
         t_i = inter.ledger.total().global_transactions
         assert t_s > 10 * t_i
@@ -55,7 +55,7 @@ class TestRunThomasBatch:
     def test_bad_layout_rejected(self):
         s = diagonally_dominant_fluid(2, 8, seed=0)
         with pytest.raises(ValueError, match="layout must be one of"):
-            run_thomas_batch(s, layout="diagonal")
+            run_kernel("thomas", s, layout="diagonal")
 
 
 class TestRunKernelLayout:

@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.kernels.api import KERNELS
 from repro.numerics.generators import diagonally_dominant_fluid
 from repro.resilience.pipeline import _relative_residuals
 from repro.serve import SolveJob
+from repro.solvers.api import SOLVERS
 
 from .conftest import make_job, make_sched
+
+#: The GPU methods a job may name: registry solvers with a kernel.
+GPU_METHODS = sorted(KERNELS.keys() & SOLVERS.keys())
 
 
 class TestJobValidation:
@@ -34,6 +39,42 @@ class TestJobValidation:
         s = diagonally_dominant_fluid(8, 33, seed=1)
         job = make_job(s, method="thomas")
         assert job.systems.n == 33
+
+
+class TestJobMethodTable:
+    """``SolveJob`` accepts exactly the kernel table's registry solvers
+    and validates their layout and ``n`` through ``plan_launch``."""
+
+    def test_gpu_methods_are_the_six_registry_solvers(self):
+        assert GPU_METHODS == ["cr", "cr_pcr", "cr_rd", "pcr", "rd",
+                               "thomas"]
+
+    @pytest.mark.parametrize("method", GPU_METHODS + ["auto"])
+    def test_accepted(self, batch, method):
+        assert make_job(batch, method=method).method == method
+
+    @pytest.mark.parametrize("method", ["cr_split", "gep", "nope"])
+    def test_rejected(self, batch, method):
+        with pytest.raises(ValueError, match="unknown GPU method"):
+            make_job(batch, method=method)
+
+    @pytest.mark.parametrize("method", GPU_METHODS)
+    def test_interleaved_for_thomas_only(self, batch, method):
+        if method == "thomas":
+            assert make_job(batch, method=method,
+                            layout="interleaved").layout == "interleaved"
+        else:
+            with pytest.raises(ValueError, match="does not take layout"):
+                make_job(batch, method=method, layout="interleaved")
+
+    @pytest.mark.parametrize("method", GPU_METHODS + ["auto"])
+    def test_non_power_of_two_for_thomas_and_auto_only(self, method):
+        s = diagonally_dominant_fluid(8, 33, seed=1)
+        if method in ("thomas", "auto"):
+            assert make_job(s, method=method).systems.n == 33
+        else:
+            with pytest.raises(ValueError, match="power-of-two"):
+                make_job(s, method=method)
 
 
 class TestDigest:

@@ -8,7 +8,7 @@ import pytest
 from repro import telemetry
 from repro.analysis.breakdown import resource_breakdown
 from repro.gpusim import gt200_cost_model
-from repro.kernels.api import run_cr
+from repro.kernels.api import run_kernel
 from repro.telemetry.export import (chrome_trace, phase_totals,
                                     text_summary, to_jsonl)
 
@@ -17,7 +17,7 @@ from repro.telemetry.export import (chrome_trace, phase_totals,
 def collected(dominant_small):
     with telemetry.collect() as col:
         with telemetry.span("solve", method="cr"):
-            run_cr(dominant_small)
+            run_kernel("cr", dominant_small)
         telemetry.event("done", note="test")
     return col
 

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.verify.differential import (SIM_LAYOUT_AWARE, SIM_LAYOUTS,
-                                       CellSpec, applicable, grid,
-                                       verify_cell)
+from repro.kernels.api import KERNELS
+from repro.verify.differential import (SIM_LAYOUTS, CellSpec, applicable,
+                                       grid, verify_cell)
 from repro.verify.generators import generate
 
 
@@ -56,11 +56,11 @@ class TestInterleavedThomasCells:
         """The tentpole contract: the interleaved kernel is the same
         per-lane float32 program behind a different address map, so
         its solutions match the sequential cell *bitwise*."""
-        from repro.kernels import run_thomas_batch
+        from repro.kernels import run_kernel
         systems = generate("diagonally_dominant", 6, 64, seed=3)
         for layout_pair in [("sequential", "interleaved")]:
-            xs, _ = run_thomas_batch(systems, layout=layout_pair[0])
-            xi, _ = run_thomas_batch(systems, layout=layout_pair[1])
+            xs, _ = run_kernel("thomas", systems, layout=layout_pair[0])
+            xi, _ = run_kernel("thomas", systems, layout=layout_pair[1])
             np.testing.assert_array_equal(xs, xi)
         # and both cells pass the differential budget independently
         for lay in ("global", "interleaved"):
@@ -69,4 +69,5 @@ class TestInterleavedThomasCells:
             assert cell.status == "pass", cell.message
 
     def test_thomas_is_the_only_aware_solver_today(self):
-        assert SIM_LAYOUT_AWARE == frozenset({"thomas"})
+        assert {name for name, entry in KERNELS.items()
+                if "interleaved" in entry.layouts} == {"thomas"}
