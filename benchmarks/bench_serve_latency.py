@@ -18,7 +18,7 @@ import sys
 
 from repro.gpusim.pool import make_pool
 from repro.numerics.generators import diagonally_dominant_fluid
-from repro.serve import BatchScheduler, SolveJob
+from repro.serve import BatchScheduler, HealthPolicy, SolveJob
 
 from _harness import gate
 
@@ -35,7 +35,8 @@ def run_workload(seed: int = 9) -> BatchScheduler:
     that has to route around a dead device."""
     pool = make_pool(3, seed=seed, hot=1,
                      hot_rates={"launch_fatal_rate": 1.0})
-    sched = BatchScheduler(pool, failure_threshold=2, seed=seed)
+    sched = BatchScheduler(pool, seed=seed,
+                           health_policy=HealthPolicy(failure_threshold=2))
     reports = []
     for cls, num_systems, n in WORKLOADS:
         for rep in range(3):

@@ -416,6 +416,14 @@ def _live_line(snap: dict) -> str:
     return " ".join(parts)
 
 
+def _health_policy(args):
+    """The device-health policy the ``--failure-threshold`` and
+    ``--cooldown-ms`` circuit flags build."""
+    from repro.serve import HealthPolicy
+    return HealthPolicy(failure_threshold=args.failure_threshold,
+                        cooldown_ms=args.cooldown_ms)
+
+
 def _serve_live(args) -> int:
     """`repro serve --live`: seeded open-loop overload run through the
     multi-tenant front end with periodic p50/p99 + shed/quota/breaker
@@ -444,11 +452,10 @@ def _serve_live(args) -> int:
             telemetry.deterministic_collector(args.seed)) as col:
         pool = make_pool(args.devices, seed=args.seed)
         sched = BatchScheduler(
-            pool, failure_threshold=args.failure_threshold,
-            cooldown_ms=args.cooldown_ms,
-            max_chunk_retries=args.chunk_retries,
+            pool, max_chunk_retries=args.chunk_retries,
             checkpoint_dir=args.checkpoint,
-            checkpoint_every=args.checkpoint_every, seed=args.seed)
+            checkpoint_every=args.checkpoint_every, seed=args.seed,
+            health_policy=_health_policy(args))
         fe = ServeFrontend(
             sched, [p.spec for p in profiles],
             config=FrontendConfig(pending_capacity=args.pending_capacity),
@@ -557,8 +564,7 @@ def cmd_serve(args) -> int:
                      hot_processes=tuple(processes),
                      spares=args.spares)
     sched = BatchScheduler(
-        pool, failure_threshold=args.failure_threshold,
-        cooldown_ms=args.cooldown_ms,
+        pool, health_policy=_health_policy(args),
         max_chunk_retries=args.chunk_retries,
         chunk_timeout_ms=args.chunk_timeout_ms,
         checkpoint_dir=args.checkpoint,
@@ -623,14 +629,12 @@ def cmd_serve(args) -> int:
     if args.json:
         import json
         snap = col.metrics.snapshot()
-        doc = {"format": "repro.serve/v2",
+        doc = {"format": "repro.serve/v3",
                "seed": args.seed,
                "jobs": [r.to_dict() for r in reports],
                "rejected": rejected,
                "shed": shed,
                "slo": served.slo_snapshot,
-               "breakers": {n: b.state_dict()
-                            for n, b in sched.breakers.items()},
                "health": sched.health.snapshot(),
                "metrics": {k: v for k, v in snap["counters"].items()
                            if k.startswith("serve.")},
@@ -727,6 +731,8 @@ def cmd_experiments(_args) -> int:
 
 
 def main(argv=None) -> int:
+    from repro.solvers.api import POWER_OF_TWO_METHODS, SOLVERS
+    paper_solvers = [m for m in SOLVERS if m in POWER_OF_TWO_METHODS]
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Fast Tridiagonal Solvers on the GPU -- reproduction")
@@ -776,8 +782,7 @@ def main(argv=None) -> int:
                       help="machine-readable report + metrics")
     p_an = sub.add_parser("analyze",
                           help="trace + advisor for one solver kernel")
-    p_an.add_argument("solver", choices=["cr", "pcr", "rd", "cr_pcr",
-                                         "cr_rd"])
+    p_an.add_argument("solver", choices=paper_solvers)
     p_an.add_argument("--n", type=int, default=512,
                       help="system size (power of two)")
     p_an.add_argument("--intermediate-size", type=int, default=None,
@@ -796,7 +801,7 @@ def main(argv=None) -> int:
         help="profile a solver workload; export Chrome trace + JSONL "
              "+ summary")
     p_prof.add_argument("--solver", default="cr_pcr",
-                        choices=["cr", "pcr", "rd", "cr_pcr", "cr_rd"])
+                        choices=paper_solvers)
     p_prof.add_argument("--systems", type=int, default=512,
                         help="number of tridiagonal systems in the batch")
     p_prof.add_argument("--size", type=int, default=512,
@@ -849,7 +854,7 @@ def main(argv=None) -> int:
     p_srv.add_argument("--size", type=int, default=64,
                        help="system size n (power of two)")
     p_srv.add_argument("--solver", default="cr_pcr",
-                       choices=["cr", "pcr", "rd", "cr_pcr", "cr_rd"])
+                       choices=paper_solvers)
     p_srv.add_argument("--chunk-size", type=int, default=4,
                        dest="chunk_size", help="systems per chunk")
     p_srv.add_argument("--devices", type=int, default=3,

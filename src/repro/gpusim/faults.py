@@ -475,6 +475,10 @@ def inject(plan: FaultPlan) -> Iterator[FaultPlan]:
 #: even with aggressive plans.
 BACKOFF_CAP_S = 0.1
 
+#: Modeled cost (ms) of a launch attempt that dies before any block runs
+#: (the host round-trip that returned the launch error).
+LAUNCH_FAIL_PENALTY_MS = 0.01
+
 
 def retry_backoff_s(attempt: int, base_s: float,
                     rng: np.random.Generator | None = None,

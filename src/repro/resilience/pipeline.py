@@ -80,11 +80,12 @@ def _run_method(method: str, sub: TridiagonalSystems, engine: str,
     """One solver attempt; sim engine goes through the instrumented
     kernels (and therefore through the fault-injection hooks)."""
     if engine == "sim":
-        from repro.kernels.api import run_kernel
+        from repro.kernels.api import KERNELS, run_kernel
         # The chain's "thomas" stays the NumPy fallback it always was
         # (the fine-grained GPU methods are the sim attempts here).
         if method in POWER_OF_TWO_METHODS:
-            m = intermediate_size if method in ("cr_pcr", "cr_rd") else None
+            m = (intermediate_size
+                 if "intermediate_size" in KERNELS[method].args else None)
             x, _result = run_kernel(method, sub, intermediate_size=m)
             return x
     with np.errstate(all="ignore"):

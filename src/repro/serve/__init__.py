@@ -7,14 +7,13 @@ process dies halfway through a long job.
 
 * :class:`~repro.serve.job.SolveJob` / :class:`~repro.serve.job.JobReport`
   -- the admission unit and its typed outcome;
-* :class:`~repro.serve.breaker.CircuitBreaker` -- per-device
-  closed/open/half-open health gating driven by the PR-2 fault
-  taxonomy;
-* :class:`~repro.serve.health.HealthMonitor` -- the device lifecycle
-  (active/suspect/quarantined/probation/evicted): EWMA health scoring,
-  canary readmission, flap eviction and warm-spare promotion;
-* :mod:`~repro.serve.checkpoint` -- JSONL checkpoints; kill a run,
-  resume it bitwise;
+* :class:`~repro.serve.health.HealthMonitor` -- the one per-device
+  authority for placement: a closed/open/half-open circuit driven by
+  the typed device-fault taxonomy, and the lifecycle
+  (active/suspect/quarantined/probation/evicted) with EWMA health
+  scoring, canary readmission, flap eviction and warm-spare promotion;
+* :mod:`~repro.serve.checkpoint` -- JSONL checkpoints; kill a run at
+  any chunk, resume it bitwise;
 * :class:`~repro.serve.scheduler.BatchScheduler` -- runs one job:
   chunk sharding, deadline budgets, seeded-jitter retries, rerouting,
   and graceful degradation to the CPU chain;
@@ -50,23 +49,21 @@ killed-then-resumed runs -- produce bitwise-identical solutions.
 See ``docs/robustness.md`` ("Serving layer").
 """
 
-from .breaker import CLOSED, HALF_OPEN, OPEN, BreakerTransition, \
-    CircuitBreaker
 from .checkpoint import (CheckpointWriter, ResumeState, ShedLedger,
                          load_checkpoint)
 from .errors import CheckpointMismatchError, ServeError
 from .frontend import (AsyncServeFrontend, FrontendConfig, FrontendReport,
                        RequestOutcome, ServeFrontend, ServeRequest)
-from .health import (ACTIVE, EVICTED, PROBATION, QUARANTINED, SPARE,
-                     SUSPECT, DeviceHealth, HealthMonitor, HealthPolicy)
+from .health import (ACTIVE, CLOSED, EVICTED, HALF_OPEN, OPEN, PROBATION,
+                     QUARANTINED, SPARE, SUSPECT, DeviceHealth,
+                     HealthMonitor, HealthPolicy)
 from .job import (DEFAULT_CPU_CHAIN, ChunkAttempt, ChunkRecord, JobReport,
                   SolveJob, digest_array)
 from .quota import TenantSpec, TokenBucket, WeightedFairQueue
 from .scheduler import BatchScheduler
 
 __all__ = [
-    "BatchScheduler", "CircuitBreaker",
-    "BreakerTransition", "CLOSED", "OPEN", "HALF_OPEN",
+    "BatchScheduler", "CLOSED", "OPEN", "HALF_OPEN",
     "HealthMonitor", "HealthPolicy", "DeviceHealth",
     "ACTIVE", "SUSPECT", "QUARANTINED", "PROBATION", "EVICTED", "SPARE",
     "CheckpointWriter", "ResumeState", "ShedLedger", "load_checkpoint",

@@ -10,12 +10,12 @@ Format (one JSON object per line, append-only):
   device, modeled times, the solution rows (hex-encoded raw bytes, so
   restoration is bitwise) and their digest.
 * ``{"type": "state", "after_chunk": k, ...}`` -- scheduler state at a
-  checkpoint barrier: per-device modeled clocks, the CPU-chain clock,
-  every circuit breaker's dynamic state (including its transition
-  history) and, since the lifecycle work, an optional ``health`` key
-  with the :class:`~repro.serve.health.HealthMonitor` snapshot.  The
-  format version stays at 1: ``health`` is additive and loaders
-  tolerate its absence (pre-lifecycle checkpoints resume fine).
+  checkpoint barrier: the job's start and ready (commit/arrival) times,
+  the modeled-time frontier, per-device modeled clocks, the CPU-chain
+  clock and the :class:`~repro.serve.health.HealthMonitor` snapshot
+  (circuits and lifecycle).  Version 2 added the job's start and ready
+  times; a version-1 file cannot resume on the job's own timeline and
+  is rejected like any other mismatch.
 
 Chunk lines are buffered and written *together with* the state line
 every ``checkpoint_every`` chunks, so the file is always a prefix of
@@ -24,8 +24,9 @@ consistent blocks.  On resume, anything after the last complete
 context was lost with the kill), and a torn final line -- the normal
 signature of a killed process -- is dropped silently.  Because chunk
 fault plans are derived per ``(device, job, chunk, attempt)`` (see
-:mod:`repro.gpusim.pool`), the recomputed suffix is bitwise identical
-to what the uninterrupted run would have produced.
+:mod:`repro.gpusim.pool`) and the suffix runs from the job's original
+start, the recomputed suffix is bitwise identical to what the
+uninterrupted run would have produced, at any kill point.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 from .errors import CheckpointMismatchError
 from .job import ChunkAttempt, ChunkRecord, SolveJob
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _chunk_line(record: ChunkRecord, x: np.ndarray) -> dict:
@@ -93,22 +94,20 @@ class CheckpointWriter:
         """Buffer one completed chunk (persisted at the next barrier)."""
         self._buffer.append(_chunk_line(record, x))
 
-    def barrier(self, after_chunk: int, *, now_ms: float,
+    def barrier(self, after_chunk: int, *, start_ms: float,
+                ready_ms: float, now_ms: float,
                 device_clocks: dict[str, float], cpu_clock_ms: float,
-                breakers: dict[str, dict],
-                health: dict | None = None) -> None:
+                health: dict) -> None:
         """Flush buffered chunks plus one consistent state line."""
         for doc in self._buffer:
             self._write_line(doc)
         self._buffer.clear()
-        doc = {
-            "type": "state", "after_chunk": after_chunk, "now_ms": now_ms,
+        self._write_line({
+            "type": "state", "after_chunk": after_chunk,
+            "start_ms": start_ms, "ready_ms": ready_ms, "now_ms": now_ms,
             "device_clocks": device_clocks, "cpu_clock_ms": cpu_clock_ms,
-            "breakers": breakers,
-        }
-        if health is not None:
-            doc["health"] = health
-        self._write_line(doc)
+            "health": health,
+        })
         self._fh.flush()
 
     def close(self) -> None:
@@ -128,12 +127,12 @@ class ResumeState:
     """What a checkpoint restores: results + scheduler state."""
 
     after_chunk: int = -1     #: last chunk covered by a state line
+    start_ms: float = 0.0     #: the job's start on the modeled clock
+    ready_ms: float = 0.0     #: its commit/arrival time (queue wait)
     now_ms: float = 0.0
     device_clocks: dict[str, float] = field(default_factory=dict)
     cpu_clock_ms: float = 0.0
-    breakers: dict[str, dict] = field(default_factory=dict)
-    #: HealthMonitor snapshot ({} for pre-lifecycle checkpoints)
-    health: dict = field(default_factory=dict)
+    health: dict = field(default_factory=dict)  #: HealthMonitor state
     #: chunk_id -> (record, solution rows), bitwise as written
     chunks: dict[int, tuple[ChunkRecord, np.ndarray]] = \
         field(default_factory=dict)
@@ -174,12 +173,13 @@ def load_checkpoint(path: str, job: SolveJob) -> ResumeState:
         return state
     st = docs[last_state_pos]
     state.after_chunk = int(st["after_chunk"])
+    state.start_ms = float(st["start_ms"])
+    state.ready_ms = float(st["ready_ms"])
     state.now_ms = float(st["now_ms"])
     state.device_clocks = {k: float(v)
                            for k, v in st["device_clocks"].items()}
     state.cpu_clock_ms = float(st["cpu_clock_ms"])
-    state.breakers = dict(st["breakers"])
-    state.health = dict(st.get("health", {}))
+    state.health = dict(st["health"])
     for doc in docs[1:last_state_pos]:
         if doc.get("type") != "chunk":
             continue

@@ -1,21 +1,24 @@
-"""Device health lifecycle: quarantine, canary readmission, eviction.
+"""Device health: the one per-device authority for placement.
 
-The circuit breaker (:mod:`repro.serve.breaker`) reacts to *consecutive*
-failures on one device; it forgives as soon as a probe succeeds.  That
-is the wrong shape for three real failure modes:
+Each pooled device has a **circuit** driven by the typed fault taxonomy:
+``failure_threshold`` *consecutive* failed attempts open it; an open
+device receives nothing for ``cooldown_ms`` of modeled time, then the
+next placement pick half-opens it; :data:`HALF_OPEN_SUCCESSES` probe
+successes close it again, a failed probe re-opens it.  The circuit
+forgives as soon as a probe succeeds.  That is the wrong shape for
+three real failure modes:
 
-* **brownouts** -- the device still answers, just slowly; nothing trips
-  a breaker, but every chunk placed there drags the batch's tail;
+* **brownouts** -- the device still answers, just slowly; nothing opens
+  the circuit, but every chunk placed there drags the batch's tail;
 * **flapping** -- the device alternates between healthy and broken fast
-  enough that the breaker keeps half-opening into it, burning retry
+  enough that the circuit keeps half-opening into it, burning retry
   budget each cycle;
 * **progressive degradation** -- the fault rate ramps; early on it
   looks like isolated bad luck.
 
-The :class:`HealthMonitor` closes the gap with a per-device lifecycle
-driven entirely by seeded-deterministic signals (EWMA fault rate, the
-realized-vs-modeled chunk latency ratio, and the breaker's transition
-history)::
+The device **lifecycle** closes the gap with seeded-deterministic
+signals (EWMA fault rate, the realized-vs-modeled chunk latency ratio,
+and the circuit's open times)::
 
     active -> suspect -> quarantined -> probation -> active
                               |
@@ -26,10 +29,12 @@ history)::
 * **active / suspect** -- placeable.  Suspect is advisory (telemetry
   and the ``--report`` table flag it) but placement is unchanged; it
   exists so operators see trouble *before* the quarantine threshold.
-* **quarantined** -- excluded from placement.  After a modeled-time
-  dwell, readmission requires ``canary_count`` *consecutive* canary
-  solves -- small known-answer systems checked against the verify
-  oracle -- passing both a residual gate and a latency gate.
+* **quarantined** -- excluded from placement (also entered when the
+  circuit opens ``trip_limit`` times in ``trip_window_ms``: a flap).
+  After a modeled-time dwell, readmission requires ``canary_count``
+  *consecutive* canary solves -- small known-answer systems checked
+  against the verify oracle -- passing both a residual gate and a
+  latency gate.
 * **probation** -- placeable again, but the next ``probation_chunks``
   real chunks are watched individually; any fault or quarantine-grade
   latency sends the device straight back to quarantine.
@@ -39,8 +44,8 @@ history)::
 
 Everything is a pure function of modeled time and the derived seeds,
 so two same-seed runs -- including a run killed and resumed from a
-checkpoint -- make identical lifecycle decisions.  The monitor
-serialises with :meth:`HealthMonitor.state_dict` /
+checkpoint -- make identical decisions.  The monitor serialises with
+:meth:`HealthMonitor.state_dict` /
 :meth:`~HealthMonitor.load_state_dict`; spare promotions are re-applied
 on load so a resumed scheduler sees the same pool membership.
 """
@@ -48,14 +53,16 @@ on load so a resumed scheduler sees the same pool membership.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 from repro import telemetry
-from repro.gpusim.faults import GpuFault, inject
+from repro.gpusim.faults import LAUNCH_FAIL_PENALTY_MS, GpuFault, inject
 from repro.gpusim.gt200 import gt200_cost_model
 from repro.gpusim.pool import DevicePool, PooledDevice, derive_seed
-from repro.telemetry.metrics import (CANARY_TOTAL, HEALTH_SCORE,
-                                     LIFECYCLE_TRANSITIONS, emit)
+from repro.telemetry.metrics import (BREAKER_TRANSITIONS, CANARY_TOTAL,
+                                     HEALTH_SCORE, LIFECYCLE_TRANSITIONS,
+                                     emit)
+from repro.telemetry.slo import DEFAULT_CLASS, SLORegistry
 
 ACTIVE = "active"
 SUSPECT = "suspect"
@@ -67,20 +74,31 @@ SPARE = "spare"
 #: States the scheduler may place chunks on.
 PLACEABLE_STATES = frozenset({ACTIVE, SUSPECT, PROBATION})
 
-#: Modeled cost charged to a device for a canary that faults (mirrors
-#: the scheduler's ``LAUNCH_FAIL_PENALTY_MS``).
-CANARY_FAIL_PENALTY_MS = 0.01
+CLOSED = "closed"
+OPEN = "open"
+HALF_OPEN = "half_open"
+
+#: Consecutive probe successes that close a half-open circuit.
+HALF_OPEN_SUCCESSES = 2
+
+#: The attempt outcome of a launch whose result failed the residual gate:
+#: corruption slipped past every detector, which is not a circuit failure.
+RESIDUAL = "residual"
 
 
 @dataclass(frozen=True)
 class HealthPolicy:
-    """Thresholds and gates of the device lifecycle.
+    """Thresholds and gates of the device circuit and lifecycle.
 
     The defaults are tuned for the serve suite's modeled-millisecond
-    scale: sub-ms chunks, breaker cooldowns of a few ms.  All times are
+    scale: sub-ms chunks, circuit cooldowns of a few ms.  All times are
     modeled time.
     """
 
+    #: Consecutive failed attempts that open a closed circuit.
+    failure_threshold: int = 3
+    #: Modeled time an open circuit refuses placement before a probe.
+    cooldown_ms: float = 5.0
     #: EWMA smoothing for both the fault-rate and latency-ratio signals.
     ewma_alpha: float = 0.3
     #: EWMA fault rate that turns an active device suspect / quarantines it.
@@ -92,7 +110,7 @@ class HealthPolicy:
     #: A suspect device whose signals drop back under these re-activates.
     clear_fault_rate: float = 0.10
     clear_latency_ratio: float = 1.10
-    #: Breaker (re-)opens within ``trip_window_ms`` that count as a flap
+    #: Circuit (re-)opens within ``trip_window_ms`` that count as a flap
     #: and quarantine the device outright.
     trip_window_ms: float = 50.0
     trip_limit: int = 2
@@ -127,6 +145,12 @@ class DeviceHealth:
     roundtrips: int = 0
     canary_round: int = 0
     probation_ok: int = 0
+    circuit: str = CLOSED
+    consecutive_failures: int = 0
+    probe_successes: int = 0
+    opened_at_ms: float = 0.0
+    #: Every (re-)open time: the flap rule counts those in its window.
+    open_times: list[float] = field(default_factory=list)
 
     def score(self) -> float:
         """Scalar health in [0, 1] for the ``serve.health_score`` gauge
@@ -137,52 +161,36 @@ class DeviceHealth:
         return max(0.0, 1.0 - 0.6 * fault_pen - 0.4 * ratio_pen)
 
     def to_dict(self) -> dict:
-        return {
-            "state": self.state,
-            "ewma_fault": self.ewma_fault,
-            "ewma_ratio": self.ewma_ratio,
-            "observations": self.observations,
-            "quarantined_at_ms": self.quarantined_at_ms,
-            "quarantine_entries": self.quarantine_entries,
-            "roundtrips": self.roundtrips,
-            "canary_round": self.canary_round,
-            "probation_ok": self.probation_ok,
-        }
+        """JSON-ready dynamic state: every field but the name."""
+        d = asdict(self)
+        del d["name"]
+        return d
 
     @classmethod
     def from_dict(cls, name: str, d: dict) -> "DeviceHealth":
-        return cls(
-            name=name,
-            state=d["state"],
-            ewma_fault=float(d["ewma_fault"]),
-            ewma_ratio=float(d["ewma_ratio"]),
-            observations=int(d["observations"]),
-            quarantined_at_ms=float(d["quarantined_at_ms"]),
-            quarantine_entries=int(d["quarantine_entries"]),
-            roundtrips=int(d["roundtrips"]),
-            canary_round=int(d["canary_round"]),
-            probation_ok=int(d["probation_ok"]),
-        )
+        return cls(name=name, **d)
 
 
 class HealthMonitor:
-    """Lifecycle driver for every device (and warm spare) in a pool.
+    """Circuit and lifecycle state of every device (and warm spare) in
+    a pool.
 
-    The scheduler feeds it one observation per chunk attempt
-    (:meth:`observe_attempt`), notifies it of breaker trips
-    (:meth:`note_trip`), and gives it a readmission opportunity at each
-    chunk boundary (:meth:`maybe_readmit`).  The monitor answers the
-    only question placement asks -- :meth:`allows` -- and keeps a
-    JSON-ready :attr:`transitions` log for reports and the
+    The scheduler charges it once per chunk attempt
+    (:meth:`observe_attempt`; circuit trips count against the attempt's
+    class in ``slo``), asks it the placement question (:meth:`allows`,
+    then :meth:`admit`), and gives it a readmission opportunity at each
+    chunk boundary (:meth:`maybe_readmit`).  The monitor keeps a
+    JSON-ready lifecycle :attr:`transitions` log for reports and the
     ``serve.health.jsonl`` artifact.
     """
 
     def __init__(self, pool: DevicePool, *,
                  policy: HealthPolicy | None = None,
-                 seed: int = 0):
+                 seed: int = 0, slo: SLORegistry | None = None):
         self.pool = pool
         self.policy = policy or HealthPolicy()
         self.seed = seed
+        self.slo = slo
         self._cost_model = gt200_cost_model()
         self.devices: dict[str, DeviceHealth] = {
             d.name: DeviceHealth(name=d.name) for d in pool.devices}
@@ -193,30 +201,50 @@ class HealthMonitor:
 
     # -- placement gate -------------------------------------------------
 
-    def allows(self, name: str) -> bool:
-        """Whether placement may consider this device.  Unknown names
-        (the CPU degrade chain) are always allowed."""
+    def allows(self, name: str, at_ms: float | None = None) -> bool:
+        """Whether placement may consider this device: its lifecycle
+        state is placeable and, at modeled time ``at_ms``, its circuit
+        is not open inside its cooldown.  Unknown names (the CPU degrade
+        chain) are always allowed."""
         h = self.devices.get(name)
-        return h is None or h.state in PLACEABLE_STATES
+        return h is None or (h.state in PLACEABLE_STATES and (
+            at_ms is None or h.circuit != OPEN
+            or at_ms - h.opened_at_ms >= self.policy.cooldown_ms))
+
+    def admit(self, name: str, at_ms: float) -> None:
+        """Placement picked ``name`` at ``at_ms``: an open circuit whose
+        cooldown :meth:`allows` found served half-opens here (the probe
+        permission *is* the transition)."""
+        h = self.devices[name]
+        if h.circuit == OPEN:
+            h.probe_successes = 0
+            self._circuit_move(h, HALF_OPEN, "cooldown", at_ms)
 
     def state_of(self, name: str) -> str:
         return self.devices[name].state
 
     # -- signal intake --------------------------------------------------
 
-    def observe_attempt(self, name: str, *, ok: bool,
-                        ratio: float | None = None,
-                        now_ms: float = 0.0) -> None:
-        """Fold one chunk-attempt outcome into the device's signals and
-        run the state machine.
-
-        ``ratio`` is realized/modeled chunk latency (``None`` when the
-        attempt faulted before producing a cost, or when no estimate
-        exists).
+    def observe_attempt(self, name: str, outcome: str = "ok", *,
+                        ratio: float | None = None, now_ms: float = 0.0,
+                        cls: str = DEFAULT_CLASS) -> None:
+        """Charge one chunk attempt ending at ``now_ms`` to the device:
+        ``outcome`` is ``"ok"``, a fault kind (which steps the circuit;
+        a trip counts against class ``cls``) or :data:`RESIDUAL` (which
+        leaves the circuit alone); then the EWMA signals and lifecycle.
+        ``ratio`` is realized/modeled chunk latency (``None`` when no
+        cost or no estimate exists).
         """
         h = self.devices.get(name)
         if h is None or h.state == EVICTED:
             return
+        ok = outcome in ("ok", RESIDUAL)
+        if outcome == "ok":
+            self._circuit_success(h, now_ms)
+        elif not ok:
+            self._circuit_failure(h, outcome, now_ms, cls)
+            if h.state == EVICTED:
+                return
         a = self.policy.ewma_alpha
         h.ewma_fault = a * (0.0 if ok else 1.0) + (1 - a) * h.ewma_fault
         if ok and ratio is not None and math.isfinite(ratio) and ratio > 0:
@@ -249,22 +277,45 @@ class HealthMonitor:
               and h.ewma_ratio <= self.policy.clear_latency_ratio):
             self._move(h, ACTIVE, "recovered", now_ms)
 
-    def note_trip(self, name: str, breaker, now_ms: float) -> None:
-        """Called when a device's breaker (re-)opens.  Repeated trips
-        inside ``trip_window_ms`` are a flap: quarantine immediately
-        rather than letting the breaker half-open into the device again.
-        A trip during probation fails the probation outright."""
-        h = self.devices.get(name)
-        if h is None:
-            return
+    def _circuit_success(self, h: DeviceHealth, now_ms: float) -> None:
+        if h.circuit == HALF_OPEN:
+            h.probe_successes += 1
+            if h.probe_successes >= HALF_OPEN_SUCCESSES:
+                h.consecutive_failures = 0
+                self._circuit_move(h, CLOSED, "probe_ok", now_ms)
+        else:
+            h.consecutive_failures = 0
+
+    def _circuit_failure(self, h: DeviceHealth, kind: str, now_ms: float,
+                         cls: str) -> None:
+        """Step the circuit on a failed attempt.  A (re-)open is a trip,
+        counted against ``cls``; ``trip_limit`` trips inside
+        ``trip_window_ms`` are a flap that quarantines the device, and a
+        trip during probation fails the probation outright."""
+        if h.circuit == HALF_OPEN:
+            # One failed probe re-opens immediately; the device has not
+            # recovered, no point counting up to the threshold again.
+            reason = "probe_failed"
+        else:
+            h.consecutive_failures += 1
+            if (h.circuit != CLOSED or h.consecutive_failures
+                    < self.policy.failure_threshold):
+                return
+            reason = "trip"
+        h.opened_at_ms = now_ms
+        h.open_times.append(now_ms)
+        self._circuit_move(h, OPEN, reason, now_ms)
+        if self.slo is not None:
+            self.slo.record_breaker_trip(cls, h.name)
+        telemetry.event("serve.breaker_trip", device=h.name, cls=cls,
+                        kind=kind)
         if h.state == PROBATION:
             self._quarantine(h, "probation_trip", now_ms)
-            return
-        if h.state not in (ACTIVE, SUSPECT):
-            return
-        since = now_ms - self.policy.trip_window_ms
-        if breaker.trips_since(since) >= self.policy.trip_limit:
-            self._quarantine(h, "flap", now_ms)
+        elif h.state in (ACTIVE, SUSPECT):
+            since = now_ms - self.policy.trip_window_ms
+            if (sum(t >= since for t in h.open_times)
+                    >= self.policy.trip_limit):
+                self._quarantine(h, "flap", now_ms)
 
     # -- readmission ----------------------------------------------------
 
@@ -324,7 +375,7 @@ class HealthMonitor:
                             pol.canary_method, systems,
                             device=dev.spec)
                 except GpuFault:
-                    t += CANARY_FAIL_PENALTY_MS
+                    t += LAUNCH_FAIL_PENALTY_MS
                     emit(CANARY_TOTAL, device=dev.name,
                          result="fault")
                     passed = False
@@ -367,6 +418,15 @@ class HealthMonitor:
             sh = self.devices[spare.name]
             self._move(sh, ACTIVE, "promoted", now_ms)
 
+    def _circuit_move(self, h: DeviceHealth, to: str, reason: str,
+                      now_ms: float) -> None:
+        frm = h.circuit
+        h.circuit = to
+        emit(BREAKER_TRANSITIONS,
+             **{"device": h.name, "from": frm, "to": to})
+        telemetry.event("serve.breaker", device=h.name, **{
+            "from": frm, "to": to, "reason": reason, "at_ms": now_ms})
+
     def _move(self, h: DeviceHealth, to: str, reason: str,
               now_ms: float) -> None:
         frm = h.state
@@ -382,10 +442,10 @@ class HealthMonitor:
     # -- checkpoint support ---------------------------------------------
 
     def state_dict(self) -> dict:
-        """JSON-ready snapshot: per-device signals + lifecycle states,
-        current active-set membership (so spare promotions replay on
-        load), and the transition log (flap memory must survive a
-        resume)."""
+        """JSON-ready snapshot: per-device signals, circuits (with the
+        open times the flap rule counts, so flap memory survives a
+        resume) and lifecycle states, current active-set membership (so
+        spare promotions replay on load), and the transition log."""
         return {
             "devices": {n: h.to_dict() for n, h in self.devices.items()},
             "active_names": list(self.pool.names),
@@ -393,16 +453,16 @@ class HealthMonitor:
         }
 
     def load_state_dict(self, d: dict) -> None:
-        for name, hd in d.get("devices", {}).items():
+        for name, hd in d["devices"].items():
             if name in self.devices:
                 self.devices[name] = DeviceHealth.from_dict(name, hd)
         # Re-apply spare promotions: any device the snapshot had in the
         # active set that this fresh pool still holds as a spare gets
         # promoted, in snapshot order, reproducing placement order.
-        for name in d.get("active_names", []):
+        for name in d["active_names"]:
             if name in self.pool.spare_names:
                 self.pool.promote_spare(name)
-        self.transitions = [dict(t) for t in d.get("transitions", [])]
+        self.transitions = [dict(t) for t in d["transitions"]]
 
     # -- reporting ------------------------------------------------------
 
@@ -410,7 +470,8 @@ class HealthMonitor:
         """JSON-ready health picture for ``repro serve --json``."""
         return {
             "devices": {
-                n: {"state": h.state, "score": round(h.score(), 6),
+                n: {"state": h.state, "circuit": h.circuit,
+                    "score": round(h.score(), 6),
                     "ewma_fault": round(h.ewma_fault, 6),
                     "ewma_ratio": round(h.ewma_ratio, 6),
                     "roundtrips": h.roundtrips}
@@ -439,5 +500,6 @@ class HealthMonitor:
 
 __all__ = [
     "ACTIVE", "SUSPECT", "QUARANTINED", "PROBATION", "EVICTED", "SPARE",
-    "PLACEABLE_STATES", "HealthPolicy", "DeviceHealth", "HealthMonitor",
+    "PLACEABLE_STATES", "CLOSED", "OPEN", "HALF_OPEN", "HealthPolicy",
+    "DeviceHealth", "HealthMonitor",
 ]

@@ -9,28 +9,27 @@ own -- that is :class:`~repro.serve.frontend.ServeFrontend`'s job;
 :meth:`~BatchScheduler.run_job` runs it:
 
 * **placement** -- each chunk goes to the least-loaded device (by the
-  deterministic modeled clock) whose circuit breaker admits traffic;
-  ties break by pool order, so placement is a pure function of the
-  schedule so far;
+  deterministic modeled clock) that the
+  :class:`~repro.serve.health.HealthMonitor` allows; ties break by pool
+  order, so placement is a pure function of the schedule so far;
 * **retries + rerouting** -- a typed device fault
   (:class:`~repro.gpusim.faults.KernelLaunchError`,
   :class:`~repro.gpusim.faults.DataCorruptionError`) or a modeled
-  per-chunk timeout costs the device a breaker failure and moves the
+  per-chunk timeout is charged to the device's health and moves the
   chunk to the next healthy device after a seeded full-jitter backoff;
-* **circuit breaking** -- repeated failures open the device's breaker
-  (:mod:`repro.serve.breaker`); an open device receives nothing until
-  its modeled cooldown elapses, then probes trickle through;
-* **health lifecycle** -- a :class:`~repro.serve.health.HealthMonitor`
-  scores every device from EWMA fault rate, realized-vs-modeled
-  latency and breaker trip history; quarantined devices leave the
-  placement set until seeded canary solves readmit them, flapping
-  devices are evicted and warm spares promoted;
+* **device health** -- the monitor is the one per-device authority:
+  repeated failures open the device's circuit (nothing placed until
+  its modeled cooldown elapses, then probes trickle through), and its
+  lifecycle scores every device from EWMA fault rate,
+  realized-vs-modeled latency and circuit trip history; quarantined
+  devices leave the placement set until seeded canary solves readmit
+  them, flapping devices are evicted and warm spares promoted;
 * **hedged chunks** -- when a chunk's realized/modeled cost ratio
   crosses ``hedge_ratio``, a deterministic hedge launches on the
   next-best healthy device; the first acceptable result wins and the
   loser is accounted as ``hedge_cancelled``;
 * **graceful degradation** -- a chunk that fails its residual gate, or
-  finds every breaker open, falls back to the CPU chain via
+  finds no device placeable, falls back to the CPU chain via
   :func:`repro.resilience.robust_solve` (``thomas`` -> ``gep`` by
   default): slower, never wrong;
 * **deadlines** -- per-job modeled-time budgets (plus an optional
@@ -40,7 +39,8 @@ own -- that is :class:`~repro.serve.frontend.ServeFrontend`'s job;
 * **checkpoint/resume** -- completed chunks and scheduler state are
   written as JSONL blocks (:mod:`repro.serve.checkpoint`); a killed
   run resumed with ``resume=True`` restores results bitwise and
-  recomputes only the unpersisted suffix.
+  recomputes only the unpersisted suffix, on the job's own timeline,
+  so it makes the uninterrupted run's decisions at any kill point.
 
 Everything modeled is deterministic under seeded per-device fault
 profiles: two identical runs produce identical reports, digests and
@@ -69,14 +69,9 @@ from repro.telemetry.metrics import (CHUNK_RETRIES, CHUNKS_TOTAL,
                                      SERVE_LATENCY, emit)
 from repro.telemetry.slo import SLORegistry
 
-from .breaker import CLOSED, OPEN, CircuitBreaker
 from .checkpoint import CheckpointWriter, ResumeState, load_checkpoint
-from .health import HealthMonitor, HealthPolicy
+from .health import CLOSED, RESIDUAL, HealthMonitor, HealthPolicy
 from .job import ChunkAttempt, ChunkRecord, JobReport, SolveJob, digest_array
-
-#: Modeled cost of a launch attempt that dies before any block runs
-#: (the driver round-trip that returned the error).
-LAUNCH_FAIL_PENALTY_MS = 0.01
 
 #: Modeled CPU-chain cost per unknown (sequential Thomas-style sweep).
 CPU_NS_PER_UNKNOWN = 500.0
@@ -118,8 +113,6 @@ class BatchScheduler:
     ----------
     pool:
         The devices to schedule over.
-    failure_threshold, cooldown_ms, half_open_successes:
-        Circuit-breaker configuration, shared by every device.
     max_chunk_retries:
         Device attempts per chunk beyond the first before the chunk
         degrades to the CPU chain.
@@ -145,7 +138,7 @@ class BatchScheduler:
         run history -- so a resumed run (which never re-observes
         restored chunks) hedges identically to a straight one.
     health_policy:
-        Lifecycle thresholds for the built-in
+        Circuit and lifecycle thresholds for the built-in
         :class:`~repro.serve.health.HealthMonitor` (defaults when not
         given; the monitor itself is always on).
 
@@ -157,9 +150,6 @@ class BatchScheduler:
     """
 
     def __init__(self, pool: DevicePool, *,
-                 failure_threshold: int = 3,
-                 cooldown_ms: float = 5.0,
-                 half_open_successes: int = 2,
                  max_chunk_retries: int = 3,
                  chunk_timeout_ms: float | None = None,
                  backoff_base_ms: float = 0.05,
@@ -179,20 +169,15 @@ class BatchScheduler:
         self.seed = seed
         self._cost_model = gt200_cost_model()
         self.hedge_ratio = hedge_ratio
-        # Breakers and clocks cover warm spares too: promotion must
-        # never change the shape of checkpointed scheduler state.
-        self.breakers: dict[str, CircuitBreaker] = {
-            d.name: CircuitBreaker(
-                name=d.name, failure_threshold=failure_threshold,
-                cooldown_ms=cooldown_ms,
-                half_open_successes=half_open_successes)
-            for d in pool.all_devices()}
+        # Clocks cover warm spares too: promotion must never change the
+        # shape of checkpointed scheduler state.
         self._clock: dict[str, float] = {
             d.name: 0.0 for d in pool.all_devices()}
-        self.health = HealthMonitor(pool, policy=health_policy, seed=seed)
+        self.slo = SLORegistry()
+        self.health = HealthMonitor(pool, policy=health_policy, seed=seed,
+                                    slo=self.slo)
         self._cpu_clock = 0.0
         self._now_ms = 0.0
-        self.slo = SLORegistry()
         #: job_id -> (committed-and-arrived ms, arrival ms or None).
         self._committed: dict[str, tuple[float, float | None]] = {}
         #: Per-job trace roots: job_id -> (collector, trace_id, root
@@ -317,36 +302,26 @@ class BatchScheduler:
                 self._clock[name] = ms
         self._cpu_clock = state.cpu_clock_ms
         self._now_ms = max(self._now_ms, state.now_ms)
-        for name, bstate in state.breakers.items():
-            if name in self.breakers:
-                self.breakers[name].load_state_dict(bstate)
-        # Health last: loading re-applies spare promotions recorded in
-        # the snapshot, so pool membership (and with it placement
-        # order) matches the moment the barrier was written.
-        if state.health:
-            self.health.load_state_dict(state.health)
+        # Loading health re-applies spare promotions recorded in the
+        # snapshot, so pool membership (and with it placement order)
+        # matches the moment the barrier was written.
+        self.health.load_state_dict(state.health)
 
     def _pick_device(self, frontier_ms: float,
                      exclude: set[str]) -> PooledDevice | None:
-        """Least-loaded admissible device; ``None`` when every breaker
-        is open (or every device quarantined).  ``exclude`` holds
-        devices that already failed this chunk -- preferred away from,
-        but allowed again when they are all that is left.  Devices the
-        health monitor holds in quarantine (or has evicted) are never
-        candidates."""
+        """Least-loaded device the health monitor allows at its start
+        time; ``None`` when none is (every circuit cooling down, every
+        device quarantined).  ``exclude`` holds devices that already
+        failed this chunk -- preferred away from, but allowed again
+        when they are all that is left."""
         def candidates(skip_excluded: bool) -> list[tuple[float, int]]:
             out = []
             for i, dev in enumerate(self.pool):
                 if skip_excluded and dev.name in exclude:
                     continue
-                if not self.health.allows(dev.name):
-                    continue
-                b = self.breakers[dev.name]
                 start = max(self._clock[dev.name], frontier_ms)
-                if b.state == OPEN and \
-                        start - b.opened_at_ms < b.cooldown_ms:
-                    continue
-                out.append((start, i))
+                if self.health.allows(dev.name, start):
+                    out.append((start, i))
             return out
 
         picks = candidates(True) or candidates(False)
@@ -354,30 +329,20 @@ class BatchScheduler:
             return None
         start, i = min(picks)
         device = self.pool[i]
-        # Formalise the admission (an open-but-cooled breaker moves to
-        # half-open here).
-        if not self.breakers[device.name].allow(start):
-            return None   # pragma: no cover - guarded by the scan above
+        self.health.admit(device.name, start)
         return device
 
     def _pick_hedge_device(self, frontier_ms: float,
                            exclude: set[str]) -> PooledDevice | None:
         """Next-best healthy device for a hedge: like
         :meth:`_pick_device` but strict -- excluded devices never come
-        back, and a closed breaker is required (a hedge is opportunistic
+        back, and a closed circuit is required (a hedge is opportunistic
         backup work, not worth spending a half-open probe slot on)."""
-        out = []
-        for i, dev in enumerate(self.pool):
-            if dev.name in exclude:
-                continue
-            if not self.health.allows(dev.name):
-                continue
-            if self.breakers[dev.name].state != CLOSED:
-                continue
-            out.append((max(self._clock[dev.name], frontier_ms), i))
-        if not out:
-            return None
-        return self.pool[min(out)[1]]
+        out = [(max(self._clock[dev.name], frontier_ms), i)
+               for i, dev in enumerate(self.pool)
+               if dev.name not in exclude and self.health.allows(dev.name)
+               and self.health.devices[dev.name].circuit == CLOSED]
+        return self.pool[min(out)[1]] if out else None
 
     def _backoff_ms(self, job: SolveJob, chunk_id: int,
                     attempt: int) -> float:
@@ -416,20 +381,6 @@ class BatchScheduler:
                              modeled_ms=cost, digest=digest_array(x))
         return record, x
 
-    def _breaker_failure(self, breaker: CircuitBreaker, end_ms: float,
-                         kind: str, job: SolveJob) -> None:
-        """Charge a breaker failure and attribute a resulting trip
-        (closed/half-open -> open) to the job's SLO class."""
-        was_open = breaker.state == OPEN
-        breaker.record_failure(end_ms, kind)
-        if breaker.state == OPEN and not was_open:
-            self.slo.record_breaker_trip(job.slo_class, breaker.name)
-            telemetry.event("serve.breaker_trip", device=breaker.name,
-                            cls=job.slo_class, kind=kind)
-            # Repeated trips in a short window read as a flap; the
-            # monitor may quarantine the device outright.
-            self.health.note_trip(breaker.name, breaker, end_ms)
-
     def _advance(self, device: str, end_ms: float,
                  busy_until_ms: float | None = None) -> None:
         """Hold ``device`` until ``busy_until_ms`` (default ``end_ms``)
@@ -466,7 +417,7 @@ class BatchScheduler:
             kind = ("corruption"
                     if isinstance(exc, _faults.DataCorruptionError)
                     else "launch_error")
-            return kind, None, LAUNCH_FAIL_PENALTY_MS
+            return kind, None, _faults.LAUNCH_FAIL_PENALTY_MS
         cost = (self._cost_model.report(launch).total_ms
                 * (plan.latency_multiplier if plan is not None else 1.0))
         if self.chunk_timeout_ms is not None and cost > self.chunk_timeout_ms:
@@ -477,18 +428,16 @@ class BatchScheduler:
                         kind: str, modeled_ms: float,
                         backoff_ms: float = 0.0) -> None:
         """Charge a faulted or watchdog-killed attempt to ``device``:
-        clock (plus any retry backoff), breaker and health."""
+        clock (plus any retry backoff) and health."""
         end = start + modeled_ms
         self._advance(device, end, end + backoff_ms)
-        self._breaker_failure(self.breakers[device], end, kind, job)
-        self.health.observe_attempt(device, ok=False, now_ms=end)
+        self.health.observe_attempt(device, kind, now_ms=end,
+                                    cls=job.slo_class)
 
     def _residual_miss(self, device: str, end_ms: float) -> None:
-        """A launch whose result fails the residual gate: corruption
-        slipped past every detector, which is not a breaker failure."""
+        """A launch whose result fails the residual gate."""
         self._advance(device, end_ms)
-        self.health.observe_attempt(device, ok=True, ratio=None,
-                                    now_ms=end_ms)
+        self.health.observe_attempt(device, RESIDUAL, now_ms=end_ms)
 
     def _run_chunk(self, job: SolveJob, chunk_id: int, frontier_ms: float
                    ) -> tuple[ChunkRecord, np.ndarray]:
@@ -565,7 +514,7 @@ class BatchScheduler:
         Returns ``None`` when no healthy device is free, the hedge's
         :class:`_Launched` result when it solved the chunk acceptably,
         else its ``hedge_failed`` attempt line (the hedge device's
-        breaker/clock/health were already charged here).
+        clock and health were already charged here).
         """
         dev = self._pick_hedge_device(frontier_ms, {primary} | failed_on)
         if dev is None:
@@ -595,14 +544,13 @@ class BatchScheduler:
     def _cancel(self, loser: _Launched, winner_end_ms: float,
                 attempts: list[ChunkAttempt]) -> None:
         """Cancel the losing side of a hedge race at the winner's
-        finish line: its device is charged only the overlap, its
-        breaker records a success (the device did nothing wrong), and
-        the attempt lands as ``hedge_cancelled``."""
+        finish line: its device is charged only the overlap and an ok
+        attempt (the device did nothing wrong), and the attempt lands as
+        ``hedge_cancelled``."""
         cancel_at = min(loser.end, max(loser.start, winner_end_ms))
         self._advance(loser.device, cancel_at)
-        self.breakers[loser.device].record_success(cancel_at)
-        self.health.observe_attempt(loser.device, ok=True,
-                                    ratio=loser.ratio, now_ms=cancel_at)
+        self.health.observe_attempt(loser.device, ratio=loser.ratio,
+                                    now_ms=cancel_at)
         attempts.append(ChunkAttempt(
             device=loser.device, outcome="hedge_cancelled",
             modeled_ms=max(0.0, cancel_at - loser.start)))
@@ -625,9 +573,7 @@ class BatchScheduler:
         win = hedge if hedge_won else primary
         end = win.end
         self._advance(win.device, end)
-        self.breakers[win.device].record_success(end)
-        self.health.observe_attempt(win.device, ok=True, ratio=win.ratio,
-                                    now_ms=end)
+        self.health.observe_attempt(win.device, ratio=win.ratio, now_ms=end)
         if hedge_won:
             emit(HEDGES_TOTAL, device=win.device, outcome="won")
         emit(CHUNKS_TOTAL, device=win.device, status="ok")
@@ -667,20 +613,23 @@ class BatchScheduler:
         self._resolve_auto(job)
         restored: dict[int, tuple[ChunkRecord, np.ndarray]] = {}
         path = self._checkpoint_path(job)
-        resuming = False
-        if resume and path is not None and os.path.exists(path):
-            state = load_checkpoint(path, job)
-            self._restore(state)
-            restored = state.chunks
-            resuming = True
+        resuming = resume and path is not None and os.path.exists(path)
+        state = load_checkpoint(path, job) if resuming else ResumeState()
 
         writer = (CheckpointWriter(path, job, resume=resuming)
                   if path is not None else None)
         x_out = np.zeros(job.systems.shape, dtype=np.float64)
         chunks: list[ChunkRecord] = []
-        # The frontier waits for the job's commit and arrival.
         ready, arrival = self._committed.pop(job.job_id, (self._now_ms, None))
-        job_start = self._now_ms = max(self._now_ms, ready)
+        if state.after_chunk >= 0:
+            # Resume on the job's own timeline: the suffix is placed,
+            # clocked and deadline-checked from the original start.
+            self._restore(state)
+            restored = state.chunks
+            ready, job_start = state.ready_ms, state.start_ms
+        else:
+            # The frontier waits for the job's commit and arrival.
+            job_start = self._now_ms = max(self._now_ms, ready)
         trace_id, root = self._trace_context(job)
         root_id = root.record.span_id if root is not None else None
         queue_wait = job_start - ready
@@ -694,11 +643,9 @@ class BatchScheduler:
         def barrier(after_chunk: int) -> None:
             if writer is not None:
                 writer.barrier(
-                    after_chunk, now_ms=self._now_ms,
-                    device_clocks=dict(self._clock),
+                    after_chunk, start_ms=job_start, ready_ms=ready,
+                    now_ms=self._now_ms, device_clocks=dict(self._clock),
                     cpu_clock_ms=self._cpu_clock,
-                    breakers={n: b.state_dict()
-                              for n, b in self.breakers.items()},
                     health=self.health.state_dict())
 
         with telemetry.trace_span("serve.job", trace_id=trace_id,

@@ -422,8 +422,8 @@ def estimator_summary(collector: Collector) -> list[str]:
 
     ``estimator.cost_residual{solver,layout,n}`` holds the signed
     relative error of each scheduler cost estimate against the
-    realized modeled-clock cost -- the calibration table ROADMAP
-    items 1-2 (autotuner) consume.
+    realized modeled-clock cost -- the cost model's calibration table
+    per solver, layout and size.
     """
     from .metrics import COST_RESIDUAL
 

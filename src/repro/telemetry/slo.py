@@ -1,8 +1,8 @@
 """Per-class service-level objectives for the serve layer.
 
-ROADMAP item 5 asks for ``p50/p99 + breaker/shed counters`` so a
-multi-tenant front end can do SLO-aware load shedding.  This module is
-that accounting: jobs are tagged with an :class:`SLOClass` (latency
+The multi-tenant front end sheds load by SLO class, from
+``p50/p99 + breaker/shed counters``.  This module is that accounting:
+jobs are tagged with an :class:`SLOClass` (latency
 objective on the modeled clock), and an :class:`SLORegistry` folds each
 finished/shed job into streaming histograms and attribution counters.
 

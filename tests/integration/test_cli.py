@@ -120,7 +120,9 @@ class TestServeCommand:
         doc = json.loads(capsys.readouterr().out)
         assert [j["job_id"] for j in doc["jobs"]] == ["job0", "job1"]
         assert all(j["outcome"] == "ok" for j in doc["jobs"])
-        assert "gpu0" in doc["breakers"]
+        assert "breakers" not in doc          # folded into health
+        assert all(d["circuit"] in ("closed", "open", "half_open")
+                   for d in doc["health"]["devices"].values())
         assert any(k.startswith("serve.") for k in doc["metrics"])
 
     def test_checkpoint_resume_round_trip(self, tmp_path, capsys):
@@ -196,11 +198,11 @@ class TestServeObservability:
         assert all(j["slo_class"] == "batch" for j in doc["jobs"])
         assert doc["slo"]["batch"]["jobs"] == 2
 
-    def test_json_schema_v2(self, capsys):
+    def test_json_schema_v3(self, capsys):
         import json
         assert main(self.ARGS + ["--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["format"] == "repro.serve/v2"
+        assert doc["format"] == "repro.serve/v3"
         assert doc["seed"] == 3
         assert doc["exit_code"] == 0
         assert doc["shed"] == []

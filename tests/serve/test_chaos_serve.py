@@ -22,7 +22,7 @@ from repro import telemetry
 from repro.gpusim.pool import make_pool
 from repro.numerics.generators import diagonally_dominant_fluid
 from repro.resilience.pipeline import _relative_residuals
-from repro.serve import CLOSED, HALF_OPEN, OPEN
+from repro.serve import CLOSED, HALF_OPEN, OPEN, HealthPolicy
 
 from .conftest import make_job, make_sched
 
@@ -38,18 +38,22 @@ def batch():
     return diagonally_dominant_fluid(24, 64, seed=11)
 
 
+#: Circuits open on the second consecutive failure.
+FAST_TRIP = HealthPolicy(failure_threshold=2)
+
+
 class TestBreakerTripMidJob:
     """Acceptance 1: trip a breaker mid-job, still meet the deadline."""
 
     def run_once(self):
-        sched = make_sched(hot_pool(), failure_threshold=2,
-                           cooldown_ms=1e9)
+        sched = make_sched(hot_pool(), health_policy=HealthPolicy(
+            failure_threshold=2, cooldown_ms=1e9))
         report = sched.run_job(make_job(batch(), deadline_ms=500.0))
         return sched, report
 
     def test_breaker_trips_and_job_completes_in_deadline(self):
         sched, report = self.run_once()
-        assert sched.breakers["gpu1"].state == OPEN       # tripped...
+        assert sched.health.devices["gpu1"].circuit == OPEN  # tripped...
         assert report.completed and report.deadline_met   # ...job fine
         assert report.outcome == "ok"
         assert report.makespan_ms <= 500.0
@@ -72,22 +76,26 @@ class TestBreakerTripMidJob:
                          hot_rates={"launch_fatal_rate": 1.0})
         # threshold 1: the breaker trips on gpu1's first failed attempt,
         # however the seeded backoff jitter orders the device clocks.
-        sched = make_sched(pool, failure_threshold=1, cooldown_ms=0.02)
-        sched.run_job(make_job(batch(), job_id="warm"))
-        b = sched.breakers["gpu1"]
-        assert b.state == OPEN
-        # Heal the device, then keep feeding jobs through the same
-        # scheduler: once the modeled clock clears the cooldown, a
-        # probe flows and the breaker closes.
-        pool.by_name("gpu1").fault_rates = {}
-        report = None
-        for i in range(5):
-            report = sched.run_job(make_job(batch(), job_id=f"after{i}"))
-            assert report.ok
-            if b.state == CLOSED:
-                break
-        assert b.state == CLOSED
-        trans = [(t.to, t.reason) for t in b.transitions]
+        with telemetry.collect() as col:
+            sched = make_sched(pool, health_policy=HealthPolicy(
+                failure_threshold=1, cooldown_ms=0.02))
+            sched.run_job(make_job(batch(), job_id="warm"))
+            h = sched.health.devices["gpu1"]
+            assert h.circuit == OPEN
+            # Heal the device, then keep feeding jobs through the same
+            # scheduler: once the modeled clock clears the cooldown, a
+            # probe flows and the circuit closes.
+            pool.by_name("gpu1").fault_rates = {}
+            report = None
+            for i in range(5):
+                report = sched.run_job(make_job(batch(),
+                                                job_id=f"after{i}"))
+                assert report.ok
+                if h.circuit == CLOSED:
+                    break
+        assert h.circuit == CLOSED
+        trans = [(e.attrs["to"], e.attrs["reason"]) for e in col.events
+                 if e.name == "serve.breaker" and e.attrs["device"] == "gpu1"]
         assert trans[0] == (OPEN, "trip")
         assert (HALF_OPEN, "cooldown") in trans
         assert trans[-1] == (CLOSED, "probe_ok")
@@ -100,19 +108,19 @@ class TestKillResumeBitwise:
     def test_resumed_run_is_bitwise_identical(self, tmp_path):
         job_kw = dict(job_id="kr", deadline_ms=500.0)
 
-        straight = make_sched(hot_pool(), failure_threshold=2,
+        straight = make_sched(hot_pool(), health_policy=FAST_TRIP,
                               checkpoint_dir=str(tmp_path / "a"))
         full = straight.run_job(make_job(batch(), **job_kw))
         assert full.ok
 
-        killed = make_sched(hot_pool(), failure_threshold=2,
+        killed = make_sched(hot_pool(), health_policy=FAST_TRIP,
                             checkpoint_dir=str(tmp_path / "b"))
         partial = killed.run_job(make_job(batch(), **job_kw),
                                  stop_after=3)
         assert partial.outcome == "stopped"
         assert not partial.completed
 
-        resumed_sched = make_sched(hot_pool(), failure_threshold=2,
+        resumed_sched = make_sched(hot_pool(), health_policy=FAST_TRIP,
                                    checkpoint_dir=str(tmp_path / "b"))
         resumed = resumed_sched.run_job(make_job(batch(), **job_kw),
                                         resume=True)
@@ -129,7 +137,7 @@ class TestKillResumeBitwise:
 
     def test_resume_without_checkpoint_recomputes_everything(
             self, tmp_path):
-        sched = make_sched(hot_pool(), failure_threshold=2,
+        sched = make_sched(hot_pool(), health_policy=FAST_TRIP,
                            checkpoint_dir=str(tmp_path))
         report = sched.run_job(make_job(batch(), job_id="cold"),
                                resume=True)
@@ -141,7 +149,7 @@ class TestSeededDeterminism:
 
     def run_once(self):
         with telemetry.collect() as col:
-            sched = make_sched(hot_pool(), failure_threshold=2)
+            sched = make_sched(hot_pool(), health_policy=FAST_TRIP)
             job = make_job(batch(), job_id="det", deadline_ms=500.0)
             sched.commit(job)
             reports = [sched.run_job(job)]
@@ -174,7 +182,7 @@ class TestTraceObservability:
     def run_traced(self, seed=17):
         col = telemetry.deterministic_collector(seed)
         with telemetry.collect(col):
-            sched = make_sched(hot_pool(), failure_threshold=2, seed=seed)
+            sched = make_sched(hot_pool(), health_policy=FAST_TRIP, seed=seed)
             jobs = [make_job(batch(), job_id=f"t{i}", deadline_ms=500.0)
                     for i in range(2)]
             for job in jobs:

@@ -5,11 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from repro.gpusim.pool import make_pool
 from repro.numerics.generators import diagonally_dominant_fluid
 from repro.serve import (CheckpointMismatchError, CheckpointWriter,
                          ChunkRecord, digest_array, load_checkpoint)
 
-from .conftest import make_job
+from .conftest import make_job, make_sched
 
 
 @pytest.fixture
@@ -31,14 +32,16 @@ def write_chunks(path, job, chunk_ids, *, barrier_after=None):
                                  modeled_ms=1.0, digest=digest_array(x))
             w.add_chunk(record, x)
             if cid == barrier_after:
-                w.barrier(cid, now_ms=float(cid) + 1,
+                w.barrier(cid, start_ms=0.5, ready_ms=0.25,
+                          now_ms=float(cid) + 1,
                           device_clocks={"gpu0": float(cid) + 1},
-                          cpu_clock_ms=0.0, breakers={})
+                          cpu_clock_ms=0.0, health={})
         if barrier_after is None and chunk_ids:
             last = chunk_ids[-1]
-            w.barrier(last, now_ms=float(last) + 1,
+            w.barrier(last, start_ms=0.5, ready_ms=0.25,
+                      now_ms=float(last) + 1,
                       device_clocks={"gpu0": float(last) + 1},
-                      cpu_clock_ms=0.25, breakers={})
+                      cpu_clock_ms=0.25, health={})
     return xs
 
 
@@ -53,6 +56,7 @@ def test_bitwise_round_trip(tmp_path, job):
         assert np.array_equal(restored, x)       # bitwise, not approx
         assert record.digest == digest_array(restored)
     assert state.after_chunk == 1
+    assert (state.start_ms, state.ready_ms) == (0.5, 0.25)
     assert state.device_clocks == {"gpu0": 2.0}
     assert state.cpu_clock_ms == 0.25
 
@@ -148,8 +152,9 @@ def test_torn_line_truncates_everything_after_it(tmp_path, job):
         fh.write('{"type": "chunk", "chunk_id": 3, "x_hex": "de')  # torn
         fh.write("\n")
         fh.write(json.dumps({"type": "state", "after_chunk": 3,
+                             "start_ms": 0.0, "ready_ms": 0.0,
                              "now_ms": 9.0, "device_clocks": {},
-                             "cpu_clock_ms": 0.0, "breakers": {}}) + "\n")
+                             "cpu_clock_ms": 0.0, "health": {}}) + "\n")
     state = load_checkpoint(str(path), job)
     assert state.after_chunk == 0          # the post-tear barrier is ignored
     assert sorted(state.chunks) == [0]
@@ -190,6 +195,21 @@ def test_version_mismatch_is_rejected(tmp_path, job):
         load_checkpoint(str(path), job)
 
 
+def test_version_1_checkpoint_is_rejected(tmp_path, job):
+    """A version-1 file has no job start, so its suffix cannot run on
+    the job's own timeline: resume refuses it with the typed error."""
+    sched = make_sched(make_pool(2, seed=5), checkpoint_dir=str(tmp_path))
+    sched.run_job(job, stop_after=1)
+    path = tmp_path / "ckpt.jsonl"
+    lines = path.read_text().splitlines()
+    assert json.loads(lines[0])["version"] == 2
+    lines[0] = lines[0].replace('"version": 2', '"version": 1')
+    path.write_text("\n".join(lines) + "\n")
+    fresh = make_sched(make_pool(2, seed=5), checkpoint_dir=str(tmp_path))
+    with pytest.raises(CheckpointMismatchError, match="version 1"):
+        fresh.run_job(job, resume=True)
+
+
 def test_resume_append_supersedes_earlier_barrier(tmp_path, job):
     """Reopening with resume=True appends (no second header); the last
     barrier wins and earlier chunks stay restorable."""
@@ -201,8 +221,8 @@ def test_resume_append_supersedes_earlier_barrier(tmp_path, job):
         w.add_chunk(ChunkRecord(chunk_id=1, status="ok", device="gpu0",
                                 start_ms=1.0, end_ms=2.0, modeled_ms=1.0,
                                 digest=digest_array(x1)), x1)
-        w.barrier(1, now_ms=2.0, device_clocks={"gpu0": 2.0},
-                  cpu_clock_ms=0.5, breakers={})
+        w.barrier(1, start_ms=0.5, ready_ms=0.25, now_ms=2.0,
+                  device_clocks={"gpu0": 2.0}, cpu_clock_ms=0.5, health={})
     headers = [line for line in path.read_text().splitlines()
                if '"type": "header"' in line]
     assert len(headers) == 1

@@ -9,8 +9,8 @@ import pytest
 
 from repro.gpusim.pool import make_pool
 from repro.numerics.generators import diagonally_dominant_fluid
-from repro.serve import (BatchScheduler, FrontendConfig, ServeFrontend,
-                         ServeRequest, TenantSpec)
+from repro.serve import (BatchScheduler, FrontendConfig, HealthPolicy,
+                         ServeFrontend, ServeRequest, TenantSpec)
 from repro.serve.frontend import AsyncServeFrontend
 
 from .conftest import make_sched
@@ -61,7 +61,8 @@ class TestPipeline:
     def test_one_registry_attributes_breaker_trips(self):
         pool = make_pool(3, seed=7, hot=1,
                          hot_rates={"launch_fatal_rate": 1.0})
-        fe = make_frontend(pool, sched_kw={"failure_threshold": 1})
+        fe = make_frontend(pool, sched_kw={
+            "health_policy": HealthPolicy(failure_threshold=1)})
         for i in range(2):
             fe.offer(req(f"r{i}", num=8))
         while fe.dispatch_once() is not None:

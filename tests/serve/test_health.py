@@ -27,9 +27,8 @@ from repro.gpusim.faults import (BrownoutProcess, DegradationProcess,
                                  evaluate_processes)
 from repro.gpusim.pool import DevicePool, PooledDevice, derive_seed, make_pool
 from repro.numerics.generators import diagonally_dominant_fluid
-from repro.serve import (ACTIVE, EVICTED, PROBATION, QUARANTINED, SPARE,
-                         SUSPECT, CircuitBreaker, HealthMonitor,
-                         HealthPolicy, OPEN)
+from repro.serve import (ACTIVE, EVICTED, OPEN, PROBATION, QUARANTINED,
+                         SPARE, SUSPECT, HealthMonitor, HealthPolicy)
 
 from .conftest import make_job, make_sched
 
@@ -119,37 +118,42 @@ class TestFaultProcesses:
 
 
 # ---------------------------------------------------------------------------
-# Breaker transition history round-trip (satellite)
+# Circuit open-time history round-trip
 
 
 class TestBreakerHistoryRoundTrip:
-    def trip_cycle(self, b: CircuitBreaker) -> None:
-        b.record_failure(1.0)
-        b.record_failure(2.0)            # trips (threshold 2)
-        assert b.allow(10.0)             # cooldown elapsed -> half-open
-        b.record_failure(11.0)           # probe fails -> re-open
+    def trip_cycle(self, mon: HealthMonitor) -> None:
+        mon.observe_attempt("gpu0", "launch_error", now_ms=1.0)
+        mon.observe_attempt("gpu0", "launch_error", now_ms=2.0)  # trips
+        assert mon.allows("gpu0", 10.0)   # cooldown elapsed
+        mon.admit("gpu0", 10.0)           # -> half-open
+        mon.observe_attempt("gpu0", "launch_error", now_ms=11.0)  # re-open
+
+    @staticmethod
+    def policy(trip_limit: int) -> HealthPolicy:
+        # Signal thresholds no EWMA reaches: only the circuit's open
+        # history can quarantine the device here.
+        return HealthPolicy(failure_threshold=2, cooldown_ms=5.0,
+                            trip_limit=trip_limit, suspect_fault_rate=2.0,
+                            quarantine_fault_rate=2.0)
 
     def test_transitions_survive_state_dict_round_trip(self):
-        b = CircuitBreaker("gpu0", failure_threshold=2, cooldown_ms=5.0)
-        self.trip_cycle(b)
-        clone = CircuitBreaker("gpu0", failure_threshold=2,
-                               cooldown_ms=5.0)
-        clone.load_state_dict(b.state_dict())
-        assert clone.state == b.state == OPEN
-        assert [(t.frm, t.to, t.reason, t.at_ms) for t in clone.transitions] \
-            == [(t.frm, t.to, t.reason, t.at_ms) for t in b.transitions]
-        # The flap signal reads identically from the restored history.
-        assert clone.trips_since(0.0) == b.trips_since(0.0) == 2
-        assert clone.trips_since(5.0) == 1
-
-    def test_pre_lifecycle_state_dict_keeps_existing_history(self):
-        b = CircuitBreaker("gpu0", failure_threshold=2)
-        self.trip_cycle(b)
-        history = list(b.transitions)
-        d = b.state_dict()
-        del d["transitions"]             # a checkpoint from before PR-7
-        b.load_state_dict(d)
-        assert b.transitions == history
+        mon = HealthMonitor(make_pool(1, seed=1), policy=self.policy(99))
+        self.trip_cycle(mon)
+        clone = HealthMonitor(make_pool(1, seed=1), policy=self.policy(99))
+        clone.load_state_dict(mon.state_dict())
+        h, c = mon.devices["gpu0"], clone.devices["gpu0"]
+        assert c.circuit == h.circuit == OPEN
+        assert c.open_times == h.open_times == [2.0, 11.0]
+        # The flap rule reads the same count from the restored history:
+        # a third open inside the window is a flap for both.
+        for m in (mon, clone):
+            m.policy = self.policy(3)
+            m.admit("gpu0", 16.0)
+            m.observe_attempt("gpu0", "launch_error", now_ms=17.0)
+        assert clone.state_of("gpu0") == mon.state_of("gpu0") == QUARANTINED
+        assert clone.transitions == mon.transitions
+        assert clone.transitions[-1]["reason"] == "flap"
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +169,11 @@ class TestHealthLifecycle:
     def test_fault_signal_walks_active_suspect_quarantined(self):
         pool = make_pool(2, seed=1)
         mon = HealthMonitor(pool, policy=quick_policy())
-        mon.observe_attempt("gpu0", ok=False, now_ms=0.1)
+        mon.observe_attempt("gpu0", "launch_error", now_ms=0.1)
         assert mon.state_of("gpu0") == SUSPECT      # ewma 0.30
-        mon.observe_attempt("gpu0", ok=False, now_ms=0.2)
+        mon.observe_attempt("gpu0", "launch_error", now_ms=0.2)
         assert mon.state_of("gpu0") == SUSPECT      # ewma 0.51
-        mon.observe_attempt("gpu0", ok=False, now_ms=0.3)
+        mon.observe_attempt("gpu0", "launch_error", now_ms=0.3)
         assert mon.state_of("gpu0") == QUARANTINED  # ewma 0.657
         assert not mon.allows("gpu0")
         assert mon.allows("gpu1") and mon.allows("cpu")
@@ -177,10 +181,10 @@ class TestHealthLifecycle:
     def test_suspect_clears_back_to_active(self):
         pool = make_pool(1, seed=1)
         mon = HealthMonitor(pool, policy=quick_policy())
-        mon.observe_attempt("gpu0", ok=False, now_ms=0.1)
+        mon.observe_attempt("gpu0", "launch_error", now_ms=0.1)
         assert mon.state_of("gpu0") == SUSPECT
         for i in range(6):
-            mon.observe_attempt("gpu0", ok=True, ratio=1.0,
+            mon.observe_attempt("gpu0", "ok", ratio=1.0,
                                 now_ms=0.2 + i * 0.1)
         assert mon.state_of("gpu0") == ACTIVE
         assert [t["to"] for t in mon.transitions] == [SUSPECT, ACTIVE]
@@ -188,8 +192,8 @@ class TestHealthLifecycle:
     def test_latency_signal_quarantines_without_any_fault(self):
         pool = make_pool(1, seed=1)
         mon = HealthMonitor(pool, policy=quick_policy())
-        mon.observe_attempt("gpu0", ok=True, ratio=3.0, now_ms=0.1)
-        mon.observe_attempt("gpu0", ok=True, ratio=3.0, now_ms=0.2)
+        mon.observe_attempt("gpu0", "ok", ratio=3.0, now_ms=0.1)
+        mon.observe_attempt("gpu0", "ok", ratio=3.0, now_ms=0.2)
         assert mon.state_of("gpu0") == QUARANTINED
         assert mon.devices["gpu0"].ewma_fault == 0.0
 
@@ -197,7 +201,7 @@ class TestHealthLifecycle:
         pool = make_pool(2, seed=1, hot=1)
         mon = HealthMonitor(pool, policy=quick_policy(), seed=9)
         for t in (0.1, 0.2, 0.3):
-            mon.observe_attempt("gpu1", ok=False, now_ms=t)
+            mon.observe_attempt("gpu1", "launch_error", now_ms=t)
         assert mon.state_of("gpu1") == QUARANTINED
         clock = {"gpu0": 0.0, "gpu1": 0.3}
         # Still inside the dwell: nothing happens.
@@ -210,15 +214,15 @@ class TestHealthLifecycle:
         assert clock["gpu1"] > 0.3       # canary cost charged to gpu1
         assert clock["gpu0"] == 0.0      # ...and only to gpu1
         # Two clean probation chunks -> active.
-        mon.observe_attempt("gpu1", ok=True, ratio=1.0, now_ms=0.6)
-        mon.observe_attempt("gpu1", ok=True, ratio=1.0, now_ms=0.7)
+        mon.observe_attempt("gpu1", "ok", ratio=1.0, now_ms=0.6)
+        mon.observe_attempt("gpu1", "ok", ratio=1.0, now_ms=0.7)
         assert mon.state_of("gpu1") == ACTIVE
 
     def test_canaries_keep_faulty_device_quarantined(self):
         pool = make_pool(2, seed=1, hot=1)   # gpu1 fails every launch
         mon = HealthMonitor(pool, policy=quick_policy(), seed=9)
         for t in (0.1, 0.2, 0.3):
-            mon.observe_attempt("gpu1", ok=False, now_ms=t)
+            mon.observe_attempt("gpu1", "launch_error", now_ms=t)
         clock = {"gpu0": 0.0, "gpu1": 0.3}
         mon.maybe_readmit(0.5, clock)
         assert mon.state_of("gpu1") == QUARANTINED
@@ -234,19 +238,20 @@ class TestHealthLifecycle:
 
         def cycle(base):
             for i in range(3):
-                mon.observe_attempt("gpu1", ok=False,
+                mon.observe_attempt("gpu1", "launch_error",
                                     now_ms=base + 0.1 * i)
             assert mon.state_of("gpu1") == QUARANTINED
             mon.maybe_readmit(base + 1.0, clock)
             assert mon.state_of("gpu1") == PROBATION
 
         cycle(0.0)
-        mon.observe_attempt("gpu1", ok=False, now_ms=1.1)  # probation fails
-        assert mon.state_of("gpu1") == QUARANTINED          # round-trip 1
+        # The probation chunk fails: round-trip 1.
+        mon.observe_attempt("gpu1", "launch_error", now_ms=1.1)
+        assert mon.state_of("gpu1") == QUARANTINED
         assert mon.devices["gpu1"].roundtrips == 1
         mon.maybe_readmit(2.2, clock)
         assert mon.state_of("gpu1") == PROBATION
-        mon.observe_attempt("gpu1", ok=False, now_ms=2.3)  # round-trip 2
+        mon.observe_attempt("gpu1", "launch_error", now_ms=2.3)  # round-trip 2
         assert mon.state_of("gpu1") == EVICTED
         assert not mon.allows("gpu1")
         # The warm spare took its slot.
@@ -260,9 +265,9 @@ class TestHealthLifecycle:
                             seed=9)
         clock = {n: 0.0 for n in ("gpu0", "gpu1", "spare0")}
         for i in range(3):
-            mon.observe_attempt("gpu1", ok=False, now_ms=0.1 * (i + 1))
+            mon.observe_attempt("gpu1", "launch_error", now_ms=0.1 * (i + 1))
         mon.maybe_readmit(1.0, clock)
-        mon.observe_attempt("gpu1", ok=False, now_ms=1.1)
+        mon.observe_attempt("gpu1", "launch_error", now_ms=1.1)
         assert mon.state_of("gpu1") == EVICTED
 
         fresh_pool = make_pool(2, seed=1, spares=1)
@@ -378,11 +383,10 @@ def chaos_pool():
 
 
 def chaos_sched(pool, **kw):
-    kw.setdefault("failure_threshold", 2)
-    kw.setdefault("cooldown_ms", 0.1)
     kw.setdefault("seed", 13)
     kw.setdefault("health_policy",
-                  quick_policy(max_roundtrips=1, probation_chunks=2))
+                  quick_policy(failure_threshold=2, cooldown_ms=0.1,
+                               max_roundtrips=1, probation_chunks=2))
     return make_sched(pool, **kw)
 
 
@@ -554,3 +558,52 @@ class TestHealthCheckpointResume:
                   if json.loads(line).get("type") == "state"]
         assert states and "health" in states[-1]
         assert "gpu1" in states[-1]["health"]["devices"]
+
+
+# ---------------------------------------------------------------------------
+# Resume at any kill point
+
+
+def hot_pool():
+    """gpu1 fails every launch fatally; gpu0/gpu2 healthy."""
+    return make_pool(3, seed=5, hot=1, hot_rates={"launch_fatal_rate": 1.0})
+
+
+class TestResumeAtEveryKillPoint:
+    """A 12-chunk job killed after every chunk (one barrier per chunk)
+    and resumed makes the straight run's decisions -- placement,
+    clocks, circuits, lifecycle and the deadline budget -- not just its
+    solution."""
+
+    POOLS = {
+        "hot": (hot_pool, dict(health_policy=quick_policy(
+            failure_threshold=2, cooldown_ms=0.02))),
+        "brownout": (brownout_pool, dict(hedge_ratio=1.5,
+                                         health_policy=quick_policy(
+                                             quarantine_ms=0.005))),
+    }
+
+    def run(self, pool, ckpt_dir, **run_kw):
+        pool_fn, kw = self.POOLS[pool]
+        sched = make_sched(pool_fn(), seed=13, checkpoint_every=1,
+                           checkpoint_dir=str(ckpt_dir), **kw)
+        job = make_job(diagonally_dominant_fluid(48, 64, seed=11),
+                       job_id="kr", deadline_ms=500.0)
+        report = sched.run_job(job, **run_kw)
+        doc = report.to_dict()
+        doc.pop("restored_chunks")
+        for c in doc["chunks"]:
+            c.pop("status")
+        return doc, {"health": sched.health.state_dict(),
+                     "clocks": dict(sched._clock),
+                     "cpu_clock": sched._cpu_clock, "now_ms": sched.now_ms}
+
+    @pytest.mark.parametrize("pool", sorted(POOLS))
+    def test_every_kill_point_resumes_the_straight_run(self, tmp_path, pool):
+        straight = self.run(pool, tmp_path / "straight")
+        assert straight[0]["num_chunks"] == 12
+        for k in range(1, 12):
+            ckpt = tmp_path / f"kill{k}"
+            self.run(pool, ckpt, stop_after=k)
+            assert self.run(pool, ckpt, resume=True) == straight, \
+                f"resume after a kill at chunk {k} diverged"

@@ -4,10 +4,11 @@ sharding, placement, correctness, degradation, deadlines)."""
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.gpusim.pool import make_pool
 from repro.numerics.generators import diagonally_dominant_fluid
 from repro.resilience.pipeline import _relative_residuals
-from repro.serve import OPEN, ServeFrontend, ServeRequest
+from repro.serve import OPEN, HealthPolicy, ServeFrontend, ServeRequest
 
 from .conftest import make_job, make_sched
 
@@ -66,7 +67,8 @@ class TestHealthyPool:
 
 class TestFaultyPool:
     def test_reroutes_off_the_hot_device(self, batch, hot_pool):
-        sched = make_sched(hot_pool, failure_threshold=2)
+        sched = make_sched(hot_pool,
+                           health_policy=HealthPolicy(failure_threshold=2))
         report = sched.run_job(make_job(batch))
         assert report.ok
         used = report.devices_used()
@@ -76,12 +78,14 @@ class TestFaultyPool:
         assert residual_ok(batch, report.x)
 
     def test_hot_device_breaker_opens(self, batch, hot_pool):
-        sched = make_sched(hot_pool, failure_threshold=2,
-                           cooldown_ms=1e9)
-        report = sched.run_job(make_job(batch))
+        with telemetry.collect() as col:
+            sched = make_sched(hot_pool, health_policy=HealthPolicy(
+                failure_threshold=2, cooldown_ms=1e9))
+            report = sched.run_job(make_job(batch))
         assert report.ok
-        assert sched.breakers["gpu1"].state == OPEN
-        reasons = [t.reason for t in sched.breakers["gpu1"].transitions]
+        assert sched.health.devices["gpu1"].circuit == OPEN
+        reasons = [e.attrs["reason"] for e in col.events
+                   if e.name == "serve.breaker"]
         assert reasons == ["trip"]
 
     def test_degrades_when_every_device_is_hot(self, batch):
@@ -89,7 +93,8 @@ class TestFaultyPool:
                          hot_rates={"launch_fatal_rate": 1.0})
         for dev in pool:
             dev.fault_rates = {"launch_fatal_rate": 1.0}
-        sched = make_sched(pool, failure_threshold=1, cooldown_ms=1e9)
+        sched = make_sched(pool, health_policy=HealthPolicy(
+            failure_threshold=1, cooldown_ms=1e9))
         report = sched.run_job(make_job(batch))
         assert report.outcome == "ok"          # degraded, not failed
         assert all(c.status == "degraded" for c in report.chunks)
@@ -99,10 +104,11 @@ class TestFaultyPool:
     def test_chunk_timeout_counts_as_device_failure(self, batch,
                                                     healthy_pool):
         sched = make_sched(healthy_pool, chunk_timeout_ms=1e-9,
-                           failure_threshold=1, cooldown_ms=1e9)
+                           health_policy=HealthPolicy(
+                               failure_threshold=1, cooldown_ms=1e9))
         report = sched.run_job(make_job(batch))
-        # Every GPU attempt "hangs"; all breakers open; CPU finishes.
-        assert all(b.state == OPEN for b in sched.breakers.values())
+        # Every GPU attempt "hangs"; all circuits open; CPU finishes.
+        assert all(h.circuit == OPEN for h in sched.health.devices.values())
         assert all(c.status == "degraded" for c in report.chunks)
         assert all(a.outcome == "timeout"
                    for c in report.chunks for a in c.attempts)
