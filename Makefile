@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: test test-fast bench bench-engine bench-serve bench-overload bench-layout perfbench figures report profile chaos serve-chaos serve-health serve-overload verify verify-full fuzz calibrate examples clean
+.PHONY: test test-fast bench bench-engine bench-serve bench-overload bench-layout bench-fidelity perfbench figures report profile chaos serve-chaos serve-health serve-overload verify verify-full fuzz calibrate examples clean
 
 test:            ## full test suite (incl. heavy example smoke tests)
 	$(PY) -m pytest tests/
@@ -29,6 +29,10 @@ bench-overload:  ## overload-shedding perf smoke (fails on interactive
 bench-layout:    ## layout-autotuner perf smoke (fails on choice flips,
                  ## coalescing regressions, or a fold-line miss)
 	$(PY) benchmarks/bench_layout_autotune.py
+
+bench-fidelity:  ## paper-fidelity ratchet (fails if the model's error
+                 ## against any number in repro.paper grows)
+	$(PY) benchmarks/bench_paper_fidelity.py
 
 perfbench:       ## host-time benchmark: the three perfbench workloads at
                  ## --trace 0 (SEED=1, SECONDS=20 overridable), one final

@@ -19,15 +19,12 @@ import os
 import warnings
 from contextlib import contextmanager
 
+from repro import paper
+
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
-#: Paper problem sizes: (num_systems, system_size).
-PAPER_SIZES = [(64, 64), (128, 128), (256, 256), (512, 512)]
-
-#: Paper hybrid switch points at n = 512.
-PAPER_M = {"cr_pcr": 256, "cr_rd": 128}
-
-SOLVER_ORDER = ["cr_pcr", "cr_rd", "pcr", "rd", "cr"]
+#: The five GPU solvers, fastest first at 512x512 (Fig 6).
+SOLVER_ORDER = sorted(paper.TOTAL_MS, key=paper.TOTAL_MS.get)
 
 
 def emit(name: str, text: str, data=None) -> str:
@@ -78,15 +75,6 @@ def quiet():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         yield
-
-
-def hybrid_m_for(name: str, n: int) -> int | None:
-    """Paper-style default switch point scaled to the problem size."""
-    if name == "cr_pcr":
-        return max(2, n // 2)
-    if name == "cr_rd":
-        return max(2, n // 4)
-    return None
 
 
 #: Bound operators: ``max``/``min`` cap or floor current/baseline at the

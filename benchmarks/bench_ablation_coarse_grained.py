@@ -19,11 +19,13 @@ fine-grained approach by an order of magnitude at 512x512 -- §3's
 conclusion, measured.
 """
 
+from repro import paper
 from repro.analysis.cpumodel import GE_NS_PER_OP, MT_THREADS, mt_ms
-from repro.analysis.timing import modeled_grid_timing
 from repro.solvers.partition import operation_count, reduced_system_size
 
-from _harness import PAPER_SIZES, SOLVER_ORDER, emit, hybrid_m_for, quiet, table
+from _harness import emit, quiet, table
+
+from bench_fig7_cpu_comparison import best_gpu
 
 
 def partition_cpu_ms(num_systems: int, n: int, cores: int = MT_THREADS,
@@ -43,13 +45,8 @@ def partition_cpu_ms(num_systems: int, n: int, cores: int = MT_THREADS,
 def build_table() -> str:
     rows = []
     with quiet():
-        for S, n in PAPER_SIZES:
-            best = None
-            for name in SOLVER_ORDER:
-                t = modeled_grid_timing(
-                    name, n, S, intermediate_size=hybrid_m_for(name, n))
-                if best is None or t.solver_ms < best:
-                    best = t.solver_ms
+        for S, n in paper.SIZES:
+            best = best_gpu(n, S)[1].solver_ms
             part = partition_cpu_ms(S, n)
             mt = mt_ms(S, n)
             rows.append([f"{S}x{n}", part, mt, best,

@@ -16,20 +16,11 @@ more shared memory usage".  Two incarnations here:
 """
 
 from repro.analysis.timing import modeled_grid_timing
-from repro.gpusim import GTX280 as GTX280_DEV
-from repro.gpusim import KernelError, gt200_cost_model
+from repro.gpusim import GTX280, KernelError, gt200_cost_model
 from repro.kernels.api import run_kernel
 from repro.numerics.generators import diagonally_dominant_fluid
 
 from _harness import emit, quiet, table
-
-
-def _grid_ms(cm, res, S):
-    scale, conc, _ = cm.grid_scale(GTX280_DEV, S, res.shared_bytes,
-                                   res.threads_per_block)
-    return sum(cm.phase_time_block_ns(pc, blocks_per_sm=conc).total_ms
-               for pc in res.ledger.phases.values()) * scale * 1e-6 \
-        + cm.params.launch_overhead_ns * 1e-6
 
 
 def build_table() -> str:
@@ -38,15 +29,13 @@ def build_table() -> str:
     with quiet():
         for n, S in ((128, 128), (256, 256), (512, 512)):
             t_cr = modeled_grid_timing("cr", n, S)
-            t_hybrid = modeled_grid_timing("cr_pcr", n, S,
-                                           intermediate_size=n // 2)
+            t_hybrid = modeled_grid_timing("cr_pcr", n, S)
             s = diagonally_dominant_fluid(2, n, seed=n)
             _x, cf = run_kernel("cr", s, conflict_free_timing=True)
-            t_cf = _grid_ms(cm, cf, S)
+            t_cf = cm.grid_report(GTX280, S, cf.shared_bytes,
+                                  cf.threads_per_block, cf.ledger).total_ms
             try:
-                _x, sp = run_kernel("cr_split", s)
-                t_split = _grid_ms(cm, sp, S)
-                split_cell = t_split
+                split_cell = modeled_grid_timing("cr_split", n, S).solver_ms
             except KernelError:
                 split_cell = "won't fit"
             rows.append([f"{S}x{n}", t_cr.solver_ms, t_cf, split_cell,

@@ -13,8 +13,9 @@ problem size simply does not fit, which alone justifies the paper's
 design.
 """
 
+from repro import paper
 from repro.analysis.timing import modeled_grid_timing
-from repro.gpusim import GTX280, KernelError, gt200_cost_model
+from repro.gpusim import GTX280, KernelError
 from repro.kernels.api import run_kernel
 from repro.numerics.generators import diagonally_dominant_fluid
 
@@ -22,26 +23,18 @@ from _harness import emit, quiet, table
 
 
 def build_table() -> str:
-    cm = gt200_cost_model()
     rows = []
     with quiet():
-        for n, S in ((64, 64), (128, 128), (256, 256), (512, 512)):
-            t_in = modeled_grid_timing("pcr", n, S).solver_ms
-            s = diagonally_dominant_fluid(2, n, seed=n)
-            _x, r_in = run_kernel("pcr", s)
-            conc_in = GTX280.blocks_per_sm(r_in.shared_bytes, n)
+        for S, n in paper.SIZES:
+            t_in = modeled_grid_timing("pcr", n, S)
+            conc_in = GTX280.blocks_per_sm(t_in.launch.shared_bytes, n)
             try:
-                _x, r_pp = run_kernel("pcr_pingpong", s)
-                scale, conc_pp, _ = cm.grid_scale(
-                    GTX280, S, r_pp.shared_bytes, r_pp.threads_per_block)
-                t_pp = sum(
-                    cm.phase_time_block_ns(pc, conc_pp).total_ms
-                    for pc in r_pp.ledger.phases.values()) * scale * 1e-6 \
-                    + cm.params.launch_overhead_ns * 1e-6
-                pp_cell, conc_cell = t_pp, f"{conc_in}->{conc_pp}"
+                pp = modeled_grid_timing("pcr_pingpong", n, S).report
+                pp_cell = pp.total_ms
+                conc_cell = f"{conc_in}->{pp.blocks_per_sm}"
             except KernelError:
                 pp_cell, conc_cell = "won't fit", f"{conc_in}->0"
-            rows.append([f"{S}x{n}", t_in, pp_cell, conc_cell])
+            rows.append([f"{S}x{n}", t_in.solver_ms, pp_cell, conc_cell])
     return table(["size", "inplace_ms", "pingpong_ms", "blocks/SM"],
                  rows) + ("\n(SS4: in-place saves shared memory so "
                           "multiple blocks stay resident; double "

@@ -17,11 +17,8 @@ from _harness import emit, quiet, table
 
 
 def _grid_ms(cm, res, blocks):
-    scale, conc, _ = cm.grid_scale(GTX280, blocks, res.shared_bytes,
-                                   res.threads_per_block)
-    return sum(cm.phase_time_block_ns(pc, conc).total_ms
-               for pc in res.ledger.phases.values()) * scale * 1e-6 \
-        + cm.params.launch_overhead_ns * 1e-6
+    return cm.grid_report(GTX280, blocks, res.shared_bytes,
+                          res.threads_per_block, res.ledger).total_ms
 
 
 def build_table() -> str:

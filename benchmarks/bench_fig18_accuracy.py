@@ -7,8 +7,7 @@ worse, GEP best.  This experiment is fully real (no modeling): actual
 float32 arithmetic, actual overflow.
 """
 
-import numpy as np
-
+from repro import paper
 from repro.numerics.generators import close_values, diagonally_dominant_fluid
 from repro.numerics.residual import evaluate_accuracy
 from repro.solvers.api import SOLVERS
@@ -18,7 +17,6 @@ from _harness import emit, quiet, table
 SOLVER_ORDER = ["gep", "thomas", "cr", "pcr", "cr_pcr", "rd", "cr_rd"]
 LABELS = {"gep": "GEP", "thomas": "GE", "cr": "CR", "pcr": "PCR",
           "cr_pcr": "CR+PCR", "rd": "RD", "cr_rd": "CR+RD"}
-M = {"cr_pcr": 256, "cr_rd": 128}
 
 
 def run_class(generator, seed) -> dict:
@@ -26,7 +24,7 @@ def run_class(generator, seed) -> dict:
     with quiet():
         s = generator(64, 512, seed=seed)
         for name in SOLVER_ORDER:
-            x = SOLVERS[name](s, intermediate_size=M.get(name))
+            x = SOLVERS[name](s, intermediate_size=paper.BEST_M.get(name))
             out[name] = evaluate_accuracy(LABELS[name], s, x)
     return out
 

@@ -1,28 +1,28 @@
-"""Figure 6: runtimes of the five GPU solvers across problem sizes,
-without (left) and with (right) CPU-GPU transfer.
+"""Figure 6: runtimes of the five GPU solvers across problem sizes
+(``repro.paper.SIZES``), without (left) and with (right) CPU-GPU
+transfer.
 
-Paper reference points (512x512, ms): CR 1.066, PCR 0.534, RD 0.612,
-CR+PCR 0.422, CR+RD 0.488; with transfer all solvers converge because
-PCIe dominates 90-95 %.
+Paper reference points: the 512x512 totals ``repro.paper.TOTAL_MS``;
+with transfer all solvers converge because PCIe dominates 90-95 %.
 """
 
+from repro import paper
 from repro.analysis.timing import modeled_grid_timing
 from repro.solvers.api import SOLVERS
 from repro.numerics.generators import diagonally_dominant_fluid
 
-from _harness import PAPER_SIZES, SOLVER_ORDER, emit, hybrid_m_for, quiet, table
+from _harness import SOLVER_ORDER, emit, quiet, table
 
 
 def build_tables() -> tuple[str, str, list, list]:
     rows_left, rows_right = [], []
     data_left, data_right = [], []
     with quiet():
-        for S, n in PAPER_SIZES:
+        for S, n in paper.SIZES:
             left = [f"{S}x{n}"]
             right = [f"{S}x{n}"]
             for name in SOLVER_ORDER:
-                t = modeled_grid_timing(name, n, S,
-                                        intermediate_size=hybrid_m_for(name, n))
+                t = modeled_grid_timing(name, n, S)
                 left.append(t.solver_ms)
                 right.append(t.total_ms)
                 data_left.append({"solver": name, "num_systems": S,

@@ -1,26 +1,26 @@
 """Figure 7: best GPU solver vs the three CPU baselines, with the
 speedup annotations.
 
-Paper annotations -- left (no transfer): 2.7x, 5.7x, 17.2x, 12.5x;
-right (with transfer): 0.1x, 0.3x, 1.5x, 1.2x.  CPU times come from
+Paper annotations: ``repro.paper.SPEEDUP`` (left, no transfer) and
+``repro.paper.SPEEDUP_WITH_TRANSFER`` (right).  CPU times come from
 the calibrated op-rate model (see repro.analysis.cpumodel); GPU times
 from the calibrated GT200 model.
 """
 
+from repro import paper
 from repro.analysis.cpumodel import cpu_times, speedup
 from repro.analysis.timing import modeled_grid_timing
 from repro.solvers.api import SOLVERS
 from repro.numerics.generators import diagonally_dominant_fluid
 
-from _harness import PAPER_SIZES, SOLVER_ORDER, emit, hybrid_m_for, quiet, table
+from _harness import SOLVER_ORDER, emit, quiet, table
 
 
 def best_gpu(n: int, S: int):
     best = None
     with quiet():
         for name in SOLVER_ORDER:
-            t = modeled_grid_timing(name, n, S,
-                                    intermediate_size=hybrid_m_for(name, n))
+            t = modeled_grid_timing(name, n, S)
             if best is None or t.solver_ms < best[1].solver_ms:
                 best = (name, t)
     return best
@@ -28,7 +28,7 @@ def best_gpu(n: int, S: int):
 
 def build_table() -> str:
     rows = []
-    for S, n in PAPER_SIZES:
+    for S, n in paper.SIZES:
         name, t = best_gpu(n, S)
         cpu = cpu_times(S, n)
         best_cpu_name, best_cpu_ms = cpu.best()

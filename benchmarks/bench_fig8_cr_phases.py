@@ -1,60 +1,54 @@
-"""Figure 8: CR phase breakdown at 512x512.
+"""Figure 8: CR phase breakdown at 512x512 -- and the one phase table
+that Figs 11, 13, 15 and 16 share.
 
-Paper: global 0.103 ms (10 %), forward reduction 0.624 ms (59 %, 8
-steps, 0.078 avg), solve-2 0.033 ms (3 %), backward substitution
-0.306 ms (29 %, 8 steps, 0.038 avg); total 1.066 ms.
+Paper: ``repro.paper.PHASE_MS["cr"]``, the per-step averages
+``repro.paper.STEP_AVG_MS["cr"]`` (8 forward and 8 backward steps) and
+the total ``repro.paper.TOTAL_MS["cr"]``.
 """
 
-from repro.analysis.differential import phase_breakdown
+from repro import paper
 from repro.analysis.timing import modeled_grid_timing
+from repro.gpusim.calibrate import SLICE_PHASES
 from repro.kernels.api import run_kernel
 from repro.numerics.generators import diagonally_dominant_fluid
 
 from _harness import emit, quiet, table
 
-PAPER = {"global_memory_access": 0.103, "forward_reduction": 0.624,
-         "solve_two": 0.033, "backward_substitution": 0.306}
 
-
-def build_table() -> tuple[str, list]:
+def build_table(name="cr") -> tuple[str, list]:
+    """Model vs paper per published phase slice of solver ``name``
+    (hybrids at the paper's switch point), the total, and the per-step
+    averages the paper reports."""
+    m = paper.BEST_M.get(name)
     with quiet():
-        t = modeled_grid_timing("cr", 512, 512)
+        t = modeled_grid_timing(name, paper.N, paper.NUM_SYSTEMS,
+                                intermediate_size=m)
     total = t.solver_ms
     rows = []
-    merged_global = 0.0
-    for name, pt in t.report.phases.items():
-        if name in ("global_load", "global_store"):
-            merged_global += pt.total_ms
-            continue
-        rows.append([name, pt.total_ms, pt.total_ms / total,
-                     PAPER.get(name, float("nan"))])
-    rows.insert(0, ["global_memory_access", merged_global,
-                    merged_global / total, PAPER["global_memory_access"]])
-    rows.append(["TOTAL", total, 1.0, 1.066])
-    data = [{"solver": "cr", "num_systems": 512, "n": 512,
-             "phase": name, "modeled_ms": ms, "fraction": frac}
-            for name, ms, frac, _paper in rows]
-    # Per-step averages, as the paper reports.
-    fwd_steps = t.report.steps_ms("forward_reduction")
-    bwd_steps = t.report.steps_ms("backward_substitution")
-    extra = table(["phase", "steps", "avg_ms(model)", "avg_ms(paper)"], [
-        ["forward_reduction", len(fwd_steps),
-         sum(fwd_steps) / len(fwd_steps), 0.078],
-        ["backward_substitution", len(bwd_steps),
-         sum(bwd_steps) / len(bwd_steps), 0.038],
-    ])
+    for piece, published in paper.PHASE_MS[name].items():
+        ms = sum(t.report.phase_ms(p)
+                 for p in SLICE_PHASES.get(piece, (piece,)))
+        rows.append([piece, ms, ms / total, published])
+    rows.append(["TOTAL", total, 1.0, paper.TOTAL_MS[name]])
+    data = [{"solver": name, "num_systems": paper.NUM_SYSTEMS, "n": paper.N,
+             **({"intermediate_size": m} if m else {}), "phase": piece,
+             "modeled_ms": ms, "fraction": frac}
+            for piece, ms, frac, _paper in rows]
+    steps = [(phase, t.report.steps_ms(phase), published)
+             for phase, published in paper.STEP_AVG_MS[name].items()]
+    extra = table(["phase", "steps", "avg_ms(model)", "avg_ms(paper)"],
+                  [[phase, len(ms), sum(ms) / len(ms), published]
+                   for phase, ms, published in steps])
     return (table(["phase", "model_ms", "fraction", "paper_ms"], rows)
             + "\n\n" + extra, data)
 
 
 def test_fig8_cr_phases(benchmark):
-    text, data = build_table()
-    emit("fig8_cr_phases", text, data=data)
+    emit("fig8_cr_phases", *build_table())
     with quiet():
         s = diagonally_dominant_fluid(2, 512, seed=0)
         benchmark(lambda: run_kernel("cr", s))
 
 
 if __name__ == "__main__":
-    text, data = build_table()
-    emit("fig8_cr_phases", text, data=data)
+    emit("fig8_cr_phases", *build_table())

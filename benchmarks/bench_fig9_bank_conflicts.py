@@ -1,12 +1,13 @@
 """Figure 9: bank-conflict impact on CR forward reduction, 512x512.
 
 Per step: active threads, warps, n-way conflict degree, modeled time
-with and without conflicts, and the slowdown factor.  Paper annotates
-1.7x, 3.1x, 3.3x, 4.8x, 4.8x, 3.0x, 2.3x, 2.3x across the eight steps
+with and without conflicts, and the slowdown factor.  The paper
+annotates each of the eight steps (``repro.paper.CONFLICT_PENALTY``)
 and shows the conflict-free time flattening once fewer than 32 threads
 remain.
 """
 
+from repro import paper
 from repro.analysis.bankconflict import (forward_reduction_conflicts,
                                          overall_conflict_penalty)
 from repro.gpusim import GTX280, gt200_cost_model
@@ -14,20 +15,16 @@ from repro.numerics.generators import diagonally_dominant_fluid
 
 from _harness import emit, quiet, table
 
-PAPER_PENALTIES = [1.7, 3.1, 3.3, 4.8, 4.8, 3.0, 2.3, 2.3]
-
-#: Scale block-level step times to the paper's 512-block grid.
-GRID_BLOCKS = 512
-
 
 def build_table() -> str:
     with quiet():
-        s = diagonally_dominant_fluid(2, 512, seed=0)
+        s = diagonally_dominant_fluid(2, paper.N, seed=0)
         steps = forward_reduction_conflicts(s)
-    cm = gt200_cost_model()
-    scale, _, _ = cm.grid_scale(GTX280, GRID_BLOCKS, 5 * 512 * 4, 256)
+    # Scale block-level step times to the paper's 512-block grid.
+    scale, _, _ = gt200_cost_model().grid_scale(
+        GTX280, paper.NUM_SYSTEMS, 5 * paper.N * 4, paper.N // 2)
     rows = []
-    for st, paper_pen in zip(steps, PAPER_PENALTIES):
+    for st, paper_pen in zip(steps, paper.CONFLICT_PENALTY):
         rows.append([
             st.index + 1, st.active_threads, st.warps,
             round(st.conflict_degree),

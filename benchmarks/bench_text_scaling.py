@@ -13,23 +13,18 @@ growth factor against the 4x work growth, plus the occupancy that
 explains the 512x512 dip.
 """
 
-from repro.analysis.timing import modeled_grid_timing
-from repro.gpusim import GTX280, gt200_cost_model
+from repro import paper
+from repro.gpusim import GTX280
 from repro.kernels.api import run_kernel
-
-from _harness import PAPER_SIZES, SOLVER_ORDER, emit, hybrid_m_for, quiet, table
 from repro.numerics.generators import diagonally_dominant_fluid
+
+from _harness import emit, quiet, table
+
+from bench_fig7_cpu_comparison import best_gpu
 
 
 def best_time_and_occupancy(S, n):
-    best = None
-    with quiet():
-        for name in SOLVER_ORDER:
-            t = modeled_grid_timing(name, n, S,
-                                    intermediate_size=hybrid_m_for(name, n))
-            if best is None or t.solver_ms < best[1].solver_ms:
-                best = (name, t)
-    name, t = best
+    name, t = best_gpu(n, S)
     conc = GTX280.blocks_per_sm(t.launch.shared_bytes,
                                 t.launch.threads_per_block)
     return name, t.solver_ms, conc
@@ -38,7 +33,7 @@ def best_time_and_occupancy(S, n):
 def build_table() -> str:
     rows = []
     prev_ms = None
-    for S, n in PAPER_SIZES:
+    for S, n in paper.SIZES:
         name, ms, conc = best_time_and_occupancy(S, n)
         growth = "-" if prev_ms is None else f"{ms / prev_ms:.2f}x"
         rows.append([f"{S}x{n}", name, ms, growth, "4x", conc])
@@ -55,7 +50,7 @@ def test_text_scaling(benchmark):
     # The claim itself, asserted: both 4x work steps grow < 4x in time.
     with quiet():
         times = []
-        for S, n in PAPER_SIZES:
+        for S, n in paper.SIZES:
             _name, ms, _conc = best_time_and_occupancy(S, n)
             times.append(ms)
     assert times[1] / times[0] < 4.0

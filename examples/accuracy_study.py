@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 
+from repro import paper
 from repro.numerics import (close_values, diagonally_dominant_fluid,
                             evaluate_accuracy, rd_overflow_risk,
                             scaled_recursive_doubling)
@@ -21,13 +22,12 @@ warnings.simplefilter("ignore")
 ORDER = ["gep", "thomas", "cr", "pcr", "cr_pcr", "rd", "cr_rd"]
 LABEL = {"gep": "GEP (pivoting)", "thomas": "GE", "cr": "CR", "pcr": "PCR",
          "cr_pcr": "CR+PCR", "rd": "RD", "cr_rd": "CR+RD"}
-M = {"cr_pcr": 256, "cr_rd": 128}
 
 
 def study(name, systems):
     print(f"\n--- {name} (512 unknowns, float32) ---")
     for solver in ORDER:
-        x = SOLVERS[solver](systems, intermediate_size=M.get(solver))
+        x = SOLVERS[solver](systems, intermediate_size=paper.BEST_M.get(solver))
         res = evaluate_accuracy(LABEL[solver], systems, x)
         print("  " + res.summary())
 

@@ -13,6 +13,7 @@ Run:  python examples/performance_analysis.py
 
 import warnings
 
+from repro import paper
 from repro.analysis import (attributed_step_times, forward_reduction_conflicts,
                             modeled_grid_timing, phase_breakdown,
                             resource_breakdown, shared_time_by_substitution,
@@ -24,28 +25,32 @@ warnings.simplefilter("ignore")
 
 
 def main() -> None:
-    systems = diagonally_dominant_fluid(2, 512, seed=0)
+    systems = diagonally_dominant_fluid(2, paper.N, seed=0)
 
     # ------------------------------------------------------------------
     print("=== 1. phase breakdown of CR at 512x512 (cf. Fig 8) ===")
-    t = modeled_grid_timing("cr", 512, 512)
+    t = modeled_grid_timing("cr", paper.N, paper.NUM_SYSTEMS)
     _x, launch = run_kernel("cr", systems)
     for name, ms, frac in phase_breakdown(launch, merge_global=True):
         print(f"  {name:24s} {frac:6.1%}")
     print(f"  modeled total at 512 systems: {t.solver_ms:.3f} ms "
-          f"(paper: 1.066 ms)")
+          f"(paper: {paper.TOTAL_MS['cr']} ms)")
 
     # ------------------------------------------------------------------
     print("\n=== 2. resource split via register substitution (Fig 10) ===")
     rb = resource_breakdown(launch)
     probe = shared_time_by_substitution(launch)
     gf, sf, cf = rb.fractions()
+    share = "/".join(f"{100 * v:.0f}"
+                     for v in paper.CR_RESOURCE_SHARE.values())
     print(f"  global {gf:5.1%}   shared {sf:5.1%}   compute {cf:5.1%} "
-          f"(paper: 10/64/26%)")
+          f"(paper: {share}%)")
     print(f"  substitution probe == direct attribution: "
           f"{abs(probe - rb.shared_ms) < 1e-12}")
+    rate = paper.RESOURCE_RATE
     print(f"  effective shared bandwidth: {rb.shared_GBps:.0f} GB/s "
-          f"(paper: 33 GB/s for CR, 883 GB/s for PCR)")
+          f"(paper: {rate['cr']['shared']:g} GB/s for CR, "
+          f"{rate['pcr']['shared']:g} GB/s for PCR)")
 
     # ------------------------------------------------------------------
     print("\n=== 3. bank conflicts in forward reduction (Fig 9) ===")
@@ -65,7 +70,7 @@ def main() -> None:
             line += f"m={p.intermediate_size}:{val}us  "
         print(line)
         print(f"    best m = {sweep.best().intermediate_size} "
-              f"(paper: {'256' if inner == 'pcr' else '128'})")
+              f"(paper: {paper.BEST_M['cr_' + inner]})")
 
     # ------------------------------------------------------------------
     print("\n=== 5. roofline placement (the paper's ref [33]) ===")

@@ -27,10 +27,10 @@ because the model is linear in the counters:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 from repro.gpusim import CostModel, LaunchResult, gt200_cost_model
-from repro.gpusim.counters import PhaseCounters
+from repro.gpusim.counters import CounterLedger, PhaseCounters
 
 
 @dataclass
@@ -50,20 +50,11 @@ class Recommendation:
 def _recost(result: LaunchResult, cm: CostModel,
             mutate) -> float:
     """Total time with each phase's counters passed through ``mutate``."""
-    scale, conc, _ = cm.grid_scale(result.device, result.num_blocks,
-                                   result.shared_bytes,
-                                   result.threads_per_block)
-    total_ns = 0.0
-    for pc in result.ledger.phases.values():
-        total_ns += cm.phase_time_block_ns(
-            mutate(pc), blocks_per_sm=conc).total_ms
-    return total_ns * scale * 1e-6 + cm.params.launch_overhead_ns * 1e-6
-
-
-def _copy_counters(pc: PhaseCounters) -> PhaseCounters:
-    out = PhaseCounters()
-    out.merge(pc)
-    return out
+    ledger = CounterLedger({name: mutate(pc)
+                            for name, pc in result.ledger.phases.items()})
+    return cm.grid_report(result.device, result.num_blocks,
+                          result.shared_bytes, result.threads_per_block,
+                          ledger).total_ms
 
 
 def analyze(result: LaunchResult, cost_model: CostModel | None = None,
@@ -82,7 +73,7 @@ def analyze(result: LaunchResult, cost_model: CostModel | None = None,
 
     # --- bank conflicts: all shared accesses at degree 1 --------------
     def no_conflicts(pc: PhaseCounters) -> PhaseCounters:
-        out = _copy_counters(pc)
+        out = pc.copy()
         out.shared_cycles = out.shared_instructions
         if out.shared_instructions:
             degree = pc.shared_cycles / pc.shared_instructions
@@ -97,7 +88,7 @@ def analyze(result: LaunchResult, cost_model: CostModel | None = None,
 
     # --- exposed latency: pretend residency hides everything ----------
     def hidden_latency(pc: PhaseCounters) -> PhaseCounters:
-        out = _copy_counters(pc)
+        out = pc.copy()
         out.latency_units = 0.0
         out.global_latency_units = 0.0
         return out
@@ -116,7 +107,7 @@ def analyze(result: LaunchResult, cost_model: CostModel | None = None,
         max(2, result.threads_per_block))))
 
     def fewer_steps(pc: PhaseCounters) -> PhaseCounters:
-        out = _copy_counters(pc)
+        out = pc.copy()
         if total_steps:
             f = min(1.0, min_steps / total_steps)
             out.steps = pc.steps * f
@@ -132,7 +123,7 @@ def analyze(result: LaunchResult, cost_model: CostModel | None = None,
 
     # --- divisions ------------------------------------------------------
     def no_divs(pc: PhaseCounters) -> PhaseCounters:
-        out = _copy_counters(pc)
+        out = pc.copy()
         out.divs = 0
         return out
 
@@ -146,7 +137,7 @@ def analyze(result: LaunchResult, cost_model: CostModel | None = None,
                      // result.device.bank_width_bytes)
 
     def coalesced(pc: PhaseCounters) -> PhaseCounters:
-        out = _copy_counters(pc)
+        out = pc.copy()
         ideal = -(-pc.global_words // words_per_seg)
         out.global_transactions = min(pc.global_transactions, ideal)
         out.global_latency_units = 0.0

@@ -79,11 +79,9 @@ def compare_devices(systems: TridiagonalSystems, *,
             _x, res = run_kernel(name, systems,
                                  intermediate_size=ms.get(name),
                                  device=dev)
-            scale, conc, _ = cm.grid_scale(dev, S, res.shared_bytes,
-                                           res.threads_per_block)
-            t = sum(cm.phase_time_block_ns(pc, blocks_per_sm=conc).total_ms
-                    for pc in res.ledger.phases.values()) * scale * 1e-6
-            times[dev.name] = t + cm.params.launch_overhead_ns * 1e-6
+            times[dev.name] = cm.grid_report(
+                dev, S, res.shared_bytes, res.threads_per_block,
+                res.ledger).total_ms
         out.append(DeviceComparison(
             workload=f"{S}x{systems.n}", solver=name,
             baseline_ms=times[baseline.name],

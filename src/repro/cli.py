@@ -66,6 +66,7 @@ def _headline_checks(echo: bool = True) -> list[tuple[str, bool]]:
     """Fast headline checks; mirrors tests/integration in spirit."""
     import numpy as np
 
+    from repro import paper
     from repro.analysis.autotune import sweep_switch_point
     from repro.analysis.timing import modeled_grid_timing
     from repro.numerics.generators import diagonally_dominant_fluid
@@ -80,26 +81,26 @@ def _headline_checks(echo: bool = True) -> list[tuple[str, bool]]:
 
     if echo:
         print("headline reproduction checks (512x512):")
-    t = {}
-    for name, m in [("cr", None), ("pcr", None), ("rd", None),
-                    ("cr_pcr", 256), ("cr_rd", 128)]:
-        t[name] = modeled_grid_timing(name, 512, 512,
-                                      intermediate_size=m).solver_ms
+    t = {name: modeled_grid_timing(
+            name, paper.N, paper.NUM_SYSTEMS,
+            intermediate_size=paper.BEST_M.get(name)).solver_ms
+         for name in paper.TOTAL_MS}
     check("solver ranking CR+PCR < CR+RD < PCR < RD < CR",
-          t["cr_pcr"] < t["cr_rd"] < t["pcr"] < t["rd"] < t["cr"])
+          sorted(t, key=t.get)
+          == sorted(paper.TOTAL_MS, key=paper.TOTAL_MS.get))
     check("CR+PCR at least 10% faster than PCR",
           1 - t["cr_pcr"] / t["pcr"] > 0.10)
     check("CR+PCR at least 45% faster than CR",
           1 - t["cr_pcr"] / t["cr"] > 0.45)
 
-    s = diagonally_dominant_fluid(2, 512, seed=0)
+    s = diagonally_dominant_fluid(2, paper.N, seed=0)
     best_pcr = sweep_switch_point(s, "pcr").best().intermediate_size
     best_rd = sweep_switch_point(s, "rd").best().intermediate_size
     check(f"hybrid switch points far above warp size "
           f"(got {best_pcr}/{best_rd})",
-          best_pcr >= 128 and best_rd == 128)
+          best_pcr >= 128 and best_rd == paper.BEST_M["cr_rd"])
 
-    batch = diagonally_dominant_fluid(8, 512, seed=1)
+    batch = diagonally_dominant_fluid(8, paper.N, seed=1)
     x_cr = SOLVERS["cr"](batch, intermediate_size=None)
     x_rd = SOLVERS["rd"](batch, intermediate_size=None)
     check("CR accurate on dominant systems",
@@ -465,10 +466,12 @@ def _serve_live(args) -> int:
                   f"{args.tenants} tenants over {args.duration_ms:g} "
                   f"modeled ms ({args.scenario} mix, {args.load:g}x load, "
                   f"seed {args.seed})")
-        report = fe.run(requests, live_every_ms=args.report_every_ms,
-                        live_sink=sink,
-                        stop_after_jobs=args.stop_after)
-        fe.close()
+        try:
+            report = fe.run(requests, live_every_ms=args.report_every_ms,
+                            live_sink=sink,
+                            stop_after_jobs=args.stop_after)
+        finally:
+            fe.close()
 
     rc = 0 if report.completed else 1
     if args.export_dir:
@@ -525,6 +528,18 @@ def _serve_live(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    """`repro serve`; a typed serving failure (e.g. a mismatched
+    checkpoint on ``--resume``) is one ``error:`` line and exit 1."""
+    from repro.serve import ServeError
+
+    try:
+        return _serve_live(args) if args.live else _serve_jobs(args)
+    except ServeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def _serve_jobs(args) -> int:
     from repro import telemetry
     from repro.gpusim.faults import BrownoutProcess, FlappingProcess
     from repro.gpusim.pool import derive_seed, make_pool
@@ -532,9 +547,6 @@ def cmd_serve(args) -> int:
     from repro.serve import (BatchScheduler, FrontendConfig, ServeFrontend,
                              ServeRequest, TenantSpec)
     from repro.telemetry.export import serve_summary
-
-    if args.live:
-        return _serve_live(args)
 
     warnings.simplefilter("ignore")
     processes = []
@@ -584,17 +596,19 @@ def cmd_serve(args) -> int:
             telemetry.deterministic_collector(args.seed)) as col:
         # Offered in submission order and drained with dispatch_once
         # (run() would sort job10 before job2).
-        for i in range(args.jobs):
-            s = diagonally_dominant_fluid(args.systems, args.size,
-                                          seed=args.seed + i)
-            fe.offer(ServeRequest(f"job{i}", "default", s,
-                                  method=args.solver,
-                                  chunk_size=args.chunk_size,
-                                  slo_class=args.slo_class,
-                                  deadline_ms=args.deadline_ms))
-        while fe.dispatch_once() is not None:
-            pass
-        fe.close()
+        try:
+            for i in range(args.jobs):
+                s = diagonally_dominant_fluid(args.systems, args.size,
+                                              seed=args.seed + i)
+                fe.offer(ServeRequest(f"job{i}", "default", s,
+                                      method=args.solver,
+                                      chunk_size=args.chunk_size,
+                                      slo_class=args.slo_class,
+                                      deadline_ms=args.deadline_ms))
+            while fe.dispatch_once() is not None:
+                pass
+        finally:
+            fe.close()
     served = fe.report()
     reports = [o.report for o in served.completed]
     shed = [{"job_id": o.request_id, "reason": o.reason,

@@ -19,9 +19,11 @@ point, and kernel variant reported by the benchmarks is a prediction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+from repro import paper
 
 from .costmodel import CostModelParams
 from .counters import PhaseCounters
@@ -38,64 +40,18 @@ RESOURCE_FEATURES = {
     "compute": ("warp_instructions", "divs", "syncs", "steps"),
 }
 
-#: Published phase timings (ms, grid level, 512 systems x 512 unknowns).
-#: Keys are our kernel phase names; tuples merge phases into one
-#: equation (the paper reports one "global memory access" slice).
-PAPER_PHASE_TARGETS_MS = {
-    "cr": {
-        ("global_load", "global_store"): 0.103,      # Fig 8
-        ("forward_reduction",): 0.624,
-        ("solve_two",): 0.033,
-        ("backward_substitution",): 0.306,
-    },
-    "pcr": {
-        ("global_load", "global_store"): 0.106,      # Fig 11
-        ("forward_reduction",): 0.409,
-        ("solve_two",): 0.019,
-    },
-    "rd": {
-        # Fig 13 books all of RD's global traffic (including the final
-        # solution store) into its first slice ("global memory access
-        # and matrix setup", and Fig 14's global total equals that
-        # slice), while our kernel's evaluation phase contains the
-        # store; fit the two slices as one equation.
-        ("global_load_setup", "solution_evaluation"): 0.128,
-        ("scan",): 0.484,
-    },
-    "cr_pcr": {                                      # Fig 15, m = 256
-        ("global_load", "global_store"): 0.104,
-        ("cr_forward_reduction",): 0.060,
-        ("copy_intermediate",): 0.009,
-        ("inner_forward_reduction",): 0.200,
-        ("inner_solve_two",): 0.023,
-        ("cr_backward_substitution",): 0.026,
-    },
-    "cr_rd": {                                       # Fig 16, m = 128
-        ("global_load", "global_store"): 0.104,
-        ("cr_forward_reduction",): 0.039,
-        ("rd_copy_setup",): 0.069,
-        ("rd_scan",): 0.179,
-        ("rd_solution_evaluation",): 0.018,
-        ("cr_backward_substitution",): 0.056,
-    },
-}
+#: Kernel phases behind a paper slice of another name: the paper
+#: publishes one "global memory access" slice.
+SLICE_PHASES = {"global_memory_access": ("global_load", "global_store")}
 
-#: Published resource splits (ms): Figs 10, 12, 14.
-PAPER_RESOURCE_TARGETS_MS = {
-    "cr": {"global": 0.103, "shared": 0.689, "compute": 0.274},
-    "pcr": {"global": 0.106, "shared": 0.163, "compute": 0.265},
-    "rd": {"global": 0.109, "shared": 0.262, "compute": 0.241},
-}
-
-#: Published totals (ms) as additional (redundant but stabilising) rows.
-PAPER_TOTALS_MS = {"cr": 1.066, "pcr": 0.534, "rd": 0.612,
-                   "cr_pcr": 0.422, "cr_rd": 0.488}
-
-#: Intermediate sizes of the hybrid measurements.
-HYBRID_M = {"cr_pcr": 256, "cr_rd": 128}
-
-CALIBRATION_SYSTEMS = 512
-CALIBRATION_N = 512
+#: Slice groups fitted as one equation each, where a solver's slices
+#: are not one equation apiece.  Fig 13 books all of RD's global
+#: traffic (including the final solution store) into its first slice
+#: ("global memory access and matrix setup", and Fig 14's global total
+#: equals that slice), while our kernel's evaluation phase contains the
+#: store.
+JOINED_SLICES = {"rd": [("global_load_setup", "solution_evaluation"),
+                        ("scan",)]}
 
 
 def _feature_row(pc: PhaseCounters, restrict=None) -> np.ndarray:
@@ -117,21 +73,31 @@ def _calibration_traces():
     from repro.kernels.api import run_kernel
     from repro.numerics.generators import diagonally_dominant_fluid
 
-    systems = diagonally_dominant_fluid(2, CALIBRATION_N, seed=0,
+    systems = diagonally_dominant_fluid(2, paper.N, seed=0,
                                         dtype=np.float32)
     out = {}
     from .costmodel import CostModel
     probe = CostModel(CostModelParams(*([1.0] * 8)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for name in PAPER_PHASE_TARGETS_MS:
+        for name in paper.PHASE_MS:
             _x, res = run_kernel(name, systems,
-                                 intermediate_size=HYBRID_M.get(name))
+                                 intermediate_size=paper.BEST_M.get(name))
             scale, _conc, _waves = probe.grid_scale(
-                GTX280, CALIBRATION_SYSTEMS, res.shared_bytes,
+                GTX280, paper.NUM_SYSTEMS, res.shared_bytes,
                 res.threads_per_block)
             out[name] = (res.ledger, scale)
     return out
+
+
+def phase_equations(name: str):
+    """``(kernel phases, published ms)`` of each phase equation of
+    solver ``name``: one per slice of :data:`repro.paper.PHASE_MS`, in
+    figure order, or one per :data:`JOINED_SLICES` group."""
+    slices = paper.PHASE_MS[name]
+    for group in JOINED_SLICES.get(name) or [(s,) for s in slices]:
+        phases = sum((SLICE_PHASES.get(g, (g,)) for g in group), ())
+        yield phases, sum(slices[g] for g in group)
 
 
 @dataclass
@@ -165,9 +131,9 @@ def fit(verbose: bool = False) -> FitReport:
         rows_b.append(target_ms * weight)
         labels.append((label, target_ms))
 
-    for name, targets in PAPER_PHASE_TARGETS_MS.items():
+    for name in paper.PHASE_MS:
         ledger, scale = traces[name]
-        for phases, target in targets.items():
+        for phases, target in phase_equations(name):
             pc = PhaseCounters()
             for p in phases:
                 pc.merge(ledger.phases[p])
@@ -175,7 +141,7 @@ def fit(verbose: bool = False) -> FitReport:
             add(f"{name}:{'+'.join(phases)}", _feature_row(pc), target,
                 scale, weight=weight)
 
-    for name, split in PAPER_RESOURCE_TARGETS_MS.items():
+    for name, split in paper.RESOURCE_MS.items():
         ledger, scale = traces[name]
         total = ledger.total()
         for resource, target in split.items():
@@ -183,7 +149,7 @@ def fit(verbose: bool = False) -> FitReport:
                 _feature_row(total, RESOURCE_FEATURES[resource]),
                 target, scale)
 
-    for name, target in PAPER_TOTALS_MS.items():
+    for name, target in paper.TOTAL_MS.items():
         ledger, scale = traces[name]
         add(f"{name}:total", _feature_row(ledger.total()), target, scale,
             weight=2.0)
@@ -235,16 +201,9 @@ def main() -> None:
     p = report.params
     print("\nPaste into repro/gpusim/gt200.py:")
     print("GT200_PARAMS = CostModelParams(")
-    print(f"    shared_cycle_ns={p.shared_cycle_ns:.6g},")
-    print(f"    shared_latency_ns={p.shared_latency_ns:.6g},")
-    print(f"    global_transaction_ns={p.global_transaction_ns:.6g},")
-    print(f"    global_word_ns={p.global_word_ns:.6g},")
-    print(f"    warp_issue_ns={p.warp_issue_ns:.6g},")
-    print(f"    div_ns={p.div_ns:.6g},")
-    print(f"    sync_ns={p.sync_ns:.6g},")
-    print(f"    step_ns={p.step_ns:.6g},")
-    print(f"    launch_overhead_ns={p.launch_overhead_ns:.6g},")
-    print(f"    latency_hiding={p.latency_hiding},")
+    for f in fields(p):
+        if f.name != "global_latency_ns":   # set by hand, see its comment
+            print(f"    {f.name}={getattr(p, f.name):.6g},")
     print(")")
 
 

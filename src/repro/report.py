@@ -17,10 +17,7 @@ from __future__ import annotations
 import json
 import warnings
 
-PAPER_TOTALS = {"cr": 1.066, "pcr": 0.534, "rd": 0.612,
-                "cr_pcr": 0.422, "cr_rd": 0.488}
-PAPER_M = {"cr_pcr": 256, "cr_rd": 128}
-PAPER_FIG9 = [1.7, 3.1, 3.3, 4.8, 4.8, 3.0, 2.3, 2.3]
+from repro import paper
 
 
 def _md_table(headers, rows) -> str:
@@ -41,13 +38,13 @@ def _data_totals() -> dict:
     from repro.analysis.timing import modeled_grid_timing
 
     solvers = {}
-    for name, paper in PAPER_TOTALS.items():
-        t = modeled_grid_timing(name, 512, 512,
-                                intermediate_size=PAPER_M.get(name))
-        solvers[name] = {"model_ms": t.solver_ms, "paper_ms": paper,
-                         "error": (t.solver_ms - paper) / paper}
+    for name, published in paper.TOTAL_MS.items():
+        t = modeled_grid_timing(name, paper.N, paper.NUM_SYSTEMS,
+                                intermediate_size=paper.BEST_M.get(name))
+        solvers[name] = {"model_ms": t.solver_ms, "paper_ms": published,
+                         "error": (t.solver_ms - published) / published}
     order = sorted(solvers, key=lambda n: solvers[n]["model_ms"])
-    paper_order = sorted(PAPER_TOTALS, key=PAPER_TOTALS.get)
+    paper_order = sorted(paper.TOTAL_MS, key=paper.TOTAL_MS.get)
     return {"solvers": solvers, "ranking": order,
             "paper_ranking": paper_order,
             "ranking_matches_paper": order == paper_order}
@@ -63,10 +60,7 @@ def _data_phases() -> dict:
     return {"phases": [{"phase": name, "ms": ms, "share": frac}
                        for name, ms, frac
                        in phase_breakdown(res, merge_global=True)],
-            "paper_shares": {"global_memory_access": 0.10,
-                             "forward_reduction": 0.59,
-                             "solve_two": 0.03,
-                             "backward_substitution": 0.29}}
+            "paper_shares": dict(paper.CR_PHASE_SHARE)}
 
 
 def _data_conflicts() -> list[dict]:
@@ -76,9 +70,9 @@ def _data_conflicts() -> list[dict]:
     s = diagonally_dominant_fluid(2, 512, seed=0)
     return [{"step": st.index + 1, "threads": st.active_threads,
              "degree": round(st.conflict_degree),
-             "model_penalty": st.penalty, "paper_penalty": paper}
-            for st, paper in zip(forward_reduction_conflicts(s),
-                                 PAPER_FIG9)]
+             "model_penalty": st.penalty, "paper_penalty": published}
+            for st, published in zip(forward_reduction_conflicts(s),
+                                     paper.CONFLICT_PENALTY)]
 
 
 def _data_switch_points() -> dict:
@@ -87,11 +81,11 @@ def _data_switch_points() -> dict:
 
     s = diagonally_dominant_fluid(2, 512, seed=0)
     out = {}
-    for inner, paper_best in (("pcr", 256), ("rd", 128)):
+    for inner in ("pcr", "rd"):
         sweep = sweep_switch_point(s, inner)
         out[inner] = {
             "best_m": sweep.best().intermediate_size,
-            "paper_best_m": paper_best,
+            "paper_best_m": paper.BEST_M[f"cr_{inner}"],
             "curve": [{"m": p.intermediate_size, "ms": p.solver_ms}
                       for p in sweep.points]}
     return out
@@ -109,7 +103,7 @@ def _data_accuracy() -> dict:
     for name in ("gep", "thomas", "cr", "pcr", "cr_pcr", "rd", "cr_rd"):
         entry = {}
         for label, s in (("diag_dominant", dom), ("close_values", close)):
-            x = SOLVERS[name](s, intermediate_size=PAPER_M.get(name))
+            x = SOLVERS[name](s, intermediate_size=paper.BEST_M.get(name))
             r = evaluate_accuracy(name, s, x)
             entry[label] = ("overflow" if r.overflow_fraction > 0.5
                             else r.median_residual)
@@ -137,7 +131,8 @@ def report_data() -> dict:
         data["headline"] = {
             "cr_pcr_vs_pcr_gain": 1 - t["cr_pcr"] / t["pcr"],
             "cr_pcr_vs_cr_gain": 1 - t["cr_pcr"] / t["cr"],
-            "paper_gains": {"vs_pcr": 0.21, "vs_cr": 0.61},
+            "paper_gains": {"vs_pcr": paper.GAIN["cr_pcr", "pcr"],
+                            "vs_cr": paper.GAIN["cr_pcr", "cr"]},
         }
     return data
 
@@ -169,8 +164,9 @@ def _render_markdown(data: dict) -> str:
     rows = [[p["phase"], f"{p['share']:.1%}"]
             for p in data["cr_phases"]["phases"]]
     out.append(_md_table(["phase", "share"], rows))
-    out.append("\n(paper: global 10%, forward 59%, solve-2 3%, "
-               "backward 29%)\n")
+    out.append("\n(paper: global {:.0%}, forward {:.0%}, solve-2 {:.0%}, "
+               "backward {:.0%})\n".format(
+                   *data["cr_phases"]["paper_shares"].values()))
 
     out.append("## Bank conflicts in CR forward reduction (Fig 9)\n")
     rows = [[c["step"], c["threads"], c["degree"],

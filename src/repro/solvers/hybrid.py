@@ -21,6 +21,8 @@ from typing import Callable, Literal
 
 import numpy as np
 
+from repro import paper
+
 from .cr import back_substitute_from, forward_reduce_to
 from .pcr import pcr_on_arrays
 from .rd import rd_on_arrays
@@ -31,21 +33,15 @@ InnerName = Literal["pcr", "rd"]
 
 _INNER: dict[str, Callable] = {"pcr": pcr_on_arrays, "rd": rd_on_arrays}
 
-#: Best intermediate sizes measured in the paper for n = 512 (Fig 17;
-#: CR+RD is capped at 128 by shared-memory size, §5.3.5).
-PAPER_BEST_INTERMEDIATE = {"pcr": 256, "rd": 128}
-
-
 def default_intermediate_size(n: int, inner: InnerName) -> int:
     """Heuristic switch point when the caller does not give one.
 
-    Uses the paper's measured optimum ratio (m = n/2 for CR+PCR,
-    m = n/4 for CR+RD at n = 512) scaled to the problem size, floored
-    at 2.  :mod:`repro.analysis.autotune` finds the true optimum for a
-    device/cost-model pair.
+    Uses the paper's measured optimum ratio n / m at n = 512
+    (:data:`repro.paper.BEST_M`, Fig 17) scaled to the problem size,
+    floored at 2.  :mod:`repro.analysis.autotune` finds the true
+    optimum for a device/cost-model pair.
     """
-    ratio = 2 if inner == "pcr" else 4
-    return max(2, n // ratio)
+    return max(2, n // (paper.N // paper.BEST_M[f"cr_{inner}"]))
 
 
 def hybrid_solve(systems: TridiagonalSystems, inner: InnerName = "pcr",

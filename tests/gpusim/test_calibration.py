@@ -1,8 +1,9 @@
 """The checked-in GT200 constants must keep reproducing the paper.
 
-These tests run the five kernels at the paper's 512x512 configuration
-(two simulated blocks -- counters are per block -- scaled to 512) and
-compare modeled totals against the published Figs 6-16 numbers.  If a
+These tests model the five kernels at the paper's 512x512 configuration
+(``modeled_grid_timing``: two simulated blocks -- counters are per
+block -- priced over 512) and compare modeled totals against the
+published numbers in :mod:`repro.paper`.  If a
 simulator or kernel change breaks the calibration, this is the test
 that says so; re-run ``python -m repro.gpusim.calibrate`` and refresh
 ``gt200.py``.
@@ -10,40 +11,29 @@ that says so; re-run ``python -m repro.gpusim.calibrate`` and refresh
 
 import warnings
 
-import numpy as np
 import pytest
 
-from repro.gpusim import GTX280, gt200_cost_model
-from repro.gpusim.calibrate import (CALIBRATION_N, HYBRID_M,
-                                    PAPER_TOTALS_MS, fit)
-from repro.kernels.api import run_kernel
-from repro.numerics.generators import diagonally_dominant_fluid
+from repro import paper
+from repro.analysis.timing import modeled_grid_timing
+from repro.gpusim import gt200_cost_model
+from repro.gpusim.calibrate import fit
 
 
 @pytest.fixture(scope="module")
 def modeled_totals():
-    cm = gt200_cost_model()
-    systems = diagonally_dominant_fluid(2, CALIBRATION_N, seed=0)
-    out = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for name in PAPER_TOTALS_MS:
-            _x, res = run_kernel(name, systems,
-                                 intermediate_size=HYBRID_M.get(name))
-            scale, conc, _ = cm.grid_scale(GTX280, 512, res.shared_bytes,
-                                           res.threads_per_block)
-            total = sum(
-                cm.phase_time_block_ns(pc, blocks_per_sm=conc).total_ms
-                for pc in res.ledger.phases.values()) * scale * 1e-6
-            out[name] = total + cm.params.launch_overhead_ns * 1e-6
-    return out
+        return {name: modeled_grid_timing(
+                    name, paper.N, paper.NUM_SYSTEMS,
+                    intermediate_size=paper.BEST_M.get(name)).solver_ms
+                for name in paper.TOTAL_MS}
 
 
 class TestPublishedTotals:
-    @pytest.mark.parametrize("name", sorted(PAPER_TOTALS_MS))
+    @pytest.mark.parametrize("name", sorted(paper.TOTAL_MS))
     def test_total_within_tolerance(self, modeled_totals, name):
         """Each solver's modeled 512x512 total within 20 % of Fig 6."""
-        target = PAPER_TOTALS_MS[name]
+        target = paper.TOTAL_MS[name]
         assert modeled_totals[name] == pytest.approx(target, rel=0.20)
 
     def test_solver_ordering_matches_paper(self, modeled_totals):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import paper
 from repro.gpusim.transfer import GLOBAL_ONLY_PENALTY, PCIeModel
 
 
@@ -22,10 +23,10 @@ class TestPCIe:
 
     def test_paper_transfer_share(self):
         """§5.2: transfer dominates end-to-end time by 90-95 % at the
-        512x512 size with the best solver (0.422 ms)."""
+        512x512 size with the best solver (CR+PCR's Fig 6 total)."""
         m = PCIeModel()
         transfer = m.solver_roundtrip_ms(512, 512)
-        share = transfer / (transfer + 0.422)
+        share = transfer / (transfer + paper.TOTAL_MS["cr_pcr"])
         assert 0.88 <= share <= 0.96
 
     def test_global_only_penalty_documented_value(self):

@@ -3,10 +3,13 @@
 Each case runs a gate's ``main`` on its committed baseline with one
 perturbation, fed through ``measure`` (through ``_time_cell`` for the
 engine), against a copy of the committed results under ``tmp_path``.
-No workload runs and nothing is written under ``benchmarks/results/``.
+Nothing is written under ``benchmarks/results/``, and no workload runs
+except the paper-fidelity gate's own measurement (about a second), once
+as committed and once with one cost-model coefficient shifted.
 """
 
 import copy
+import dataclasses
 import importlib
 import json
 import os
@@ -24,6 +27,7 @@ GATES = {
     "overload": ("bench_overload", "overload"),
     "layout_autotune": ("bench_layout_autotune", "rows"),
     "vectorized_engine": ("bench_vectorized_engine", "rows"),
+    "paper_fidelity": ("bench_paper_fidelity", "numbers"),
 }
 
 
@@ -105,6 +109,11 @@ CASES = [
     ("vectorized_engine", "speedup 10.1x", _engine_speedup(10.1), 0, []),
     ("vectorized_engine", "ledger/solution mismatch", _engine_mismatch, 1,
      ["bitwise", "cr n=256"]),
+    ("paper_fidelity", "baseline", _unchanged, 0, []),
+    ("paper_fidelity", "fig6 error x1.01",
+     _scale("error", 1.01, key="fig6.cr_pcr"), 1, ["fig6.cr_pcr.error"]),
+    ("paper_fidelity", "fig9 error halved",
+     _scale("error", 0.5, key="fig9.step2"), 0, []),
 ]
 
 
@@ -205,3 +214,16 @@ def test_update_is_idempotent(bench, name):
     assert list(recorded) == [GATES[name][1]]
     if name != "vectorized_engine":
         assert recorded[GATES[name][1]] == committed(name)
+
+
+@pytest.mark.parametrize("factor, code", [(1.0, 0), (1.05, 1)])
+def test_fidelity_gate_catches_a_coefficient_shift(bench, monkeypatch,
+                                                   factor, code):
+    """The real paper-fidelity measurement passes as committed and
+    fails once one GT200 coefficient moves by 5%."""
+    from repro.gpusim import gt200
+    params = gt200.GT200_PARAMS
+    monkeypatch.setattr(gt200, "GT200_PARAMS", dataclasses.replace(
+        params, shared_cycle_ns=params.shared_cycle_ns * factor))
+    module = importlib.import_module(GATES["paper_fidelity"][0])
+    assert module.main([]) == code

@@ -146,6 +146,24 @@ class TestServeCommand:
         assert main(base(tmp_path / "b") + ["--resume"]) == 0
         assert digest() == full             # bitwise-identical solution
 
+    @pytest.mark.parametrize(
+        "mode", [[], ["serve", "--live", "--duration-ms", "1"]],
+        ids=["jobs", "live"])
+    def test_mismatched_checkpoint_is_one_error_line(self, tmp_path, capsys,
+                                                     mode):
+        """Resuming from a version-1 checkpoint exits 1 with one typed
+        ``error:`` line on stderr, not a traceback."""
+        args = mode or self.ARGS
+        args = args + ["--seed", "3", "--checkpoint", str(tmp_path)]
+        assert main(args + ["--stop-after", "1", "--json"]) in (0, 1)
+        path = sorted(tmp_path.glob("*0.jsonl"))[0]
+        path.write_text(path.read_text().replace('"version": 2',
+                                                 '"version": 1', 1))
+        capsys.readouterr()
+        assert main(args + ["--resume"]) == 1
+        out, err = capsys.readouterr()
+        assert err == f"error: {path}: unsupported checkpoint version 1\n"
+
     def test_unmeetable_deadline_rejected(self, capsys):
         rc = main(self.ARGS + ["--deadline-ms", "1e-9"])
         out = capsys.readouterr().out

@@ -2,46 +2,29 @@
 
 Each test names the paper section/figure whose claim it verifies.
 Counters are per block, so two simulated blocks stand in for the 512
-the timings are scaled to.
+the timings are priced over (``modeled_grid_timing``).
 """
 
 import warnings
 
-import numpy as np
 import pytest
 
+from repro import paper
 from repro.analysis.autotune import sweep_switch_point
 from repro.analysis.cpumodel import cpu_times, speedup
-from repro.analysis.timing import compare_solvers, timed_solve
+from repro.analysis.timing import compare_solvers, modeled_grid_timing
 from repro.gpusim.transfer import PCIeModel
 from repro.numerics.generators import close_values, diagonally_dominant_fluid
 
 
 @pytest.fixture(scope="module")
 def timings_512():
-    s = diagonally_dominant_fluid(2, 512, seed=0)
-    scale_to = 512
-
-    # compare_solvers runs on 2 blocks; rescale to the paper's grid by
-    # re-running timed_solve on a 512-wide batch would be slow -- the
-    # grid scale is linear in waves, so scale by wave count instead.
-    from repro.gpusim import GTX280, gt200_cost_model
-    cm = gt200_cost_model()
-    out = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for name, m in [("cr", None), ("pcr", None), ("rd", None),
-                        ("cr_pcr", 256), ("cr_rd", 128)]:
-            t = timed_solve(name, s, intermediate_size=m)
-            scale2, conc, _ = cm.grid_scale(GTX280, 2, t.launch.shared_bytes,
-                                            t.launch.threads_per_block)
-            scale512, _, _ = cm.grid_scale(GTX280, scale_to,
-                                           t.launch.shared_bytes,
-                                           t.launch.threads_per_block)
-            solver = ((t.solver_ms - t.report.launch_overhead_ms)
-                      * scale512 / scale2 + t.report.launch_overhead_ms)
-            out[name] = solver
-    return out
+        return {name: modeled_grid_timing(
+                    name, paper.N, paper.NUM_SYSTEMS,
+                    intermediate_size=paper.BEST_M.get(name)).solver_ms
+                for name in paper.TOTAL_MS}
 
 
 class TestHeadlines:
@@ -75,8 +58,10 @@ class TestHeadlines:
         """Fig 7: ~12.5x over the MT CPU solver, ~28x over LAPACK."""
         best_gpu = min(timings_512.values())
         cpu = cpu_times(512, 512)
-        assert speedup(best_gpu, cpu.mt_ms) == pytest.approx(12.5, rel=0.25)
-        assert speedup(best_gpu, cpu.gep_ms) == pytest.approx(28.0, rel=0.25)
+        assert speedup(best_gpu, cpu.mt_ms) == pytest.approx(
+            paper.SPEEDUP[512], rel=0.25)
+        assert speedup(best_gpu, cpu.gep_ms) == pytest.approx(
+            paper.LAPACK_SPEEDUP, rel=0.25)
 
     def test_fig7_transfer_inclusive_speedup_collapses(self, timings_512):
         """Fig 7 right: including PCIe transfer drops the 512x512
@@ -123,8 +108,8 @@ class TestFig18Accuracy:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for name in solvers:
-                m = {"cr_pcr": 256, "cr_rd": 128}.get(name)
-                x = SOLVERS[name](s, intermediate_size=m)
+                x = SOLVERS[name](s,
+                                  intermediate_size=paper.BEST_M.get(name))
                 results[name] = evaluate_accuracy(name, s, x)
         for good in ("gep", "thomas", "cr", "pcr", "cr_pcr"):
             assert not results[good].overflowed, good
@@ -142,8 +127,8 @@ class TestFig18Accuracy:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for name in solvers:
-                m = {"cr_pcr": 256, "cr_rd": 128}.get(name)
-                x = SOLVERS[name](s, intermediate_size=m)
+                x = SOLVERS[name](s,
+                                  intermediate_size=paper.BEST_M.get(name))
                 results[name] = evaluate_accuracy(name, s, x)
         for name in solvers:
             assert results[name].overflow_fraction < 0.2, name

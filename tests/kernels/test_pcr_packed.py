@@ -10,11 +10,9 @@ from repro.numerics.generators import diagonally_dominant_fluid
 
 
 def grid_ms(res, num_blocks):
-    cm = gt200_cost_model()
-    scale, conc, _ = cm.grid_scale(GTX280, num_blocks, res.shared_bytes,
-                                   res.threads_per_block)
-    return sum(cm.phase_time_block_ns(pc, conc).total_ms
-               for pc in res.ledger.phases.values()) * scale * 1e-6
+    return gt200_cost_model().grid_report(
+        GTX280, num_blocks, res.shared_bytes, res.threads_per_block,
+        res.ledger).total_ms
 
 
 class TestFunctional:

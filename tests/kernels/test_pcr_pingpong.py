@@ -52,10 +52,8 @@ class TestFootprintCost:
         assert conc_pp < conc_in
 
         def grid_ms(res):
-            sc, conc, _ = cm.grid_scale(GTX280, 256, res.shared_bytes,
-                                        res.threads_per_block)
-            return sum(cm.phase_time_block_ns(pc, conc).total_ms
-                       for pc in res.ledger.phases.values()) * sc * 1e-6
+            return cm.grid_report(GTX280, 256, res.shared_bytes,
+                                  res.threads_per_block, res.ledger).total_ms
 
         assert grid_ms(r_pp) > grid_ms(r_in)
 
