@@ -869,8 +869,10 @@ def main(argv=None) -> int:
                        help="system size n (power of two)")
     p_srv.add_argument("--solver", default="cr_pcr",
                        choices=paper_solvers)
-    p_srv.add_argument("--chunk-size", type=int, default=4,
-                       dest="chunk_size", help="systems per chunk")
+    p_srv.add_argument("--chunk-size", type=int, default=None,
+                       dest="chunk_size",
+                       help="cap on systems per chunk (default: one "
+                            "occupancy wave of the job's launch plan)")
     p_srv.add_argument("--devices", type=int, default=3,
                        help="simulated GPUs in the pool")
     p_srv.add_argument("--hot", type=int, default=None, metavar="INDEX",

@@ -221,6 +221,9 @@ class ShedLedger:
 
     @staticmethod
     def _load(path: str) -> dict[str, dict]:
+        """The recorded sheds; raises
+        :class:`~repro.serve.errors.CheckpointMismatchError` on a ledger
+        whose header is not this :data:`FORMAT_VERSION`."""
         out: dict[str, dict] = {}
         with open(path, encoding="utf-8") as fh:
             for line in fh:
@@ -231,6 +234,11 @@ class ShedLedger:
                     doc = json.loads(line)
                 except json.JSONDecodeError:
                     continue          # torn tail from a kill mid-write
+                if doc.get("type") == "shed_header" \
+                        and doc.get("version") != FORMAT_VERSION:
+                    raise CheckpointMismatchError(
+                        f"{path}: unsupported shed ledger version "
+                        f"{doc.get('version')!r}")
                 if doc.get("type") == "shed":
                     out[doc["request_id"]] = doc
         return out

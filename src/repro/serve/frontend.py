@@ -78,7 +78,9 @@ class ServeRequest:
     systems: TridiagonalSystems
     arrival_ms: float = 0.0
     method: str = "cr_pcr"
-    chunk_size: int = 4
+    #: Optional cap on systems per chunk (``None``: the scheduler's
+    #: one-wave chunk, see :attr:`SolveJob.chunk_size`).
+    chunk_size: int | None = None
     slo_class: str = DEFAULT_CLASS
     #: Optional per-request modeled deadline; defaults to the class
     #: p99 objective for admission math and stays off the job itself.

@@ -3,11 +3,11 @@
 A :class:`SolveJob` is the unit of admission: a batch of tridiagonal
 systems, the GPU method to run them with, a chunking spec, and the
 robustness budget (deadline, residual tolerance, CPU degradation
-chain).  The scheduler shards it into chunks of ``chunk_size`` systems
-and reports back a :class:`JobReport` with one :class:`ChunkRecord`
-per chunk -- which device served it, how many attempts it took, what
-it cost in modeled milliseconds, and the digest its checkpoint entry
-carries.
+chain).  The scheduler shards it into chunks of at most one occupancy
+wave of systems (``chunk_size`` caps that) and reports back a
+:class:`JobReport` with one :class:`ChunkRecord` per chunk -- which
+device served it, how many attempts it took, what it cost in modeled
+milliseconds, and the digest its checkpoint entry carries.
 """
 
 from __future__ import annotations
@@ -67,8 +67,14 @@ class SolveJob:
     intermediate_size:
         Hybrid switch point, as :func:`repro.kernels.api.run_kernel`.
     chunk_size:
-        Systems per dispatched chunk.  Small chunks reroute faster
-        around a tripped device; large chunks amortise launch overhead.
+        Optional cap on systems per dispatched chunk; ``None`` (the
+        default) lets the scheduler derive it.
+        :meth:`~repro.serve.scheduler.BatchScheduler.resolve` writes
+        the resolved size back: ``min(cap, num_systems, one wave)``,
+        where one wave is as many systems as the device holds
+        resident at once under the chunk's launch plan -- the paper's
+        one-launch-per-batch shape.  A small cap reroutes faster
+        around a tripped device; the wave amortises launch overhead.
     deadline_ms:
         Modeled-time budget for the whole job (``None`` = no deadline).
         Modeled time is the deterministic clock chaos tests assert on.
@@ -97,7 +103,7 @@ class SolveJob:
     method: str = "cr_pcr"
     layout: str = "sequential"
     intermediate_size: int | None = None
-    chunk_size: int = 8
+    chunk_size: int | None = None
     deadline_ms: float | None = None
     wall_deadline_s: float | None = None
     residual_tol: float = 1e-4
@@ -106,7 +112,7 @@ class SolveJob:
     tenant: str = "default"
 
     def __post_init__(self) -> None:
-        if self.chunk_size < 1:
+        if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError(f"job {self.job_id!r}: chunk_size must be >= 1")
         if self.method == "auto":
             # The autotuner picks method and layout (for any n >= 2).
@@ -120,7 +126,8 @@ class SolveJob:
         else:
             try:
                 plan_launch(self.method, self.systems.n,
-                            min(self.chunk_size, self.systems.num_systems),
+                            min(self.chunk_size or self.systems.num_systems,
+                                self.systems.num_systems),
                             intermediate_size=self.intermediate_size,
                             layout=self.layout)
             except ValueError as exc:
@@ -128,9 +135,16 @@ class SolveJob:
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise ValueError(f"job {self.job_id!r}: deadline must be > 0")
 
+    def _resolved_chunk(self) -> int:
+        if self.chunk_size is None:
+            raise ValueError(
+                f"job {self.job_id!r}: chunk size not resolved yet "
+                f"(BatchScheduler.resolve derives it)")
+        return self.chunk_size
+
     @property
     def num_chunks(self) -> int:
-        return -(-self.systems.num_systems // self.chunk_size)
+        return -(-self.systems.num_systems // self._resolved_chunk())
 
     def chunk_indices(self, chunk_id: int) -> np.ndarray:
         """System indices of one chunk (contiguous shard)."""
@@ -152,7 +166,7 @@ class SolveJob:
                     self.systems.d):
             h.update(digest_array(arr).encode())
         h.update(f"{self.method}|{self.intermediate_size}|"
-                 f"{self.chunk_size}|{self.residual_tol}|"
+                 f"{self._resolved_chunk()}|{self.residual_tol}|"
                  f"{'>'.join(self.cpu_chain)}".encode())
         if self.layout != "sequential":
             # Appended only off-default so pre-layout checkpoints keep

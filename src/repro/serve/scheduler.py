@@ -1,7 +1,8 @@
 """The resilient batch-solve scheduler.
 
 :class:`BatchScheduler` runs :class:`~repro.serve.job.SolveJob`
-batches: it shards each into chunks and dispatches the chunks across a
+batches: it shards each into chunks of at most one occupancy wave
+(:meth:`~BatchScheduler.resolve`) and dispatches the chunks across a
 :class:`~repro.gpusim.pool.DevicePool` under a full robustness
 contract.  It keeps no queue and makes no admission decision of its
 own -- that is :class:`~repro.serve.frontend.ServeFrontend`'s job;
@@ -10,8 +11,9 @@ own -- that is :class:`~repro.serve.frontend.ServeFrontend`'s job;
 
 * **placement** -- each chunk goes to the least-loaded device (by the
   deterministic modeled clock) that the
-  :class:`~repro.serve.health.HealthMonitor` allows; ties break by pool
-  order, so placement is a pure function of the schedule so far;
+  :class:`~repro.serve.health.HealthMonitor` allows; ties break to the
+  device idle longest, then pool order, so placement is a pure function
+  of the schedule so far;
 * **retries + rerouting** -- a typed device fault
   (:class:`~repro.gpusim.faults.KernelLaunchError`,
   :class:`~repro.gpusim.faults.DataCorruptionError`) or a modeled
@@ -28,10 +30,11 @@ own -- that is :class:`~repro.serve.frontend.ServeFrontend`'s job;
   crosses ``hedge_ratio``, a deterministic hedge launches on the
   next-best healthy device; the first acceptable result wins and the
   loser is accounted as ``hedge_cancelled``;
-* **graceful degradation** -- a chunk that fails its residual gate, or
-  finds no device placeable, falls back to the CPU chain via
-  :func:`repro.resilience.robust_solve` (``thomas`` -> ``gep`` by
-  default): slower, never wrong;
+* **graceful degradation** -- the systems of a chunk that fail its
+  per-system residual gate (the rows that pass keep the GPU result),
+  or a whole chunk that finds no device placeable, fall back to the CPU
+  chain via :func:`repro.resilience.robust_solve` (``thomas`` ->
+  ``gep`` by default): slower, never wrong;
 * **deadlines** -- per-job modeled-time budgets (plus an optional
   wall-clock guard); a blown budget stops the job with
   ``outcome="deadline"`` and a ``serve.deadline_misses`` count instead
@@ -58,9 +61,10 @@ import numpy as np
 
 from repro import telemetry
 from repro.gpusim import faults as _faults
+from repro.gpusim.estimator import characterize, estimate_ms
 from repro.gpusim.gt200 import gt200_cost_model
 from repro.gpusim.pool import DevicePool, PooledDevice, derive_seed
-from repro.kernels.api import run_kernel
+from repro.kernels.api import plan_launch, run_kernel
 from repro.resilience.pipeline import _relative_residuals, robust_solve
 from repro.telemetry.metrics import (CHUNK_RETRIES, CHUNKS_TOTAL,
                                      COST_RESIDUAL, DEADLINE_MISSES,
@@ -190,45 +194,69 @@ class BatchScheduler:
         """The modeled-time frontier: the latest completion observed."""
         return self._now_ms
 
-    def _resolve_auto(self, job: SolveJob) -> None:
-        """Resolve ``method="auto"`` into a concrete (method, layout).
+    def resolve(self, job: SolveJob) -> None:
+        """Resolve ``method="auto"`` and the chunk size, in one step.
 
-        The autotuner ranks solver x layout by the analytic estimate of
-        the *chunk* shape (the placement unit) on the pool's device type;
-        the pick is written back onto the job so dispatch, estimates,
-        digests and telemetry all see the resolved pair.
+        The chunk is ``min(cap, num_systems, one wave)``: one wave is
+        ``num_sms x blocks_per_sm x systems_per_block`` of the chunk's
+        plan (:func:`characterize <repro.gpusim.estimator.characterize>`),
+        the occupancy rule :meth:`CostModel.grid_scale
+        <repro.gpusim.costmodel.CostModel.grid_scale>` prices, so a
+        chunk is one launch of at most one wave.  The rule does not
+        depend on the pool's size, so a checkpoint resumes on a pool
+        of another size.  ``method="auto"`` becomes the layout
+        autotuner's (method, layout) pick at the chunk shape that runs:
+        it ranks ``min(cap, num_systems)`` systems and, when that is
+        more than one wave of its pick, ranks again at that wave.  Both
+        are written back onto the job, so dispatch, estimates, digests,
+        checkpoints and telemetry see them; resolving again is a no-op.
         """
-        if job.method != "auto":
-            return
-        from repro.analysis.layout_autotuner import choose_layout
         device = self.pool.all_devices()[0].spec
-        chunk = min(job.chunk_size, job.systems.num_systems)
-        choice = choose_layout(chunk, job.systems.n, device=device)
-        job.method, job.layout = choice.method, choice.layout
-        telemetry.event("serve.autotune", job=job.job_id,
-                        method=job.method, layout=job.layout,
-                        predicted_ms=choice.predicted_ms)
+        num = job.systems.num_systems
+        cap = min(job.chunk_size or num, num)
+        if job.method == "auto":
+            from repro.analysis.layout_autotuner import choose_layout
+            choice = choose_layout(cap, job.systems.n, device=device)
+            job.method, job.layout = choice.method, choice.layout
+            wave = self._wave(job, cap)
+            if wave < cap:
+                choice = choose_layout(wave, job.systems.n, device=device)
+                job.method, job.layout = choice.method, choice.layout
+            telemetry.event("serve.autotune", job=job.job_id,
+                            method=job.method, layout=job.layout,
+                            predicted_ms=choice.predicted_ms)
+        job.chunk_size = min(cap, self._wave(job, cap))
+
+    def _wave(self, job: SolveJob, num_systems: int) -> int:
+        """Systems in one occupancy wave of ``job``'s plan for a launch
+        of ``num_systems`` on the pool's device type (at least 1)."""
+        device = self.pool.all_devices()[0].spec
+        plan = plan_launch(job.method, job.systems.n, num_systems,
+                           intermediate_size=job.intermediate_size,
+                           device=device, layout=job.layout)
+        block = characterize(plan)
+        return max(1, device.num_sms * plan.systems_per_block
+                   * device.blocks_per_sm(block.shared_bytes,
+                                          block.threads_per_block))
 
     def estimate_job_ms(self, job: SolveJob) -> float:
-        """Modeled lower bound for ``job`` on an idle healthy pool.
+        """Modeled makespan of ``job`` on an idle healthy pool.
 
         One chunk is costed analytically (no functional execution; see
         :func:`repro.gpusim.estimator.estimate_ms`, bitwise-equal to
-        the simulate-then-cost path) and the job bound is perfect
-        parallelism over the pool.  The front end prices admission
-        with it.  ``method="auto"`` jobs are resolved to the
-        autotuner's (method, layout) pick first, so admission estimates
-        price the placement that will run.
+        the simulate-then-cost path), and the pool runs the chunks in
+        ``ceil(num_chunks / len(pool))`` rounds of one chunk per
+        device.  The front end prices admission with it.  The job is
+        resolved first (:meth:`resolve`), so admission estimates price
+        the method, layout and chunk that will run.
         """
-        self._resolve_auto(job)
-        return self._chunk_ms(job) * job.num_chunks / len(self.pool)
+        self.resolve(job)
+        return self._chunk_ms(job) * -(-job.num_chunks // len(self.pool))
 
     def _chunk_ms(self, job: SolveJob) -> float:
         """One chunk's analytic price: the plan's memo entry, which a
         planned launch of the chunk is charged from too."""
-        from repro.gpusim.estimator import estimate_ms
-        return estimate_ms(job.method, job.systems.n,
-                           min(job.chunk_size, job.systems.num_systems),
+        return estimate_ms(job.method, job.systems.n, job.chunk_size,
                            intermediate_size=job.intermediate_size,
                            cost_model=self._cost_model, layout=job.layout)
 
@@ -311,23 +339,28 @@ class BatchScheduler:
                      exclude: set[str]) -> PooledDevice | None:
         """Least-loaded device the health monitor allows at its start
         time; ``None`` when none is (every circuit cooling down, every
-        device quarantined).  ``exclude`` holds devices that already
-        failed this chunk -- preferred away from, but allowed again
-        when they are all that is left."""
-        def candidates(skip_excluded: bool) -> list[tuple[float, int]]:
+        device quarantined).  Devices free at the same start tie-break
+        to the one idle longest (lowest clock), then pool order, so
+        one-chunk jobs spread over the pool instead of piling onto its
+        first device.  ``exclude`` holds devices that already failed
+        this chunk -- preferred away from, but allowed again when they
+        are all that is left."""
+        def candidates(skip_excluded: bool
+                       ) -> list[tuple[float, float, int]]:
             out = []
             for i, dev in enumerate(self.pool):
                 if skip_excluded and dev.name in exclude:
                     continue
-                start = max(self._clock[dev.name], frontier_ms)
+                clock = self._clock[dev.name]
+                start = max(clock, frontier_ms)
                 if self.health.allows(dev.name, start):
-                    out.append((start, i))
+                    out.append((start, clock, i))
             return out
 
         picks = candidates(True) or candidates(False)
         if not picks:
             return None
-        start, i = min(picks)
+        start, _, i = min(picks)
         device = self.pool[i]
         self.health.admit(device.name, start)
         return device
@@ -352,19 +385,33 @@ class BatchScheduler:
                                        rng=rng, cap_s=self.backoff_cap_ms)
 
     def _degrade(self, job: SolveJob, chunk_id: int, reason: str,
-                 attempts: list[ChunkAttempt], frontier_ms: float
+                 attempts: list[ChunkAttempt], frontier_ms: float,
+                 missed: tuple[np.ndarray, np.ndarray] | None = None
                  ) -> tuple[ChunkRecord, np.ndarray]:
         """Run one chunk down the CPU chain (never raises: a chunk the
-        chain cannot vouch for is reported ``failed``, not thrown)."""
+        chain cannot vouch for is reported ``failed``, not thrown),
+        starting no earlier than ``frontier_ms``.
+
+        ``missed`` is ``(x, passed)`` of a GPU launch that missed the
+        per-system residual gate: its passing rows keep the GPU result,
+        and only the failing rows go down the chain and are charged.
+        """
         sub = job.chunk_systems(chunk_id)
+        if missed is None:
+            cpu, rows = sub, slice(None)
+            x = np.empty(sub.shape, dtype=np.float64)
+        else:
+            rows = np.flatnonzero(~missed[1])
+            cpu = sub.take(rows)
+            x = np.array(missed[0], dtype=np.float64)
         with telemetry.span("serve.degrade", job=job.job_id,
                             chunk=chunk_id, reason=reason):
-            report = robust_solve(sub.a, sub.b, sub.c, sub.d,
+            report = robust_solve(cpu.a, cpu.b, cpu.c, cpu.d,
                                   chain=job.cpu_chain, engine="numpy",
                                   residual_tol=job.residual_tol,
                                   check_finite=False,
                                   raise_on_failure=False)
-        cost = sub.num_systems * sub.n * CPU_NS_PER_UNKNOWN * 1e-6
+        cost = cpu.num_systems * cpu.n * CPU_NS_PER_UNKNOWN * 1e-6
         start = max(self._cpu_clock, frontier_ms)
         end = start + cost
         self._cpu_clock = end
@@ -375,7 +422,7 @@ class BatchScheduler:
         emit(SERVE_CHUNK_LATENCY, cost, cls=job.slo_class, device="cpu")
         telemetry.event("serve.chunk_degraded", job=job.job_id,
                         chunk=chunk_id, reason=reason, status=status)
-        x = np.asarray(np.atleast_2d(report.x), dtype=np.float64)
+        x[rows] = np.atleast_2d(report.x)
         record = ChunkRecord(chunk_id=chunk_id, status=status, device="cpu",
                              attempts=attempts, start_ms=start, end_ms=end,
                              modeled_ms=cost, digest=digest_array(x))
@@ -479,7 +526,8 @@ class BatchScheduler:
                 failed_on.add(device.name)
                 continue
 
-            if bool(np.all(_relative_residuals(sub, x) <= job.residual_tol)):
+            passed = _relative_residuals(sub, x) <= job.residual_tol
+            if bool(np.all(passed)):
                 primary = _Launched(device.name, start, cost,
                                     (cost / est) if est > 0 else None, x)
                 hedge = None
@@ -491,14 +539,16 @@ class BatchScheduler:
                                             frontier_ms)
                 return self._settle_race(job, chunk_id, sub, est, primary,
                                          hedge, attempts)
-            # Charge the modeled time and hand the chunk to the CPU
-            # chain (which re-gates per system) instead of burning
+            # Charge the modeled time and hand the failing systems to
+            # the CPU chain (which re-gates them) instead of burning
             # retries on a device that may well be healthy.
             self._residual_miss(device.name, start + cost)
             attempts.append(ChunkAttempt(
                 device=device.name, outcome="residual", modeled_ms=cost))
-            degrade_reason = "residual"
-            break
+            # The CPU re-solve needs this launch's result, so it starts
+            # no earlier than the launch ends.
+            return self._degrade(job, chunk_id, "residual", attempts,
+                                 start + cost, missed=(x, passed))
         else:
             degrade_reason = "retries_exhausted"
         return self._degrade(job, chunk_id, degrade_reason, attempts,
@@ -610,7 +660,7 @@ class BatchScheduler:
         unbarriered checkpoint lines are lost exactly as a real kill
         would lose them).
         """
-        self._resolve_auto(job)
+        self.resolve(job)
         restored: dict[int, tuple[ChunkRecord, np.ndarray]] = {}
         path = self._checkpoint_path(job)
         resuming = resume and path is not None and os.path.exists(path)

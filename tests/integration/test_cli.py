@@ -164,6 +164,19 @@ class TestServeCommand:
         out, err = capsys.readouterr()
         assert err == f"error: {path}: unsupported checkpoint version 1\n"
 
+    def test_version_1_shed_ledger_is_one_error_line(self, tmp_path,
+                                                     capsys):
+        """A version-1 shed ledger is refused like a version-1 job
+        checkpoint: one typed ``error:`` line, exit 1, file untouched."""
+        ledger = tmp_path / "frontend_shed.jsonl"
+        ledger.write_text('{"type": "shed_header", "version": 1}\n')
+        assert main(["serve", "--live", "--duration-ms", "2", "--seed",
+                     "3", "--checkpoint", str(tmp_path), "--resume"]) == 1
+        out, err = capsys.readouterr()
+        assert err == (f"error: {ledger}: unsupported shed ledger "
+                       f"version 1\n")
+        assert ledger.read_text() == '{"type": "shed_header", "version": 1}\n'
+
     def test_unmeetable_deadline_rejected(self, capsys):
         rc = main(self.ARGS + ["--deadline-ms", "1e-9"])
         out = capsys.readouterr().out
@@ -191,9 +204,10 @@ class TestServeObservability:
         assert capsys.readouterr().out == first
 
     def test_report_attributes_breaker_trips(self, capsys):
-        assert main(["serve", "--jobs", "2", "--hot", "1",
-                     "--failure-threshold", "2", "--seed", "7",
-                     "--report"]) == 0
+        # 4-system chunks: the trip needs several chunks to reroute.
+        assert main(["serve", "--jobs", "2", "--chunk-size", "4",
+                     "--hot", "1", "--failure-threshold", "2", "--seed",
+                     "7", "--report"]) == 0
         assert "breaker standard: gpu1 tripped x1" in capsys.readouterr().out
 
     def test_live_breaker_count_reads_the_one_registry(self, capsys):

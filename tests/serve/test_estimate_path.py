@@ -33,13 +33,15 @@ class TestServeEstimatePath:
         assert "sim.launches" not in col.metrics.snapshot()["counters"]
 
     def test_estimate_matches_estimator_directly(self):
+        """The job estimate is the idle pool's makespan: one chunk
+        price per round of one chunk on each of the 2 devices."""
         from repro.gpusim.estimator import estimate_ms
 
         sched = self._scheduler()
-        job = self._job(n=64, num_systems=8, chunk_size=2)
         per_chunk = estimate_ms("cr", 64, 2)
-        expected = per_chunk * job.num_chunks / len(sched.pool)
-        assert sched.estimate_job_ms(job) == expected
+        for num_systems, rounds in ((2, 1), (6, 2), (8, 2)):
+            job = self._job(n=64, num_systems=num_systems, chunk_size=2)
+            assert sched.estimate_job_ms(job) == per_chunk * rounds
 
     def test_estimate_priced_once_per_shape(self):
         """The scheduler keeps no estimate cache of its own: each chunk

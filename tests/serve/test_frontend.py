@@ -103,10 +103,11 @@ class TestQuota:
         assert fe.dispatch_once().state == "completed"
 
     def test_quota_denial_consumes_nothing(self):
-        # One request's worth of burst: first admitted, second denied,
-        # and the denial leaves the bucket able to refill normally.
+        # One request's worth of burst (a one-chunk request costs about
+        # 0.015 modeled ms): first admitted, second denied, and the
+        # denial leaves the bucket able to refill normally.
         fe = make_frontend(tenants=[
-            TenantSpec("t", quota_rate=0.001, quota_burst=0.01)])
+            TenantSpec("t", quota_rate=0.001, quota_burst=0.02)])
         assert fe.offer(req("r0", tenant="t", at=0.0)) is None
         out = fe.offer(req("r1", tenant="t", at=0.0))
         assert out is not None and out.reason == "quota"

@@ -1,6 +1,7 @@
 """Overload acceptance suite (ISSUE 8).
 
-At sustained ~2x admission capacity the front end must:
+At ``overload_profiles(2.0)`` (twice the admission capacity of
+4-system chunks) the front end must:
 
 * keep interactive p99 within the class objective,
 * shed exclusively by class -- batch before standard, never
@@ -41,14 +42,14 @@ def overload_requests(seed=SEED, horizon_ms=HORIZON_MS, load=LOAD):
 
 
 def run_overload(seed=SEED, *, checkpoint_dir=None, resume=False,
-                 stop_after_jobs=None, horizon_ms=HORIZON_MS):
+                 stop_after_jobs=None, horizon_ms=HORIZON_MS, load=LOAD):
     """One full overload run under the deterministic collector."""
     col = telemetry.deterministic_collector(seed)
     with telemetry.collect(col):
         sched = make_sched(make_pool(2, seed=5), seed=seed,
                            checkpoint_dir=checkpoint_dir)
         fe = ServeFrontend(sched, config=FrontendConfig(), resume=resume)
-        rep = fe.run(overload_requests(seed, horizon_ms),
+        rep = fe.run(overload_requests(seed, horizon_ms, load),
                      stop_after_jobs=stop_after_jobs)
         fe.close()
     return rep, col
@@ -116,14 +117,19 @@ class TestOverloadDeterminism:
 
 
 class TestOverloadResume:
+    #: One-wave chunks serve the 2x mix without shedding in its first
+    #: 60 jobs; at 3x the kill lands after sheds were recorded.
+    LOAD = 3.0
+
     def test_shed_requests_never_readmitted(self, tmp_path):
         ckpt = str(tmp_path / "ckpt")
         partial, _ = run_overload(checkpoint_dir=ckpt,
-                                  stop_after_jobs=60)
+                                  stop_after_jobs=60, load=self.LOAD)
         shed_before = {rid for rid, _, _ in partial.shed_set()}
         assert shed_before, "partial run must have shed something"
 
-        resumed, _ = run_overload(checkpoint_dir=ckpt, resume=True)
+        resumed, _ = run_overload(checkpoint_dir=ckpt, resume=True,
+                                  load=self.LOAD)
         # Every request shed before the kill stays shed -- replayed
         # from the ledger, attributed to the resume stage.
         replayed = {o.request_id: o for o in resumed.shed}
@@ -134,10 +140,12 @@ class TestOverloadResume:
         assert not (shed_before & completed_ids)
 
     def test_resume_completions_match_straight_run(self, tmp_path):
-        straight, _ = run_overload()
+        straight, _ = run_overload(load=self.LOAD)
         ckpt = str(tmp_path / "ckpt")
-        run_overload(checkpoint_dir=ckpt, stop_after_jobs=60)
-        resumed, _ = run_overload(checkpoint_dir=ckpt, resume=True)
+        run_overload(checkpoint_dir=ckpt, stop_after_jobs=60,
+                     load=self.LOAD)
+        resumed, _ = run_overload(checkpoint_dir=ckpt, resume=True,
+                                  load=self.LOAD)
         digest = {o.request_id: o.report.solution_digest()
                   for o in straight.completed}
         for o in resumed.completed:
