@@ -2,10 +2,9 @@
 
 A seeded multi-tenant overload run at ``overload_profiles(2.0)`` (twice
 the capacity of 4-system chunks, about 1.14x the scheduler's estimate
-with one-wave chunks; the same scenario the acceptance suite in
-``tests/serve/test_overload.py`` gates on) is
-measured and gated against the committed baseline in
-``benchmarks/results/overload.json``:
+with one-wave chunks, and less once same-plan requests share launches:
+this seed sheds nothing) is measured and gated against the committed
+baseline in ``benchmarks/results/overload.json``:
 
 * goodput (completed requests / offered requests),
 * shed rate by SLO class (interactive shedding must stay at zero),

@@ -66,7 +66,8 @@ class PlanEntry(LaunchResult):
     choose: the cost model keys the grid report by ``("report", params,
     num_blocks)`` (:meth:`CostModel.plan_report
     <repro.gpusim.costmodel.CostModel.plan_report>`) and its resolved
-    ``model.*`` writes by ``("model", params, num_blocks, solver)``;
+    ``model.*`` writes by ``("model", params, num_blocks, solver)``,
+    :func:`estimate_ms` its total by ``("ms", params, num_blocks)``;
     the telemetry collector keys a launch's resolved ``sim.*`` writes
     by ``("sim", kernel)``.  Entries are shared: treat every derived
     value as read-only.
@@ -113,12 +114,18 @@ def characterize(plan) -> PlanEntry:
     return hit
 
 
+#: kernels.api.plan_launch, bound on first use (kernels import gpusim).
+_plan_launch = None
+
+
 def _plan(method: str, n: int, num_systems: int, intermediate_size,
           device: DeviceSpec, layout: str):
-    from repro.kernels.api import plan_launch  # kernels import gpusim
-    return plan_launch(method, n, num_systems,
-                       intermediate_size=intermediate_size, device=device,
-                       layout=layout)
+    global _plan_launch
+    if _plan_launch is None:
+        from repro.kernels.api import plan_launch as _plan_launch
+    return _plan_launch(method, n, num_systems,
+                        intermediate_size=intermediate_size, device=device,
+                        layout=layout)
 
 
 def analytic_launch(method: str, n: int, *,
@@ -151,18 +158,20 @@ def estimate_report(method: str, n: int, num_systems: int, *,
     """Analytic :class:`TimingReport` for a ``num_systems x n`` grid:
     the plan's memoized price (:meth:`CostModel.plan_report`, the one
     a planned launch of it is charged), without telemetry."""
-    return _priced(method, n, num_systems, intermediate_size, device,
-                   cost_model, layout).copy()
+    cost_model, entry, blocks = _grid(method, n, num_systems,
+                                      intermediate_size, device, cost_model,
+                                      layout)
+    return cost_model.plan_report(entry, blocks).copy()
 
 
-def _priced(method, n, num_systems, intermediate_size, device, cost_model,
-            layout) -> TimingReport:
-    """The memo entry's shared report for the grid (read-only)."""
+def _grid(method, n, num_systems, intermediate_size, device, cost_model,
+          layout) -> tuple[CostModel, PlanEntry, int]:
+    """``(cost model, memo entry, block count)`` of a grid."""
     if cost_model is None:
         from .gt200 import gt200_cost_model
         cost_model = gt200_cost_model()
     plan = _plan(method, n, num_systems, intermediate_size, device, layout)
-    return cost_model.plan_report(characterize(plan), plan.num_blocks)
+    return cost_model, characterize(plan), plan.num_blocks
 
 
 def estimate_ms(method: str, n: int, num_systems: int, *,
@@ -170,9 +179,14 @@ def estimate_ms(method: str, n: int, num_systems: int, *,
                 device: DeviceSpec = GTX280,
                 cost_model: CostModel | None = None,
                 layout: str = "sequential") -> float:
-    """Modeled solver milliseconds for a grid, via the analytic path."""
-    return _priced(method, n, num_systems, intermediate_size, device,
-                   cost_model, layout).total_ms
+    """Modeled solver milliseconds for a grid, via the analytic path:
+    the memo entry keeps its grid report's total, so a repeated shape
+    is priced by a dict read."""
+    cost_model, entry, blocks = _grid(method, n, num_systems,
+                                      intermediate_size, device, cost_model,
+                                      layout)
+    return entry.derive(("ms", cost_model.params, blocks),
+                        lambda: cost_model.plan_report(entry, blocks).total_ms)
 
 
 def closed_form_counters(method: str, n: int) -> dict[str, int]:

@@ -66,13 +66,18 @@ _RD_FAMILY = frozenset({"rd", "cr_rd"})
 
 
 def _relative_residuals(sub: TridiagonalSystems, x: np.ndarray) -> np.ndarray:
-    """Per-system relative residual, ``inf`` for non-finite rows."""
-    dn = np.linalg.norm(sub.d.astype(np.float64), axis=1)
-    dn = np.where(dn == 0, 1.0, dn)
+    """Per-system float64 ``||A x - d|| / ||d||`` (a zero ``||d||``
+    reads as 1), ``inf`` for non-finite rows.  ``d`` is widened inside
+    the squaring, not copied; a non-finite ``x`` entry needs no pass of
+    its own, as its ``b * x`` term makes the row's residual non-finite.
+    """
+    dd = np.add.reduce(np.multiply(sub.d, sub.d, dtype=np.float64), axis=1)
+    dd[dd == 0] = 1.0
     with np.errstate(all="ignore"):
-        rel = sub.residual(x) / dn
-    rel = np.where(np.isfinite(rel), rel, np.inf)
-    return np.where(np.isfinite(x).all(axis=1), rel, np.inf)
+        rel = sub.residual(x)
+        rel /= np.sqrt(dd)
+    rel[~np.isfinite(rel)] = np.inf
+    return rel
 
 
 def _run_method(method: str, sub: TridiagonalSystems, engine: str,

@@ -249,6 +249,8 @@ class ServeFrontend:
         for cls in DEFAULT_CLASSES:
             self._queues[cls.name] = WeightedFairQueue()
         self._handoff: deque[_Pending] = deque()
+        #: Outcomes of fused requests, for the next dispatch_once calls.
+        self._fused: deque[RequestOutcome] = deque()
         self._resume = resume
         self._stop_after = stop_after
         self.outcomes: dict[str, RequestOutcome] = {}
@@ -471,15 +473,25 @@ class ServeFrontend:
 
     def dispatch_once(self) -> RequestOutcome | None:
         """Run the next pending request to completion; ``None`` when
-        nothing is pending."""
+        nothing is pending.  Hand-off requests that share its launch
+        (:meth:`BatchScheduler.run_job`) finish with it, stop counting
+        as pending, and are returned by the next calls, one per call
+        in pick order, without a launch."""
+        if self._fused:
+            return self._fused.popleft()
         self._fill_handoff()
         if not self._handoff:
             return None
         pend = self._handoff.popleft()
-        report = self.scheduler.run_job(pend.job, resume=self._resume,
-                                        stop_after=self._stop_after)
+        report = self.scheduler.run_job(
+            pend.job, resume=self._resume, stop_after=self._stop_after,
+            mates=[p.job for p in self._handoff])
+        mates = [self._handoff.popleft() for _ in report.mates]
         emit(FRONTEND_DEPTH, self.pending)
-        return self._finish(pend, report)
+        out = self._finish(pend, report)
+        self._fused.extend(self._finish(p, r)
+                           for p, r in zip(mates, report.mates))
+        return out
 
     # -- open-loop run -------------------------------------------------
 
@@ -505,14 +517,14 @@ class ServeFrontend:
         served = 0
         next_tick = (self.now_ms + live_every_ms
                      if live_every_ms else None)
-        while i < len(events) or self.pending:
+        while i < len(events) or self.pending or self._fused:
             # Idle, also take the next arrival batch (it waits for it).
-            horizon = self.now_ms if self.pending else max(
+            horizon = self.now_ms if self.pending or self._fused else max(
                 self.now_ms, events[i].arrival_ms)
             while i < len(events) and events[i].arrival_ms <= horizon:
                 self.offer(events[i])
                 i += 1
-            if not self.pending:
+            if not (self.pending or self._fused):
                 continue
             self.dispatch_once()
             served += 1

@@ -53,7 +53,7 @@ on load so a resumed scheduler sees the same pool membership.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from repro import telemetry
 from repro.gpusim.faults import LAUNCH_FAIL_PENALTY_MS, GpuFault, inject
@@ -161,8 +161,9 @@ class DeviceHealth:
         return max(0.0, 1.0 - 0.6 * fault_pen - 0.4 * ratio_pen)
 
     def to_dict(self) -> dict:
-        """JSON-ready dynamic state: every field but the name."""
-        d = asdict(self)
+        """JSON-ready dynamic state: every field but the name (a
+        shallow copy: every checkpoint barrier takes one per device)."""
+        d = dict(vars(self), open_times=list(self.open_times))
         del d["name"]
         return d
 

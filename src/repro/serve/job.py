@@ -256,6 +256,10 @@ class JobReport:
     #: Trace-context id linking every span of this job's lifecycle
     #: (None when telemetry was disabled during the run).
     trace_id: str | None = None
+    #: Reports of the jobs that ran fused into this job's launch, in
+    #: the order they were offered (see
+    #: :meth:`~repro.serve.scheduler.BatchScheduler.run_job`).
+    mates: list[JobReport] = field(default_factory=list, repr=False)
 
     @property
     def num_chunks(self) -> int:

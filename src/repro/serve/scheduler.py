@@ -54,8 +54,8 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import nullcontext
-from dataclasses import dataclass
+from contextlib import ExitStack, nullcontext
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,6 +66,7 @@ from repro.gpusim.gt200 import gt200_cost_model
 from repro.gpusim.pool import DevicePool, PooledDevice, derive_seed
 from repro.kernels.api import plan_launch, run_kernel
 from repro.resilience.pipeline import _relative_residuals, robust_solve
+from repro.solvers.systems import TridiagonalSystems
 from repro.telemetry.metrics import (CHUNK_RETRIES, CHUNKS_TOTAL,
                                      COST_RESIDUAL, DEADLINE_MISSES,
                                      DEGRADED_TOTAL, HEDGES_TOTAL,
@@ -101,6 +102,25 @@ class _Launched:
     @property
     def end(self) -> float:
         return self.start + self.cost
+
+
+@dataclass
+class _JobRun:
+    """One job's bookkeeping inside :meth:`BatchScheduler.run_job`."""
+
+    job: SolveJob
+    writer: CheckpointWriter | None
+    ready: float                  #: commit-and-arrival (or restored) ms
+    arrival: float | None
+    start: float                  #: the job's start on the modeled clock
+    trace_id: str | None
+    root_id: int | None
+    x: np.ndarray
+    chunks: list[ChunkRecord] = field(default_factory=list)
+    outcome: str = "ok"           #: until a deadline or stop_after
+    since_barrier: int = 0
+    computed: int = 0
+    wall_start: float = field(default_factory=time.monotonic)
 
 
 def _residual_layout(job: SolveJob) -> str:
@@ -253,20 +273,24 @@ class BatchScheduler:
         self.resolve(job)
         return self._chunk_ms(job) * -(-job.num_chunks // len(self.pool))
 
-    def _chunk_ms(self, job: SolveJob) -> float:
-        """One chunk's analytic price: the plan's memo entry, which a
-        planned launch of the chunk is charged from too."""
-        return estimate_ms(job.method, job.systems.n, job.chunk_size,
+    def _chunk_ms(self, job: SolveJob, num_systems: int | None = None
+                  ) -> float:
+        """The analytic price of one launch of ``num_systems`` (default:
+        one chunk) of ``job``'s plan: the plan's memo entry, which a
+        planned launch of that shape is charged from too."""
+        return estimate_ms(job.method, job.systems.n,
+                           num_systems or job.chunk_size,
                            intermediate_size=job.intermediate_size,
                            cost_model=self._cost_model, layout=job.layout)
 
-    def _chunk_estimate_ms(self, job: SolveJob) -> float:
-        """Modeled estimate for one chunk of ``job`` (the unit the
-        cost-residual telemetry compares realized chunk costs
+    def _chunk_estimate_ms(self, job: SolveJob,
+                           num_systems: int | None = None) -> float:
+        """Modeled estimate for one launch of ``job`` (the unit the
+        cost-residual telemetry compares realized launch costs
         against)."""
         with telemetry.span("serve.estimate", job=job.job_id,
                             method=job.method):
-            return self._chunk_ms(job)
+            return self._chunk_ms(job, num_systems)
 
     # -- trace context --------------------------------------------------
 
@@ -384,19 +408,20 @@ class BatchScheduler:
         return _faults.retry_backoff_s(attempt, self.backoff_base_ms,
                                        rng=rng, cap_s=self.backoff_cap_ms)
 
-    def _degrade(self, job: SolveJob, chunk_id: int, reason: str,
-                 attempts: list[ChunkAttempt], frontier_ms: float,
+    def _degrade(self, jobs: list[SolveJob], chunk_id: int, sub,
+                 reason: str, attempts: list[ChunkAttempt],
+                 frontier_ms: float,
                  missed: tuple[np.ndarray, np.ndarray] | None = None
-                 ) -> tuple[ChunkRecord, np.ndarray]:
-        """Run one chunk down the CPU chain (never raises: a chunk the
-        chain cannot vouch for is reported ``failed``, not thrown),
-        starting no earlier than ``frontier_ms``.
+                 ) -> list[tuple[ChunkRecord, np.ndarray]]:
+        """Run one launch's systems ``sub`` down the CPU chain (never
+        raises: a chunk the chain cannot vouch for is ``failed``, not
+        thrown), starting no earlier than ``frontier_ms``.
 
         ``missed`` is ``(x, passed)`` of a GPU launch that missed the
         per-system residual gate: its passing rows keep the GPU result,
         and only the failing rows go down the chain and are charged.
         """
-        sub = job.chunk_systems(chunk_id)
+        job = jobs[0]
         if missed is None:
             cpu, rows = sub, slice(None)
             x = np.empty(sub.shape, dtype=np.float64)
@@ -423,10 +448,33 @@ class BatchScheduler:
         telemetry.event("serve.chunk_degraded", job=job.job_id,
                         chunk=chunk_id, reason=reason, status=status)
         x[rows] = np.atleast_2d(report.x)
+        rejected = np.zeros(sub.num_systems, dtype=bool)
+        rejected[rows] = [not s.accepted for s in report.systems]
         record = ChunkRecord(chunk_id=chunk_id, status=status, device="cpu",
                              attempts=attempts, start_ms=start, end_ms=end,
-                             modeled_ms=cost, digest=digest_array(x))
-        return record, x
+                             modeled_ms=cost)
+        return self._share(jobs, record, x, rejected)
+
+    @staticmethod
+    def _share(jobs: list[SolveJob], record: ChunkRecord, x: np.ndarray,
+               rejected: np.ndarray | None = None
+               ) -> list[tuple[ChunkRecord, np.ndarray]]:
+        """Each job's share of one launch: the launch's record with its
+        own rows' digest, ``failed`` only if one of its rows was."""
+        if len(jobs) == 1:
+            record.digest = digest_array(x)
+            return [(record, x)]
+        out, lo = [], 0
+        for job in jobs:
+            hi = lo + job.systems.num_systems
+            status = record.status
+            if status == "failed" and not rejected[lo:hi].any():
+                status = "degraded"
+            out.append((replace(record, status=status,
+                                attempts=list(record.attempts),
+                                digest=digest_array(x[lo:hi])), x[lo:hi]))
+            lo = hi
+        return out
 
     def _advance(self, device: str, end_ms: float,
                  busy_until_ms: float | None = None) -> None:
@@ -486,15 +534,27 @@ class BatchScheduler:
         self._advance(device, end_ms)
         self.health.observe_attempt(device, RESIDUAL, now_ms=end_ms)
 
-    def _run_chunk(self, job: SolveJob, chunk_id: int, frontier_ms: float
-                   ) -> tuple[ChunkRecord, np.ndarray]:
-        """One chunk through the full contract: readmit, place, retry,
-        reroute, hedge, gate, degrade."""
-        sub = job.chunk_systems(chunk_id)
+    def _run_chunk(self, jobs: list[SolveJob], chunk_id: int,
+                   frontier_ms: float
+                   ) -> list[tuple[ChunkRecord, np.ndarray]]:
+        """One launch through the full contract: readmit, place, retry,
+        reroute, hedge, gate, degrade.  It runs chunk ``chunk_id`` of
+        ``jobs[0]``, followed by any fused mates (:meth:`run_job`), at
+        the lead's fault and telemetry coordinates; one ``(record,
+        rows)`` per job."""
+        job = jobs[0]
+        if len(jobs) == 1:
+            sub, tag, size = job.chunk_systems(chunk_id), {}, None
+        else:
+            sub = TridiagonalSystems(*(
+                np.concatenate([getattr(j.systems, k) for j in jobs])
+                for k in "abcd"))
+            tag = {"jobs": [j.job_id for j in jobs]}
+            size = sub.num_systems
         # Chunk boundaries are the readmission points: quarantined
         # devices that served their dwell run their canary round here.
         self.health.maybe_readmit(self._now_ms, self._clock)
-        est = self._chunk_estimate_ms(job)
+        est = self._chunk_estimate_ms(job, size)
         attempts: list[ChunkAttempt] = []
         failed_on: set[str] = set()
         degrade_reason = "no_healthy_device"
@@ -508,7 +568,7 @@ class BatchScheduler:
                                    at_ms=start)
             outcome, x, cost = self._launch(
                 job, sub, device, plan, "serve.attempt", chunk=chunk_id,
-                attempt=attempt, device=device.name)
+                attempt=attempt, device=device.name, **tag)
             if outcome != "ok":
                 # A fault backs off with seeded jitter before the
                 # retry; a watchdog kill frees the device at once.
@@ -536,9 +596,9 @@ class BatchScheduler:
                         and primary.ratio >= self.hedge_ratio):
                     hedge = self._try_hedge(job, chunk_id, attempt, sub,
                                             est, device.name, failed_on,
-                                            frontier_ms)
-                return self._settle_race(job, chunk_id, sub, est, primary,
-                                         hedge, attempts)
+                                            frontier_ms, tag)
+                return self._share(jobs, *self._settle_race(
+                    job, chunk_id, sub, est, primary, hedge, attempts))
             # Charge the modeled time and hand the failing systems to
             # the CPU chain (which re-gates them) instead of burning
             # retries on a device that may well be healthy.
@@ -547,18 +607,19 @@ class BatchScheduler:
                 device=device.name, outcome="residual", modeled_ms=cost))
             # The CPU re-solve needs this launch's result, so it starts
             # no earlier than the launch ends.
-            return self._degrade(job, chunk_id, "residual", attempts,
+            return self._degrade(jobs, chunk_id, sub, "residual", attempts,
                                  start + cost, missed=(x, passed))
         else:
             degrade_reason = "retries_exhausted"
-        return self._degrade(job, chunk_id, degrade_reason, attempts,
+        return self._degrade(jobs, chunk_id, sub, degrade_reason, attempts,
                              frontier_ms)
 
     # -- hedged execution -----------------------------------------------
 
     def _try_hedge(self, job: SolveJob, chunk_id: int, attempt: int,
                    sub, est: float, primary: str, failed_on: set[str],
-                   frontier_ms: float) -> _Launched | ChunkAttempt | None:
+                   frontier_ms: float, tag: dict
+                   ) -> _Launched | ChunkAttempt | None:
         """Launch a hedge for a slow-but-successful primary attempt.
 
         Returns ``None`` when no healthy device is free, the hedge's
@@ -577,7 +638,8 @@ class BatchScheduler:
                         device=dev.name, primary=primary)
         outcome, x, cost = self._launch(job, sub, dev, plan,
                                         "serve.hedge_attempt",
-                                        chunk=chunk_id, device=dev.name)
+                                        chunk=chunk_id, device=dev.name,
+                                        **tag)
         if outcome != "ok":
             # No backoff: a failed hedge is never retried.
             self._device_failure(job, dev.name, start, outcome, cost)
@@ -645,13 +707,135 @@ class BatchScheduler:
         record = ChunkRecord(
             chunk_id=chunk_id, status="ok", device=win.device,
             attempts=attempts, start_ms=min(primary.start, win.start),
-            end_ms=end, modeled_ms=win.cost, digest=digest_array(x64))
+            end_ms=end, modeled_ms=win.cost)
         return record, x64
 
     # -- the job loop ---------------------------------------------------
 
+    @staticmethod
+    def _plan_key(job: SolveJob) -> tuple:
+        """What a launch of ``job`` is planned, gated and degraded by."""
+        return (job.method, job.layout, job.systems.n, job.systems.dtype,
+                job.intermediate_size, job.residual_tol, job.cpu_chain)
+
+    def _resume_state(self, job: SolveJob, resume: bool) -> ResumeState:
+        path = self._checkpoint_path(job)
+        if resume and path is not None and os.path.exists(path):
+            return load_checkpoint(path, job)
+        return ResumeState()
+
+    def _fusable(self, job: SolveJob, start: float, mates, resume: bool
+                 ) -> list[tuple[SolveJob, ResumeState]]:
+        """The longest prefix of ``mates`` that can share one-chunk
+        ``job``'s launch at ``start``: one-chunk jobs of its plan,
+        committed by then, nothing to restore, all in one wave."""
+        out: list[tuple[SolveJob, ResumeState]] = []
+        total = job.systems.num_systems
+        for mate in mates if job.num_chunks == 1 else ():
+            self.resolve(mate)
+            total += mate.systems.num_systems
+            if (mate.num_chunks != 1
+                    or self._plan_key(mate) != self._plan_key(job)
+                    or self._committed.get(mate.job_id, (start,))[0] > start
+                    or total > self._wave(job, total)):
+                break
+            state = self._resume_state(mate, resume)
+            if state.after_chunk >= 0:
+                break
+            out.append((mate, state))
+        return out
+
+    def _open(self, job: SolveJob, state: ResumeState, resume: bool
+              ) -> _JobRun:
+        """Start ``job``'s run: checkpoint, modeled start and trace."""
+        path = self._checkpoint_path(job)
+        writer = (CheckpointWriter(path, job, resume=resume)
+                  if path is not None else None)
+        ready, arrival = self._committed.pop(job.job_id, (self._now_ms, None))
+        if state.after_chunk >= 0:
+            # Resume on the job's own timeline: the suffix is placed,
+            # clocked and deadline-checked from the original start.
+            self._restore(state)
+            ready, start = state.ready_ms, state.start_ms
+        else:
+            # The frontier waits for the job's commit and arrival.
+            start = self._now_ms = max(self._now_ms, ready)
+        trace_id, root = self._trace_context(job)
+        self.slo.record_queue_wait(job.slo_class, start - ready)
+        return _JobRun(job, writer, ready, arrival, start, trace_id,
+                       root.record.span_id if root is not None else None,
+                       np.zeros(job.systems.shape, dtype=np.float64))
+
+    def _chunk_done(self, run: _JobRun, chunk_id: int, record: ChunkRecord,
+                    x: np.ndarray, stop_after: int | None) -> bool:
+        """Book one computed chunk of ``run`` under the deadline and stop
+        rules, and persist it at a barrier (every ``checkpoint_every``
+        chunks and at a clean finish); ``True`` when the job stops."""
+        job = run.job
+        run.x[job.chunk_indices(chunk_id)] = x
+        run.chunks.append(record)
+        run.computed += 1
+        run.since_barrier += 1
+        elapsed = self._now_ms - run.start
+        if job.deadline_ms is not None and elapsed > job.deadline_ms:
+            run.outcome = "deadline"
+            emit(DEADLINE_MISSES, job=job.job_id)
+            telemetry.event("serve.deadline_miss", job=job.job_id,
+                            elapsed_ms=elapsed, deadline_ms=job.deadline_ms)
+        elif (job.wall_deadline_s is not None
+              and time.monotonic() - run.wall_start > job.wall_deadline_s):
+            run.outcome = "deadline"
+            emit(DEADLINE_MISSES, job=job.job_id)
+        elif stop_after is not None and run.computed >= stop_after:
+            run.outcome = "stopped"
+        if run.writer is not None:
+            run.writer.add_chunk(record, x)
+            if (run.since_barrier >= self.checkpoint_every
+                    or (run.outcome == "ok"
+                        and chunk_id == job.num_chunks - 1)):
+                run.writer.barrier(
+                    chunk_id, start_ms=run.start, ready_ms=run.ready,
+                    now_ms=self._now_ms, device_clocks=dict(self._clock),
+                    cpu_clock_ms=self._cpu_clock,
+                    health=self.health.state_dict())
+                run.since_barrier = 0
+        return run.outcome != "ok"
+
+    def _close(self, run: _JobRun) -> JobReport:
+        """Finish ``run``: checkpoint, SLO record, trace and report."""
+        job = run.job
+        if run.writer is not None:
+            run.writer.close()
+        completed = run.outcome == "ok"
+        if completed and any(c.status == "failed" for c in run.chunks):
+            run.outcome = "failed"
+        report = JobReport(
+            job_id=job.job_id, x=run.x, chunks=run.chunks,
+            deadline_ms=job.deadline_ms,
+            makespan_ms=self._now_ms - run.start,
+            completed=completed,
+            deadline_met=(run.outcome != "deadline"),
+            outcome=run.outcome,
+            slo_class=job.slo_class,
+            tenant=job.tenant,
+            queue_wait_ms=run.start - run.ready,
+            trace_id=run.trace_id)
+        slack = (job.deadline_ms - report.makespan_ms
+                 if job.deadline_ms is not None else None)
+        since = run.start if run.arrival is None else run.arrival
+        self.slo.record_job(job.slo_class, self._now_ms - since, run.outcome,
+                            deadline_slack_ms=slack, tenant=job.tenant)
+        emit(SERVE_LATENCY, report.makespan_ms, cls=job.slo_class)
+        telemetry.event("serve.job_done", job=job.job_id,
+                        outcome=run.outcome,
+                        makespan_ms=report.makespan_ms,
+                        degraded=len(report.degraded_chunks),
+                        retries=report.total_retries)
+        self._close_trace(job.job_id)
+        return report
+
     def run_job(self, job: SolveJob, *, resume: bool = False,
-                stop_after: int | None = None) -> JobReport:
+                stop_after: int | None = None, mates=()) -> JobReport:
         """Run one job to completion (or deadline/stop).
 
         ``resume=True`` restores any existing checkpoint for the job
@@ -659,120 +843,50 @@ class BatchScheduler:
         chaos suite's seam for simulating a killed run -- buffered,
         unbarriered checkpoint lines are lost exactly as a real kill
         would lose them).
+
+        ``mates`` are further committed jobs in pick order; those that
+        may share ``job``'s launch (:meth:`_fusable`) run fused with it
+        as one chunk through :meth:`_run_chunk`, each keeping its own
+        chunk record, checkpoint, SLO record and trace.  Their reports
+        are the returned report's ``mates``.
         """
         self.resolve(job)
-        restored: dict[int, tuple[ChunkRecord, np.ndarray]] = {}
-        path = self._checkpoint_path(job)
-        resuming = resume and path is not None and os.path.exists(path)
-        state = load_checkpoint(path, job) if resuming else ResumeState()
-
-        writer = (CheckpointWriter(path, job, resume=resuming)
-                  if path is not None else None)
-        x_out = np.zeros(job.systems.shape, dtype=np.float64)
-        chunks: list[ChunkRecord] = []
-        ready, arrival = self._committed.pop(job.job_id, (self._now_ms, None))
-        if state.after_chunk >= 0:
-            # Resume on the job's own timeline: the suffix is placed,
-            # clocked and deadline-checked from the original start.
-            self._restore(state)
-            restored = state.chunks
-            ready, job_start = state.ready_ms, state.start_ms
-        else:
-            # The frontier waits for the job's commit and arrival.
-            job_start = self._now_ms = max(self._now_ms, ready)
-        trace_id, root = self._trace_context(job)
-        root_id = root.record.span_id if root is not None else None
-        queue_wait = job_start - ready
-        self.slo.record_queue_wait(job.slo_class, queue_wait)
-        wall_start = time.monotonic()
-        outcome = "ok"
-        completed = True
-        since_barrier = 0
-        computed = 0
-
-        def barrier(after_chunk: int) -> None:
-            if writer is not None:
-                writer.barrier(
-                    after_chunk, start_ms=job_start, ready_ms=ready,
-                    now_ms=self._now_ms, device_clocks=dict(self._clock),
-                    cpu_clock_ms=self._cpu_clock,
-                    health=self.health.state_dict())
-
-        with telemetry.trace_span("serve.job", trace_id=trace_id,
-                                  parent_id=root_id, job=job.job_id,
-                                  cls=job.slo_class,
-                                  num_systems=job.systems.num_systems,
-                                  n=job.systems.n, chunks=job.num_chunks):
+        state = self._resume_state(job, resume)
+        fused = []
+        if state.after_chunk < 0:
+            ready = self._committed.get(job.job_id, (self._now_ms,))[0]
+            fused = self._fusable(job, max(self._now_ms, ready), mates,
+                                  resume)
+        group = [self._open(j, st, resume) for j, st in [(job, state), *fused]]
+        lead = group[0]
+        size = ({"launch_systems": sum(r.job.systems.num_systems
+                                       for r in group)} if fused else {})
+        with ExitStack() as spans:
+            for run in group:
+                spans.enter_context(telemetry.trace_span(
+                    "serve.job", trace_id=run.trace_id,
+                    parent_id=run.root_id, detached=run is not lead,
+                    job=run.job.job_id, cls=run.job.slo_class,
+                    num_systems=run.job.systems.num_systems,
+                    n=run.job.systems.n, chunks=run.job.num_chunks, **size))
             for chunk_id in range(job.num_chunks):
-                if chunk_id in restored:
-                    record, x = restored[chunk_id]
+                if chunk_id in state.chunks:
+                    record, x = state.chunks[chunk_id]
                     record.status = "restored"
-                    x_out[job.chunk_indices(chunk_id)] = x
-                    chunks.append(record)
+                    lead.x[job.chunk_indices(chunk_id)] = x
+                    lead.chunks.append(record)
                     emit(CHUNKS_TOTAL, device=record.device,
                          status="restored")
                     continue
                 with telemetry.span("serve.chunk", job=job.job_id,
                                     chunk=chunk_id):
-                    record, x = self._run_chunk(job, chunk_id, job_start)
-                x_out[job.chunk_indices(chunk_id)] = x
-                chunks.append(record)
-                computed += 1
-                since_barrier += 1
-                if writer is not None:
-                    writer.add_chunk(record, x)
-                if since_barrier >= self.checkpoint_every:
-                    barrier(chunk_id)
-                    since_barrier = 0
-                elapsed = self._now_ms - job_start
-                if (job.deadline_ms is not None
-                        and elapsed > job.deadline_ms):
-                    outcome, completed = "deadline", False
-                    emit(DEADLINE_MISSES, job=job.job_id)
-                    telemetry.event("serve.deadline_miss", job=job.job_id,
-                                    elapsed_ms=elapsed,
-                                    deadline_ms=job.deadline_ms)
+                    done = self._run_chunk([r.job for r in group], chunk_id,
+                                           lead.start)
+                stops = [self._chunk_done(run, chunk_id, record, x,
+                                          stop_after)
+                         for run, (record, x) in zip(group, done)]
+                if stops[0]:
                     break
-                if (job.wall_deadline_s is not None
-                        and time.monotonic() - wall_start
-                        > job.wall_deadline_s):
-                    outcome, completed = "deadline", False
-                    emit(DEADLINE_MISSES, job=job.job_id)
-                    break
-                if stop_after is not None and computed >= stop_after:
-                    outcome, completed = "stopped", False
-                    break
-            else:
-                # Clean completion: persist the final (possibly
-                # partial-interval) block.
-                if since_barrier and job.num_chunks:
-                    barrier(job.num_chunks - 1)
-        if writer is not None:
-            writer.close()
-
-        if completed and any(c.status == "failed" for c in chunks):
-            outcome = "failed"
-        report = JobReport(
-            job_id=job.job_id, x=x_out, chunks=chunks,
-            deadline_ms=job.deadline_ms,
-            makespan_ms=self._now_ms - job_start,
-            completed=completed,
-            deadline_met=(outcome != "deadline"),
-            outcome=outcome,
-            slo_class=job.slo_class,
-            tenant=job.tenant,
-            queue_wait_ms=queue_wait,
-            trace_id=trace_id)
-        slack = (job.deadline_ms - report.makespan_ms
-                 if job.deadline_ms is not None else None)
-        since = job_start if arrival is None else arrival
-        self.slo.record_job(job.slo_class, self._now_ms - since, outcome,
-                            deadline_slack_ms=slack, tenant=job.tenant)
-        emit(SERVE_LATENCY, report.makespan_ms, cls=job.slo_class)
-        telemetry.event("serve.job_done", job=job.job_id,
-                        outcome=outcome,
-                        makespan_ms=report.makespan_ms,
-                        degraded=len(report.degraded_chunks),
-                        retries=report.total_retries)
-        self._close_trace(job.job_id)
+        report = self._close(lead)
+        report.mates = [self._close(run) for run in group[1:]]
         return report

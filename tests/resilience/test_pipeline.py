@@ -207,3 +207,35 @@ class TestTelemetryIntegration:
         assert not telemetry.enabled()
         report = robust_solve(s.a, s.b, s.c, s.d)
         assert report.all_accepted
+
+
+class TestResidualGate:
+    @staticmethod
+    def reference(sub, x):
+        """The gate as first written: a float64 copy of ``d`` and an
+        explicit non-finite pass over ``x``."""
+        dn = np.linalg.norm(sub.d.astype(np.float64), axis=1)
+        dn = np.where(dn == 0, 1.0, dn)
+        with np.errstate(all="ignore"):
+            rel = sub.residual(x) / dn
+        rel = np.where(np.isfinite(rel), rel, np.inf)
+        return np.where(np.isfinite(x).all(axis=1), rel, np.inf)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_reference(self, dtype):
+        from repro.resilience.pipeline import _relative_residuals
+
+        s = diagonally_dominant_fluid(12, 32, seed=9).astype(dtype)
+        s.d[1] = 0.0                                # ||d|| = 0 reads as 1
+        s.b[2, 5] = 0.0                             # 0 * inf is nan
+        x = SOLVERS["gep"](s, intermediate_size=None).astype(dtype)
+        x[2, 5] = np.inf
+        x[3, 0] = np.nan
+        x[4, 7] = -np.inf
+        x[5] *= 1e30                                # overflowing residual
+        x[6, 3] += 1.0                              # a plain miss
+        rel = _relative_residuals(s, x)
+        ref = self.reference(s, x)
+        assert rel.tobytes() == ref.tobytes()
+        assert np.isinf(rel[2:5]).all()
+        assert (rel <= 1e-4).tolist() == (ref <= 1e-4).tolist()

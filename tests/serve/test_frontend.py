@@ -63,8 +63,10 @@ class TestPipeline:
                          hot_rates={"launch_fatal_rate": 1.0})
         fe = make_frontend(pool, sched_kw={
             "health_policy": HealthPolicy(failure_threshold=1)})
+        # Two sizes: same-plan requests would share one launch, and the
+        # second request is the one placed on gpu1.
         for i in range(2):
-            fe.offer(req(f"r{i}", num=8))
+            fe.offer(req(f"r{i}", num=8, n=32 << i))
         while fe.dispatch_once() is not None:
             pass
         assert fe.slo is fe.scheduler.slo
