@@ -671,7 +671,7 @@ def _serve_jobs(args) -> int:
         print()
         print(_device_outcome_table(reports))
     if args.checkpoint:
-        print(f"\ncheckpoints in {args.checkpoint}/ "
+        print(f"\ncheckpoint journal in {args.checkpoint}/ "
               f"(resume with: repro serve --resume ...)")
     if rc:
         bad = [r.job_id for r in reports if not r.ok]
@@ -926,11 +926,12 @@ def main(argv=None) -> int:
     p_srv.add_argument("--chunk-retries", type=int, default=3,
                        dest="chunk_retries")
     p_srv.add_argument("--checkpoint", default=None, metavar="DIR",
-                       help="write per-job JSONL checkpoints here")
+                       help="append the session's checkpoint journal "
+                            "(DIR/journal.jsonl) here")
     p_srv.add_argument("--checkpoint-every", type=int, default=4,
                        dest="checkpoint_every")
     p_srv.add_argument("--resume", action="store_true",
-                       help="resume jobs from existing checkpoints")
+                       help="resume from the journal in --checkpoint")
     p_srv.add_argument("--stop-after", type=int, default=None,
                        dest="stop_after", metavar="N",
                        help="kill each job after N chunks (demo; pair "

@@ -12,8 +12,9 @@ process dies halfway through a long job.
   the typed device-fault taxonomy, and the lifecycle
   (active/suspect/quarantined/probation/evicted) with EWMA health
   scoring, canary readmission, flap eviction and warm-spare promotion;
-* :mod:`~repro.serve.checkpoint` -- JSONL checkpoints; kill a run at
-  any chunk, resume it bitwise;
+* :mod:`~repro.serve.checkpoint` -- the session journal: one JSONL
+  file of chunks, barriers and shed decisions; kill a run at any
+  chunk, resume it bitwise;
 * :class:`~repro.serve.scheduler.BatchScheduler` -- runs one job:
   chunk sharding, deadline budgets, seeded-jitter retries, rerouting,
   and graceful degradation to the CPU chain;
@@ -49,7 +50,7 @@ killed-then-resumed runs -- produce bitwise-identical solutions.
 See ``docs/robustness.md`` ("Serving layer").
 """
 
-from .checkpoint import (CheckpointWriter, ResumeState, ShedLedger,
+from .checkpoint import (CheckpointWriter, Journal, ResumeState,
                          load_checkpoint)
 from .errors import CheckpointMismatchError, ServeError
 from .frontend import (AsyncServeFrontend, FrontendConfig, FrontendReport,
@@ -66,7 +67,7 @@ __all__ = [
     "BatchScheduler", "CLOSED", "OPEN", "HALF_OPEN",
     "HealthMonitor", "HealthPolicy", "DeviceHealth",
     "ACTIVE", "SUSPECT", "QUARANTINED", "PROBATION", "EVICTED", "SPARE",
-    "CheckpointWriter", "ResumeState", "ShedLedger", "load_checkpoint",
+    "CheckpointWriter", "Journal", "ResumeState", "load_checkpoint",
     "SolveJob", "JobReport", "ChunkRecord", "ChunkAttempt",
     "DEFAULT_CPU_CHAIN", "digest_array",
     "ServeFrontend", "AsyncServeFrontend", "ServeRequest",

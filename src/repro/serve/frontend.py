@@ -8,9 +8,9 @@ through a fixed decision pipeline::
 
     resume replay -> tenant quota -> cost-model admission -> capacity
 
-* **Resume replay** -- a request the service already shed (recorded in
-  the :class:`~repro.serve.checkpoint.ShedLedger`) is shed again with
-  its original reason instead of re-admitted.
+* **Resume replay** -- a request the service already shed (a ``shed``
+  line of the session journal, :mod:`~repro.serve.checkpoint`) is shed
+  again with its original reason instead of re-admitted.
 * **Quota** -- a per-tenant :class:`~repro.serve.quota.TokenBucket`
   denominated in modeled milliseconds of solver work; denial is
   atomic, so it never perturbs state downstream runs depend on.
@@ -41,7 +41,6 @@ asyncio service interface for streaming clients.
 from __future__ import annotations
 
 import asyncio
-import os
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -52,7 +51,6 @@ from repro.telemetry.metrics import (DOWNGRADES, FRONTEND_DEPTH,
                                      QUOTA_TOKENS, REQUEST_LATENCY, emit)
 from repro.telemetry.slo import DEFAULT_CLASS, DEFAULT_CLASSES
 
-from .checkpoint import ShedLedger
 from .job import JobReport, SolveJob
 from .quota import TenantSpec, TokenBucket, WeightedFairQueue
 from .scheduler import BatchScheduler
@@ -230,7 +228,8 @@ class ServeFrontend:
 
     ``resume`` and ``stop_after`` are forwarded to every
     :meth:`BatchScheduler.run_job` call (restore checkpoints first;
-    stop each job after N computed chunks).
+    stop each job after N computed chunks); sheds go to the scheduler's
+    journal (:meth:`BatchScheduler.journal`), opened with ``resume``.
     """
 
     def __init__(self, scheduler: BatchScheduler,
@@ -257,12 +256,7 @@ class ServeFrontend:
         self._order: list[str] = []
         self.downgrades = 0
         self.quota_denied: dict[str, int] = {}
-        self._ledger: ShedLedger | None = None
-        if scheduler.checkpoint_dir is not None:
-            os.makedirs(scheduler.checkpoint_dir, exist_ok=True)
-            self._ledger = ShedLedger(
-                os.path.join(scheduler.checkpoint_dir,
-                             ShedLedger.FILENAME), resume=resume)
+        self._journal = scheduler.journal(resume)
 
     @property
     def now_ms(self) -> float:
@@ -339,10 +333,11 @@ class ServeFrontend:
         pend = _Pending(request, job, cost, request.slo_class)
 
         # 1. resume replay: once shed, never re-admitted.
-        if self._ledger is not None and request.request_id in self._ledger:
+        if (self._journal is not None
+                and request.request_id in self._journal.sheds):
             return self._shed(
-                pend, self._ledger.reason_for(request.request_id)
-                or "overload", "resume", persist=False)
+                pend, self._journal.sheds[request.request_id]["reason"],
+                "resume")
 
         # 2. per-tenant token-bucket quota (modeled-ms of work).
         bucket = self._buckets[spec.name]
@@ -412,8 +407,7 @@ class ServeFrontend:
 
     # -- shed / finish bookkeeping -------------------------------------
 
-    def _shed(self, pend: _Pending, reason: str, stage: str, *,
-              persist: bool = True) -> RequestOutcome:
+    def _shed(self, pend: _Pending, reason: str, stage: str) -> RequestOutcome:
         req = pend.request
         out = RequestOutcome(
             request_id=req.request_id, tenant=req.tenant,
@@ -426,10 +420,10 @@ class ServeFrontend:
         telemetry.event("serve.frontend_shed", request=req.request_id,
                         tenant=req.tenant, cls=pend.cls, reason=reason,
                         stage=stage)
-        if persist and self._ledger is not None:
-            self._ledger.record(req.request_id, tenant=req.tenant,
-                                cls=pend.cls, reason=reason,
-                                at_ms=out.finish_ms)
+        if self._journal is not None:
+            self._journal.shed(req.request_id, tenant=req.tenant,
+                               cls=pend.cls, reason=reason,
+                               at_ms=out.finish_ms)
         self._record(out)
         return out
 
@@ -575,8 +569,8 @@ class ServeFrontend:
             now_ms=self.now_ms)
 
     def close(self) -> None:
-        if self._ledger is not None:
-            self._ledger.close()
+        if self._journal is not None:
+            self._journal.close()
 
 
 class AsyncServeFrontend:

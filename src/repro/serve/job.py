@@ -48,7 +48,7 @@ class SolveJob:
     Parameters
     ----------
     job_id:
-        Stable identifier; keys the checkpoint file and all metrics.
+        Stable identifier; keys its journal lines and all metrics.
     systems:
         The batch to solve (``n`` must be a power of two for the GPU
         method; off-sized work belongs to :func:`repro.robust_solve`).

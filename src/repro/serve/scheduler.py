@@ -40,10 +40,11 @@ own -- that is :class:`~repro.serve.frontend.ServeFrontend`'s job;
   ``outcome="deadline"`` and a ``serve.deadline_misses`` count instead
   of silently running forever;
 * **checkpoint/resume** -- completed chunks and scheduler state are
-  written as JSONL blocks (:mod:`repro.serve.checkpoint`); a killed
-  run resumed with ``resume=True`` restores results bitwise and
-  recomputes only the unpersisted suffix, on the job's own timeline,
-  so it makes the uninterrupted run's decisions at any kill point.
+  appended in blocks to the session journal
+  (:mod:`repro.serve.checkpoint`); a killed run resumed with
+  ``resume=True`` restores results bitwise and recomputes only the
+  unpersisted suffix, on the job's own timeline, so it makes the
+  uninterrupted run's decisions at any kill point.
 
 Everything modeled is deterministic under seeded per-device fault
 profiles: two identical runs produce identical reports, digests and
@@ -52,7 +53,6 @@ metric counters, which is what the chaos suite asserts.
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field, replace
@@ -74,7 +74,7 @@ from repro.telemetry.metrics import (CHUNK_RETRIES, CHUNKS_TOTAL,
                                      SERVE_LATENCY, emit)
 from repro.telemetry.slo import SLORegistry
 
-from .checkpoint import CheckpointWriter, ResumeState, load_checkpoint
+from .checkpoint import CheckpointWriter, ResumeState
 from .health import CLOSED, RESIDUAL, HealthMonitor, HealthPolicy
 from .job import ChunkAttempt, ChunkRecord, JobReport, SolveJob, digest_array
 
@@ -109,7 +109,6 @@ class _JobRun:
     """One job's bookkeeping inside :meth:`BatchScheduler.run_job`."""
 
     job: SolveJob
-    writer: CheckpointWriter | None
     ready: float                  #: commit-and-arrival (or restored) ms
     arrival: float | None
     start: float                  #: the job's start on the modeled clock
@@ -148,8 +147,8 @@ class BatchScheduler:
         derived per ``(job, chunk, attempt)`` so retries decorrelate
         but resume stays deterministic.
     checkpoint_dir:
-        Directory for per-job JSONL checkpoints (``None`` disables
-        checkpointing); the file is ``<dir>/<job_id>.jsonl``.
+        Directory of the session's checkpoint journal (``None``
+        disables checkpointing; see :meth:`journal`).
     checkpoint_every:
         Chunks per checkpoint barrier.
     seed:
@@ -208,6 +207,17 @@ class BatchScheduler:
         #: LiveSpan).  The root is detached (never the implicit parent
         #: of other jobs' spans) and closed when the job finishes.
         self._traces: dict[str, tuple] = {}
+        self._journal: CheckpointWriter | None = None
+
+    def journal(self, resume: bool = False) -> CheckpointWriter | None:
+        """The session's one checkpoint writer, or ``None`` without a
+        checkpoint directory.  The first call opens it: ``resume=True``
+        parses the existing journal and appends to it, otherwise the
+        journal starts over."""
+        if self._journal is None and self.checkpoint_dir is not None:
+            self._journal = CheckpointWriter(self.checkpoint_dir,
+                                             resume=resume)
+        return self._journal
 
     @property
     def now_ms(self) -> float:
@@ -285,9 +295,9 @@ class BatchScheduler:
 
     def _chunk_estimate_ms(self, job: SolveJob,
                            num_systems: int | None = None) -> float:
-        """Modeled estimate for one launch of ``job`` (the unit the
-        cost-residual telemetry compares realized launch costs
-        against)."""
+        """Modeled estimate for one launch of ``num_systems`` of ``job``
+        (the unit the hedge trigger and the cost-residual telemetry
+        compare that launch's realized cost against)."""
         with telemetry.span("serve.estimate", job=job.job_id,
                             method=job.method):
             return self._chunk_ms(job, num_systems)
@@ -341,12 +351,6 @@ class BatchScheduler:
         self._committed[job.job_id] = (ready, not_before_ms)
 
     # -- scheduling internals ------------------------------------------
-
-    def _checkpoint_path(self, job: SolveJob) -> str | None:
-        if self.checkpoint_dir is None:
-            return None
-        os.makedirs(self.checkpoint_dir, exist_ok=True)
-        return os.path.join(self.checkpoint_dir, f"{job.job_id}.jsonl")
 
     def _restore(self, state: ResumeState) -> None:
         for name, ms in state.device_clocks.items():
@@ -544,17 +548,16 @@ class BatchScheduler:
         rows)`` per job."""
         job = jobs[0]
         if len(jobs) == 1:
-            sub, tag, size = job.chunk_systems(chunk_id), {}, None
+            sub, tag = job.chunk_systems(chunk_id), {}
         else:
             sub = TridiagonalSystems(*(
                 np.concatenate([getattr(j.systems, k) for j in jobs])
                 for k in "abcd"))
             tag = {"jobs": [j.job_id for j in jobs]}
-            size = sub.num_systems
         # Chunk boundaries are the readmission points: quarantined
         # devices that served their dwell run their canary round here.
         self.health.maybe_readmit(self._now_ms, self._clock)
-        est = self._chunk_estimate_ms(job, size)
+        est = self._chunk_estimate_ms(job, sub.num_systems)
         attempts: list[ChunkAttempt] = []
         failed_on: set[str] = set()
         degrade_reason = "no_healthy_device"
@@ -719,10 +722,9 @@ class BatchScheduler:
                 job.intermediate_size, job.residual_tol, job.cpu_chain)
 
     def _resume_state(self, job: SolveJob, resume: bool) -> ResumeState:
-        path = self._checkpoint_path(job)
-        if resume and path is not None and os.path.exists(path):
-            return load_checkpoint(path, job)
-        return ResumeState()
+        journal = self.journal(resume)
+        return (journal.loaded.resume_state(job) if resume and journal
+                else ResumeState())
 
     def _fusable(self, job: SolveJob, start: float, mates, resume: bool
                  ) -> list[tuple[SolveJob, ResumeState]]:
@@ -745,12 +747,10 @@ class BatchScheduler:
             out.append((mate, state))
         return out
 
-    def _open(self, job: SolveJob, state: ResumeState, resume: bool
-              ) -> _JobRun:
+    def _open(self, job: SolveJob, state: ResumeState) -> _JobRun:
         """Start ``job``'s run: checkpoint, modeled start and trace."""
-        path = self._checkpoint_path(job)
-        writer = (CheckpointWriter(path, job, resume=resume)
-                  if path is not None else None)
+        if self._journal is not None:
+            self._journal.open_job(job.job_id, state.after_chunk >= 0)
         ready, arrival = self._committed.pop(job.job_id, (self._now_ms, None))
         if state.after_chunk >= 0:
             # Resume on the job's own timeline: the suffix is placed,
@@ -762,7 +762,7 @@ class BatchScheduler:
             start = self._now_ms = max(self._now_ms, ready)
         trace_id, root = self._trace_context(job)
         self.slo.record_queue_wait(job.slo_class, start - ready)
-        return _JobRun(job, writer, ready, arrival, start, trace_id,
+        return _JobRun(job, ready, arrival, start, trace_id,
                        root.record.span_id if root is not None else None,
                        np.zeros(job.systems.shape, dtype=np.float64))
 
@@ -788,24 +788,23 @@ class BatchScheduler:
             emit(DEADLINE_MISSES, job=job.job_id)
         elif stop_after is not None and run.computed >= stop_after:
             run.outcome = "stopped"
-        if run.writer is not None:
-            run.writer.add_chunk(record, x)
+        if self._journal is not None:
+            self._journal.add_chunk(job, record, x)
             if (run.since_barrier >= self.checkpoint_every
                     or (run.outcome == "ok"
                         and chunk_id == job.num_chunks - 1)):
-                run.writer.barrier(
-                    chunk_id, start_ms=run.start, ready_ms=run.ready,
-                    now_ms=self._now_ms, device_clocks=dict(self._clock),
+                self._journal.barrier(
+                    job.job_id, chunk_id, start_ms=run.start,
+                    ready_ms=run.ready, now_ms=self._now_ms,
+                    device_clocks=dict(self._clock),
                     cpu_clock_ms=self._cpu_clock,
                     health=self.health.state_dict())
                 run.since_barrier = 0
         return run.outcome != "ok"
 
     def _close(self, run: _JobRun) -> JobReport:
-        """Finish ``run``: checkpoint, SLO record, trace and report."""
+        """Finish ``run``: SLO record, trace and report."""
         job = run.job
-        if run.writer is not None:
-            run.writer.close()
         completed = run.outcome == "ok"
         if completed and any(c.status == "failed" for c in run.chunks):
             run.outcome = "failed"
@@ -847,7 +846,7 @@ class BatchScheduler:
         ``mates`` are further committed jobs in pick order; those that
         may share ``job``'s launch (:meth:`_fusable`) run fused with it
         as one chunk through :meth:`_run_chunk`, each keeping its own
-        chunk record, checkpoint, SLO record and trace.  Their reports
+        chunk record, journal lines, SLO record and trace.  Their reports
         are the returned report's ``mates``.
         """
         self.resolve(job)
@@ -857,7 +856,7 @@ class BatchScheduler:
             ready = self._committed.get(job.job_id, (self._now_ms,))[0]
             fused = self._fusable(job, max(self._now_ms, ready), mates,
                                   resume)
-        group = [self._open(j, st, resume) for j, st in [(job, state), *fused]]
+        group = [self._open(j, st) for j, st in [(job, state), *fused]]
         lead = group[0]
         size = ({"launch_systems": sum(r.job.systems.num_systems
                                        for r in group)} if fused else {})

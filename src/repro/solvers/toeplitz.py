@@ -16,7 +16,6 @@ it shares no code path with Thomas/CR/PCR.
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import dst, idst
 
 from .systems import TridiagonalSystems
 
@@ -46,6 +45,10 @@ def toeplitz_solve(d: np.ndarray, diag: float, off: float) -> np.ndarray:
     Raises if any eigenvalue vanishes (the matrix is singular exactly
     when ``diag = -2 off cos(k pi/(n+1))`` for some mode k).
     """
+    # Imported here: scipy.fft is most of ``import repro``'s time, and
+    # only this solver needs it.
+    from scipy.fft import dst, idst
+
     d = np.asarray(d, dtype=np.float64)
     single = d.ndim == 1
     D = np.atleast_2d(d)

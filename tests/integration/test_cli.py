@@ -151,13 +151,14 @@ class TestServeCommand:
         ids=["jobs", "live"])
     def test_mismatched_checkpoint_is_one_error_line(self, tmp_path, capsys,
                                                      mode):
-        """Resuming from a version-1 checkpoint exits 1 with one typed
+        """Resuming from a version-1 journal exits 1 with one typed
         ``error:`` line on stderr, not a traceback."""
         args = mode or self.ARGS
         args = args + ["--seed", "3", "--checkpoint", str(tmp_path)]
         assert main(args + ["--stop-after", "1", "--json"]) in (0, 1)
-        path = sorted(tmp_path.glob("*0.jsonl"))[0]
-        path.write_text(path.read_text().replace('"version": 2',
+        assert [p.name for p in tmp_path.iterdir()] == ["journal.jsonl"]
+        path = tmp_path / "journal.jsonl"
+        path.write_text(path.read_text().replace('"version": 3',
                                                  '"version": 1', 1))
         capsys.readouterr()
         assert main(args + ["--resume"]) == 1
@@ -166,16 +167,39 @@ class TestServeCommand:
 
     def test_version_1_shed_ledger_is_one_error_line(self, tmp_path,
                                                      capsys):
-        """A version-1 shed ledger is refused like a version-1 job
-        checkpoint: one typed ``error:`` line, exit 1, file untouched."""
+        """A pre-journal shed ledger is refused like an old journal: one
+        typed ``error:`` line, exit 1, file untouched."""
         ledger = tmp_path / "frontend_shed.jsonl"
         ledger.write_text('{"type": "shed_header", "version": 1}\n')
         assert main(["serve", "--live", "--duration-ms", "2", "--seed",
                      "3", "--checkpoint", str(tmp_path), "--resume"]) == 1
         out, err = capsys.readouterr()
-        assert err == (f"error: {ledger}: unsupported shed ledger "
-                       f"version 1\n")
+        assert err == (f"error: {tmp_path}: pre-journal checkpoint files "
+                       f"(frontend_shed.jsonl) cannot be resumed; format "
+                       f"version 3 keeps one journal.jsonl per session\n")
         assert ledger.read_text() == '{"type": "shed_header", "version": 1}\n'
+        assert [p.name for p in tmp_path.iterdir()] == [ledger.name]
+
+    @pytest.mark.parametrize(
+        "mode", [[], ["serve", "--live", "--duration-ms", "1"]],
+        ids=["jobs", "live"])
+    def test_pre_journal_directory_is_one_error_line(self, tmp_path, capsys,
+                                                     mode):
+        """``--resume`` on a directory of version-2 per-job files exits 1
+        with one ``error:`` line and writes nothing there."""
+        files = {"job0.jsonl": '{"type": "header", "version": 2}\n',
+                 "frontend_shed.jsonl":
+                     '{"type": "shed_header", "version": 2}\n'}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        args = (mode or self.ARGS) + ["--seed", "3", "--checkpoint",
+                                      str(tmp_path), "--resume"]
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {tmp_path}: pre-journal checkpoint "
+                              f"files (frontend_shed.jsonl, job0.jsonl)")
+        assert err.count("\n") == 1
+        assert {p.name: p.read_text() for p in tmp_path.iterdir()} == files
 
     def test_unmeetable_deadline_rejected(self, capsys):
         rc = main(self.ARGS + ["--deadline-ms", "1e-9"])

@@ -135,6 +135,23 @@ class TestDerivedChunk:
             digests.add((job.chunk_size, job.input_digest()))
         assert len(digests) == 1
 
+    def test_partial_chunk_is_priced_at_its_own_size(self, healthy_pool):
+        """600 systems of 32 run as 240/240/120: each launch is compared
+        with its own price, so a healthy pool reads a realized/modeled
+        ratio of exactly 1 and no cost residual."""
+        from repro import telemetry
+        sched = make_sched(healthy_pool)
+        job = derived_job(diagonally_dominant_fluid(600, 32, seed=3))
+        with telemetry.collect() as col:
+            assert sched.run_job(job).ok
+        assert [len(job.chunk_indices(i)) for i in range(job.num_chunks)] \
+            == [240, 240, 120]
+        assert {h.ewma_ratio for h in sched.health.devices.values()} == {1.0}
+        residual = col.metrics.histogram(telemetry.COST_RESIDUAL)
+        series = list(residual.series.values())
+        assert sum(s.count for s in series) == 3
+        assert all(s.min == s.max == 0.0 for s in series)
+
     def test_derived_job_resumes_after_a_kill(self, tmp_path, healthy_pool):
         systems = diagonally_dominant_fluid(600, 32, seed=3)
 

@@ -553,7 +553,7 @@ class TestHealthCheckpointResume:
         import json
         sched = self.sched_for(tmp_path, "c")
         sched.run_job(self.big_job(job_id="kr"), stop_after=5)
-        path = tmp_path / "c" / "kr.jsonl"
+        path = tmp_path / "c" / "journal.jsonl"
         states = [json.loads(line) for line in path.read_text().splitlines()
                   if json.loads(line).get("type") == "state"]
         assert states and "health" in states[-1]

@@ -92,3 +92,20 @@ def test_property_independent_oracle(n, diag, seed):
                            np.full((2, n), -1.0), d)
     np.testing.assert_allclose(x, thomas_batched(s), rtol=1e-8,
                                atol=1e-10)
+
+
+def test_serving_does_not_import_scipy_fft():
+    """Only the DST solver needs scipy.fft, so importing the serving
+    layer must not pay for it."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = ("import sys, repro.serve; "
+            "assert 'scipy.fft' not in sys.modules, "
+            "'scipy.fft imported by repro.serve'")
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
