@@ -82,15 +82,6 @@ class BlockContext:
         violation usually signals an indexing bug.  Set False to
         simulate divergent kernels (the cost model then charges extra
         warp issues).
-    record_trace:
-        When False, the functional float32 path runs unchanged (all
-        validation included) but no counters or costs are recorded and
-        the conflict/coalescing arithmetic is skipped entirely.  Planned
-        launches (:func:`repro.kernels.api.execute`) use this: the
-        architectural trace is a pure function of the launch plan, so
-        the estimator's memo entry -- the plan's ledger, and the price
-        and telemetry writes derived from it -- replaces the recording
-        pass.
     engine:
         Execution engine (instance, name, or None for the vectorized
         default); see :mod:`~repro.gpusim.engine`.
@@ -104,15 +95,13 @@ class BlockContext:
 
     Every access primitive checks and charges through one helper per
     memory space, :meth:`_shared_access` / :meth:`_global_access`,
-    whose bounds checks run in all three modes (traced, planned,
-    charge-only).
+    whose bounds checks run in both modes (traced and charge-only).
     """
 
     def __init__(self, device: DeviceSpec, num_blocks: int,
                  threads_per_block: int, dtype=np.float32,
                  check_contiguous_active: bool = True,
                  step_limit: int | None = None,
-                 record_trace: bool = True,
                  engine=None,
                  functional: bool = True):
         if threads_per_block > device.max_threads_per_block:
@@ -131,7 +120,6 @@ class BlockContext:
                                               dtype=self.dtype)
         self.ledger = CounterLedger()
         self.check_contiguous_active = check_contiguous_active
-        self.record_trace = record_trace
         self._phase_name = "main"
         self._cur_pc: PhaseCounters | None = None
         self._active = self.engine.prefix_info(self.threads_per_block, device)
@@ -177,13 +165,10 @@ class BlockContext:
                     "active threads contiguous to avoid divergence (see §4). "
                     "Pass check_contiguous_active=False to allow this.")
             self._active = info
-            if self.record_trace:
-                pc = self._pc()
-                pc.warp_instructions += info.divergence
-        if self.record_trace:
-            pc = self._pc()
-            if self._active.lanes.size > pc.max_active_threads:
-                pc.max_active_threads = self._active.lanes.size
+            self._pc().warp_instructions += info.divergence
+        pc = self._pc()
+        if self._active.lanes.size > pc.max_active_threads:
+            pc.max_active_threads = self._active.lanes.size
         return self._active.lanes
 
     # ------------------------------------------------------------------
@@ -221,18 +206,6 @@ class BlockContext:
         if self._in_step:
             raise KernelError("steps do not nest")
         self._in_step = True
-        if not self.record_trace:
-            # Functional pass only: keep nesting and step-limit
-            # semantics, skip the snapshot/record machinery.
-            try:
-                yield
-            finally:
-                self._in_step = False
-            self._steps_executed += 1
-            if (self.step_limit is not None
-                    and self._steps_executed >= self.step_limit):
-                raise StopKernel(self._steps_executed)
-            return
         pc0 = self._pc()
         before = dict(pc0.__dict__)
         index = self._phase_step_counts.get(self._phase_name, 0)
@@ -260,8 +233,7 @@ class BlockContext:
         atomically).  Under an active fault plan, a barrier is also a
         shared-memory upset opportunity (silent: GT200 shared memory
         has no ECC)."""
-        if self.record_trace:
-            self._pc().syncs += 1
+        self._pc().syncs += 1
         if not self.functional:
             return
         plan = _faults.active_plan()
@@ -285,8 +257,8 @@ class BlockContext:
 
     def _shared_access(self, arrs, idx, cost_idx):
         """Check ``idx`` (and ``cost_idx``) against every array in
-        ``arrs``; when recording, charge the cost pattern once per
-        array.  Returns the engine's selector for ``idx``.
+        ``arrs`` and charge the cost pattern once per array.  Returns
+        the engine's selector for ``idx``.
 
         The check must come first: the vectorized engine moves data by
         slices, and a slice clips or wraps out-of-range words silently
@@ -303,8 +275,6 @@ class BlockContext:
                 raise KernelError(
                     f"shared access out of bounds: [{mn}, {mx}] "
                     f"in array of {arr.words} words")
-        if not self.record_trace:
-            return sel
         info = self._active
         cycles, half_warps = self.engine.shared_cost(cost, info, self.device)
         pc = self._pc()
@@ -424,8 +394,6 @@ class BlockContext:
                     raise KernelError(
                         f"global access out of bounds: [{mn}, {mx}] "
                         f"in array of {arr.words} words")
-        if not self.record_trace:
-            return bases, idx
         info = self._active
         pc = self._pc()
         # Half-warps are partitioned by lane id, exactly as the shared
@@ -521,8 +489,6 @@ class BlockContext:
         """
         if total < 0 or divs < 0 or divs > total:
             raise KernelError("invalid op counts")
-        if not self.record_trace:
-            return
         n_active = self.active_count
         inst = total if instructions is None else instructions
         pc = self._pc()

@@ -28,10 +28,10 @@ The memo maps each one-block plan
 one-block charge-only :class:`LaunchResult` (ledger, shared bytes,
 threads) plus what that ledger implies, derived on first use -- the
 grid :class:`TimingReport` per cost model and block count, and the
-telemetry writes a launch and its report make.  A planned functional
-launch references its entry (:attr:`LaunchResult.memo`) and is priced
-and recorded from it until its ledger is read; the estimates read the
-same prices.
+telemetry writes a launch and its report make.  A planned launch
+(which runs no kernel: its ``x`` comes from the solver twin) references
+its entry (:attr:`LaunchResult.memo`) and is priced and recorded from
+it until its ledger is read; the estimates read the same prices.
 
 :func:`closed_form_counters` additionally exposes the paper's Table 1
 closed forms that the simulated ledgers reproduce *exactly* (not just

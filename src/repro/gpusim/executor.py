@@ -41,11 +41,13 @@ class LaunchResult:
         The device the launch was simulated on.
     memo:
         A planned launch's estimator memo entry
-        (:class:`~repro.gpusim.estimator.PlanEntry`).  Built with
-        ``ledger=None``, the result then reads its ledger as a private
-        copy of the entry's, made on first access; until then the cost
-        model and the collector price and record the launch from the
-        entry (:meth:`memo_entry`).
+        (:class:`~repro.gpusim.estimator.PlanEntry`), set by
+        :func:`repro.kernels.api.run_kernel`, which builds the result
+        without running the kernel.  Built with ``ledger=None``, the
+        result then reads its ledger as a private copy of the entry's,
+        made on first access; until then the cost model and the
+        collector price and record the launch from the entry
+        (:meth:`memo_entry`).
     """
 
     outputs: Any
@@ -90,7 +92,7 @@ def launch(kernel: Callable[..., Any], *, num_blocks: int,
            threads_per_block: int, device: DeviceSpec = GTX280,
            dtype=np.float32, check_contiguous_active: bool = True,
            step_limit: int | None = None, max_launch_attempts: int = 3,
-           retry_backoff_s: float = 0.0, engine=None, memo=None,
+           retry_backoff_s: float = 0.0, engine=None,
            **kernel_args) -> LaunchResult:
     """Simulate ``kernel(ctx, **kernel_args)`` over a grid.
 
@@ -102,13 +104,6 @@ def launch(kernel: Callable[..., Any], *, num_blocks: int,
     ``engine`` selects the execution engine (``"vectorized"`` default,
     ``"reference"`` for the per-lane oracle, or an instance; see
     :mod:`~repro.gpusim.engine`).
-
-    ``memo`` is the launch plan's
-    :class:`~repro.gpusim.estimator.PlanEntry` (a planned launch,
-    :func:`repro.kernels.api.execute`): the kernel then runs
-    functionally with ``record_trace=False`` and the result references
-    the entry, copying its ledger only when first read.  Without it the
-    launch records its own trace.
 
     Under an active :class:`~repro.gpusim.faults.FaultPlan` a launch
     attempt may fail before any block runs: transient failures are
@@ -140,7 +135,7 @@ def launch(kernel: Callable[..., Any], *, num_blocks: int,
         return _launch_once(kernel, kernel_name, num_blocks,
                             threads_per_block, device, dtype,
                             check_contiguous_active, step_limit, plan,
-                            kernel_args, engine=engine, memo=memo)
+                            kernel_args, engine=engine)
     raise AssertionError("unreachable")  # pragma: no cover
 
 
@@ -166,13 +161,12 @@ def _reference_execute(kernel: Callable[..., Any], *, num_blocks: int,
 
 def _launch_once(kernel, kernel_name, num_blocks, threads_per_block, device,
                  dtype, check_contiguous_active, step_limit, plan,
-                 kernel_args, engine=None, memo=None) -> LaunchResult:
+                 kernel_args, engine=None) -> LaunchResult:
     """One successful launch attempt (the pre-fault-injection body),
     reported to the active telemetry collector, if any."""
     ctx = BlockContext(device, num_blocks, threads_per_block, dtype=dtype,
                        check_contiguous_active=check_contiguous_active,
-                       step_limit=step_limit, record_trace=memo is None,
-                       engine=engine)
+                       step_limit=step_limit, engine=engine)
     # Looked up lazily, as metrics.emit does: telemetry imports gpusim.
     from repro.telemetry.collector import get_collector
     col = get_collector()
@@ -185,12 +179,11 @@ def _launch_once(kernel, kernel_name, num_blocks, threads_per_block, device,
             outputs = None
         result = LaunchResult(
             outputs=outputs,
-            ledger=ctx.ledger if memo is None else None,
+            ledger=ctx.ledger,
             num_blocks=num_blocks,
             threads_per_block=threads_per_block,
             shared_bytes=ctx.shared_space.bytes_allocated,
             device=device,
-            memo=memo,
         )
         if record is not None:
             record.result = result

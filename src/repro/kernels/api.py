@@ -12,17 +12,20 @@ block, grid size, kernel arguments, batch layout) live.  The runner
 planned kernel on the simulated device, and returns
 ``(x, LaunchResult)`` -- the solution plus the architectural trace.
 The paper's kernels have data-independent schedules, so a planned
-launch executes functionally without recording a trace and references
-the plan's estimator memo entry, which supplies its ledger (a private
-copy, made when first read), its price and its telemetry; under an
-active fault plan or a ``step_limit`` it traces for real.  Feed the
-result to
+launch does not run the kernel at all: it takes ``x`` from the
+kernel's NumPy twin (:data:`KERNELS` names it, a
+:data:`~repro.solvers.SOLVERS` key, bitwise equal to the kernel) and
+references the plan's estimator memo entry, which supplies its ledger
+(a private copy, made when first read), its price and its telemetry.
+Under an active fault plan or a ``step_limit`` the kernel traces for
+real.  Feed the result to
 :func:`repro.gpusim.gt200.gt200_cost_model` (or any
 :class:`~repro.gpusim.CostModel`) for modeled timings.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Any, Callable
@@ -34,6 +37,7 @@ from repro.gpusim import (GTX280, DeviceSpec, GlobalArray,
                           InterleavedSystemArrays, LaunchResult, launch)
 from repro.gpusim import faults as _faults
 from repro.gpusim.estimator import characterize
+from repro.solvers.api import SOLVERS
 from repro.solvers.hybrid import default_intermediate_size
 from repro.solvers.systems import TridiagonalSystems
 from repro.solvers.validate import require_power_of_two
@@ -56,12 +60,15 @@ class KernelEntry:
 
     ``kernels`` maps each batch layout the kernel reads to its kernel
     function; ``per_thread`` is the unknowns each thread owns (``None``
-    for one whole system per thread); ``args`` names the structural
-    arguments :func:`plan_launch` accepts for it.
+    for one whole system per thread); ``twin`` is the
+    :data:`~repro.solvers.SOLVERS` key whose float32 result equals the
+    kernel's bit for bit, on either layout; ``args`` names the
+    structural arguments :func:`plan_launch` accepts for it.
     """
 
     kernels: dict[str, Callable]
     per_thread: int | None
+    twin: str
     args: frozenset[str] = frozenset()
 
     @property
@@ -69,25 +76,28 @@ class KernelEntry:
         return tuple(self.kernels)
 
 
-def _block_kernel(kernel: Callable, per_thread: int,
+def _block_kernel(kernel: Callable, per_thread: int, twin: str,
                   *args: str) -> KernelEntry:
-    return KernelEntry({"sequential": kernel}, per_thread, frozenset(args))
+    return KernelEntry({"sequential": kernel}, per_thread, twin,
+                       frozenset(args))
 
 
 #: Every kernel a :class:`LaunchPlan` can name: the five paper solvers,
-#: the ablation variants of §4, and per-thread Thomas.
+#: the ablation variants of §4 (each twinned with its base solver), and
+#: per-thread Thomas.
 KERNELS: dict[str, KernelEntry] = {
-    "cr": _block_kernel(cr_kernel, 2, "conflict_free_timing"),
-    "pcr": _block_kernel(pcr_kernel, 1),
-    "rd": _block_kernel(rd_kernel, 1),
-    "cr_pcr": _block_kernel(cr_pcr_kernel, 2, "intermediate_size"),
-    "cr_rd": _block_kernel(cr_rd_kernel, 2, "intermediate_size"),
-    "pcr_pingpong": _block_kernel(pcr_pingpong_kernel, 1),
-    "cr_split": _block_kernel(cr_split_kernel, 2),
-    "cr_global": _block_kernel(cr_global_kernel, 2),
-    "rd_full": _block_kernel(rd_full_kernel, 1),
+    "cr": _block_kernel(cr_kernel, 2, "cr", "conflict_free_timing"),
+    "pcr": _block_kernel(pcr_kernel, 1, "pcr"),
+    "rd": _block_kernel(rd_kernel, 1, "rd"),
+    "cr_pcr": _block_kernel(cr_pcr_kernel, 2, "cr_pcr", "intermediate_size"),
+    "cr_rd": _block_kernel(cr_rd_kernel, 2, "cr_rd", "intermediate_size"),
+    "pcr_pingpong": _block_kernel(pcr_pingpong_kernel, 1, "pcr"),
+    "cr_split": _block_kernel(cr_split_kernel, 2, "cr"),
+    "cr_global": _block_kernel(cr_global_kernel, 2, "cr"),
+    "rd_full": _block_kernel(rd_full_kernel, 1, "rd"),
     "thomas": KernelEntry({"sequential": thomas_sequential_kernel,
-                           "interleaved": thomas_interleaved_kernel}, None),
+                           "interleaved": thomas_interleaved_kernel},
+                          None, "thomas"),
 }
 
 
@@ -201,31 +211,43 @@ def plan_launch(name: str, n: int, num_systems: int = 1, *,
 
 def execute(plan: LaunchPlan, gmem,
             step_limit: int | None = None) -> LaunchResult:
-    """Launch ``plan`` functionally over ``gmem``.
-
-    The launch records no trace of its own: its result references the
-    plan's estimator memo entry (filled by a charge-only run on a
-    miss).  The result's ledger is a private copy of the entry's, made
-    on first read; until then the cost model and the telemetry
-    collector take the launch's price and ``sim.*``/``model.*`` writes
-    from the entry.  An active fault plan perturbs both execution and
-    counters, and ``step_limit`` truncates the schedule, so those
-    launches trace for real.
-    """
-    memo = None
-    if step_limit is None and _faults.active_plan() is None:
-        memo = characterize(plan)
+    """Trace ``plan`` over ``gmem``: the kernel runs on the simulator
+    and records its own ledger (``step_limit`` truncates the
+    schedule)."""
     return launch(plan.kernel, num_blocks=plan.num_blocks,
                   threads_per_block=plan.threads_per_block,
-                  device=plan.device, step_limit=step_limit, memo=memo,
-                  gmem=gmem, **dict(plan.kwargs))
+                  device=plan.device, step_limit=step_limit, gmem=gmem,
+                  **dict(plan.kwargs))
 
 
-def _run(plan: LaunchPlan, systems: TridiagonalSystems,
+def _run(plan: LaunchPlan, twin: str, systems: TridiagonalSystems,
          step_limit: int | None = None) -> tuple[np.ndarray, LaunchResult]:
-    gmem = plan.load(systems)
-    result = execute(plan, gmem, step_limit)
-    return gmem.solution()[:systems.num_systems], result
+    if step_limit is not None or _faults.active_plan() is not None:
+        # A fault plan perturbs execution and counters, and a step
+        # limit truncates the schedule: those launches trace.
+        gmem = plan.load(systems)
+        result = execute(plan, gmem, step_limit)
+        return gmem.solution()[:systems.num_systems], result
+    # Planned: the ledger, price and telemetry come from the plan's
+    # memo entry (filled by a charge-only run on a miss), ``x`` from
+    # the twin on a float32 copy.  The twin runs warning-free, as the
+    # kernel would: RD overflows to inf/NaN by design (§5.4).
+    entry = characterize(plan)
+    col = telemetry.get_collector()
+    with (nullcontext() if col is None else
+          col.launch(plan.kernel.__name__, plan.num_blocks,
+                     plan.threads_per_block, plan.device.name)) as record:
+        with np.errstate(all="ignore"):
+            x = SOLVERS[twin](systems.astype(np.float32),
+                              **dict(plan.kwargs))
+        result = LaunchResult(
+            outputs=None, ledger=None, num_blocks=plan.num_blocks,
+            threads_per_block=plan.threads_per_block,
+            shared_bytes=entry.shared_bytes, device=plan.device,
+            memo=entry)
+        if record is not None:
+            record.result = result
+    return x, result
 
 
 def run_kernel(name: str, systems: TridiagonalSystems, *,
@@ -241,14 +263,15 @@ def run_kernel(name: str, systems: TridiagonalSystems, *,
     """
     plan = plan_launch(name, systems.n, systems.num_systems, device=device,
                        **plan_args)
+    twin = KERNELS[name].twin
     if not telemetry.enabled():
         # The disabled fast path: no span object, no collector, just
         # the launch itself (covered by the no-op overhead test).
-        return _run(plan, systems, step_limit)
+        return _run(plan, twin, systems, step_limit)
     with telemetry.span("kernel.run", solver=name, n=systems.n,
                         num_systems=systems.num_systems,
                         device=device.name) as sp:
-        x, result = _run(plan, systems, step_limit)
+        x, result = _run(plan, twin, systems, step_limit)
         sp.set_attr("threads_per_block", result.threads_per_block)
         sp.set_attr("shared_bytes", result.shared_bytes)
         return x, result

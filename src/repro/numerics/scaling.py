@@ -28,33 +28,35 @@ from repro.solvers.validate import require_power_of_two
 SCALE_TRIGGER = 24.0
 
 
-def scaled_inclusive_scan(matrices: np.ndarray
-                          ) -> tuple[np.ndarray, np.ndarray]:
+def scaled_inclusive_scan(matrices
+                          ) -> tuple[list[np.ndarray], np.ndarray, int]:
     """Hillis-Steele scan with per-element magnitude normalisation.
 
-    Returns ``(scanned, log2_scale)`` where the true prefix product is
-    ``scanned * 2**log2_scale`` elementwise (the scale is shared by all
-    six stored entries of one element).
+    ``matrices`` are the six equation-major ``(n, S)`` planes of
+    :func:`~repro.solvers.rd.build_matrices`.  Returns ``(scanned,
+    log2_scale, rescales)``: the true prefix product is ``scanned *
+    2**log2_scale`` elementwise (the scale is shared by all six stored
+    entries of one element), and ``rescales`` counts the element
+    rescales made (:func:`scan_rescale_count`).
     """
-    m = matrices.astype(np.float64).copy()
-    S, n, _ = m.shape
-    logs = np.zeros((S, n))
+    m = [plane.astype(np.float64) for plane in matrices]
+    logs = np.zeros(m[0].shape)
+    count = 0
     stride = 1
-    while stride < n:
-        later = m[:, stride:]
-        earlier = m[:, :-stride]
-        prod = combine(later, earlier)
-        new_logs = logs[:, stride:] + logs[:, :-stride]
+    while stride < logs.shape[0]:
+        prod = combine([p[stride:] for p in m], [p[:-stride] for p in m])
         # Normalise any element whose magnitude ran away.
-        mag = np.max(np.abs(prod), axis=2)
+        mag = np.maximum.reduce([np.abs(p) for p in prod])
+        trigger = mag > 2.0 ** SCALE_TRIGGER
+        count += int(np.count_nonzero(trigger))
         with np.errstate(divide="ignore"):
-            shift = np.where(mag > 2.0 ** SCALE_TRIGGER,
-                             np.floor(np.log2(mag)), 0.0)
-        prod = prod * 2.0 ** (-shift)[..., None]
-        m[:, stride:] = prod
-        logs[:, stride:] = new_logs + shift
+            shift = np.where(trigger, np.floor(np.log2(mag)), 0.0)
+        scale = 2.0 ** (-shift)
+        for plane, product in zip(m, prod):
+            plane[stride:] = product * scale
+        logs[stride:] = logs[stride:] + logs[:-stride] + shift
         stride *= 2
-    return m, logs
+    return m, logs, count
 
 
 def scaled_recursive_doubling(systems: TridiagonalSystems) -> np.ndarray:
@@ -79,58 +81,39 @@ def scaled_recursive_doubling(systems: TridiagonalSystems) -> np.ndarray:
     overhead" measured by :func:`scan_rescale_count`.
     """
     require_power_of_two(systems.n, "scaled_recursive_doubling")
-    mats = build_matrices(systems.a.astype(np.float64),
-                          systems.b.astype(np.float64),
-                          systems.c.astype(np.float64),
-                          systems.d.astype(np.float64))
-    scanned, logs = scaled_inclusive_scan(mats)
-    S, n, _ = scanned.shape
+    scanned, logs, _ = scaled_inclusive_scan(_matrices(systems))
+    n, S = logs.shape
 
-    c00_last = scanned[:, n - 1, R00]
-    c02_last = scanned[:, n - 1, R02]
+    c00_last = scanned[R00][n - 1]
+    c02_last = scanned[R02][n - 1]
     # Same element -> same scale; it cancels in the ratio.
     with np.errstate(divide="ignore", invalid="ignore"):
         x0 = -c02_last / c00_last
 
-    x = np.empty((S, n))
-    x[:, 0] = x0
+    x = np.empty((n, S))
+    x[0] = x0
     # x_{i+1} = 2**log_i * (c00_i x0 + c02_i).  When the chain grew by
     # many bits the parenthesis cancels below the float64 mantissa and
     # the shifted-back value is noise; clamp it into the float32 range
     # so the caller always sees finite numbers (the remedy's promise).
-    body = (scanned[:, :-1, R00] * x0[:, None] + scanned[:, :-1, R02])
+    body = (scanned[R00][:-1] * x0 + scanned[R02][:-1])
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.ldexp(body, np.clip(logs[:, :-1], -2000, 2000
+        vals = np.ldexp(body, np.clip(logs[:-1], -2000, 2000
                                       ).astype(np.int64))
     fmax = float(np.finfo(np.float32).max)
     vals = np.nan_to_num(vals, nan=0.0, posinf=fmax, neginf=-fmax)
-    x[:, 1:] = np.clip(vals, -fmax, fmax)
-    x[:, 0] = np.clip(np.nan_to_num(x[:, 0], nan=0.0, posinf=fmax,
-                                    neginf=-fmax), -fmax, fmax)
-    return x.astype(systems.dtype)
+    x[1:] = np.clip(vals, -fmax, fmax)
+    x[0] = np.clip(np.nan_to_num(x[0], nan=0.0, posinf=fmax,
+                                 neginf=-fmax), -fmax, fmax)
+    return np.ascontiguousarray(x.T).astype(systems.dtype)
+
+
+def _matrices(systems: TridiagonalSystems) -> list[np.ndarray]:
+    """The batch's scan matrices, as float64 planes."""
+    return build_matrices(*systems.equation_major().astype(np.float64))
 
 
 def scan_rescale_count(systems: TridiagonalSystems) -> int:
     """How many element rescales the scaled scan performs on a batch --
     the control-overhead metric of the ablation bench."""
-    mats = build_matrices(systems.a.astype(np.float64),
-                          systems.b.astype(np.float64),
-                          systems.c.astype(np.float64),
-                          systems.d.astype(np.float64))
-    m = mats.copy()
-    S, n, _ = m.shape
-    logs = np.zeros((S, n))
-    count = 0
-    stride = 1
-    while stride < n:
-        prod = combine(m[:, stride:], m[:, :-stride])
-        new_logs = logs[:, stride:] + logs[:, :-stride]
-        mag = np.max(np.abs(prod), axis=2)
-        trigger = mag > 2.0 ** SCALE_TRIGGER
-        count += int(np.count_nonzero(trigger))
-        with np.errstate(divide="ignore"):
-            shift = np.where(trigger, np.floor(np.log2(mag)), 0.0)
-        m[:, stride:] = prod * 2.0 ** (-shift)[..., None]
-        logs[:, stride:] = new_logs + shift
-        stride *= 2
-    return count
+    return scaled_inclusive_scan(_matrices(systems))[2]

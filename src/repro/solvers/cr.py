@@ -5,10 +5,13 @@ log2(n)-1 times down to two unknowns, the 2-unknown system is solved
 directly, and backward substitution recovers the remaining unknowns
 level by level.
 
-This module is the *functional* fast path (vectorised across systems
-and across the active equations of each step).  The instrumented
-thread-level version lives in :mod:`repro.kernels.cr_kernel`; tests
-assert both produce bit-identical float32 results.
+This module is the library solver and the twin of the instrumented
+kernels :mod:`repro.kernels.cr_kernel` (and its ablation variants): a
+planned launch takes its ``x`` from here, and the tests hold both to
+bit-identical float32 results.  It works *equation-major*, on one
+``(4, n, S)`` array of ``a, b, c, d`` rows, so each step moves whole
+rows of all ``S`` systems (interleaved storage, as batched GPU solvers
+use), with the kernel's elementwise operations in the kernel's order.
 
 Operation structure (one forward step, equation ``i`` with neighbours
 at distance ``s``)::
@@ -28,32 +31,56 @@ the leftmost active equation keeps ``a == 0``.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .systems import TridiagonalSystems
 from .validate import require_power_of_two
 
 
-def forward_reduction_level(a, b, c, d, idx: np.ndarray, s: int,
-                            n: int) -> None:
-    """One in-place forward-reduction level over equations ``idx``.
+def reduce_equations(rows, left, right) -> None:
+    """The CR/PCR update of the equations ``rows`` against their left
+    and right neighbours, in place.
 
-    ``idx`` holds the active equation indices (``s*(k+1)-1``), ``s`` is
-    the current neighbour distance.  Shared by CR and the hybrids.
+    Each argument is an equation-major ``(4, k, S)`` coefficient block
+    (``a, b, c, d``).  ``rows`` is written as it is read, so neither
+    neighbour block may share memory with it: CR's left neighbours are
+    other rows of the same array, PCR's are gathered copies.  Shared by
+    CR, PCR and the hybrids.
     """
-    left = idx - s
-    right = np.minimum(idx + s, n - 1)  # clamp; c[idx]==0 kills the term
+    a, b, c, d = rows
+    al, bl, cl, dl = left
+    ar, br, cr, dr = right
     with np.errstate(divide="ignore", invalid="ignore"):
-        k1 = a[:, idx] / b[:, left]
-        k2 = c[:, idx] / b[:, right]
-    new_a = -a[:, left] * k1
-    new_b = b[:, idx] - c[:, left] * k1 - a[:, right] * k2
-    new_c = -c[:, right] * k2
-    new_d = d[:, idx] - d[:, left] * k1 - d[:, right] * k2
-    a[:, idx] = new_a
-    b[:, idx] = new_b
-    c[:, idx] = new_c
-    d[:, idx] = new_d
+        k1 = a / bl
+        k2 = c / br
+    np.multiply(-al, k1, out=a)
+    b -= cl * k1
+    b -= ar * k2
+    np.multiply(-cr, k2, out=c)
+    d -= dl * k1
+    d -= dr * k2
+
+
+@lru_cache(maxsize=None)
+def _cr_neighbours(stride: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """CR's clamped neighbour indices at ``stride``: the right ones of
+    forward reduction (the last active equation has ``c == 0``, which
+    kills its clamped term) and the left ones of backward substitution
+    (the first has ``a == 0``)."""
+    half = stride // 2
+    right = np.minimum(np.arange(stride - 1 + half, n + half, stride), n - 1)
+    left = np.maximum(np.arange(-1, n - half, stride), 0)
+    return right, left
+
+
+def forward_reduction_level(w, stride: int, n: int) -> None:
+    """One in-place forward-reduction level of the equation-major
+    coefficients ``w`` (``(4, n, S)``): equations ``stride-1,
+    2*stride-1, ...`` absorb their neighbours at ``stride // 2``."""
+    reduce_equations(w[:, stride - 1::stride], w[:, stride // 2 - 1::stride],
+                     w[:, _cr_neighbours(stride, n)[0]])
 
 
 def solve_two_unknowns(b, c, a2, b2, d, d2):
@@ -68,17 +95,14 @@ def solve_two_unknowns(b, c, a2, b2, d, d2):
     return x1, x2
 
 
-def backward_substitution_level(a, b, c, d, x, idx: np.ndarray,
-                                s: int) -> None:
-    """Solve unknowns ``idx`` given already-solved ``x[idx +/- s]``.
-
-    The leftmost equation of each level has ``a == 0``; its left
-    neighbour index is clamped to 0.
-    """
-    left = np.maximum(idx - s, 0)
-    right = idx + s  # always < n for the level structure used here
-    x[:, idx] = (d[:, idx] - a[:, idx] * x[:, left]
-                 - c[:, idx] * x[:, right]) / b[:, idx]
+def backward_substitution_level(w, x, stride: int, n: int) -> None:
+    """Solve unknowns ``stride/2 - 1, 3*stride/2 - 1, ...`` of the
+    ``(n, S)`` solution ``x`` given the solved ones at distance
+    ``stride // 2`` (``w`` as in :func:`forward_reduction_level`)."""
+    half = stride // 2
+    a, b, c, d = w[:, half - 1::stride]
+    x[half - 1::stride] = (d - a * x[_cr_neighbours(stride, n)[1]]
+                           - c * x[stride - 1::stride]) / b
 
 
 def cyclic_reduction(systems: TridiagonalSystems) -> np.ndarray:
@@ -89,46 +113,28 @@ def cyclic_reduction(systems: TridiagonalSystems) -> np.ndarray:
     """
     n = systems.n
     require_power_of_two(n, "cyclic_reduction")
-    work = systems.copy()
-    a, b, c, d = work.a, work.b, work.c, work.d
-    S = systems.num_systems
-    x = np.zeros((S, n), dtype=systems.dtype)
-
-    if n == 2:
-        x[:, 0], x[:, 1] = solve_two_unknowns(
-            b[:, 0], c[:, 0], a[:, 1], b[:, 1], d[:, 0], d[:, 1])
-        return x
-
-    levels = int(np.log2(n))
-    # Forward reduction: levels-1 steps, stride 2, 4, ..., n/2.
-    for k in range(levels - 1):
-        stride = 2 << k
-        idx = stride * (np.arange(n // stride) + 1) - 1
-        forward_reduction_level(a, b, c, d, idx, stride // 2, n)
-
-    # Solve the remaining 2-unknown system (indices n/2-1 and n-1).
-    i1, i2 = n // 2 - 1, n - 1
-    x[:, i1], x[:, i2] = solve_two_unknowns(
-        b[:, i1], c[:, i1], a[:, i2], b[:, i2], d[:, i1], d[:, i2])
-
-    # Backward substitution: levels-1 steps, stride n/2, ..., 2.
-    for k in range(levels - 2, -1, -1):
-        stride = 2 << k
-        half = stride // 2
-        idx = half - 1 + stride * np.arange(n // stride)
-        backward_substitution_level(a, b, c, d, x, idx, half)
-    return x
+    w = systems.equation_major()
+    # Forward reduction down to the 2-unknown system (indices n/2-1
+    # and n-1), then backward substitution.
+    forward_reduce_to(w, n, 2)
+    a, b, c, d = w
+    x = np.zeros_like(b)
+    i1 = n // 2 - 1
+    x[i1], x[-1] = solve_two_unknowns(b[i1], c[i1], a[-1], b[-1], d[i1],
+                                      d[-1])
+    back_substitute_from(w, x, n, 2)
+    return np.ascontiguousarray(x.T)
 
 
-def forward_reduce_to(systems_work: tuple[np.ndarray, ...], n: int,
+def forward_reduce_to(systems_work: np.ndarray, n: int,
                       m: int) -> np.ndarray:
     """Run CR forward reduction in place until ``m`` unknowns remain.
 
-    ``systems_work`` is the mutable ``(a, b, c, d)`` tuple.  Returns the
-    indices of the surviving equations (``stride-1, 2*stride-1, ...``
-    with ``stride = n // m``).  Shared with the hybrid solvers.
+    ``systems_work`` is the mutable equation-major ``(4, n, S)``
+    coefficient array (``a, b, c, d``).  Returns the indices of the
+    surviving equations (``stride-1, 2*stride-1, ...`` with ``stride =
+    n // m``).  Shared with the hybrid solvers.
     """
-    a, b, c, d = systems_work
     require_power_of_two(n, "forward_reduce_to")
     require_power_of_two(m, "forward_reduce_to")
     if not 2 <= m <= n:
@@ -136,25 +142,22 @@ def forward_reduce_to(systems_work: tuple[np.ndarray, ...], n: int,
     stride = 1
     while n // stride > m:
         stride *= 2
-        idx = stride * (np.arange(n // stride) + 1) - 1
-        forward_reduction_level(a, b, c, d, idx, stride // 2, n)
+        forward_reduction_level(systems_work, stride, n)
     return stride * (np.arange(m) + 1) - 1
 
 
-def back_substitute_from(systems_work: tuple[np.ndarray, ...],
-                         x: np.ndarray, n: int, m: int) -> None:
+def back_substitute_from(systems_work: np.ndarray, x: np.ndarray, n: int,
+                         m: int) -> None:
     """CR backward substitution from an ``m``-unknown solved level.
 
-    Fills in the unknowns that :func:`forward_reduce_to` skipped, given
-    ``x`` already holds values at the surviving indices.
+    Fills in the unknowns of the ``(n, S)`` solution ``x`` that
+    :func:`forward_reduce_to` skipped, given ``x`` already holds values
+    at the surviving indices.
     """
-    a, b, c, d = systems_work
     stride = n // m
     while stride > 1:
-        half = stride // 2
-        idx = half - 1 + stride * np.arange(n // stride)
-        backward_substitution_level(a, b, c, d, x, idx, half)
-        stride = half
+        backward_substitution_level(systems_work, x, stride, n)
+        stride //= 2
 
 
 def operation_count(n: int) -> int:

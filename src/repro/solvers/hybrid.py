@@ -13,6 +13,9 @@ step-efficiency; the best ``m`` on the GTX 280 is far larger than the
 warp size (256 for CR+PCR, 128 for CR+RD at n = 512; Fig 17) because
 late CR steps suffer bank conflicts and poor vector utilisation on top
 of their low parallelism.
+
+Both hybrids work equation-major, as their CR, PCR and RD parts do, and
+are the bit-identical twins of :mod:`repro.kernels.hybrid_kernel`.
 """
 
 from __future__ import annotations
@@ -71,22 +74,16 @@ def hybrid_solve(systems: TridiagonalSystems, inner: InnerName = "pcr",
     if not 2 <= m <= n:
         raise ValueError(f"intermediate size {m} outside [2, {n}]")
 
-    work = systems.copy()
-    arrays = (work.a, work.b, work.c, work.d)
-    surviving = forward_reduce_to(arrays, n, m)
+    work = systems.equation_major()
+    surviving = forward_reduce_to(work, n, m)
 
     # Copy the intermediate system to fresh contiguous storage (§4).
-    ia = work.a[:, surviving].copy()
-    ib = work.b[:, surviving].copy()
-    ic = work.c[:, surviving].copy()
-    id_ = work.d[:, surviving].copy()
+    xi = _INNER[inner](work[:, surviving])
 
-    xi = _INNER[inner](ia, ib, ic, id_)
-
-    x = np.zeros(systems.shape, dtype=systems.dtype)
-    x[:, surviving] = xi
-    back_substitute_from(arrays, x, n, m)
-    return x
+    x = np.zeros_like(work[1])
+    x[surviving] = xi
+    back_substitute_from(work, x, n, m)
+    return np.ascontiguousarray(x.T)
 
 
 def cr_pcr(systems: TridiagonalSystems,

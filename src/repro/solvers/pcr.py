@@ -11,35 +11,38 @@ Boundary handling: after ``k`` steps the invariants ``a[i] == 0`` for
 ``i < 2^k`` and ``c[i] == 0`` for ``i >= n - 2^k`` hold, so clamped
 neighbour indices contribute nothing -- the same trick the CUDA kernel
 uses instead of branches.
+
+Like :mod:`repro.solvers.cr`, the solver works equation-major on one
+``(4, n, S)`` coefficient array and is bit-identical to its kernel
+:mod:`repro.kernels.pcr_kernel`, whose planned launches take ``x`` from
+it.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .cr import solve_two_unknowns
+from .cr import reduce_equations, solve_two_unknowns
 from .systems import TridiagonalSystems
 from .validate import require_power_of_two
 
 
-def pcr_reduction_step(a, b, c, d, stride: int, n: int) -> None:
-    """One PCR step: update every equation against neighbours at
-    ``stride``, in place (gather-all then scatter, the vector analogue
-    of the kernel's read-sync-write)."""
+@lru_cache(maxsize=None)
+def _pcr_neighbours(stride: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every equation's clamped left and right neighbour at ``stride``."""
     idx = np.arange(n)
-    left = np.maximum(idx - stride, 0)
-    right = np.minimum(idx + stride, n - 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k1 = a / b[:, left]
-        k2 = c / b[:, right]
-    new_a = -a[:, left] * k1
-    new_b = b - c[:, left] * k1 - a[:, right] * k2
-    new_c = -c[:, right] * k2
-    new_d = d - d[:, left] * k1 - d[:, right] * k2
-    a[:] = new_a
-    b[:] = new_b
-    c[:] = new_c
-    d[:] = new_d
+    return np.maximum(idx - stride, 0), np.minimum(idx + stride, n - 1)
+
+
+def pcr_reduction_step(w, stride: int, n: int) -> None:
+    """One PCR step on the equation-major coefficients ``w`` (``(4, n,
+    S)``): update every equation against neighbours at ``stride``, in
+    place (gather-all then scatter, the vector analogue of the kernel's
+    read-sync-write)."""
+    left, right = _pcr_neighbours(stride, n)
+    reduce_equations(w, w[:, left], w[:, right])
 
 
 def parallel_cyclic_reduction(systems: TridiagonalSystems) -> np.ndarray:
@@ -49,57 +52,26 @@ def parallel_cyclic_reduction(systems: TridiagonalSystems) -> np.ndarray:
     because every step accesses unit-stride neighbours of a full
     thread front (§5.3.2).
     """
-    n = systems.n
-    require_power_of_two(n, "parallel_cyclic_reduction")
-    work = systems.copy()
-    a, b, c, d = work.a, work.b, work.c, work.d
-    S = systems.num_systems
-    x = np.empty((S, n), dtype=systems.dtype)
+    require_power_of_two(systems.n, "parallel_cyclic_reduction")
+    return np.ascontiguousarray(pcr_on_arrays(systems.equation_major()).T)
 
-    if n == 2:
-        x[:, 0], x[:, 1] = solve_two_unknowns(
-            b[:, 0], c[:, 0], a[:, 1], b[:, 1], d[:, 0], d[:, 1])
-        return x
 
-    levels = int(np.log2(n))
+def pcr_on_arrays(w) -> np.ndarray:
+    """PCR on the equation-major ``(4, m, S)`` coefficients ``w``
+    (mutated); returns the ``(m, S)`` solution.  The hybrid solvers
+    call it on the copied intermediate system."""
+    m = w.shape[1]
     stride = 1
-    for _ in range(levels - 1):
-        pcr_reduction_step(a, b, c, d, stride, n)
+    while 2 * stride < m:
+        pcr_reduction_step(w, stride, m)
         stride *= 2
-
-    # stride == n/2: equations (i, i + n/2) now form independent 2x2
+    # stride == m/2: equations (i, i + m/2) now form independent 2x2
     # systems ("solve all 2-unknown systems", Fig 2 step 3).
-    half = n // 2
-    i1 = np.arange(half)
-    i2 = i1 + half
-    x1, x2 = solve_two_unknowns(
-        b[:, i1], c[:, i1], a[:, i2], b[:, i2], d[:, i1], d[:, i2])
-    x[:, i1] = x1
-    x[:, i2] = x2
-    return x
-
-
-def pcr_on_arrays(a, b, c, d) -> np.ndarray:
-    """PCR on raw ``(S, m)`` arrays (used by the hybrid solvers on the
-    copied intermediate system; mutates its inputs)."""
-    S, m = b.shape
-    x = np.empty((S, m), dtype=b.dtype)
-    if m == 2:
-        x[:, 0], x[:, 1] = solve_two_unknowns(
-            b[:, 0], c[:, 0], a[:, 1], b[:, 1], d[:, 0], d[:, 1])
-        return x
-    levels = int(np.log2(m))
-    stride = 1
-    for _ in range(levels - 1):
-        pcr_reduction_step(a, b, c, d, stride, m)
-        stride *= 2
-    half = m // 2
-    i1 = np.arange(half)
-    i2 = i1 + half
-    x1, x2 = solve_two_unknowns(
-        b[:, i1], c[:, i1], a[:, i2], b[:, i2], d[:, i1], d[:, i2])
-    x[:, i1] = x1
-    x[:, i2] = x2
+    a, b, c, d = w
+    x = np.empty_like(b)
+    x[:stride], x[stride:] = solve_two_unknowns(
+        b[:stride], c[:stride], a[stride:], b[stride:], d[:stride],
+        d[stride:])
     return x
 
 

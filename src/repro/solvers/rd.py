@@ -26,6 +26,12 @@ Implementation notes mirroring the paper's kernel (§4):
   can overflow float32 for diagonally dominant matrices -- the paper's
   §5.4 observation, reproduced here naturally.  See
   :mod:`repro.numerics.scaling` for the scaled variant.
+* The six stored entries live in six separate equation-major ``(n,
+  S)`` planes, so the scan combines whole rows of all systems at once.
+  The solver is bit-identical to :mod:`repro.kernels.rd_kernel`, whose
+  planned launches take ``x`` from it.  Solution evaluation runs over
+  the same full plane the kernel's lanes do, so overflowed systems
+  keep the kernel's NaN signs too.
 """
 
 from __future__ import annotations
@@ -35,80 +41,84 @@ import numpy as np
 from .systems import TridiagonalSystems
 from .validate import require_power_of_two
 
-#: Row-major layout of the stored 2x3 top of each scan matrix.
+#: Plane order of the stored 2x3 top of each scan matrix.
 R00, R01, R02, R10, R11, R12 = range(6)
 
 
-def build_matrices(a, b, c, d) -> np.ndarray:
-    """Matrix setup phase: ``(S, n, 6)`` stored rows of the B_i.
+def build_matrices(a, b, c, d) -> list[np.ndarray]:
+    """Matrix setup phase: the stored rows of the B_i as six
+    equation-major ``(n, S)`` planes, indexed ``R00 .. R12``.
 
     Divisions: three per equation (``-b/c, -a/c, d/c``).  The last
-    column uses the formal ``c = 1`` substitution.
+    equation uses the formal ``c = 1`` substitution.
     """
-    S, n = b.shape
-    m = np.empty((S, n, 6), dtype=b.dtype)
     cc = c.copy()
-    cc[:, -1] = 1  # formal c for the last equation (see module docstring)
+    cc[-1] = 1  # formal c for the last equation (see module docstring)
     with np.errstate(divide="ignore", invalid="ignore"):
-        m[:, :, R00] = -b / cc
-        m[:, :, R01] = -a / cc
-        m[:, :, R02] = d / cc
-    m[:, :, R10] = 1
-    m[:, :, R11] = 0
-    m[:, :, R12] = 0
-    return m
+        r00 = -b / cc
+        r01 = -a / cc
+        r02 = d / cc
+    return [r00, r01, r02, np.ones_like(b), np.zeros_like(b),
+            np.zeros_like(b)]
 
 
-def combine(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
-    """Product of stored-2x3 scan matrices: ``later @ earlier``.
+def combine(later, earlier) -> list[np.ndarray]:
+    """Product of stored-2x3 scan matrices: ``later @ earlier``, each
+    given as its six planes.
 
     20 arithmetic operations per element pair (the paper's count),
     exploiting the implicit third row ``[0, 0, 1]``.
     """
-    a00, a01, a02 = (later[..., R00], later[..., R01], later[..., R02])
-    a10, a11, a12 = (later[..., R10], later[..., R11], later[..., R12])
-    b00, b01, b02 = (earlier[..., R00], earlier[..., R01], earlier[..., R02])
-    b10, b11, b12 = (earlier[..., R10], earlier[..., R11], earlier[..., R12])
-    out = np.empty_like(later)
-    out[..., R00] = a00 * b00 + a01 * b10
-    out[..., R01] = a00 * b01 + a01 * b11
-    out[..., R02] = a00 * b02 + a01 * b12 + a02
-    out[..., R10] = a10 * b00 + a11 * b10
-    out[..., R11] = a10 * b01 + a11 * b11
-    out[..., R12] = a10 * b02 + a11 * b12 + a12
-    return out
+    a00, a01, a02, a10, a11, a12 = later
+    b00, b01, b02, b10, b11, b12 = earlier
+    return [a00 * b00 + a01 * b10,
+            a00 * b01 + a01 * b11,
+            a00 * b02 + a01 * b12 + a02,
+            a10 * b00 + a11 * b10,
+            a10 * b01 + a11 * b11,
+            a10 * b02 + a11 * b12 + a12]
 
 
-def inclusive_scan(matrices: np.ndarray) -> np.ndarray:
-    """Hillis-Steele inclusive scan over the equation axis.
+def inclusive_scan(matrices) -> list[np.ndarray]:
+    """Hillis-Steele inclusive scan over the equation axis of the six
+    planes.
 
     Step-efficient (log2 n steps), not work-efficient -- the paper
     picks this variant deliberately because step count dominates GPU
     runtime (§2.3, §5.3).  Operates on a copy.
     """
-    m = matrices.copy()
-    n = m.shape[1]
+    m = [plane.copy() for plane in matrices]
+    n = m[0].shape[0]
     stride = 1
     while stride < n:
         # later element i absorbs earlier element i - stride
-        m[:, stride:] = combine(m[:, stride:], m[:, :-stride])
+        products = combine([p[stride:] for p in m],
+                           [p[:-stride] for p in m])
+        for plane, product in zip(m, products):
+            plane[stride:] = product
         stride *= 2
     return m
 
 
-def evaluate_solution(scanned: np.ndarray) -> np.ndarray:
-    """Solution evaluation phase: unknowns from the prefix products.
+def evaluate_solution(scanned) -> np.ndarray:
+    """Solution evaluation phase: the ``(n, S)`` unknowns from the
+    prefix products.
 
     ``x_0 = -C_{n-1}[0,2] / C_{n-1}[0,0]``; then
     ``x_{i+1} = C_i[0,0] * x_0 + C_i[0,2]``.
     """
-    S, n, _ = scanned.shape
-    x = np.empty((S, n), dtype=scanned.dtype)
+    c00, c02 = scanned[R00], scanned[R02]
     with np.errstate(divide="ignore", invalid="ignore"):
-        x0 = -scanned[:, n - 1, R02] / scanned[:, n - 1, R00]
-    x[:, 0] = x0
-    x[:, 1:] = (scanned[:, :-1, R00] * x0[:, None]
-                + scanned[:, :-1, R02])
+        x0 = -c02[-1] / c00[-1]
+    # Every row evaluates, row 0 against the clamped C_0, with x_0
+    # broadcast over a whole plane: the kernel's lanes do the same, so
+    # each product meets the same vector loop there and here (a NaN's
+    # sign can depend on it).
+    prev = np.maximum(np.arange(c00.shape[0]) - 1, 0)
+    x = np.empty_like(c00)
+    x[:] = x0
+    x = c00[prev] * x + c02[prev]
+    x[0] = x0
     return x
 
 
@@ -119,14 +129,13 @@ def recursive_doubling(systems: TridiagonalSystems) -> np.ndarray:
     solution evaluation (Table 1).
     """
     require_power_of_two(systems.n, "recursive_doubling")
-    m = build_matrices(systems.a, systems.b, systems.c, systems.d)
-    scanned = inclusive_scan(m)
-    return evaluate_solution(scanned)
+    return np.ascontiguousarray(rd_on_arrays(systems.equation_major()).T)
 
 
-def rd_on_arrays(a, b, c, d) -> np.ndarray:
-    """RD on raw ``(S, m)`` arrays (hybrid inner solver path)."""
-    return evaluate_solution(inclusive_scan(build_matrices(a, b, c, d)))
+def rd_on_arrays(w) -> np.ndarray:
+    """RD on the equation-major ``(4, m, S)`` coefficients ``w`` (the
+    hybrids' inner solver); returns the ``(m, S)`` solution."""
+    return evaluate_solution(inclusive_scan(build_matrices(*w)))
 
 
 def operation_count(n: int) -> int:

@@ -119,6 +119,14 @@ class TridiagonalSystems:
         return TridiagonalSystems(self.a.copy(), self.b.copy(),
                                   self.c.copy(), self.d.copy())
 
+    def equation_major(self) -> np.ndarray:
+        """A fresh C-ordered ``(4, n, num_systems)`` copy of ``a, b, c,
+        d``: the interleaved layout the batched solvers work in, where
+        each reduction step moves whole rows of all systems."""
+        w = np.empty((4, self.n, self.num_systems), dtype=self.dtype)
+        return np.stack([x.T for x in (self.a, self.b, self.c, self.d)],
+                        out=w)
+
     def take(self, indices) -> "TridiagonalSystems":
         """Sub-batch of the given system indices (rows are copied)."""
         idx = np.asarray(indices, dtype=np.int64)

@@ -464,7 +464,7 @@ def check_invariants(sizes=DEFAULT_SIZES, kernels=INVARIANT_KERNELS,
     Counters are per block and data-independent, so the traces come
     from the analytic fast path
     (:func:`repro.gpusim.estimator.analytic_launch`, bitwise-identical
-    ledgers to a functional launch -- its own contract, enforced by
+    ledgers to a traced launch -- its own contract, enforced by
     ``tests/gpusim/test_estimator.py``); ``num_systems``/``seed`` are
     retained for signature compatibility (the solution content never
     entered this check -- it is the differential harness's job).

@@ -256,10 +256,10 @@ class TestGlobalLaneAccounting:
         assert ctx.ledger.total().global_transactions == 4
 
 
-#: The three modes a context runs in: traced (raw launches), planned
-#: (a memo ledger, no recording) and charge-only (the estimator).
-MODES = {"traced": {}, "planned": {"record_trace": False},
-         "charge_only": {"functional": False}}
+#: The two modes a context runs in: traced (raw, fault-plan and
+#: step-limited launches) and charge-only (the estimator).  A planned
+#: launch runs no context: its ``x`` comes from the solver twin.
+MODES = {"traced": {}, "charge_only": {"functional": False}}
 
 #: Lane patterns for two active lanes over two blocks.  Shared arrays
 #: hold 8 and 4 words; global arrays 16 and 12 words, block bases 0

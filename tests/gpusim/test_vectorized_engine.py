@@ -320,7 +320,7 @@ class TestShiftInvariance:
 
 class TestPlannedLaunches:
     """The engine is not part of a launch plan, so one memo ledger
-    serves planned launches on either engine."""
+    stands for a trace on either engine."""
 
     def test_engine_not_in_plan(self):
         assert "engine" not in {f.name for f in fields(LaunchPlan)}
@@ -330,20 +330,12 @@ class TestPlannedLaunches:
                     threads_per_block=plan.threads_per_block,
                     device=plan.device, **dict(plan.kwargs))
         x_vec, planned_vec = run_kernel("cr", systems)
-        gmem = plan.load(systems)
-        planned_ref = launch(plan.kernel, gmem=gmem, engine="reference",
-                             memo=characterize(plan),
-                             **args)
         gmem_traced = plan.load(systems)
         traced_ref = _reference_execute(plan.kernel, gmem=gmem_traced,
                                         **args)
-        _assert_bitwise_equal(planned_ref, traced_ref)
         _assert_bitwise_equal(planned_vec, traced_ref)
-        x_ref = gmem.solution()[:2]
-        assert np.array_equal(x_ref.view(np.uint32),
-                              x_vec.view(np.uint32))
         assert np.array_equal(
-            x_ref.view(np.uint32),
+            x_vec.view(np.uint32),
             gmem_traced.solution()[:2].view(np.uint32))
 
     @settings(max_examples=25, deadline=None)

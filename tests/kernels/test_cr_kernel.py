@@ -8,6 +8,8 @@ from repro.kernels.api import run_kernel
 from repro.numerics.generators import diagonally_dominant_fluid
 from repro.solvers.cr import cyclic_reduction
 
+from .conftest import traced_kernel
+
 
 @pytest.fixture(scope="module")
 def batch():
@@ -16,7 +18,7 @@ def batch():
 
 @pytest.fixture(scope="module")
 def launch(batch):
-    return run_kernel("cr", batch)
+    return traced_kernel("cr", batch)
 
 
 class TestFunctional:
@@ -27,12 +29,12 @@ class TestFunctional:
     @pytest.mark.parametrize("n", [2, 4, 16, 128])
     def test_sizes(self, n):
         s = diagonally_dominant_fluid(4, n, seed=n)
-        x, _res = run_kernel("cr", s)
+        x, _res = traced_kernel("cr", s)
         np.testing.assert_array_equal(x, cyclic_reduction(s))
 
     def test_conflict_free_variant_same_values(self, batch):
-        x_normal, _ = run_kernel("cr", batch)
-        x_cf, _ = run_kernel("cr", batch, conflict_free_timing=True)
+        x_normal, _ = traced_kernel("cr", batch)
+        x_cf, _ = traced_kernel("cr", batch, conflict_free_timing=True)
         np.testing.assert_array_equal(x_normal, x_cf)
 
 

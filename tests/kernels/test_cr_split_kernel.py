@@ -9,6 +9,8 @@ from repro.kernels.cr_split_kernel import split_footprint_words
 from repro.numerics.generators import diagonally_dominant_fluid
 from repro.solvers.cr import cyclic_reduction
 
+from .conftest import traced_kernel
+
 
 @pytest.fixture(scope="module")
 def batch():
@@ -17,7 +19,7 @@ def batch():
 
 @pytest.fixture(scope="module")
 def launch(batch):
-    return run_kernel("cr_split", batch)
+    return traced_kernel("cr_split", batch)
 
 
 class TestFunctional:
@@ -28,7 +30,7 @@ class TestFunctional:
     @pytest.mark.parametrize("n", [2, 4, 16, 64, 128])
     def test_sizes(self, n):
         s = diagonally_dominant_fluid(3, n, seed=n)
-        x, _res = run_kernel("cr_split", s)
+        x, _res = traced_kernel("cr_split", s)
         np.testing.assert_array_equal(x, cyclic_reduction(s))
 
 

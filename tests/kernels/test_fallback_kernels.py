@@ -9,12 +9,14 @@ from repro.numerics.generators import diagonally_dominant_fluid
 from repro.solvers.cr import cyclic_reduction
 from repro.solvers.thomas import thomas_batched
 
+from .conftest import traced_kernel
+
 
 class TestGlobalOnlyCR:
     @pytest.mark.parametrize("n", [4, 64, 256])
     def test_bit_identical_to_shared_cr(self, n):
         s = diagonally_dominant_fluid(4, n, seed=n)
-        x, _res = run_kernel("cr_global", s)
+        x, _res = traced_kernel("cr_global", s)
         np.testing.assert_array_equal(x, cyclic_reduction(s))
 
     def test_no_shared_memory(self):
@@ -29,7 +31,7 @@ class TestGlobalOnlyCR:
         s = diagonally_dominant_fluid(2, 1024, seed=1)
         with pytest.raises(KernelError):
             run_kernel("cr", s)
-        x, _res = run_kernel("cr_global", s)
+        x, _res = traced_kernel("cr_global", s)
         np.testing.assert_allclose(
             x, thomas_batched(s.astype(np.float64)), rtol=1e-2, atol=1e-3)
 
@@ -53,13 +55,13 @@ class TestGlobalOnlyCR:
 class TestThomasPerThread:
     def test_strided_layout_correct(self):
         s = diagonally_dominant_fluid(32, 32, seed=0)
-        x, _res = run_kernel("thomas", s)
+        x, _res = traced_kernel("thomas", s)
         np.testing.assert_allclose(x, thomas_batched(s), rtol=1e-4,
                                    atol=1e-5)
 
     def test_interleaved_layout_correct(self):
         s = diagonally_dominant_fluid(32, 32, seed=1)
-        x, _res = run_kernel("thomas", s, layout="interleaved")
+        x, _res = traced_kernel("thomas", s, layout="interleaved")
         np.testing.assert_allclose(x, thomas_batched(s), rtol=1e-4,
                                    atol=1e-5)
 

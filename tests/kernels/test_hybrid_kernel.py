@@ -11,17 +11,19 @@ from repro.numerics.generators import close_values, diagonally_dominant_fluid
 from repro.solvers.hybrid import cr_pcr, cr_rd
 from repro.solvers.thomas import thomas_batched
 
+from .conftest import traced_kernel
+
 
 class TestCrPcr:
     @pytest.mark.parametrize("n,m", [(16, 4), (64, 8), (64, 32), (128, 64)])
     def test_bit_identical_to_numpy(self, n, m):
         s = diagonally_dominant_fluid(4, n, seed=n + m)
-        x, _res = run_kernel("cr_pcr", s, intermediate_size=m)
+        x, _res = traced_kernel("cr_pcr", s, intermediate_size=m)
         np.testing.assert_array_equal(x, cr_pcr(s, intermediate_size=m))
 
     def test_default_intermediate(self):
         s = diagonally_dominant_fluid(2, 64, seed=0)
-        x, res = run_kernel("cr_pcr", s)
+        x, res = traced_kernel("cr_pcr", s)
         assert s.astype(np.float64).residual(x.astype(np.float64)).max() < 1e-3
 
     def test_phase_sequence(self):
@@ -58,7 +60,7 @@ class TestCrRd:
     @pytest.mark.parametrize("n,m", [(16, 4), (64, 16), (64, 64)])
     def test_bit_identical_to_numpy(self, n, m):
         s = close_values(4, n, seed=n + m)
-        x, _res = run_kernel("cr_rd", s, intermediate_size=m)
+        x, _res = traced_kernel("cr_rd", s, intermediate_size=m)
         np.testing.assert_array_equal(x, cr_rd(s, intermediate_size=m))
 
     def test_phase_sequence(self):
@@ -86,7 +88,7 @@ class TestCrRd:
     def test_cr_pcr_m256_at_n512_fits(self):
         """...while CR+PCR can afford m = 256 (§5.3.4)."""
         s = diagonally_dominant_fluid(2, 512, seed=8)
-        x, res = run_kernel("cr_pcr", s, intermediate_size=256)
+        x, res = traced_kernel("cr_pcr", s, intermediate_size=256)
         assert res.blocks_per_sm == 1
         assert np.isfinite(x).all()
 

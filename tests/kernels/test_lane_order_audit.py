@@ -22,12 +22,13 @@ import pytest
 
 from repro.gpusim import ledgers_equal
 from repro.gpusim.executor import _reference_execute, launch
-from repro.kernels.api import run_kernel
 from repro.kernels.common import GlobalSystemArrays
 from repro.kernels.pcr_pingpong_kernel import pcr_pingpong_kernel
 from repro.kernels.rd_full_kernel import rd_full_kernel
 from repro.numerics.generators import diagonally_dominant_fluid
 from repro.verify.oracle import compare_to_oracle
+
+from .conftest import traced_kernel
 
 
 def _both_engines(kernel, n, num_systems=2, seed=0):
@@ -47,7 +48,7 @@ class TestPcrPingpongBufferParity:
         """log2(n)-1 buffer swaps: n = 8 ends in the opposite buffer
         from n = 16.  Both must read back the live buffer."""
         systems = diagonally_dominant_fluid(3, n, seed=2)
-        x, _res = run_kernel("pcr_pingpong", systems)
+        x, _res = traced_kernel("pcr_pingpong", systems)
         comparison = compare_to_oracle(systems, x)
         assert comparison.rel_residual_max < 1e-4
 
@@ -66,8 +67,8 @@ class TestPcrPingpongBufferParity:
         which keeps a read-write hazard barrier instead."""
 
         systems = diagonally_dominant_fluid(2, 32, seed=5)
-        x_pp, _ = run_kernel("pcr_pingpong", systems)
-        x_pcr, _ = run_kernel("pcr", systems)
+        x_pp, _ = traced_kernel("pcr_pingpong", systems)
+        x_pcr, _ = traced_kernel("pcr", systems)
         assert np.array_equal(x_pp.view(np.uint32), x_pcr.view(np.uint32))
 
 
@@ -84,7 +85,7 @@ class TestRdFullLaneZeroFixup:
         sizes are pinned bitwise against the reference engine below.
         """
         systems = diagonally_dominant_fluid(3, n, seed=4)
-        x, _res = run_kernel("rd_full", systems)
+        x, _res = traced_kernel("rd_full", systems)
         comparison = compare_to_oracle(systems, x)
         assert comparison.rel_residual_max < 1e-3
         # Column 0 specifically: the fixup target.

@@ -8,6 +8,8 @@ from repro.kernels.api import run_kernel
 from repro.numerics.generators import diagonally_dominant_fluid
 from repro.solvers.pcr import parallel_cyclic_reduction
 
+from .conftest import traced_kernel
+
 
 @pytest.fixture(scope="module")
 def batch():
@@ -16,7 +18,7 @@ def batch():
 
 @pytest.fixture(scope="module")
 def launch(batch):
-    return run_kernel("pcr", batch)
+    return traced_kernel("pcr", batch)
 
 
 class TestFunctional:
@@ -27,7 +29,7 @@ class TestFunctional:
     @pytest.mark.parametrize("n", [2, 4, 32, 256])
     def test_sizes(self, n):
         s = diagonally_dominant_fluid(4, n, seed=n)
-        x, _res = run_kernel("pcr", s)
+        x, _res = traced_kernel("pcr", s)
         np.testing.assert_array_equal(x, parallel_cyclic_reduction(s))
 
 

@@ -7,13 +7,15 @@ from repro.gpusim import KernelError, gt200_cost_model
 from repro.kernels.api import run_kernel
 from repro.numerics.generators import diagonally_dominant_fluid
 
+from .conftest import traced_kernel
+
 
 class TestFunctional:
     @pytest.mark.parametrize("n", [2, 8, 64, 256])
     def test_bit_identical_to_inplace(self, n):
         s = diagonally_dominant_fluid(4, n, seed=n)
-        x1, _ = run_kernel("pcr", s)
-        x2, _ = run_kernel("pcr_pingpong", s)
+        x1, _ = traced_kernel("pcr", s)
+        x2, _ = traced_kernel("pcr_pingpong", s)
         np.testing.assert_array_equal(x1, x2)
 
     def test_still_conflict_free(self):

@@ -16,6 +16,8 @@ from repro.kernels.api import run_kernel
 from repro.numerics.generators import close_values, diagonally_dominant_fluid
 from repro.solvers.api import SOLVERS
 
+from .conftest import traced_kernel
+
 sizes = st.sampled_from([4, 8, 16, 32, 64])
 batches = st.integers(min_value=1, max_value=4)
 seeds = st.integers(min_value=0, max_value=10**6)
@@ -33,7 +35,7 @@ def test_kernel_equals_numpy_everywhere(name, n, S, seed):
     s = _gen(name, S, n, seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        x_k, _res = run_kernel(name, s)
+        x_k, _res = traced_kernel(name, s)
         x_np = SOLVERS[name](s, intermediate_size=None)
     np.testing.assert_array_equal(x_k, x_np)
 
@@ -46,7 +48,7 @@ def test_hybrid_kernel_equals_numpy_for_any_switch_point(n, seed, m_exp):
     s = diagonally_dominant_fluid(2, n, seed=seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        x_k, _res = run_kernel("cr_pcr", s, intermediate_size=m)
+        x_k, _res = traced_kernel("cr_pcr", s, intermediate_size=m)
         x_np = SOLVERS["cr_pcr"](s, intermediate_size=m)
     np.testing.assert_array_equal(x_k, x_np)
 

@@ -7,6 +7,8 @@ from repro.gpusim import KernelError, gt200_cost_model
 from repro.kernels.api import run_kernel
 from repro.numerics.generators import close_values
 
+from .conftest import traced_kernel
+
 
 class TestFunctional:
     @pytest.mark.parametrize("n", [2, 16, 128])
@@ -14,8 +16,8 @@ class TestFunctional:
         """The third row is [0,0,1] throughout, so carrying it changes
         nothing numerically."""
         s = close_values(3, n, seed=n)
-        x1, _ = run_kernel("rd", s)
-        x2, _ = run_kernel("rd_full", s)
+        x1, _ = traced_kernel("rd", s)
+        x2, _ = traced_kernel("rd_full", s)
         np.testing.assert_array_equal(x1, x2)
 
 

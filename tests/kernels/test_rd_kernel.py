@@ -9,6 +9,8 @@ from repro.kernels.api import run_kernel
 from repro.numerics.generators import close_values, diagonally_dominant_fluid
 from repro.solvers.rd import recursive_doubling
 
+from .conftest import traced_kernel
+
 
 @pytest.fixture(scope="module")
 def batch():
@@ -17,7 +19,7 @@ def batch():
 
 @pytest.fixture(scope="module")
 def launch(batch):
-    return run_kernel("rd", batch)
+    return traced_kernel("rd", batch)
 
 
 class TestFunctional:
@@ -28,14 +30,14 @@ class TestFunctional:
     @pytest.mark.parametrize("n", [2, 4, 32, 128])
     def test_sizes(self, n):
         s = close_values(4, n, seed=n)
-        x, _res = run_kernel("rd", s)
+        x, _res = traced_kernel("rd", s)
         np.testing.assert_array_equal(x, recursive_doubling(s))
 
     def test_overflow_reproduced_in_kernel(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             s = diagonally_dominant_fluid(4, 256, seed=1)
-            x, _res = run_kernel("rd", s)
+            x, _res = traced_kernel("rd", s)
         assert not np.isfinite(x).all()
 
 

@@ -18,6 +18,8 @@ from repro.kernels import plan_launch, run_kernel
 from repro.numerics.generators import diagonally_dominant_fluid
 from repro.solvers.thomas import thomas_batched
 
+from .conftest import traced_kernel
+
 
 class TestRunThomasBatch:
     @pytest.mark.parametrize("S,n", [(1, 8), (16, 32), (600, 16),
@@ -25,7 +27,7 @@ class TestRunThomasBatch:
     @pytest.mark.parametrize("layout", ["sequential", "interleaved"])
     def test_matches_cpu_thomas(self, S, n, layout):
         s = diagonally_dominant_fluid(S, n, seed=1)
-        x, res = run_kernel("thomas", s, layout=layout)
+        x, res = traced_kernel("thomas", s, layout=layout)
         assert x.shape == (S, n)
         np.testing.assert_allclose(x, thomas_batched(s), rtol=2e-5,
                                    atol=1e-6)
@@ -34,8 +36,8 @@ class TestRunThomasBatch:
     def test_layouts_bitwise_equal(self, S, n):
         """Same float32 op sequence per lane => identical bits."""
         s = diagonally_dominant_fluid(S, n, seed=2)
-        xs, _ = run_kernel("thomas", s, layout="sequential")
-        xi, _ = run_kernel("thomas", s, layout="interleaved")
+        xs, _ = traced_kernel("thomas", s, layout="sequential")
+        xi, _ = traced_kernel("thomas", s, layout="interleaved")
         np.testing.assert_array_equal(xs, xi)
 
     def test_multiblock_geometry(self):
@@ -61,7 +63,7 @@ class TestRunThomasBatch:
 class TestRunKernelLayout:
     def test_dispatches_interleaved_thomas(self):
         s = diagonally_dominant_fluid(48, 16, seed=5)
-        x, res = run_kernel("thomas", s, layout="interleaved")
+        x, res = traced_kernel("thomas", s, layout="interleaved")
         np.testing.assert_allclose(x, thomas_batched(s), rtol=2e-5,
                                    atol=1e-6)
 

@@ -9,6 +9,8 @@ from repro.solvers.cr import (back_substitute_from, cyclic_reduction,
                               solve_two_unknowns, step_count)
 from repro.solvers.thomas import thomas_batched
 
+from .conftest import equation_major_work as _work
+
 
 class TestCorrectness:
     @pytest.mark.parametrize("n", [2, 4, 8, 16, 64, 256])
@@ -56,8 +58,8 @@ class TestSolveTwoUnknowns:
 class TestLevelHelpers:
     def test_forward_reduce_to_full_size_is_identity(self):
         s = diagonally_dominant_fluid(2, 16, seed=1, dtype=np.float64)
-        w = s.copy()
-        idx = forward_reduce_to((w.a, w.b, w.c, w.d), 16, 16)
+        cols, w = _work(s)
+        idx = forward_reduce_to(cols, 16, 16)
         np.testing.assert_array_equal(idx, np.arange(16))
         np.testing.assert_array_equal(w.b, s.b)  # untouched
 
@@ -67,21 +69,20 @@ class TestLevelHelpers:
         s = diagonally_dominant_fluid(3, 32, seed=2, dtype=np.float64)
         ref = thomas_batched(s)
         for m in (2, 4, 8, 16):
-            w = s.copy()
-            arrays = (w.a, w.b, w.c, w.d)
+            arrays, w = _work(s)
             idx = forward_reduce_to(arrays, 32, m)
             inter = type(s)(w.a[:, idx], w.b[:, idx], w.c[:, idx],
                             w.d[:, idx])
             xi = thomas_batched(inter)
             x = np.zeros(s.shape, dtype=s.dtype)
             x[:, idx] = xi
-            back_substitute_from(arrays, x, 32, m)
+            back_substitute_from(arrays, x.T, 32, m)
             np.testing.assert_allclose(x, ref, rtol=1e-8, atol=1e-10)
 
     def test_surviving_indices_structure(self):
         s = diagonally_dominant_fluid(1, 16, seed=3, dtype=np.float64)
-        w = s.copy()
-        idx = forward_reduce_to((w.a, w.b, w.c, w.d), 16, 4)
+        cols, w = _work(s)
+        idx = forward_reduce_to(cols, 16, 4)
         np.testing.assert_array_equal(idx, [3, 7, 11, 15])
 
     def test_reduced_system_is_tridiagonal_consistent(self):
@@ -90,19 +91,19 @@ class TestLevelHelpers:
         values of the surviving unknowns."""
         s = diagonally_dominant_fluid(2, 32, seed=4, dtype=np.float64)
         ref = thomas_batched(s)
-        w = s.copy()
-        idx = forward_reduce_to((w.a, w.b, w.c, w.d), 32, 8)
+        cols, w = _work(s)
+        idx = forward_reduce_to(cols, 32, 8)
         inter = type(s)(w.a[:, idx], w.b[:, idx], w.c[:, idx], w.d[:, idx])
         xi = thomas_batched(inter)
         np.testing.assert_allclose(xi, ref[:, idx], rtol=1e-8, atol=1e-10)
 
     def test_bad_intermediate_sizes(self):
         s = diagonally_dominant_fluid(1, 16, seed=5)
-        w = s.copy()
+        cols, _ = _work(s)
         with pytest.raises(ValueError):
-            forward_reduce_to((w.a, w.b, w.c, w.d), 16, 3)
+            forward_reduce_to(cols, 16, 3)
         with pytest.raises(ValueError):
-            forward_reduce_to((w.a, w.b, w.c, w.d), 16, 32)
+            forward_reduce_to(cols, 16, 32)
 
 
 class TestComplexity:

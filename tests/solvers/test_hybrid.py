@@ -45,11 +45,13 @@ class TestCorrectness:
         """The mechanism behind the previous test: each CR level grows
         the reduced system's dominance ratio |b| / (|a|+|c|)."""
         from repro.solvers.cr import forward_reduce_to
+
+        from .conftest import equation_major_work
         s = diagonally_dominant_fluid(2, 64, seed=10, dtype=np.float64)
-        w = s.copy()
+        cols, w = equation_major_work(s)
         ratio_before = np.min(np.abs(s.b) / (np.abs(s.a) + np.abs(s.c)
                                              + 1e-300))
-        idx = forward_reduce_to((w.a, w.b, w.c, w.d), 64, 8)
+        idx = forward_reduce_to(cols, 64, 8)
         off = np.abs(w.a[:, idx]) + np.abs(w.c[:, idx])
         ratio_after = np.min(np.abs(w.b[:, idx]) / (off + 1e-300))
         assert ratio_after > ratio_before ** 2

@@ -8,6 +8,8 @@ from repro.solvers.pcr import (operation_count, parallel_cyclic_reduction,
                                pcr_on_arrays, pcr_reduction_step, step_count)
 from repro.solvers.thomas import thomas_batched
 
+from .conftest import equation_major_work as _work
+
 
 class TestCorrectness:
     @pytest.mark.parametrize("n", [2, 4, 8, 32, 128])
@@ -38,8 +40,8 @@ class TestReductionStep:
         equations no longer reference each other (Fig 2: the system
         splits into two half-size systems)."""
         s = diagonally_dominant_fluid(2, 16, seed=1, dtype=np.float64)
-        w = s.copy()
-        pcr_reduction_step(w.a, w.b, w.c, w.d, 1, 16)
+        cols, w = _work(s)
+        pcr_reduction_step(cols, 1, 16)
         # Each equation i now couples i-2 and i+2: solve the even and
         # odd subsystems independently and compare with the truth.
         ref = thomas_batched(s)
@@ -55,10 +57,10 @@ class TestReductionStep:
         """After k steps, a[i] == 0 for i < 2^k and c[i] == 0 for
         i >= n - 2^k (the index-clamping invariant)."""
         s = diagonally_dominant_fluid(2, 32, seed=2, dtype=np.float64)
-        w = s.copy()
+        cols, w = _work(s)
         stride = 1
         for k in range(1, 5):
-            pcr_reduction_step(w.a, w.b, w.c, w.d, stride, 32)
+            pcr_reduction_step(cols, stride, 32)
             stride *= 2
             assert np.all(w.a[:, :stride] == 0), f"step {k}"
             assert np.all(w.c[:, -stride:] == 0), f"step {k}"
@@ -66,15 +68,14 @@ class TestReductionStep:
 
 class TestOnArrays:
     def test_matches_wrapper(self, dominant_small):
-        w = dominant_small.copy()
-        x = pcr_on_arrays(w.a, w.b, w.c, w.d)
+        x = pcr_on_arrays(dominant_small.equation_major()).T
         np.testing.assert_array_equal(
             x, parallel_cyclic_reduction(dominant_small))
 
     def test_two_unknown_case(self):
         a = np.array([[0.0, 1.0]]); b = np.array([[2.0, 3.0]])
         c = np.array([[1.0, 0.0]]); d = np.array([[3.0, 4.0]])
-        x = pcr_on_arrays(a, b, c, d)
+        x = pcr_on_arrays(np.stack([a.T, b.T, c.T, d.T])).T
         np.testing.assert_allclose(x, [[1.0, 1.0]])
 
 

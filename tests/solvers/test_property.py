@@ -14,10 +14,13 @@ from repro.solvers.cr import cyclic_reduction
 from repro.solvers.gauss import gep_batched
 from repro.solvers.hybrid import hybrid_solve
 from repro.solvers.pcr import parallel_cyclic_reduction
-from repro.solvers.rd import combine, inclusive_scan, recursive_doubling
+from repro.solvers.rd import inclusive_scan, recursive_doubling
 from repro.solvers.systems import TridiagonalSystems
 from repro.solvers.thomas import thomas_batched
 from repro.solvers.validate import pad_to_power_of_two
+
+from .conftest import combine_stored as combine
+from .conftest import planes, stored
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -147,7 +150,7 @@ mat_entries = st.floats(min_value=-2.0, max_value=2.0,
 def test_scan_equals_serial_product(seed, n):
     rng = np.random.default_rng(seed)
     mats = rng.uniform(-1, 1, (1, n, 6))
-    scanned = inclusive_scan(mats)
+    scanned = stored(inclusive_scan(planes(mats)))
     serial = mats[:, 0]
     for i in range(1, n):
         serial = combine(mats[:, i], serial)

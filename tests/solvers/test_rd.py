@@ -7,11 +7,14 @@ import pytest
 
 from repro.numerics.generators import (close_values,
                                        diagonally_dominant_fluid)
-from repro.solvers.rd import (R00, R02, build_matrices, combine,
+from repro.solvers.rd import (R00, R02, build_matrices,
                               evaluate_solution, inclusive_scan,
                               operation_count, recursive_doubling,
                               step_count)
 from repro.solvers.thomas import thomas_batched
+
+from .conftest import combine_stored as combine
+from .conftest import planes, stored
 
 
 def full_3x3(stored):
@@ -51,7 +54,7 @@ class TestCombine:
 class TestScan:
     def test_matches_serial_prefix_product(self, rng):
         mats = rng.uniform(-0.9, 0.9, (2, 8, 6))
-        scanned = inclusive_scan(mats)
+        scanned = stored(inclusive_scan(planes(mats)))
         running = mats[:, 0]
         for i in range(1, 8):
             running = combine(mats[:, i], running)
@@ -60,12 +63,12 @@ class TestScan:
 
     def test_first_element_unchanged(self, rng):
         mats = rng.uniform(-1, 1, (1, 16, 6))
-        scanned = inclusive_scan(mats)
+        scanned = stored(inclusive_scan(planes(mats)))
         np.testing.assert_array_equal(scanned[:, 0], mats[:, 0])
 
     def test_input_not_mutated(self, rng):
-        mats = rng.uniform(-1, 1, (1, 8, 6))
-        before = mats.copy()
+        mats = planes(rng.uniform(-1, 1, (1, 8, 6)))
+        before = [p.copy() for p in mats]
         inclusive_scan(mats)
         np.testing.assert_array_equal(mats, before)
 
@@ -113,7 +116,7 @@ class TestOverflow:
 class TestBuildMatrices:
     def test_last_equation_formal_c(self):
         s = close_values(1, 4, seed=4, dtype=np.float64)
-        m = build_matrices(s.a, s.b, s.c, s.d)
+        m = stored(build_matrices(*s.equation_major()))
         # Last matrix built with c = 1: r00 == -b, r02 == d.
         np.testing.assert_allclose(m[0, -1, R00], -s.b[0, -1])
         np.testing.assert_allclose(m[0, -1, R02], s.d[0, -1])
@@ -123,7 +126,7 @@ class TestBuildMatrices:
         equation when plugged back in."""
         s = close_values(2, 16, seed=5, dtype=np.float64)
         x = evaluate_solution(inclusive_scan(
-            build_matrices(s.a, s.b, s.c, s.d)))
+            build_matrices(*s.equation_major()))).T
         assert s.residual(x).max() < 1e-7
 
 

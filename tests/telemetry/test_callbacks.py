@@ -5,7 +5,7 @@ import pytest
 
 from repro import telemetry
 from repro.gpusim import launch
-from repro.kernels.api import execute, plan_launch
+from repro.kernels.api import plan_launch, run_kernel
 from repro.numerics.generators import diagonally_dominant_fluid
 
 
@@ -57,7 +57,7 @@ class TestCollectorIntegration:
         systems = diagonally_dominant_fluid(4, 64, seed=3)
         plan = plan_launch(method, systems.n, systems.num_systems)
         with telemetry.collect() as planned:
-            execute(plan, plan.load(systems))
+            run_kernel(method, systems)
         with telemetry.collect() as traced:
             launch(plan.kernel, num_blocks=plan.num_blocks,
                    threads_per_block=plan.threads_per_block,
@@ -102,7 +102,6 @@ class TestPlannedLaunchReplay:
 
     def test_warm_planned_launch_resolves_no_label_keys(self, monkeypatch):
         from repro.gpusim import gt200_cost_model
-        from repro.kernels.api import run_kernel
         from repro.telemetry import metrics
 
         calls = []

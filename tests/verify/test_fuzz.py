@@ -28,9 +28,9 @@ def flipped_cr_sign(monkeypatch):
     shrink)."""
     orig = crmod.forward_reduction_level
 
-    def buggy(a, b, c, d, idx, s, n):
-        orig(a, b, c, d, idx, s, n)
-        d[:, idx] = -d[:, idx]
+    def buggy(w, stride, n):
+        orig(w, stride, n)
+        w[3, stride - 1::stride] = -w[3, stride - 1::stride]
 
     monkeypatch.setattr(crmod, "forward_reduction_level", buggy)
 
@@ -118,9 +118,9 @@ def test_injected_bug_repro_passes_once_fixed(tmp_path):
     with pytest.MonkeyPatch.context() as mp:
         orig = crmod.forward_reduction_level
 
-        def buggy(a, b, c, d, idx, s, n):
-            orig(a, b, c, d, idx, s, n)
-            d[:, idx] = -d[:, idx]
+        def buggy(w, stride, n):
+            orig(w, stride, n)
+            w[3, stride - 1::stride] = -w[3, stride - 1::stride]
 
         mp.setattr(crmod, "forward_reduction_level", buggy)
         report = run_fuzz(seed=0, iters=60, corpus_dir=tmp_path)
