@@ -87,7 +87,11 @@ def inclusive_scan(matrices) -> list[np.ndarray]:
     picks this variant deliberately because step count dominates GPU
     runtime (§2.3, §5.3).  Operates on a copy.
     """
-    m = [plane.copy() for plane in matrices]
+    return _scan_in_place([plane.copy() for plane in matrices])
+
+
+def _scan_in_place(m: list[np.ndarray]) -> list[np.ndarray]:
+    """:func:`inclusive_scan` over the planes ``m`` themselves."""
     n = m[0].shape[0]
     stride = 1
     while stride < n:
@@ -135,7 +139,7 @@ def recursive_doubling(systems: TridiagonalSystems) -> np.ndarray:
 def rd_on_arrays(w) -> np.ndarray:
     """RD on the equation-major ``(4, m, S)`` coefficients ``w`` (the
     hybrids' inner solver); returns the ``(m, S)`` solution."""
-    return evaluate_solution(inclusive_scan(build_matrices(*w)))
+    return evaluate_solution(_scan_in_place(build_matrices(*w)))
 
 
 def operation_count(n: int) -> int:

@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.gpusim import launch, ledgers_equal
+from repro.gpusim import ledgers_equal
 from repro.gpusim.estimator import characterize
-from repro.kernels.api import KERNELS, plan_launch
+from repro.kernels.api import KERNELS, execute, plan_launch
 from repro.solvers import layout as _layout
 from repro.solvers.api import SOLVERS, solve
 from repro.solvers.systems import TridiagonalSystems
@@ -199,9 +199,7 @@ def _run_sim(spec: CellSpec, systems: TridiagonalSystems):
     plan = plan_launch(spec.solver, systems.n, systems.num_systems,
                        layout=_sim_layout(spec.layout))
     gmem = plan.load(systems)
-    traced = launch(plan.kernel, num_blocks=plan.num_blocks,
-                    threads_per_block=plan.threads_per_block,
-                    device=plan.device, gmem=gmem, **dict(plan.kwargs))
+    traced = execute(plan, gmem)
     drift = ledgers_equal(traced.ledger, characterize(plan).ledger)
     return gmem.solution()[:systems.num_systems], traced, drift
 
