@@ -123,6 +123,7 @@ class TridiagonalSystems:
         """A fresh C-ordered ``(4, n, num_systems)`` copy of ``a, b, c,
         d``: the interleaved layout the batched solvers work in, where
         each reduction step moves whole rows of all systems."""
+        # Without ``out``, np.stack keeps the transposes' F-like strides.
         w = np.empty((4, self.n, self.num_systems), dtype=self.dtype)
         return np.stack([x.T for x in (self.a, self.b, self.c, self.d)],
                         out=w)
