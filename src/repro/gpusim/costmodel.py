@@ -258,7 +258,7 @@ class CostModel:
                               **labels)
                       for name, pt in rep.phases.items()))
 
-        col.metrics.write(
+        col.metrics.replay(
             writes() if entry is None else entry.derive(
                 ("model", self.params, num_blocks,
                  None if solver is None else str(solver)), writes))

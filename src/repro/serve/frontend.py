@@ -507,6 +507,8 @@ class ServeFrontend:
         events = sorted(requests,
                         key=lambda r: (r.arrival_ms, r.tenant,
                                        r.request_id))
+        if telemetry.enabled():
+            self.scheduler.derive_trace_ids(r.request_id for r in events)
         i = 0
         served = 0
         next_tick = (self.now_ms + live_every_ms

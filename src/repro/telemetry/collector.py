@@ -53,6 +53,7 @@ from typing import Any, Iterator
 
 from repro.gpusim.pool import derive_seed, derive_seeds
 
+from . import metrics as _metrics
 from .metrics import MetricsRegistry, Write, resolve
 from .spans import (LiveSpan, NOOP_SPAN, EventRecord, NoopSpan,
                     SpanRecord)
@@ -152,17 +153,17 @@ class Collector:
                    *, parent_id: int | None = None,
                    trace_id: str | None = None,
                    detached: bool = False) -> LiveSpan:
-        """Build a live span.
+        """Build a live span, which takes ``attrs`` over.
 
         ``parent_id``/``trace_id`` pin explicit trace context; when
         omitted they fall back to the open-span stack at enter time.
         ``detached`` registers and times the span without making it
         the implicit parent of subsequently opened spans.
         """
-        record = SpanRecord(span_id=self._new_span_id(),
-                            parent_id=parent_id, name=name,
-                            attrs=dict(attrs or {}), trace_id=trace_id)
-        return LiveSpan(self, record, detached=detached)
+        record = SpanRecord(self._new_span_id(), parent_id, name,
+                            {} if attrs is None else attrs,
+                            trace_id=trace_id)
+        return LiveSpan(self, record, detached)
 
     def _enter_span(self, record: SpanRecord,
                     detached: bool = False) -> None:
@@ -172,14 +173,14 @@ class Collector:
             parent = self._by_id.get(record.parent_id)
             if parent is not None:
                 record.trace_id = parent.trace_id
-        record.wall_start_s = self._now()
+        record.wall_start_s = self._clock() - self._t0      # _now()
         if not detached:
             self._stack.append(record)
         self.spans.append(record)
         self._by_id[record.span_id] = record
 
     def _exit_span(self, record: SpanRecord) -> None:
-        record.wall_dur_s = self._now() - record.wall_start_s
+        record.wall_dur_s = self._clock() - self._t0 - record.wall_start_s
         if self._stack and self._stack[-1] is record:
             self._stack.pop()
         elif record in self._stack:          # mismatched exit order
@@ -193,16 +194,15 @@ class Collector:
         if span_id is None and self._stack:
             span_id = self._stack[-1].span_id
         ev = EventRecord(name=name, wall_s=self._now(),
-                         attrs=dict(attrs or {}), span_id=span_id,
-                         event_id=self._new_id("event"))
+                         attrs={} if attrs is None else attrs,
+                         span_id=span_id, event_id=self._new_id("event"))
         self.events.append(ev)
         return ev
 
     # -- simulated launches --------------------------------------------
 
-    @contextmanager
     def launch(self, kernel: str, num_blocks: int, threads_per_block: int,
-               device: str) -> Iterator[LaunchRecord]:
+               device: str) -> "_Launch":
         """Observe one simulated launch: the executor enters this around
         the kernel and sets the yielded record's ``result``.
 
@@ -215,23 +215,43 @@ class Collector:
         entry (:meth:`LaunchResult.memo_entry
         <repro.gpusim.executor.LaunchResult.memo_entry>`).
         """
-        rec = LaunchRecord(
-            seq=len(self.launches), kernel=kernel, num_blocks=num_blocks,
-            threads_per_block=threads_per_block, device=device,
-            span_id=(self._stack[-1].span_id if self._stack else None))
-        self.launches.append(rec)
-        with self.start_span(f"sim.launch:{kernel}",
-                             {"kernel": kernel, "num_blocks": num_blocks,
-                              "threads_per_block": threads_per_block}):
-            try:
-                yield rec
-            finally:
-                result = rec.result
-                entry = None if result is None else result.memo_entry()
-                self.metrics.write(
-                    _launch_writes(kernel, result) if entry is None
-                    else entry.derive(("sim", kernel), lambda: (
-                        _launch_writes(kernel, entry))))
+        return _Launch(self, kernel, num_blocks, threads_per_block, device)
+
+
+class _Launch:
+    """:meth:`Collector.launch`'s context (a generator cost more)."""
+
+    __slots__ = ("collector", "args", "record", "span")
+
+    def __init__(self, collector: Collector, *args):
+        self.collector = collector
+        self.args = args
+
+    def __enter__(self) -> LaunchRecord:
+        col = self.collector
+        kernel, num_blocks, threads_per_block, device = self.args
+        self.record = LaunchRecord(
+            len(col.launches), kernel, num_blocks, threads_per_block,
+            device, span_id=col._stack[-1].span_id if col._stack else None)
+        col.launches.append(self.record)
+        self.span = col.start_span(
+            f"sim.launch:{kernel}",
+            {"kernel": kernel, "num_blocks": num_blocks,
+             "threads_per_block": threads_per_block}).record
+        col._enter_span(self.span)
+        return self.record
+
+    def __exit__(self, *exc) -> None:
+        col, kernel = self.collector, self.args[0]
+        try:
+            result = self.record.result
+            entry = None if result is None else result.memo_entry()
+            col.metrics.replay(
+                _launch_writes(kernel, result) if entry is None
+                else entry.derive(("sim", kernel), lambda: (
+                    _launch_writes(kernel, entry))))
+        finally:
+            col._exit_span(self.span)
 
 
 def _launch_writes(kernel: str, result: Any) -> tuple[Write, ...]:
@@ -284,10 +304,12 @@ def collect(collector: Collector | None = None) -> Iterator[Collector]:
     global _active
     prev = _active
     col = _active = collector or Collector()
+    _metrics._active = col.metrics
     try:
         yield col
     finally:
         _active = prev
+        _metrics._active = None if prev is None else prev.metrics
 
 
 def span(name: str, **attrs: Any) -> LiveSpan | NoopSpan:

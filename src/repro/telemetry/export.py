@@ -254,6 +254,22 @@ def _series(collector: Collector, name: str) -> list:
     return sorted(metric.series.items()) if metric is not None else []
 
 
+def _counted(collector: Collector, name: str, label: str,
+             head: str) -> list[str]:
+    """``head: total (value=count, ...)`` of a counter, aggregated by
+    ``label`` (a series may carry more labels); empty when none."""
+    series = _series(collector, name)
+    if not series:
+        return []
+    agg: dict[str, float] = {}
+    for k, v in series:
+        key = dict(k).get(label, "?")
+        agg[key] = agg.get(key, 0.0) + v
+    total = sum(v for _k, v in series)
+    parts = ", ".join(f"{k}={v:g}" for k, v in sorted(agg.items()))
+    return [f"{head}: {total:g} ({parts})"]
+
+
 def resilience_summary(collector: Collector) -> list[str]:
     """Readable lines for the resilience metrics, empty when none.
 
@@ -281,12 +297,7 @@ def resilience_summary(collector: Collector) -> list[str]:
             out.append(f"  {labels.get('method', '?')}: "
                        f"count {summ['count']}, p50 {summ['p50']:.3e}, "
                        f"max {summ['max']:.3e}")
-    faults = _series(collector, "faults.injected")
-    if faults:
-        total = sum(v for _k, v in faults)
-        kinds = ", ".join(f"{dict(k).get('kind', '?')}={v:g}"
-                          for k, v in faults)
-        out.append(f"injected faults: {total:g} ({kinds})")
+    out += _counted(collector, "faults.injected", "kind", "injected faults")
     if out:
         out.insert(0, "resilience:")
     return out
@@ -307,19 +318,6 @@ def serve_summary(collector: Collector) -> list[str]:
                           REQUEST_LATENCY, SERVE_LATENCY, SHED_TOTAL)
 
     out: list[str] = []
-
-    def counted(name: str, label: str, head: str) -> None:
-        # Counters may carry more labels than the one displayed;
-        # aggregate so each display key appears once.
-        series = _series(collector, name)
-        if series:
-            agg: dict[str, float] = {}
-            for k, v in series:
-                key = dict(k).get(label, "?")
-                agg[key] = agg.get(key, 0.0) + v
-            total = sum(v for _k, v in series)
-            parts = ", ".join(f"{k}={v:g}" for k, v in sorted(agg.items()))
-            out.append(f"{head}: {total:g} ({parts})")
 
     def latency(name: str, head: str) -> None:
         series = _series(collector, name)
@@ -349,8 +347,8 @@ def serve_summary(collector: Collector) -> list[str]:
             f"{dict(k).get('outcome', '?')}={v:g}" for k, v in reqs)
         out.append(f"front-end requests (tenant/cls/outcome): "
                    f"{total:g} ({parts})")
-    counted(QUOTA_DENIED, "tenant", "quota denials")
-    counted(DOWNGRADES, "tenant", "admission downgrades")
+    out += _counted(collector, QUOTA_DENIED, "tenant", "quota denials")
+    out += _counted(collector, DOWNGRADES, "tenant", "admission downgrades")
     latency(REQUEST_LATENCY,
             "request latency by class (arrival->done, modeled ms):")
     chunks = _series(collector, CHUNKS_TOTAL)
@@ -361,12 +359,13 @@ def serve_summary(collector: Collector) -> list[str]:
         out.append(f"chunks (device/status): {parts}")
     transitions(BREAKER_TRANSITIONS, "breaker transitions:")
     transitions(LIFECYCLE_TRANSITIONS, "lifecycle transitions:")
-    counted(HEDGES_TOTAL, "outcome", "hedged chunks")
-    counted(CANARY_TOTAL, "result", "readmission canaries")
-    counted(CHUNK_RETRIES, "kind", "chunk retries")
-    counted(DEGRADED_TOTAL, "reason", "degraded to CPU chain")
-    counted(DEADLINE_MISSES, "job", "deadline misses")
-    counted(SHED_TOTAL, "cls", "shed jobs")
+    out += _counted(collector, HEDGES_TOTAL, "outcome", "hedged chunks")
+    out += _counted(collector, CANARY_TOTAL, "result", "readmission canaries")
+    out += _counted(collector, CHUNK_RETRIES, "kind", "chunk retries")
+    out += _counted(collector, DEGRADED_TOTAL, "reason",
+                    "degraded to CPU chain")
+    out += _counted(collector, DEADLINE_MISSES, "job", "deadline misses")
+    out += _counted(collector, SHED_TOTAL, "cls", "shed jobs")
     latency(SERVE_LATENCY, "latency by class (modeled ms):")
     if out:
         out.insert(0, "serving:")
@@ -405,12 +404,7 @@ def verify_summary(collector: Collector) -> list[str]:
         out.append(f"  by engine: {parts}")
         for cell, value in sorted(failing.items()):
             out.append(f"  FAILING {cell}: {value:g}")
-    fuzz = _series(collector, FUZZ_CASES)
-    if fuzz:
-        total = sum(v for _k, v in fuzz)
-        parts = ", ".join(f"{dict(k).get('status', '?')}={v:g}"
-                          for k, v in fuzz)
-        out.append(f"fuzz cases: {total:g} ({parts})")
+    out += _counted(collector, FUZZ_CASES, "status", "fuzz cases")
     if out:
         out.insert(0, "verification:")
     return out
@@ -519,45 +513,28 @@ def prometheus_text(collector: Collector) -> str:
     deterministic (name-sorted families, label-sorted series), so two
     identical seeded runs produce identical expositions.
     """
-    from .metrics import Counter, Gauge, Histogram
-
     lines: list[str] = []
     for metric in collector.metrics.families():
-        if isinstance(metric, Counter):
-            name = _prom_name(metric.name)
-            if not name.endswith("_total"):
-                name += "_total"
-            if metric.help:
-                lines.append(f"# HELP {name} {metric.help}")
-            lines.append(f"# TYPE {name} counter")
-            for key, value in sorted(metric.series.items()):
+        name = _prom_name(metric.name)
+        if metric.kind == "counter" and not name.endswith("_total"):
+            name += "_total"
+        if metric.help:
+            lines.append(f"# HELP {name} {metric.help}")
+        lines.append(f"# TYPE {name} {metric.kind}")
+        for key, value in sorted(metric.series.items()):
+            if metric.kind != "histogram":
                 lines.append(f"{name}{_prom_labels(key)} "
                              f"{_prom_float(value)}")
-        elif isinstance(metric, Gauge):
-            name = _prom_name(metric.name)
-            if metric.help:
-                lines.append(f"# HELP {name} {metric.help}")
-            lines.append(f"# TYPE {name} gauge")
-            for key, value in sorted(metric.series.items()):
-                lines.append(f"{name}{_prom_labels(key)} "
-                             f"{_prom_float(value)}")
-        elif isinstance(metric, Histogram):
-            name = _prom_name(metric.name)
-            if metric.help:
-                lines.append(f"# HELP {name} {metric.help}")
-            lines.append(f"# TYPE {name} histogram")
-            for key, series in sorted(metric.series.items()):
-                for upper, cum in series.cumulative():
-                    le = (("le", _prom_float(upper)),)
-                    lines.append(f"{name}_bucket{_prom_labels(key, le)} "
-                                 f"{cum}")
-                inf = (("le", "+Inf"),)
-                lines.append(f"{name}_bucket{_prom_labels(key, inf)} "
-                             f"{series.count}")
-                lines.append(f"{name}_sum{_prom_labels(key)} "
-                             f"{_prom_float(series.sum)}")
-                lines.append(f"{name}_count{_prom_labels(key)} "
-                             f"{series.count}")
+                continue
+            for upper, cum in value.cumulative():
+                le = (("le", _prom_float(upper)),)
+                lines.append(f"{name}_bucket{_prom_labels(key, le)} {cum}")
+            inf = (("le", "+Inf"),)
+            lines.append(f"{name}_bucket{_prom_labels(key, inf)} "
+                         f"{value.count}")
+            lines.append(f"{name}_sum{_prom_labels(key)} "
+                         f"{_prom_float(value.sum)}")
+            lines.append(f"{name}_count{_prom_labels(key)} {value.count}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

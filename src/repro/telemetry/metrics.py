@@ -10,17 +10,21 @@ everything to plain dicts for the JSONL sink and the text summary.
 
 Every family the package emits is declared once, in :data:`METRICS`
 (name -> kind and help text), and written through one path:
-:meth:`MetricsRegistry.record`, or :func:`emit` for the active
-collector.  The declared kind picks the operation (counter ``inc``,
-gauge ``set``, histogram ``observe``); an undeclared name raises, so a
-typo fails loudly instead of starting a new family.
+:func:`emit` for the active collector, or
+:meth:`MetricsRegistry.record`.  The declared kind picks the operation
+(counter ``inc``, gauge ``set``, histogram ``observe``); an undeclared
+name raises, so a typo fails loudly instead of starting a new family.
 
-A write is resolved (:func:`resolve`: catalogue lookup, sorted label
-key, histogram bucket) before :meth:`MetricsRegistry.write` applies
-it.  ``record`` does both at once; a caller that repeats the same
-writes -- a planned launch's ``sim.*`` and ``model.*`` footprint,
-memoized with the plan (:mod:`repro.gpusim.estimator`) -- resolves
-them once and replays the tuple, one application per write, so every
+A write goes through a *handle* (:class:`Handle`), resolved once per
+registry, family and label set -- catalogue lookup, sorted label key,
+series storage -- as Prometheus clients resolve ``.labels()``.  The
+registry caches handles under the labels as passed plus their value
+types (:func:`_handle_key`), so a repeated write is one dict lookup
+and one series update.  A caller that repeats the same writes -- a
+planned launch's ``sim.*`` and ``model.*`` footprint, memoized with
+the plan (:mod:`repro.gpusim.estimator`) -- keys them once with
+:func:`resolve` and replays the tuple through the same handles
+(:meth:`MetricsRegistry.replay`), one application per write, so every
 series accumulates in the same order either way.
 
 Counters are float-valued on purpose: "modeled milliseconds by
@@ -30,11 +34,10 @@ to) even though the increments are fractional.
 Histograms are *streaming*: observations land in log-linear (HDR-style)
 buckets -- :data:`SUBBUCKETS` linear sub-buckets per power of two --
 so a series holds O(buckets) state independent of how many samples it
-absorbed, merges bucket-wise, and reports deterministic p50/p95/p99.
-The old exact list-backed implementation survives as
-:class:`_ReferenceHistogram` / :func:`_reference_summarize`, the oracle
-the property tests compare quantiles against (agreement within one
-bucket, i.e. a relative error of at most ``1/SUBBUCKETS`` per edge).
+absorbed, merges bucket-wise, and reports deterministic p50/p95/p99,
+within one bucket (a relative error of at most ``1/SUBBUCKETS`` per
+edge) of the exact quantiles; the exact list-backed oracle lives with
+the property tests.
 """
 
 from __future__ import annotations
@@ -145,17 +148,6 @@ METRICS: dict[str, tuple[str, str]] = {
 }
 
 
-def emit(name: str, value: float = 1.0, /, **labels: Any) -> None:
-    """Record ``value`` into the declared family ``name`` on the active
-    collector (:meth:`MetricsRegistry.record`); no-op when telemetry is
-    off.  The lazy import keeps this module cycle-free with
-    :mod:`repro.telemetry.collector`."""
-    from .collector import get_collector
-    col = get_collector()
-    if col is not None:
-        col.metrics.record(name, value, **labels)
-
-
 def _labelkey(labels: dict[str, Any]) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
@@ -170,15 +162,13 @@ def _labelstr(key: LabelKey) -> str:
 class Counter:
     """Monotonically accumulating value per label set."""
 
+    kind = "counter"
     name: str
     help: str = ""
     series: dict[LabelKey, float] = field(default_factory=dict)
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease")
-        key = _labelkey(labels)
-        self.series[key] = self.series.get(key, 0.0) + amount
+        CounterHandle(self, _labelkey(labels))(amount)
 
     def value(self, **labels: Any) -> float:
         return self.series.get(_labelkey(labels), 0.0)
@@ -188,12 +178,13 @@ class Counter:
 class Gauge:
     """Last-written value per label set."""
 
+    kind = "gauge"
     name: str
     help: str = ""
     series: dict[LabelKey, float] = field(default_factory=dict)
 
     def set(self, value: float, **labels: Any) -> None:
-        self.series[_labelkey(labels)] = float(value)
+        GaugeHandle(self, _labelkey(labels))(value)
 
     def value(self, **labels: Any) -> float:
         return self.series.get(_labelkey(labels), 0.0)
@@ -353,19 +344,13 @@ class Histogram:
     (relative error <= ``1/SUBBUCKETS``).
     """
 
+    kind = "histogram"
     name: str
     help: str = ""
     series: dict[LabelKey, HistogramSeries] = field(default_factory=dict)
 
-    def _series(self, labels: dict[str, Any]) -> HistogramSeries:
-        key = _labelkey(labels)
-        s = self.series.get(key)
-        if s is None:
-            s = self.series[key] = HistogramSeries()
-        return s
-
     def observe(self, value: float, **labels: Any) -> None:
-        self._series(labels).observe(value)
+        HistogramHandle(self, _labelkey(labels))(value)
 
     def count(self, **labels: Any) -> int:
         s = self.series.get(_labelkey(labels))
@@ -393,93 +378,122 @@ class Histogram:
 
 
 # ----------------------------------------------------------------------
-# The exact list-backed oracle (previous implementation, retained for
-# property tests: streaming quantiles must agree within one bucket).
+# Bound handles
 # ----------------------------------------------------------------------
 
-def _reference_summarize(values: list[float]) -> dict[str, float]:
-    """Exact summary over raw samples -- the pre-streaming behaviour."""
-    if not values:
-        return {"count": 0}
-    ordered = sorted(values)
-
-    def quantile(q: float) -> float:
-        return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
-
-    return {
-        "count": len(ordered),
-        "sum": sum(ordered),
-        "min": ordered[0],
-        "max": ordered[-1],
-        "mean": sum(ordered) / len(ordered),
-        "p50": quantile(0.50),
-        "p95": quantile(0.95),
-        "p99": quantile(0.99),
-    }
+def _handle_key(name: str, labels: dict[str, Any]) -> tuple:
+    """The handle-cache key of a write (:func:`emit` inlines it): name,
+    labels as passed, then their value types, which keep ``1``, ``1.0``
+    and ``True`` apart (equal hashes, labels "1", "1.0" and "True")."""
+    return (name, *labels.items(), *map(type, labels.values()))
 
 
-@dataclass
-class _ReferenceHistogram:
-    """Exact list-backed histogram: keeps every sample.  Only used as
-    the oracle in histogram property tests; production code uses the
-    streaming :class:`Histogram`."""
-
-    name: str
-    help: str = ""
-    series: dict[LabelKey, list[float]] = field(default_factory=dict)
-
-    def observe(self, value: float, **labels: Any) -> None:
-        self.series.setdefault(_labelkey(labels), []).append(float(value))
-
-    def values(self, **labels: Any) -> list[float]:
-        return list(self.series.get(_labelkey(labels), []))
-
-    def quantile(self, q: float, **labels: Any) -> float:
-        values = self.values(**labels)
-        if not values:
-            return math.nan
-        ordered = sorted(values)
-        return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
-
-    def summary(self, **labels: Any) -> dict[str, float]:
-        return _reference_summarize(self.values(**labels))
+#: Label value types whose handles are cached: equal values of one of
+#: them label alike.  Others (``0.0 == -0.0``) resolve on every write.
+_CACHED_TYPES = frozenset({str, int, bool, type(None)})
 
 
-#: Declared kind -> family class.
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+class Handle:
+    """One series of one registry's family, resolved once: the declared
+    kind, the sorted label key and the series storage.  Calling it is
+    one write; it writes only into the registry that bound it."""
 
-#: One resolved metric write: ``(name, kind, label key, value,
-#: bucket)``; ``bucket`` is the histogram bucket index, ``None`` for
-#: counters, gauges and (dropped) NaN observations.
-Write = tuple[str, str, LabelKey, float, "int | None"]
+    __slots__ = ("name", "key", "series")
+    kind = ""
+
+    def __init__(self, family: Counter | Gauge | Histogram, key: LabelKey):
+        self.name = family.name
+        self.key = key
+        self.series = family.series
+
+    def apply(self, value: float, bucket: int | None) -> None:
+        """Apply a write :func:`resolve` keyed (a memo replay)."""
+        self(value)
+
+
+class CounterHandle(Handle):
+    __slots__ = ()
+    kind = "counter"
+
+    def __call__(self, value: float) -> None:
+        if value < 0:
+            raise ValueError(f"counter {self.name!r} cannot decrease")
+        series, key = self.series, self.key
+        series[key] = series.get(key, 0.0) + value
+
+
+class GaugeHandle(Handle):
+    __slots__ = ()
+    kind = "gauge"
+
+    def __call__(self, value: float) -> None:
+        self.series[self.key] = float(value)
+
+
+class HistogramHandle(Handle):
+    """Holds its :class:`HistogramSeries`, created when bound."""
+
+    __slots__ = ("hist",)
+    kind = "histogram"
+
+    def __init__(self, family: Histogram, key: LabelKey):
+        super().__init__(family, key)
+        self.hist = self.series.setdefault(key, HistogramSeries())
+
+    def __call__(self, value: float) -> None:
+        self.hist.observe(value)
+
+    def apply(self, value: float, bucket: int | None) -> None:
+        if bucket is not None:              # a NaN observation is dropped
+            self.hist.add(value, bucket)
+
+
+#: Declared kind -> (family class, handle class).
+_KINDS = {"counter": (Counter, CounterHandle), "gauge": (Gauge, GaugeHandle),
+          "histogram": (Histogram, HistogramHandle)}
+
+#: One keyed metric write: ``(handle key, value, histogram bucket)``.
+Write = tuple[tuple, float, "int | None"]
 
 
 def resolve(name: str, value: float = 1.0, /, **labels: Any) -> Write:
-    """Resolve one write to the declared family ``name``: its kind,
-    sorted label key, value as its operation stores it and histogram
-    bucket.  Raises :class:`KeyError` for an undeclared name and
-    :class:`ValueError` for a negative counter increment."""
-    declared = METRICS.get(name)
-    if declared is None:
-        raise KeyError(f"undeclared metric {name!r}: add it to "
-                       f"repro.telemetry.metrics.METRICS")
-    kind = declared[0]
-    key = _labelkey(labels)
-    if kind == "counter":
-        if value < 0:
-            raise ValueError(f"counter {name!r} cannot decrease")
-        return name, kind, key, value, None
-    value = float(value)
-    bucket = (bucket_index(value) if kind == "histogram" and value == value
-              else None)
-    return name, kind, key, value, bucket
+    """Key one write, and bucket a histogram observation, for
+    :meth:`MetricsRegistry.replay` on any registry; the write is
+    checked when applied, exactly as :func:`emit` checks it."""
+    bucket = None
+    if METRICS.get(name, ("",))[0] == "histogram":
+        value = float(value)
+        bucket = bucket_index(value) if value == value else None
+    return _handle_key(name, labels), value, bucket
+
+
+#: The registry :func:`emit` writes to: the active collector's (set by
+#: :func:`repro.telemetry.collect`), ``None`` while telemetry is off.
+_active: "MetricsRegistry | None" = None
+
+
+def emit(name: str, value: float = 1.0, /, **labels: Any) -> None:
+    """Record ``value`` into the declared family ``name`` on the active
+    collector (:meth:`MetricsRegistry.record`); no-op when telemetry is
+    off."""
+    registry = _active
+    if registry is not None:
+        key = (name, *labels.items(), *map(type, labels.values()))
+        try:
+            handle = registry._handles[key]
+        except (KeyError, TypeError):       # first write, or uncached
+            handle = registry._bind(key, value)
+        handle(value)
 
 
 class MetricsRegistry:
-    """Lazily-created, name-keyed metric families."""
+    """Lazily-created, name-keyed metric families, written through
+    bound handles (one per family and label set)."""
 
     def __init__(self) -> None:
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
+        #: :func:`_handle_key` -> its bound handle.
+        self._handles: dict[tuple, Handle] = {}
 
     def _get(self, cls, name: str, help: str):
         metric = self._metrics.get(name)
@@ -487,7 +501,7 @@ class MetricsRegistry:
             declared = METRICS.get(name)
             if declared is not None:
                 kind, help = declared
-                if _KINDS[kind] is not cls:
+                if _KINDS[kind][0] is not cls:
                     raise TypeError(f"metric {name!r} is declared as a "
                                     f"{kind}, not {cls.__name__}")
             metric = cls(name=name, help=help)
@@ -498,33 +512,52 @@ class MetricsRegistry:
                 f"{type(metric).__name__}, not {cls.__name__}")
         return metric
 
+    def _bind(self, key: tuple, value: float = 0.0) -> Handle:
+        """Resolve the handle of a :func:`_handle_key` and cache it when
+        its label values allow.  An undeclared name raises
+        :class:`KeyError`; a negative first counter ``value`` raises
+        before the family is created."""
+        name = key[0]
+        if name not in METRICS:
+            raise KeyError(f"undeclared metric {name!r}: add it to "
+                           f"repro.telemetry.metrics.METRICS")
+        kind = METRICS[name][0]
+        if kind == "counter" and value < 0:
+            raise ValueError(f"counter {name!r} cannot decrease")
+        family, handle_cls = _KINDS[kind]
+        n = (len(key) - 1) // 2
+        handle = handle_cls(self._get(family, name, ""),
+                            _labelkey(dict(key[1:1 + n])))
+        if _CACHED_TYPES.issuperset(key[1 + n:]):
+            self._handles[key] = handle
+        return handle
+
+    def handle(self, name: str, /, **labels: Any) -> Handle:
+        """The bound handle of family ``name``'s ``labels`` series (what
+        ``.labels()`` returns in Prometheus clients): resolved on first
+        use, then cached in this registry."""
+        return self._handle(_handle_key(name, labels))
+
+    def _handle(self, key: tuple, value: float = 0.0) -> Handle:
+        try:
+            return self._handles[key]
+        except (KeyError, TypeError):       # first write, or uncached
+            return self._bind(key, value)
+
     def record(self, name: str, value: float = 1.0, /,
                **labels: Any) -> None:
         """Apply ``value`` to the declared family ``name`` by its
         catalogue kind (counter ``inc``, gauge ``set``, histogram
-        ``observe``): :func:`resolve` then :meth:`write`.  Raises
-        :class:`KeyError` for a name missing from :data:`METRICS`."""
-        self.write((resolve(name, value, **labels),))
+        ``observe``) through its handle.  Raises :class:`KeyError` for
+        a name missing from :data:`METRICS`."""
+        self._handle(_handle_key(name, labels), value)(value)
 
-    def write(self, writes: Iterable[Write]) -> None:
-        """The one write path: apply resolved writes in order, each as
-        its own counter add, gauge set or histogram observation."""
-        metrics = self._metrics
-        for name, kind, key, value, bucket in writes:
-            family = metrics.get(name)
-            if family is None:
-                family = self._get(_KINDS[kind], name, "")
-            series = family.series
-            if kind == "counter":
-                series[key] = series.get(key, 0.0) + value
-            elif kind == "gauge":
-                series[key] = value
-            else:
-                hist = series.get(key)
-                if hist is None:
-                    hist = series[key] = HistogramSeries()
-                if bucket is not None:      # NaN observations are dropped
-                    hist.add(value, bucket)
+    def replay(self, writes: Iterable[Write]) -> None:
+        """Apply keyed writes (:func:`resolve`) in order, each through
+        its handle as its own counter add, gauge set or histogram
+        observation."""
+        for key, value, bucket in writes:
+            self._handle(key, value).apply(value, bucket)
 
     def counter(self, name: str, help: str = "") -> Counter:
         return self._get(Counter, name, help)
@@ -552,16 +585,8 @@ class MetricsRegistry:
         """All metric families as plain dicts (JSON-ready)."""
         out: dict[str, Any] = {"counters": {}, "gauges": {}, "histograms": {}}
         for name, metric in sorted(self._metrics.items()):
-            if isinstance(metric, Counter):
-                out["counters"][name] = {
-                    _labelstr(k) or "_": v
-                    for k, v in sorted(metric.series.items())}
-            elif isinstance(metric, Gauge):
-                out["gauges"][name] = {
-                    _labelstr(k) or "_": v
-                    for k, v in sorted(metric.series.items())}
-            else:
-                out["histograms"][name] = {
-                    _labelstr(k) or "_": s.summary()
-                    for k, s in sorted(metric.series.items())}
+            out[metric.kind + "s"][name] = {
+                _labelstr(k) or "_": (
+                    v.summary() if metric.kind == "histogram" else v)
+                for k, v in sorted(metric.series.items())}
         return out

@@ -6,8 +6,8 @@ jobs are tagged with an :class:`SLOClass` (latency
 objective on the modeled clock), and an :class:`SLORegistry` folds each
 finished/shed job into streaming histograms and attribution counters.
 
-The registry owns its own :class:`~repro.telemetry.metrics.Histogram`
-instances, so it works with or without an active telemetry collector.
+The registry owns its own
+:class:`~repro.telemetry.metrics.HistogramSeries`, so it works with or without an active telemetry collector.
 When one *is* active, the registry mirrors three of its observations
 into collector metrics itself, so they appear in exports and snapshots:
 queue wait (``serve.queue_wait_ms``), sheds (``serve.shed_total``) and
@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .metrics import (DEADLINE_SLACK, QUEUE_WAIT, SHED_TOTAL, Histogram,
-                      emit)
+from .metrics import (DEADLINE_SLACK, QUEUE_WAIT, SHED_TOTAL,
+                      HistogramSeries, emit)
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,9 @@ DEFAULT_CLASS = "standard"
 @dataclass
 class _ClassState:
     slo: SLOClass
-    latency: Histogram = None          # type: ignore[assignment]
-    queue_wait: Histogram = None       # type: ignore[assignment]
-    deadline_slack: Histogram = None   # type: ignore[assignment]
+    latency: HistogramSeries = field(default_factory=HistogramSeries)
+    queue_wait: HistogramSeries = field(default_factory=HistogramSeries)
+    deadline_slack: HistogramSeries = field(default_factory=HistogramSeries)
     total: int = 0
     good: int = 0
     violations: int = 0
@@ -73,12 +73,6 @@ class _ClassState:
     #: Per-tenant burn attribution: tenant -> {jobs, good, violations,
     #: shed}, populated from the ``tenant=`` callers pass.
     tenants: dict[str, dict[str, int]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        name = self.slo.name
-        self.latency = Histogram(f"slo.{name}.latency_ms")
-        self.queue_wait = Histogram(f"slo.{name}.queue_wait_ms")
-        self.deadline_slack = Histogram(f"slo.{name}.deadline_slack_ms")
 
     def burn_rate(self) -> float:
         """Error-budget burn rate; 0.0 before any traffic."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class SpanRecord:
     """One span on the wall-clock timeline; compared by identity."""
 
@@ -35,11 +35,8 @@ class SpanRecord:
     #: not set explicitly; ``None`` for untraced spans.
     trace_id: str | None = None
 
-    def set_attr(self, key: str, value: Any) -> None:
-        self.attrs[key] = value
 
-
-@dataclass
+@dataclass(slots=True)
 class EventRecord:
     """Point-in-time event, attributed to the innermost open span."""
 
@@ -96,14 +93,14 @@ class LiveSpan:
         self._detached = detached
 
     def __enter__(self) -> "LiveSpan":
-        self._collector._enter_span(self.record, detached=self._detached)
+        self._collector._enter_span(self.record, self._detached)
         return self
 
     def __exit__(self, *exc) -> None:
         self._collector._exit_span(self.record)
 
     def set_attr(self, key: str, value: Any) -> None:
-        self.record.set_attr(key, value)
+        self.record.attrs[key] = value
 
     def event(self, name: str, **attrs: Any) -> None:
         self._collector.add_event(name, attrs, span_id=self.record.span_id)

@@ -77,10 +77,8 @@ class _Tally:
 
         Encodes each access as a (half-warp, bank, address) triple,
         deduplicates, and takes the per-half-warp maximum of distinct
-        addresses per bank.  Must stay equal to
-        :meth:`_reference_bank_cycles` (the original per-group loops,
-        property-tested against this in
-        ``tests/verify/test_invariant_tally.py``).
+        addresses per bank.  Property-tested against the original
+        per-group loops in ``tests/verify/test_invariant_tally.py``.
         """
         if addrs.size == 0:
             return 0, 0
@@ -95,39 +93,15 @@ class _Tally:
         worst = np.maximum.reduceat(counts, starts)
         return int(worst.sum()), int(starts.size)
 
-    def _reference_bank_cycles(self, addrs: np.ndarray,
-                               lanes: np.ndarray) -> tuple[int, int]:
-        """Per-half-warp loop oracle for :meth:`_bank_cycles`."""
-        cycles = halfwarps = 0
-        for g in np.unique(lanes // self.group):
-            group = addrs[lanes // self.group == g]
-            halfwarps += 1
-            worst = 1
-            banks = group % self.banks
-            for b in np.unique(banks):
-                worst = max(worst, np.unique(group[banks == b]).size)
-            cycles += int(worst)
-        return cycles, halfwarps
-
     def _transactions(self, idx: np.ndarray) -> int:
-        """64-byte-segment transactions per half-warp chunk, vectorized.
-
-        Must stay equal to :meth:`_reference_transactions`.
-        """
+        """64-byte-segment transactions per half-warp chunk, vectorized
+        (property-tested like :meth:`_bank_cycles`)."""
         if idx.size == 0:
             return 0
         seg = idx // self.seg_words
         chunk = np.arange(idx.size, dtype=np.int64) // self.group
         pair = chunk * (int(seg.max()) + 1) + seg
         return int(np.unique(pair).size)
-
-    def _reference_transactions(self, idx: np.ndarray) -> int:
-        """Chunked loop oracle for :meth:`_transactions`."""
-        total = 0
-        for start in range(0, idx.size, self.group):
-            total += int(np.unique(idx[start:start + self.group]
-                                   // self.seg_words).size)
-        return total
 
     # -- access-schedule recording --------------------------------------
 

@@ -23,6 +23,7 @@ from repro.gpusim.pool import make_pool
 from repro.numerics.generators import diagonally_dominant_fluid
 from repro.resilience.pipeline import _relative_residuals
 from repro.serve import CLOSED, HALF_OPEN, OPEN, HealthPolicy
+from repro.telemetry.metrics import COST_RESIDUAL
 
 from .conftest import make_job, make_sched
 
@@ -220,6 +221,15 @@ class TestTraceObservability:
         # Distinct jobs get distinct traces.
         assert len({r.trace_id for r in reports_a}) == 2
 
+    def test_trace_ids_derived_ahead_equal_scalar_ones(self):
+        job_ids = [f"tenant{i % 3}-{i:05d}" for i in range(300)] + ["", "é"]
+        for seed in (0, 17, 2**40 + 3):
+            scalar = make_sched(make_pool(2), seed=seed)
+            ahead = make_sched(make_pool(2), seed=seed)
+            ahead.derive_trace_ids(job_ids)
+            assert ([ahead.trace_id_for(j) for j in job_ids]
+                    == [scalar.trace_id_for(j) for j in job_ids])
+
     def test_jsonl_export_bitwise_identical(self):
         col_a, _, _ = self.run_traced(seed=17)
         col_b, _, _ = self.run_traced(seed=17)
@@ -240,7 +250,7 @@ class TestTraceObservability:
 
     def test_estimator_residuals_recorded_per_chunk(self):
         col, _, reports = self.run_traced()
-        hist = col.metrics.histogram(telemetry.COST_RESIDUAL)
+        hist = col.metrics.histogram(COST_RESIDUAL)
         total_chunks = sum(r.num_chunks for r in reports)
         assert hist.count(solver="cr_pcr", layout="global", n=64) == \
             total_chunks

@@ -13,6 +13,7 @@ from repro.numerics.generators import diagonally_dominant_fluid
 from repro.serve import scheduler as scheduler_mod
 from repro.serve.job import GPU_METHODS
 from repro.serve.scheduler import CPU_NS_PER_UNKNOWN
+from repro.telemetry.metrics import COST_RESIDUAL
 
 from .conftest import make_job, make_sched
 
@@ -147,7 +148,7 @@ class TestDerivedChunk:
         assert [len(job.chunk_indices(i)) for i in range(job.num_chunks)] \
             == [240, 240, 120]
         assert {h.ewma_ratio for h in sched.health.devices.values()} == {1.0}
-        residual = col.metrics.histogram(telemetry.COST_RESIDUAL)
+        residual = col.metrics.histogram(COST_RESIDUAL)
         series = list(residual.series.values())
         assert sum(s.count for s in series) == 3
         assert all(s.min == s.max == 0.0 for s in series)

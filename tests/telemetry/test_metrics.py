@@ -223,3 +223,117 @@ class TestCatalogue:
                        "repro_serve_breaker", "repro_serve_hedges",
                        "repro_serve_lifecycle", "repro_faults_"):
             assert any(p.startswith(prefix) for p in exported), prefix
+
+
+class TestHandles:
+    """Writes through bound handles, one per (registry, family, labels)."""
+
+    def test_equal_hashing_label_values_keep_three_series(self):
+        from repro import telemetry
+        from repro.telemetry.metrics import emit
+        with telemetry.collect() as col:
+            for _ in range(2):              # the second pass hits handles
+                for value in (1, 1.0, True):
+                    emit("sim.steps", phase=value)
+        assert col.metrics.counter("sim.steps").series == {
+            (("phase", "1"),): 2.0, (("phase", "1.0"),): 2.0,
+            (("phase", "True"),): 2.0}
+
+    def test_record_keeps_equal_hashing_values_apart(self):
+        reg = MetricsRegistry()
+        for value in (True, 1, 1.0, 1, True):
+            reg.record("serve.health_score", 0.5, device=value)
+        assert sorted(reg.gauge("serve.health_score").series) == [
+            (("device", "1"),), (("device", "1.0"),), (("device", "True"),)]
+
+    def test_signed_zero_labels_stay_apart(self):
+        reg = MetricsRegistry()
+        for value in (0.0, -0.0, 0.0):
+            reg.record("sim.steps", phase=value)
+        assert reg.counter("sim.steps").series == {
+            (("phase", "0.0"),): 2.0, (("phase", "-0.0"),): 1.0}
+
+    def test_handle_never_writes_into_another_collector(self):
+        from repro import telemetry
+        from repro.telemetry.metrics import emit
+        with telemetry.collect() as outer:
+            emit("pcie.transfers")
+            with telemetry.collect() as inner:
+                emit("pcie.transfers")
+                emit("pcie.transfers")
+            emit("pcie.transfers")
+        assert outer.metrics.counter("pcie.transfers").value() == 2.0
+        assert inner.metrics.counter("pcie.transfers").value() == 2.0
+        assert (outer.metrics.handle("pcie.transfers")
+                is not inner.metrics.handle("pcie.transfers"))
+
+    def test_undeclared_name_raises_on_every_write(self):
+        from repro import telemetry
+        from repro.telemetry.metrics import emit
+        with telemetry.collect() as col:
+            for _ in range(3):
+                with pytest.raises(KeyError, match="undeclared"):
+                    emit("serve.shed", cls="batch")
+                with pytest.raises(KeyError, match="undeclared"):
+                    col.metrics.record("serve.shed", cls="batch")
+        assert "serve.shed" not in col.metrics
+
+    def test_negative_increment_raises_on_a_cached_handle(self):
+        from repro import telemetry
+        from repro.telemetry.metrics import emit
+        with telemetry.collect() as col:
+            emit("pcie.bytes", 8, device="gpu0")
+            with pytest.raises(ValueError, match="cannot decrease"):
+                emit("pcie.bytes", -1, device="gpu0")
+            with pytest.raises(ValueError, match="cannot decrease"):
+                col.metrics.handle("pcie.bytes", device="gpu0")(-1)
+        assert col.metrics.counter("pcie.bytes").value(device="gpu0") == 8
+
+    def test_negative_first_increment_creates_no_family(self):
+        reg = MetricsRegistry()
+        with pytest.raises(ValueError, match="cannot decrease"):
+            reg.record("pcie.bytes", -1)
+        assert "pcie.bytes" not in reg
+
+    def test_handle_holds_kind_and_sorted_label_key(self):
+        reg = MetricsRegistry()
+        handle = reg.handle("serve.chunk_ms", device="gpu0", cls="batch")
+        assert handle.kind == "histogram"
+        assert handle.key == (("cls", "batch"), ("device", "gpu0"))
+        assert reg.handle("serve.chunk_ms", cls="batch",
+                          device="gpu0").key == handle.key
+
+    def test_seeded_serve_metrics_match_their_golden_digests(self):
+        """A seeded overload session's metrics, every launch's ``sim.*``
+        and ``model.*`` writes replayed from the plan memo, are
+        byte-identical to those recorded before writes went through
+        handles."""
+        import hashlib
+        import json
+
+        from repro import telemetry
+        from repro.gpusim.pool import make_pool
+        from repro.serve import (BatchScheduler, FrontendConfig,
+                                 ServeFrontend, loadgen)
+        from repro.telemetry.export import prometheus_text
+
+        col = telemetry.deterministic_collector(7)
+        with telemetry.collect(col):
+            sched = BatchScheduler(make_pool(2, seed=5), seed=7,
+                                   checkpoint_every=2)
+            fe = ServeFrontend(sched, config=FrontendConfig())
+            fe.run(loadgen.generate(
+                loadgen.overload_profiles(2.0, scenario="mixed", tenants=3),
+                horizon_ms=1.5, seed=7))
+            fe.close()
+        replayed = [r for r in col.launches
+                    if r.result is not None and r.result.memo_entry()]
+        assert len(replayed) == len(col.launches) == 83
+
+        def sha(text: str) -> str:
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        assert sha(json.dumps(col.metrics.snapshot(), sort_keys=True)) == (
+            "7a0e0741c8a1779dce20f467c03f22e98fd9f5ae85bdb836c94f3fce5ea3ca10")
+        assert sha(prometheus_text(col)) == (
+            "bfaf0bce3359acbca599199a43370db5a14c65027891c97f9d3a7f4952e71727")

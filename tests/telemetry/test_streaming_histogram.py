@@ -1,8 +1,9 @@
 """Streaming (log-linear) histogram: edge cases and oracle agreement.
 
 The streaming :class:`~repro.telemetry.metrics.Histogram` replaced the
-exact list-backed implementation; that implementation survives as
-``_ReferenceHistogram`` and these tests hold the two to the contract:
+exact list-backed implementation; that implementation survives here as
+the oracle ``ReferenceHistogram`` and these tests hold the two to the
+contract:
 identical count/sum/min/max/mean, and quantiles that agree to within
 one log-linear bucket (relative error ``<= 1/SUBBUCKETS`` per edge).
 """
@@ -14,8 +15,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.telemetry.metrics import (SUBBUCKETS, Histogram, HistogramSeries,
-                                     _ReferenceHistogram, bucket_index,
-                                     bucket_lower, bucket_upper)
+                                     bucket_index, bucket_lower,
+                                     bucket_upper)
+
+
+def reference_summarize(values: list[float]) -> dict[str, float]:
+    """Exact summary over raw samples -- the pre-streaming behaviour."""
+    if not values:
+        return {"count": 0}
+    ordered = sorted(values)
+
+    def quantile(q: float) -> float:
+        return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
+
+    return {
+        "count": len(ordered),
+        "sum": sum(ordered),
+        "min": ordered[0],
+        "max": ordered[-1],
+        "mean": sum(ordered) / len(ordered),
+        "p50": quantile(0.50),
+        "p95": quantile(0.95),
+        "p99": quantile(0.99),
+    }
+
+
+class ReferenceHistogram:
+    """Exact list-backed histogram of one series: keeps every sample."""
+
+    def __init__(self) -> None:
+        self.values: list[float] = []
+
+    def observe(self, value: float) -> None:
+        self.values.append(float(value))
+
+    def summary(self) -> dict[str, float]:
+        return reference_summarize(self.values)
 
 
 def close_within_bucket(streaming: float, exact: float) -> bool:
@@ -149,7 +184,7 @@ class TestOracleAgreement:
     @given(st.lists(finite_values, min_size=1, max_size=200))
     def test_quantiles_agree_within_one_bucket(self, values):
         streaming = Histogram("s")
-        oracle = _ReferenceHistogram("o")
+        oracle = ReferenceHistogram()
         for v in values:
             streaming.observe(v)
             oracle.observe(v)

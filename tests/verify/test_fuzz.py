@@ -20,6 +20,14 @@ pytestmark = pytest.mark.fuzz
 CR_FAMILY = {"cr", "cr_pcr", "cr_rd"}
 
 
+def assert_wrong_answers(report):
+    """Every failure is a wrong answer, not a crash: an injected bug
+    that only raises (a patch written for another signature, say) must
+    not pass for a caught one."""
+    for f in report.failures:
+        assert _failure_kind(f.message) != "crash", f.message
+
+
 @pytest.fixture
 def flipped_cr_sign(monkeypatch):
     """Deliberately inject a bug: flip the sign of the reduced rhs in
@@ -104,6 +112,7 @@ def test_injected_cr_bug_is_caught_and_shrunk(tmp_path, flipped_cr_sign):
     assert not report.ok, "seeded CR defect must be detected"
     assert all(f.case.spec.solver in CR_FAMILY for f in report.failures), \
         "only CR-path solvers may implicate the injected bug"
+    assert_wrong_answers(report)
     for f in report.failures:
         # Acceptance bar: minimized to a <= 4-system reproduction.
         assert f.shrunk_systems.num_systems <= 4
@@ -125,6 +134,7 @@ def test_injected_bug_repro_passes_once_fixed(tmp_path):
         mp.setattr(crmod, "forward_reduction_level", buggy)
         report = run_fuzz(seed=0, iters=60, corpus_dir=tmp_path)
         assert report.failures
+        assert_wrong_answers(report)
     # Bug reverted ("fixed"): every minimized repro now passes.
     for f in report.failures:
         result = replay_repro(f.repro_path)
@@ -134,6 +144,7 @@ def test_injected_bug_repro_passes_once_fixed(tmp_path):
 def test_shrunk_spec_matches_shrunk_systems(tmp_path, flipped_cr_sign):
     report = run_fuzz(seed=0, iters=60, corpus_dir=None)
     assert report.failures
+    assert_wrong_answers(report)
     f = report.failures[0]
     assert f.shrunk_spec.num_systems == f.shrunk_systems.num_systems
     assert f.shrunk_spec.n == f.shrunk_systems.n

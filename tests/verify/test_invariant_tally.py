@@ -3,9 +3,9 @@
 ``repro.verify.invariants._Tally`` re-derives bank-conflict cycles and
 coalesced transactions independently of the simulator.  Its hot
 methods were vectorized (np.unique / reduceat encodings); the original
-per-group loops are kept as ``_reference_bank_cycles`` /
-``_reference_transactions`` and the two implementations are held equal
-here on random address patterns, including the degenerate shapes the
+per-group loops live here as the oracles ``reference_bank_cycles`` /
+``reference_transactions`` and the two implementations are held equal
+on random address patterns, including the degenerate shapes the
 encodings must survive (empty, single lane, duplicate addresses,
 sparse lane ids, address 0 spans).
 """
@@ -15,6 +15,30 @@ from hypothesis import given, settings, strategies as st
 
 from repro.gpusim.device import GTX280, TESLA_C1060
 from repro.verify.invariants import _Tally
+
+
+def reference_bank_cycles(t: _Tally, addrs: np.ndarray,
+                          lanes: np.ndarray) -> tuple[int, int]:
+    """Per-half-warp loop oracle for ``_Tally._bank_cycles``."""
+    cycles = halfwarps = 0
+    for g in np.unique(lanes // t.group):
+        group = addrs[lanes // t.group == g]
+        halfwarps += 1
+        worst = 1
+        banks = group % t.banks
+        for b in np.unique(banks):
+            worst = max(worst, np.unique(group[banks == b]).size)
+        cycles += int(worst)
+    return cycles, halfwarps
+
+
+def reference_transactions(t: _Tally, idx: np.ndarray) -> int:
+    """Chunked loop oracle for ``_Tally._transactions``."""
+    total = 0
+    for start in range(0, idx.size, t.group):
+        total += int(np.unique(idx[start:start + t.group]
+                               // t.seg_words).size)
+    return total
 
 _addr_lists = st.lists(st.integers(min_value=0, max_value=4095),
                        min_size=1, max_size=64)
@@ -32,7 +56,7 @@ class TestBankCycles:
         t = _Tally(GTX280)
         a = np.asarray(addrs, dtype=np.int64)
         l = np.asarray(sorted(lanes), dtype=np.int64)
-        assert t._bank_cycles(a, l) == t._reference_bank_cycles(a, l)
+        assert t._bank_cycles(a, l) == reference_bank_cycles(t, a, l)
 
     @settings(max_examples=100, deadline=None)
     @given(addrs=_addr_lists)
@@ -40,7 +64,7 @@ class TestBankCycles:
         t = _Tally(GTX280)
         a = np.asarray(addrs, dtype=np.int64)
         l = np.arange(a.size, dtype=np.int64)
-        assert t._bank_cycles(a, l) == t._reference_bank_cycles(a, l)
+        assert t._bank_cycles(a, l) == reference_bank_cycles(t, a, l)
 
     def test_empty(self):
         t = _Tally(GTX280)
@@ -52,7 +76,7 @@ class TestBankCycles:
         t = _Tally(GTX280)
         a = np.zeros(33, dtype=np.int64)
         l = np.arange(33, dtype=np.int64)
-        assert t._bank_cycles(a, l) == t._reference_bank_cycles(a, l) \
+        assert t._bank_cycles(a, l) == reference_bank_cycles(t, a, l) \
             == (3, 3)
 
     def test_16_way_conflict(self):
@@ -69,7 +93,7 @@ class TestBankCycles:
         t = _Tally(TESLA_C1060)
         a = np.asarray(addrs, dtype=np.int64)
         l = np.arange(a.size, dtype=np.int64)
-        assert t._bank_cycles(a, l) == t._reference_bank_cycles(a, l)
+        assert t._bank_cycles(a, l) == reference_bank_cycles(t, a, l)
 
 
 class TestTransactions:
@@ -78,7 +102,7 @@ class TestTransactions:
     def test_matches_reference(self, idx):
         t = _Tally(GTX280)
         i = np.asarray(idx, dtype=np.int64)
-        assert t._transactions(i) == t._reference_transactions(i)
+        assert t._transactions(i) == reference_transactions(t, i)
 
     def test_empty(self):
         assert _Tally(GTX280)._transactions(
