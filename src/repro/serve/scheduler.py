@@ -69,9 +69,9 @@ from repro.gpusim.pool import (DevicePool, PooledDevice, derive_seed,
 from repro.kernels.api import plan_launch, run_kernel
 from repro.resilience.pipeline import _relative_residuals, robust_solve
 from repro.solvers.systems import TridiagonalSystems
-from repro.telemetry.metrics import (CHUNK_RETRIES, CHUNKS_TOTAL,
-                                     COST_RESIDUAL, DEADLINE_MISSES,
-                                     DEGRADED_TOTAL, HEDGES_TOTAL,
+from repro.telemetry.metrics import (CHUNK_RETRIES, COST_RESIDUAL,
+                                     DEADLINE_MISSES, DEGRADED_TOTAL,
+                                     HEDGES_TOTAL, LAUNCHES_TOTAL,
                                      RETRY_DELAY, SERVE_CHUNK_LATENCY,
                                      SERVE_LATENCY, emit)
 from repro.telemetry.slo import SLORegistry
@@ -463,7 +463,7 @@ class BatchScheduler:
         self._now_ms = max(self._now_ms, end)
         status = "degraded" if report.all_accepted else "failed"
         emit(DEGRADED_TOTAL, reason=reason)
-        emit(CHUNKS_TOTAL, device="cpu", status=status)
+        emit(LAUNCHES_TOTAL, device="cpu", status=status)
         emit(SERVE_CHUNK_LATENCY, cost, cls=job.slo_class, device="cpu")
         telemetry.event("serve.chunk_degraded", job=job.job_id,
                         chunk=chunk_id, reason=reason, status=status)
@@ -707,7 +707,7 @@ class BatchScheduler:
         self.health.observe_attempt(win.device, ratio=win.ratio, now_ms=end)
         if hedge_won:
             emit(HEDGES_TOTAL, device=win.device, outcome="won")
-        emit(CHUNKS_TOTAL, device=win.device, status="ok")
+        emit(LAUNCHES_TOTAL, device=win.device, status="ok")
         emit(SERVE_CHUNK_LATENCY, win.cost, cls=job.slo_class,
              device=win.device)
         if telemetry.enabled() and est > 0:
@@ -890,7 +890,7 @@ class BatchScheduler:
                     record.status = "restored"
                     lead.x[job.chunk_indices(chunk_id)] = x
                     lead.chunks.append(record)
-                    emit(CHUNKS_TOTAL, device=record.device,
+                    emit(LAUNCHES_TOTAL, device=record.device,
                          status="restored")
                     continue
                 with telemetry.span("serve.chunk", job=job.job_id,

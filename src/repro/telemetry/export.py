@@ -311,9 +311,9 @@ def serve_summary(collector: Collector) -> list[str]:
     sheds and per-class latency quantiles -- the
     health view of a :class:`repro.serve.BatchScheduler` run.
     """
-    from .metrics import (BREAKER_TRANSITIONS, CANARY_TOTAL, CHUNKS_TOTAL,
-                          CHUNK_RETRIES, DEADLINE_MISSES, DEGRADED_TOTAL,
-                          DOWNGRADES, FRONTEND_REQUESTS, HEDGES_TOTAL,
+    from .metrics import (BREAKER_TRANSITIONS, CANARY_TOTAL, CHUNK_RETRIES,
+                          DEADLINE_MISSES, DEGRADED_TOTAL, DOWNGRADES,
+                          FRONTEND_REQUESTS, HEDGES_TOTAL, LAUNCHES_TOTAL,
                           LIFECYCLE_TRANSITIONS, QUOTA_DENIED,
                           REQUEST_LATENCY, SERVE_LATENCY, SHED_TOTAL)
 
@@ -351,12 +351,12 @@ def serve_summary(collector: Collector) -> list[str]:
     out += _counted(collector, DOWNGRADES, "tenant", "admission downgrades")
     latency(REQUEST_LATENCY,
             "request latency by class (arrival->done, modeled ms):")
-    chunks = _series(collector, CHUNKS_TOTAL)
-    if chunks:
+    launches = _series(collector, LAUNCHES_TOTAL)
+    if launches:
         parts = ", ".join(
             f"{dict(k).get('device', '?')}/{dict(k).get('status', '?')}={v:g}"
-            for k, v in chunks)
-        out.append(f"chunks (device/status): {parts}")
+            for k, v in launches)
+        out.append(f"launches (device/status): {parts}")
     transitions(BREAKER_TRANSITIONS, "breaker transitions:")
     transitions(LIFECYCLE_TRANSITIONS, "lifecycle transitions:")
     out += _counted(collector, HEDGES_TOTAL, "outcome", "hedged chunks")

@@ -59,7 +59,7 @@ BREAKER_TRANSITIONS = "serve.breaker_transitions"
 CHUNK_RETRIES = "serve.chunk_retries"
 DEADLINE_MISSES = "serve.deadline_misses"
 DEGRADED_TOTAL = "serve.degraded_total"
-CHUNKS_TOTAL = "serve.chunks_total"
+LAUNCHES_TOTAL = "serve.launches_total"
 SERVE_LATENCY = "serve.latency_ms"
 SERVE_CHUNK_LATENCY = "serve.chunk_ms"
 QUEUE_WAIT = "serve.queue_wait_ms"
@@ -119,7 +119,10 @@ METRICS: dict[str, tuple[str, str]] = {
     CHUNK_RETRIES: ("counter", "chunk retries after device failures"),
     DEADLINE_MISSES: ("counter", "jobs that missed their deadline"),
     DEGRADED_TOTAL: ("counter", "chunks degraded to the CPU chain"),
-    CHUNKS_TOTAL: ("counter", "chunks completed by device and status"),
+    LAUNCHES_TOTAL: ("counter", "completed launches by device and status: "
+                     "one per GPU launch (a fused launch once), CPU "
+                     "re-solve (device=cpu) and chunk restored from the "
+                     "journal (status=restored)"),
     SERVE_LATENCY: ("histogram", "modeled job latency by SLO class"),
     SERVE_CHUNK_LATENCY: ("histogram",
                           "modeled chunk latency by SLO class and device"),
