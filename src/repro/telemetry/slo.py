@@ -6,10 +6,11 @@ jobs are tagged with an :class:`SLOClass` (latency
 objective on the modeled clock), and an :class:`SLORegistry` folds each
 finished/shed job into streaming histograms and attribution counters.
 
-The registry owns its own
-:class:`~repro.telemetry.metrics.HistogramSeries`, so it works with or without an active telemetry collector.
-When one *is* active, the registry mirrors three of its observations
-into collector metrics itself, so they appear in exports and snapshots:
+The registry owns its own histogram series
+(:class:`~repro.telemetry.metrics.HistogramSeries`), so it works with
+or without an active telemetry collector.  When one *is* active, the
+registry mirrors three of its observations into collector metrics
+itself, so they appear in exports and snapshots:
 queue wait (``serve.queue_wait_ms``), sheds (``serve.shed_total``) and
 deadline slack (``serve.deadline_slack_ms``).  The class latency here
 runs from arrival to finish (from start, for a job submitted without an
